@@ -204,22 +204,24 @@ inline void Banner(const std::string& title) {
   if (ActiveBenchReport() != nullptr) ActiveBenchReport()->Phase(title);
 }
 
+// Every cell is padded to 10 columns and ends in at least one space,
+// so a label of 10 or more characters cannot run into the next column.
 inline void Header(const std::vector<std::string>& cols) {
-  for (const std::string& c : cols) std::printf("%-10s", c.c_str());
+  for (const std::string& c : cols) std::printf("%-9s ", c.c_str());
   std::printf("\n");
 }
 
-inline void Cell(const std::string& s) { std::printf("%-10s", s.c_str()); }
+inline void Cell(const std::string& s) { std::printf("%-9s ", s.c_str()); }
 
 inline void Cell(double v) {
   if (v == 0) {
-    std::printf("%-10s", "0");
+    std::printf("%-9s ", "0");
   } else if (v < 0.001) {
-    std::printf("%-10.1e", v);
+    std::printf("%-9.1e ", v);
   } else if (v >= 1000) {
-    std::printf("%-10.0f", v);
+    std::printf("%-9.0f ", v);
   } else {
-    std::printf("%-10.4f", v);
+    std::printf("%-9.4f ", v);
   }
 }
 

@@ -2,7 +2,8 @@
 // name (embedded quotes, backslashes, newlines, tabs, and raw control
 // bytes) must round-trip through Escaped + a standard JSON unescape to
 // the original bytes, and the escaped form must contain no raw control
-// character (which JSON forbids inside strings).
+// character (which JSON forbids inside strings). Also the fixed-width
+// table printer's column separation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,6 +98,20 @@ TEST(BenchReportEscapeTest, CommonEscapesUseShortForms) {
   EXPECT_EQ(BenchReport::Escaped("a\\b"), "a\\\\b");
   EXPECT_EQ(BenchReport::Escaped(std::string(1, '\x1f')), "\\u001f");
   EXPECT_EQ(BenchReport::Escaped("plain name-42"), "plain name-42");
+}
+
+// Table cells pad to 10 columns; a label of 10 or more characters must
+// still be separated from the next one.
+TEST(BenchTableTest, LongLabelsKeepASeparatingSpace) {
+  testing::internal::CaptureStdout();
+  Header({"rb_s(undo)", "undone"});
+  Cell("tot(undo)x");
+  Cell(1234567890.0);
+  Cell("short");
+  EndRow();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "rb_s(undo) undone    \n"
+            "tot(undo)x 1234567890 short     \n");
 }
 
 }  // namespace
