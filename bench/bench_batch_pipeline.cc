@@ -2,8 +2,7 @@
 // baseline: a 3-tool column-frequency enforcement pass on Rand-scaled
 // Xiami-like social-network data, run with batch=1 on one thread (the
 // historical path) and batched under the O1-parallel pass scheduler at
-// 8 threads — in both parallel execution models: clone-and-merge and
-// the zero-copy shared-database mode with write leases.
+// 8 threads on the shared database with write leases.
 //
 // The setup itself is benched too: stage 1 (generate + materialize +
 // Rand-scale + integrity check) runs once serial and once with 8
@@ -16,17 +15,13 @@
 // broadcast modification: one validator vote, one columnar write, one
 // log segment. Every configuration must end at identical per-tool
 // errors; the bench aborts if any differs. The phase columns break a
-// group's coordinator-side overhead down: setup (clones + rebase-to-
-// clone, or lease partition + route assembly), merge (move-merge +
-// replay, or modlog splice alone), rebase (hand-back + rebinds) —
-// shared mode's merge and rebase are ~0 by construction.
+// group's coordinator-side overhead down: setup (lease partition +
+// route assembly), merge (modlog splice) and rebase (rebinds of
+// disturbed non-members).
 #include <chrono>
 
 #include "aspect/coordinator.h"
 #include "bench_util.h"
-#include "properties/coappear.h"
-#include "properties/linear.h"
-#include "properties/pairwise.h"
 #include "properties/simple.h"
 #include "relational/fingerprint.h"
 #include "relational/integrity.h"
@@ -61,8 +56,7 @@ struct RunOutcome {
 };
 
 RunOutcome RunOnce(const Database& base, const Database& truth,
-                   bool parallel, ParallelMode mode, int batch,
-                   int threads, bool verbose) {
+                   bool parallel, int batch, int threads, bool verbose) {
   auto scaled = base.Clone();
   // Log the enforcement modifications like the CLI's --report and the
   // replay-onto-snapshot path do: the log is a per-modification
@@ -79,7 +73,6 @@ RunOutcome RunOnce(const Database& base, const Database& truth,
   CoordinatorOptions opts;
   opts.seed = kSeed;
   opts.parallel_pass = parallel;
-  opts.parallel_mode = mode;
   opts.pass_threads = threads;
   opts.batch_size = batch;
   const auto t0 = std::chrono::steady_clock::now();
@@ -111,12 +104,12 @@ RunOutcome RunOnce(const Database& base, const Database& truth,
 /// a fixed seed, so repetitions only differ by scheduling noise and the
 /// minimum is the honest cost on a busy machine.
 RunOutcome Best(const Database& base, const Database& truth, bool parallel,
-                ParallelMode mode, int batch, int threads) {
+                int batch, int threads) {
   constexpr int kReps = 5;
   RunOutcome best;
   for (int r = 0; r < kReps; ++r) {
     RunOutcome o =
-        RunOnce(base, truth, parallel, mode, batch, threads, r == 0);
+        RunOnce(base, truth, parallel, batch, threads, r == 0);
     if (r == 0 || o.seconds < best.seconds) best = std::move(o);
   }
   return best;
@@ -158,7 +151,6 @@ bool RangeSplitPhase(const Database& base, const Database& truth,
     CoordinatorOptions opts;
     opts.seed = kSeed;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = ParallelMode::kShared;
     opts.pass_threads = parallel ? kThreads : 1;
     opts.batch_size = kBatch;
     const auto t0 = std::chrono::steady_clock::now();
@@ -237,7 +229,7 @@ bool ValidationPhase(const Database& base, const Database& truth,
     int64_t violations = 0;
     std::vector<double> errors;
   };
-  const auto run_once = [&](RouteVotes route, bool rebuild_per_step) {
+  const auto run_once = [&](RouteVotes route) {
     auto scaled = base.Clone();
     Coordinator coordinator;
     std::vector<int> order;
@@ -266,7 +258,6 @@ bool ValidationPhase(const Database& base, const Database& truth,
     // validator per modification, instead of one per 256-row batch.
     opts.batch_size = 1;
     opts.route_votes = route;
-    opts.route_rebuild_per_step = rebuild_per_step;
     const auto t0 = std::chrono::steady_clock::now();
     const RunReport rep =
         coordinator.Run(scaled.get(), order, opts).ValueOrAbort();
@@ -281,11 +272,11 @@ bool ValidationPhase(const Database& base, const Database& truth,
     out.errors = rep.final_errors;
     return out;
   };
-  const auto best = [&](RouteVotes route, bool rebuild_per_step = false) {
+  const auto best = [&](RouteVotes route) {
     constexpr int kReps = 3;
     VoteOutcome best_out;
     for (int r = 0; r < kReps; ++r) {
-      VoteOutcome o = run_once(route, rebuild_per_step);
+      VoteOutcome o = run_once(route);
       if (r == 0 || o.seconds < best_out.seconds) best_out = std::move(o);
     }
     return best_out;
@@ -293,11 +284,6 @@ bool ValidationPhase(const Database& base, const Database& truth,
 
   const VoteOutcome full = best(RouteVotes::kOff);
   const VoteOutcome routed = best(RouteVotes::kOn);
-  // Same routed configuration, but the index is torn down and rebuilt
-  // from certified scopes on every serial step (the pre-incremental
-  // behaviour, kept behind CoordinatorOptions::route_rebuild_per_step)
-  // — the voting is identical, only the maintenance cost differs.
-  const VoteOutcome rebuilt = best(RouteVotes::kOn, /*rebuild_per_step=*/true);
   const VoteOutcome audit = best(RouteVotes::kAudit);
   Header({"config", "seconds", "index_build_s", "votes_total",
           "votes_skipped"});
@@ -311,9 +297,8 @@ bool ValidationPhase(const Database& base, const Database& truth,
   };
   row("full", full);
   row("routed", routed);
-  row("routed-rebuild", rebuilt);
   row("audit", audit);
-  for (const VoteOutcome* o : {&routed, &rebuilt, &audit}) {
+  for (const VoteOutcome* o : {&routed, &audit}) {
     for (size_t i = 0; i < full.errors.size(); ++i) {
       if (full.errors[i] != o->errors[i]) {
         std::fprintf(stderr,
@@ -336,85 +321,20 @@ bool ValidationPhase(const Database& base, const Database& truth,
     return false;
   }
   const double route_speedup = full.seconds / std::max(1e-9, routed.seconds);
-  const double route_incremental_speedup =
-      rebuilt.seconds / std::max(1e-9, routed.seconds);
   std::printf("identical final errors; %lld/%lld votes skipped; "
-              "route speedup %.2fx (audit %.2fx); incremental index "
-              "%.2fx vs per-step rebuild (build %.4fs vs %.4fs)\n",
+              "route speedup %.2fx (audit %.2fx); index build %.4fs\n",
               static_cast<long long>(routed.votes_skipped),
               static_cast<long long>(routed.votes_total), route_speedup,
               full.seconds / std::max(1e-9, audit.seconds),
-              route_incremental_speedup, routed.build_seconds,
-              rebuilt.build_seconds);
+              routed.build_seconds);
   report->Metric("votes_total", static_cast<double>(routed.votes_total));
   report->Metric("votes_skipped", static_cast<double>(routed.votes_skipped));
   report->Metric("route_full_s", full.seconds);
   report->Metric("route_routed_s", routed.seconds);
-  report->Metric("route_rebuild_s", rebuilt.seconds);
   report->Metric("route_audit_s", audit.seconds);
   report->Metric("route_speedup", route_speedup);
-  report->Metric("route_incremental_speedup", route_incremental_speedup);
   report->Metric("route_index_build_s", routed.build_seconds);
-  report->Metric("route_index_build_rebuild_s", rebuilt.build_seconds);
   return true;
-}
-
-/// Swap-rebase microbench: the cost of handing a bound complex tool to
-/// a content-identical database — the operation the parallel pass pays
-/// twice per group member in clone mode (main -> clone -> main) — with
-/// the pointer-swap Rebase override vs the Unbind+Bind rebuild it
-/// replaced.
-void RebaseMicrobench(BenchReport* report) {
-  Banner("Swap-rebase microbench (DoubanMusicLike, complex tools)");
-  auto gen = GenerateDataset(DoubanMusicLike(4.0), kSeed).ValueOrAbort();
-  auto db = gen.Materialize(2).ValueOrAbort();
-  auto twin = db->Clone();
-  const Schema& schema = db->schema();
-
-  std::vector<std::unique_ptr<PropertyTool>> tools;
-  tools.push_back(std::make_unique<LinearPropertyTool>(schema));
-  tools.push_back(std::make_unique<CoappearPropertyTool>(schema));
-  tools.push_back(std::make_unique<PairwisePropertyTool>(schema));
-
-  Header({"tool", "swap_ms", "rebuild_ms"});
-  double swap_total = 0, rebuild_total = 0;
-  for (auto& tool : tools) {
-    tool->SetTargetFromDataset(*db).Check();
-    tool->Bind(db.get()).Check();
-    constexpr int kRounds = 20;
-    auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < kRounds; ++r) {
-      // One round trip, like a clone-mode group member.
-      tool->Rebase(twin.get()).Check();
-      tool->Rebase(db.get()).Check();
-    }
-    const double swap_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count() /
-        kRounds;
-    t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < kRounds; ++r) {
-      tool->Unbind();
-      tool->Bind(twin.get()).Check();
-      tool->Unbind();
-      tool->Bind(db.get()).Check();
-    }
-    const double rebuild_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count() /
-        kRounds;
-    Cell(tool->name());
-    Cell(swap_ms);
-    Cell(rebuild_ms);
-    EndRow();
-    swap_total += swap_ms;
-    rebuild_total += rebuild_ms;
-    tool->Unbind();
-  }
-  report->Metric("rebase_swap_ms", swap_total);
-  report->Metric("rebase_rebuild_ms", rebuild_total);
 }
 
 }  // namespace
@@ -506,27 +426,17 @@ int main() {
   report.AddTuples(base->TotalTuples());
 
   Banner("Serial per-modification baseline (batch=1, serial pass)");
-  const RunOutcome serial =
-      Best(*base, *truth, false, ParallelMode::kShared, 1, 1);
+  const RunOutcome serial = Best(*base, *truth, false, 1, 1);
   Banner("Batched + O1-parallel, shared database (batch=" +
          std::to_string(kBatch) + ", " + std::to_string(kThreads) +
          " threads)");
-  const RunOutcome shared =
-      Best(*base, *truth, true, ParallelMode::kShared, kBatch, kThreads);
-  Banner("Batched + O1-parallel, clone-and-merge (batch=" +
-         std::to_string(kBatch) + ", " + std::to_string(kThreads) +
-         " threads)");
-  const RunOutcome clone =
-      Best(*base, *truth, true, ParallelMode::kClone, kBatch, kThreads);
+  const RunOutcome shared = Best(*base, *truth, true, kBatch, kThreads);
 
-  const RunOutcome batch_only =
-      Best(*base, *truth, false, ParallelMode::kShared, kBatch, 1);
-  const RunOutcome par_only =
-      Best(*base, *truth, true, ParallelMode::kShared, 1, kThreads);
-  const RunOutcome batched_1t =
-      Best(*base, *truth, true, ParallelMode::kShared, kBatch, 1);
+  const RunOutcome batch_only = Best(*base, *truth, false, kBatch, 1);
+  const RunOutcome par_only = Best(*base, *truth, true, 1, kThreads);
+  const RunOutcome batched_1t = Best(*base, *truth, true, kBatch, 1);
 
-  Banner("Batch pipeline: serial vs batched+parallel (clone vs shared)");
+  Banner("Batch pipeline: serial vs batched+parallel");
   Header({"config", "seconds", "applied", "vetoed", "setup_ms",
           "merge_ms", "rebase_ms", "err0", "err1", "err2"});
   const auto row = [](const char* label, const RunOutcome& o) {
@@ -543,12 +453,11 @@ int main() {
   row("serial", serial);
   row("batch-only", batch_only);
   row("par-only", par_only);
-  row("batched-clone", clone);
   row("batched-shared", shared);
   row("batched-1t", batched_1t);
 
-  const RunOutcome* const all[] = {&batch_only, &par_only, &clone,
-                                   &shared,     &batched_1t};
+  const RunOutcome* const all[] = {&batch_only, &par_only, &shared,
+                                   &batched_1t};
   for (const RunOutcome* o : all) {
     for (size_t i = 0; i < serial.errors.size(); ++i) {
       if (serial.errors[i] != o->errors[i]) {
@@ -561,29 +470,21 @@ int main() {
     }
   }
   const double speedup = serial.seconds / std::max(1e-9, shared.seconds);
-  std::printf(
-      "identical final errors across all configs; speedup %.2fx "
-      "(shared), %.2fx (clone)\n",
-      speedup, serial.seconds / std::max(1e-9, clone.seconds));
+  std::printf("identical final errors across all configs; speedup %.2fx\n",
+              speedup);
   report.Metric("serial_s", serial.seconds);
   report.Metric("batched_parallel_s", shared.seconds);
-  report.Metric("clone_s", clone.seconds);
   report.Metric("shared_s", shared.seconds);
   report.Metric("speedup", speedup);
   report.Metric("batch", kBatch);
   report.Metric("threads", kThreads);
   report.Metric("groups", static_cast<double>(shared.groups));
-  report.Metric("clone_setup_ms", clone.setup_s * 1e3);
-  report.Metric("clone_merge_ms", clone.merge_s * 1e3);
-  report.Metric("clone_rebase_ms", clone.rebase_s * 1e3);
   report.Metric("shared_setup_ms", shared.setup_s * 1e3);
   report.Metric("shared_merge_ms", shared.merge_s * 1e3);
   report.Metric("shared_rebase_ms", shared.rebase_s * 1e3);
 
   if (!RangeSplitPhase(*base, *truth, &report)) return 1;
   if (!ValidationPhase(*base, *truth, &report)) return 1;
-
-  RebaseMicrobench(&report);
   // Every parallel configuration above was checked against its serial
   // equivalent: stage-1 by content hash, the tweaking configs and the
   // range-split run by final per-tool errors. Reaching this point means

@@ -6,8 +6,8 @@
 //              [--seed 7] [--truth truth_dir]
 //              [--save-targets file] [--load-targets file] [--profile]
 //              [--report] [--compare-orders] [--threads N]
-//              [--gen-threads N] [--rollback off|clone|undo]
-//              [--parallel-pass on|off] [--parallel-mode shared|clone]
+//              [--gen-threads N] [--rollback off|undo]
+//              [--parallel-pass on|off]
 //              [--batch N|auto] [--check-scopes off|warn|strict|sampled]
 //              [--route-votes off|on|audit]
 //
@@ -66,7 +66,7 @@ struct Args {
   bool compare_orders = false;
   std::string scaler = "Dscaler";
   std::string tools = "coappear,linear,pairwise";
-  std::string rollback = "off";
+  bool rollback = false;
   double scale = 2.0;
   int iterations = 1;
   int threads = 0;
@@ -75,7 +75,6 @@ struct Args {
   // every setting.
   int gen_threads = 1;
   bool parallel_pass = false;
-  ParallelMode parallel_mode = ParallelMode::kShared;
   int batch = 1;
   bool batch_auto = false;
   uint64_t seed = 1;
@@ -158,15 +157,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
         return Status::Invalid("--parallel-pass must be on or off");
       }
       args.parallel_pass = v == "on";
-    } else if (flag == "--parallel-mode") {
-      ASPECT_ASSIGN_OR_RETURN(const std::string v, next());
-      if (v == "shared") {
-        args.parallel_mode = ParallelMode::kShared;
-      } else if (v == "clone") {
-        args.parallel_mode = ParallelMode::kClone;
-      } else {
-        return Status::Invalid("--parallel-mode must be shared or clone");
-      }
     } else if (flag == "--batch") {
       ASPECT_ASSIGN_OR_RETURN(const std::string v, next());
       if (v == "auto") {
@@ -196,11 +186,11 @@ Result<Args> ParseArgs(int argc, char** argv) {
         return Status::Invalid("--route-votes must be off, on or audit");
       }
     } else if (flag == "--rollback") {
-      ASPECT_ASSIGN_OR_RETURN(args.rollback, next());
-      if (args.rollback != "off" && args.rollback != "clone" &&
-          args.rollback != "undo") {
-        return Status::Invalid("--rollback must be off, clone or undo");
+      ASPECT_ASSIGN_OR_RETURN(const std::string v, next());
+      if (v != "off" && v != "undo") {
+        return Status::Invalid("--rollback must be off or undo");
       }
+      args.rollback = v == "undo";
     } else if (flag == "--seed") {
       ASPECT_ASSIGN_OR_RETURN(const std::string v, next());
       args.seed = std::strtoull(v.c_str(), nullptr, 10);
@@ -365,12 +355,9 @@ Status Run(const Args& args) {
   options.order_search_threads = a.threads;
   options.parallel_pass = a.parallel_pass;
   options.pass_threads = a.threads;
-  options.parallel_mode = a.parallel_mode;
   options.batch_size = a.batch;
   options.batch_auto = a.batch_auto;
-  options.rollback_on_regression = a.rollback != "off";
-  options.rollback_mode =
-      a.rollback == "clone" ? RollbackMode::kClone : RollbackMode::kUndoLog;
+  options.rollback_on_regression = a.rollback;
   options.check_scopes = a.check_scopes;
   options.route_votes = a.route_votes;
   if (a.compare_orders && order.size() >= 2 && order.size() <= 4) {

@@ -1,10 +1,11 @@
 #include "aspect/coordinator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <chrono>
 #include <map>
-#include <optional>
+#include <set>
 #include <sstream>
 
 #include "analysis/probe.h"
@@ -25,19 +26,15 @@ double Now() {
       .count();
 }
 
-/// Listener attached to a parallel task's database clone. Records every
-/// applied modification (with pre-images and delivery shape) so the
-/// coordinator can replay the notifications to the main database's
-/// remaining listeners after the merge, and the coarse (table, column)
+/// Listener on a parallel task's private notification route. Records
+/// every modification the task applies to the shared database (with
+/// pre-images and delivery shape) so the coordinator can splice the
+/// notifications into the database's remaining listeners after the
+/// barrier or undo a discarded group, and the coarse (table, column)
 /// atoms actually written so the task's assumed scope can be verified.
 class WriteRecorder : public ModificationListener {
  public:
-  /// `record_entries` = false tracks only the written atoms (the scope
-  /// guard); full notification copies are kept only when somebody will
-  /// actually replay them, since the copies dominate the recorder's
-  /// per-modification cost.
-  WriteRecorder(const Schema* schema, bool record_entries)
-      : schema_(schema), record_entries_(record_entries) {}
+  explicit WriteRecorder(const Schema* schema) : schema_(schema) {}
 
   /// One notification to replay: `count` entries starting at `begin`,
   /// delivered as OnAppliedBatch when `batch`, else as a single
@@ -51,7 +48,6 @@ class WriteRecorder : public ModificationListener {
   void OnApplied(const Modification& mod, const std::vector<Value>& old_values,
                  TupleId new_tuple) override {
     AddAtoms(mod);
-    if (!record_entries_) return;
     deliveries_.push_back({mods_.size(), 1, false});
     mods_.push_back(mod);
     old_values_.push_back(old_values);
@@ -61,10 +57,6 @@ class WriteRecorder : public ModificationListener {
   void OnAppliedBatch(std::span<const Modification> mods,
                       std::span<const std::vector<Value>> old_values,
                       std::span<const TupleId> new_tuples) override {
-    if (!record_entries_) {
-      for (const Modification& m : mods) AddAtoms(m);
-      return;
-    }
     deliveries_.push_back({mods_.size(), mods.size(), true});
     for (size_t i = 0; i < mods.size(); ++i) {
       AddAtoms(mods[i]);
@@ -92,10 +84,10 @@ class WriteRecorder : public ModificationListener {
   }
 
   /// Reverts every recorded modification on `db`, newest first, using
-  /// the captured pre-images (Database::Undo). The shared-database
-  /// pass discards a failed group this way: its writes landed directly
-  /// in the main database, so dropping a clone is not an option.
-  /// Listeners are not notified; callers rebuild listener-held state.
+  /// the captured pre-images (Database::Undo). A discarded group's
+  /// writes already landed in the shared database, so this is how they
+  /// are taken back. Listeners are not notified; callers rebuild
+  /// listener-held state.
   Status UndoOnto(Database* db) const {
     for (size_t i = mods_.size(); i-- > 0;) {
       ASPECT_RETURN_NOT_OK(
@@ -106,7 +98,7 @@ class WriteRecorder : public ModificationListener {
 
   /// Equivalent to ReplayTo for a modification log, but moves the
   /// recorded entries instead of copying them through the listener
-  /// interface (the recorder is discarded after the merge, so the
+  /// interface (the recorder is discarded after the splice, so the
   /// copies would be pure waste). Valid once; leaves the recorder's
   /// written-atom set intact.
   void MoveInto(ModificationLog* log) {
@@ -126,19 +118,11 @@ class WriteRecorder : public ModificationListener {
     new_tuples_.clear();
   }
 
-  /// Coarse (table, column) atoms actually written on the clone, in
-  /// *merge* terms: a tuple insert/delete physically changes every
-  /// column, so it lands here as (table, kWholeTable) and the merge
-  /// moves the table whole.
-  const std::set<AccessScope::Atom>& written() const { return written_; }
-
-  /// The same writes in *declaration* terms: tuple ops are
+  /// The atoms written, in declaration terms: tuple ops are
   /// (table, kRowStructure), matching what DeclaredScope() promises
   /// and what Database::Apply probes. The scope guard diffs this set
   /// against the task's declared writes.
-  const std::set<AccessScope::Atom>& semantic_written() const {
-    return semantic_;
-  }
+  const std::set<AccessScope::Atom>& written() const { return written_; }
 
  private:
   void AddAtoms(const Modification& mod) {
@@ -147,28 +131,790 @@ class WriteRecorder : public ModificationListener {
       case OpKind::kDeleteValues:
       case OpKind::kInsertValues:
       case OpKind::kReplaceValues:
-        for (const int c : mod.cols) {
-          written_.insert({t, c});
-          semantic_.insert({t, c});
-        }
+        for (const int c : mod.cols) written_.insert({t, c});
         break;
       case OpKind::kInsertTuple:
       case OpKind::kDeleteTuple:
-        written_.insert({t, AccessScope::kWholeTable});
-        semantic_.insert({t, AccessScope::kRowStructure});
+        written_.insert({t, AccessScope::kRowStructure});
         break;
     }
   }
 
   const Schema* schema_;
-  bool record_entries_ = true;
   std::set<AccessScope::Atom> written_;
-  std::set<AccessScope::Atom> semantic_;
   std::vector<Modification> mods_;
   std::vector<std::vector<Value>> old_values_;
   std::vector<TupleId> new_tuples_;
   std::vector<Delivery> deliveries_;
 };
+
+using ToolList = std::vector<std::unique_ptr<PropertyTool>>;
+
+/// The run's validators and its one record of distrust. Validators
+/// accumulate: a tool that has completed at least one Tweak vetoes
+/// later tools' damaging proposals (Sec. III-C). A tool caught
+/// violating its declared scope — by the conformance checker, a lease
+/// probe, the barrier's scope guard or the vote-routing audit — is
+/// distrusted for the rest of the run: its declaration is ignored, so
+/// it plans with its observed (write-only) scope, runs serially and
+/// votes on every proposal.
+///
+/// With vote routing on, the ledger keeps the VoteIndex over the
+/// enforced validators (slot j <-> enforced()[j]; the list only grows
+/// and never reorders) in step with exactly the two events that change
+/// what a from-scratch Build over Scope() would produce: a validator
+/// joining appends its slot, a distrust event degrades its slot. An
+/// observed scope evolves as the monitor records writes, but every
+/// unknown or observed scope indexes identically (always votes, no
+/// buckets), and declarations are stable for the duration of a run, so
+/// maintenance is O(change) per event (debug builds cross-check it
+/// against a rebuild on every routed step).
+class ValidatorLedger {
+ public:
+  ValidatorLedger(const ToolList& tools, const AccessMonitor* monitor,
+                  const Schema* schema, bool routing)
+      : tools_(tools), monitor_(monitor), schema_(schema), routing_(routing) {
+    index_.Reset(schema_);
+  }
+
+  /// The scope the planner assumes for tool `id`: declared if the tool
+  /// knows it and is trusted, else what the AccessMonitor has observed
+  /// so far (O2), else unknown — which keeps the tool serial.
+  AccessScope Scope(int id) const {
+    if (distrusted_.count(id) == 0) {
+      AccessScope s = tools_[static_cast<size_t>(id)]->DeclaredScope();
+      if (s.known) return s;
+    }
+    return monitor_->ObservedScope(id);
+  }
+
+  /// Adds `id` to the validators unless it already is one.
+  void Enforce(int id) {
+    if (SlotOf(id) != TweakContext::kNoSelfSlot) return;
+    enforced_.push_back(id);
+    if (!routing_) return;
+    const double t0 = Now();
+    index_.AddValidator(Scope(id));
+    index_seconds_ += Now() - t0;
+  }
+
+  void Distrust(int id) {
+    if (!distrusted_.insert(id).second || !routing_) return;
+    const size_t slot = SlotOf(id);
+    if (slot == TweakContext::kNoSelfSlot) return;
+    const double t0 = Now();
+    index_.Distrust(static_cast<int>(slot));
+    index_seconds_ += Now() - t0;
+  }
+
+  /// The position of `id` in enforced(), or kNoSelfSlot.
+  size_t SlotOf(int id) const {
+    const auto it = std::find(enforced_.begin(), enforced_.end(), id);
+    return it == enforced_.end()
+               ? TweakContext::kNoSelfSlot
+               : static_cast<size_t>(it - enforced_.begin());
+  }
+
+  const std::vector<int>& enforced() const { return enforced_; }
+
+  /// The routing index (meaningful with routing on). Debug builds
+  /// assert it equals a from-scratch rebuild over the resolved scopes.
+  const VoteIndex& index() const {
+#ifndef NDEBUG
+    std::vector<AccessScope> scopes;
+    scopes.reserve(enforced_.size());
+    for (const int e : enforced_) scopes.push_back(Scope(e));
+    VoteIndex fresh;
+    fresh.Build(schema_, scopes);
+    assert(index_.DebugEquals(fresh));
+#endif
+    return index_;
+  }
+
+  /// Seconds spent maintaining the routing index.
+  double index_seconds() const { return index_seconds_; }
+
+ private:
+  const ToolList& tools_;
+  const AccessMonitor* monitor_;
+  const Schema* schema_;
+  const bool routing_;
+  std::set<int> distrusted_;
+  std::vector<int> enforced_;
+  VoteIndex index_;
+  double index_seconds_ = 0;
+};
+
+/// One member of a parallel group. The tool tweaks the shared main
+/// database directly inside its write lease; `route` — the tool's own
+/// listeners plus the recorder — is the only notification target on
+/// the task's thread, so its statistics update privately and siblings
+/// see nothing.
+struct GroupTask {
+  size_t pos = 0;
+  int id = -1;
+  AccessScope scope;
+  const WriteLease* lease = nullptr;
+  /// A copy of the position's preforked RNG: a discarded group is
+  /// redone serially with the pristine children.
+  Rng rng;
+  double error_before = 0;
+  std::unique_ptr<WriteRecorder> recorder;
+  std::unique_ptr<AccessMonitor> monitor;
+  /// Observed read+write footprint of the Tweak (conformance checking
+  /// only; null when no checker is installed).
+  std::unique_ptr<analysis::FootprintRecorder> footprint;
+  std::vector<ModificationListener*> route;
+  /// The first write observed outside the lease, latched by the
+  /// task's LeaseProbeSink.
+  bool lease_violated = false;
+  AccessScope::Atom lease_violation{-1, -1};
+  int64_t lease_violation_row = analysis::kProbeAllRows;
+  Status status = Status::OK();
+  double seconds = 0;
+  int64_t applied = 0;
+  int64_t vetoed = 0;
+  int64_t forced = 0;
+  int batch_final = 1;
+};
+
+/// The state of one Coordinator::Run between steps: the validators,
+/// the pass's preforked RNGs, the autotuned batch hints, the rollback
+/// undo log and the worker pool. Each Step is one box of Fig. 2 —
+/// tweak one tool under its validators' votes — or a parallel group of
+/// such boxes that provably commute (O1).
+class TweakLoop {
+ public:
+  TweakLoop(const ToolList& tools, AccessMonitor* monitor,
+            analysis::ScopeChecker* checker, Database* db,
+            const std::vector<int>& order, const CoordinatorOptions& options,
+            RunReport* report)
+      : tools_(tools),
+        monitor_(monitor),
+        checker_(checker),
+        db_(db),
+        order_(order),
+        options_(options),
+        report_(report),
+        ledger_(tools, monitor, &db->schema(),
+                options.route_votes != RouteVotes::kOff),
+        batch_hint_(tools.size(), options.batch_size),
+        try_parallel_(options.parallel_pass &&
+                      !options.rollback_on_regression && order.size() > 1) {
+    // Footprint recorders are dense bitmaps shaped by the schema.
+    for (int i = 0; i < db->num_tables(); ++i) {
+      columns_per_table_.push_back(db->table(i).num_columns());
+    }
+    // Undo-log rollback records every step's modifications with
+    // pre-images; a regressed step is reverted in reverse at a cost
+    // linear in the step's modifications, not the database size.
+    if (options.rollback_on_regression) {
+      undo_log_ = std::make_unique<ModificationLog>(db);
+    }
+  }
+
+  /// Begins pass `pass` (0-based): one RNG child per order position,
+  /// forked up front. The fork sequence is identical to forking right
+  /// before each step, so serial results are unchanged, and each
+  /// parallel task's randomness is fixed before any scheduling.
+  void StartPass(int pass, Rng* rng) {
+    pass_ = pass;
+    children_.clear();
+    for (size_t i = 0; i < order_.size(); ++i) children_.push_back(rng->Fork());
+  }
+
+  /// Runs the step at order position `pos` — a parallel group when one
+  /// forms there, else one serial tool step — and returns the position
+  /// after it.
+  Result<size_t> Step(size_t pos) {
+    std::vector<AccessScope> scopes;
+    const std::vector<size_t> members =
+        try_parallel_ ? PlanGroup(pos, &scopes) : std::vector<size_t>();
+    if (members.size() < 2) {
+      ASPECT_RETURN_NOT_OK(SerialStep(pos));
+      return pos + 1;
+    }
+    ASPECT_RETURN_NOT_OK(GroupStep(members, scopes));
+    return members.back() + 1;
+  }
+
+  double index_seconds() const { return ledger_.index_seconds(); }
+
+ private:
+  PropertyTool* tool(int id) const {
+    return tools_[static_cast<size_t>(id)].get();
+  }
+
+  /// The batch-size hint a step of `id` starts from. With batch_auto a
+  /// step starts where the tool's previous committed step settled, so
+  /// the tuning survives across passes; a discarded group commits no
+  /// hint, so its serial redo starts from the same hint the group did
+  /// and the trajectory is identical in every execution mode.
+  int BatchHint(int id) const {
+    return options_.batch_auto ? batch_hint_[static_cast<size_t>(id)]
+                               : options_.batch_size;
+  }
+
+  /// Summed error of `id` and every other validator: what the rollback
+  /// guard must not see grow.
+  double GuardedError(int id) const {
+    double sum = tool(id)->Error();
+    for (const int e : ledger_.enforced()) {
+      if (e != id) sum += tool(e)->Error();
+    }
+    return sum;
+  }
+
+  /// Feeds the checker's distrust verdict on `id` into the ledger.
+  void SyncCheckerDistrust(int id) {
+    if (checker_ != nullptr && checker_->IsDistrusted(id)) {
+      ledger_.Distrust(id);
+    }
+  }
+
+  void UnbindAll() {
+    for (const int id : order_) tool(id)->Unbind();
+  }
+
+  /// Restores the pre-step state from the undo log and rebuilds every
+  /// bound tool's statistics.
+  Status RollBack() {
+    UnbindAll();
+    ASPECT_RETURN_NOT_OK(undo_log_->UndoOnto(db_));
+    undo_log_->Clear();
+    for (const int id : order_) ASPECT_RETURN_NOT_OK(tool(id)->Bind(db_));
+    return Status::OK();
+  }
+
+  Status SerialStep(size_t pos);
+  std::vector<size_t> PlanGroup(size_t pos,
+                                std::vector<AccessScope>* scopes) const;
+  bool Eligible(size_t pos, AccessScope* out) const;
+  Status GroupStep(const std::vector<size_t>& members,
+                   const std::vector<AccessScope>& scopes);
+  std::vector<GroupTask> SetUpGroup(const std::vector<size_t>& members,
+                                    const std::vector<AccessScope>& scopes,
+                                    const std::vector<WriteLease>& leases);
+  void RunTasks(std::vector<GroupTask>* tasks);
+  void RunTask(GroupTask* task);
+  bool VerifyGroup(std::vector<GroupTask>* tasks);
+  Status DiscardAndRedo(std::vector<GroupTask>* tasks);
+  Status CommitGroup(std::vector<GroupTask>* tasks,
+                     const std::vector<ModificationListener*>& replay_to);
+
+  const ToolList& tools_;
+  AccessMonitor* monitor_;
+  analysis::ScopeChecker* checker_;
+  Database* db_;
+  const std::vector<int>& order_;
+  const CoordinatorOptions& options_;
+  RunReport* report_;
+  ValidatorLedger ledger_;
+  std::vector<int> batch_hint_;
+  const bool try_parallel_;
+  std::vector<int> columns_per_table_;
+  std::unique_ptr<ModificationLog> undo_log_;
+  std::vector<Rng> children_;
+  /// 0-based pass index, for violation diagnostics.
+  int pass_ = 0;
+  /// Fetched from the process-wide shared pool by the first group that
+  /// needs it (thread spawns are too expensive to pay per group). Stays
+  /// null when this Run itself executes on a pool worker (the parallel
+  /// order search), in which case groups run inline.
+  ThreadPool* pool_ = nullptr;
+};
+
+/// One serial tool step: Tweak under the votes of every other
+/// validator, guarded by the rollback safety net when enabled.
+Status TweakLoop::SerialStep(size_t pos) {
+  const int id = order_[pos];
+  PropertyTool* t = tool(id);
+  std::vector<PropertyTool*> validators;
+  std::vector<int> validator_ids;
+  if (options_.validate) {
+    for (const int e : ledger_.enforced()) {
+      if (e != id) {
+        validators.push_back(tool(e));
+        validator_ids.push_back(e);
+      }
+    }
+  }
+  TweakContext ctx(db_, std::move(validators), &children_[pos], monitor_, id);
+  ctx.set_batch_hint(BatchHint(id));
+  ctx.set_batch_auto(options_.batch_auto);
+  if (options_.route_votes != RouteVotes::kOff && !validator_ids.empty()) {
+    // The stepping tool's own slot (when already enforced) is handed to
+    // the context so its vote loops skip it.
+    ctx.set_vote_routing(&ledger_.index(), options_.route_votes,
+                         ledger_.SlotOf(id));
+  }
+  ToolReport step;
+  step.tool = t->name();
+  step.error_before = t->Error();
+  double guarded_before = 0;
+  if (undo_log_ != nullptr) {
+    const double clear0 = Now();
+    undo_log_->Clear();
+    step.rollback_seconds += Now() - clear0;
+    guarded_before = GuardedError(id);
+  }
+  const double t0 = Now();
+  Status st;
+  if (checker_ != nullptr) {
+    analysis::FootprintRecorder footprint(columns_per_table_);
+    {
+      analysis::ScopedAccessProbe probe(&footprint);
+      st = t->Tweak(&ctx);
+    }
+    checker_->CheckStep(id, t->name(), t->DeclaredScope(), footprint, pass_);
+    SyncCheckerDistrust(id);
+  } else {
+    st = t->Tweak(&ctx);
+  }
+  step.seconds = Now() - t0;
+  if (!st.ok()) {
+    UnbindAll();
+    return st;
+  }
+  if (undo_log_ != nullptr) {
+    step.rollback_mods = undo_log_->size();
+    const double guarded_after = GuardedError(id);
+    if (guarded_after > guarded_before + 1e-12) {
+      const double undo0 = Now();
+      ASPECT_RETURN_NOT_OK(RollBack());
+      step.rolled_back = true;
+      step.rollback_seconds += Now() - undo0;
+      ASPECT_LOG(Info) << "rolled back " << t->name() << " (regression "
+                       << guarded_before << " -> " << guarded_after << ")";
+    }
+  }
+  step.error_after = t->Error();
+  step.applied = ctx.applied();
+  step.vetoed = ctx.vetoed();
+  step.forced = ctx.forced();
+  step.batch_final = ctx.batch_hint();
+  step.votes_total = ctx.votes_total();
+  step.votes_skipped = ctx.votes_skipped();
+  step.route_audit_violations =
+      static_cast<int64_t>(ctx.route_violations().size());
+  step.route_fallbacks = ctx.route_fallbacks();
+  for (const TweakContext::RouteViolation& v : ctx.route_violations()) {
+    ledger_.Distrust(validator_ids[static_cast<size_t>(v.validator)]);
+    ASPECT_LOG(Info) << "vote-routing audit: pruned validator " << v.name
+                     << " returned penalty " << v.penalty << " during "
+                     << t->name()
+                     << "; declaration distrusted, full voting restored";
+  }
+  batch_hint_[static_cast<size_t>(id)] = ctx.batch_hint();
+  ASPECT_LOG(Info) << "tweak " << step.tool << ": " << step.error_before
+                   << " -> " << step.error_after;
+  report_->steps.push_back(std::move(step));
+  ledger_.Enforce(id);
+  return Status::OK();
+}
+
+// A position may run inside a parallel group only if its scope is
+// known with a complete read set — an observed (write-only) scope
+// cannot prove the tool's reads are undisturbed by co-members, so such
+// tools stay on the serial path — and every enforced validator's vote
+// on its proposals is provably zero. A vote depends on the validator's
+// *statistics* (its Error/ValidationPenalty inputs), so the test is
+// against stats_reads (ValidationDisturb), not the full Tweak read set:
+// a validator's Tweak-only reads (e.g. TupleCountTool's whole template
+// rows) cannot change its votes. Votes of group co-members are covered
+// by the group's pairwise non-conflict.
+bool TweakLoop::Eligible(size_t pos, AccessScope* out) const {
+  const AccessScope s = ledger_.Scope(order_[pos]);
+  if (!s.known || !s.reads_complete) return false;
+  // A known-but-empty scope means the tool touches no data at all;
+  // grouping it buys nothing.
+  if (s.reads.empty() && s.writes.empty()) return false;
+  if (options_.validate) {
+    for (const int e : ledger_.enforced()) {
+      if (e == order_[pos]) continue;
+      if (ValidationDisturb(s, ledger_.Scope(e))) return false;
+    }
+  }
+  *out = s;
+  return true;
+}
+
+/// The parallel group starting at `pos`, if any: the maximal run of
+/// consecutive eligible positions, partitioned by scope conflicts (O1)
+/// into independence classes; the group is the maximal consecutive
+/// prefix sharing the first position's class. Consecutiveness means no
+/// conflicting tool was scheduled between the members, so running them
+/// concurrently is exactly the commutation O1 licenses.
+std::vector<size_t> TweakLoop::PlanGroup(
+    size_t pos, std::vector<AccessScope>* scopes) const {
+  std::vector<AccessScope> window;
+  for (size_t end = pos; end < order_.size(); ++end) {
+    AccessScope s;
+    if (!Eligible(end, &s)) break;
+    window.push_back(std::move(s));
+  }
+  const size_t wn = window.size();
+  if (wn < 2) return {};
+  std::vector<std::vector<bool>> adj(wn, std::vector<bool>(wn, false));
+  for (size_t a = 0; a < wn; ++a) {
+    for (size_t b = a + 1; b < wn; ++b) {
+      const bool c = ScopesConflict(window[a], window[b]);
+      adj[a][b] = c;
+      adj[b][a] = c;
+    }
+  }
+  const std::vector<std::vector<int>> classes = IndependentClasses(adj);
+  std::vector<int> class_of(wn, 0);
+  for (size_t k = 0; k < classes.size(); ++k) {
+    for (const int v : classes[k]) {
+      class_of[static_cast<size_t>(v)] = static_cast<int>(k);
+    }
+  }
+  std::vector<size_t> members = {pos};
+  scopes->push_back(window[0]);
+  for (size_t j = 1; j < wn; ++j) {
+    if (class_of[j] != class_of[0]) break;
+    // The same tool twice in one group would race with itself.
+    bool duplicate = false;
+    for (const size_t m : members) duplicate |= order_[m] == order_[pos + j];
+    if (duplicate) break;
+    members.push_back(pos + j);
+    scopes->push_back(window[j]);
+  }
+  return members;
+}
+
+/// Runs consecutive, pairwise non-conflicting order positions
+/// concurrently on the shared database, then verifies every task
+/// stayed inside its scope: set up, tweak, verify, and either commit
+/// or discard and redo the whole group serially.
+Status TweakLoop::GroupStep(const std::vector<size_t>& members,
+                           const std::vector<AccessScope>& scopes) {
+  const double setup0 = Now();
+  // The write leases partition the members' certified writes on the
+  // shared database. The partition cannot fail for a correctly formed
+  // group (every write atom is also a read atom, so overlapping writers
+  // always conflict at grouping time, and row-ranged leases reuse the
+  // grouping's interval exemption); if it ever does, the positions run
+  // serially.
+  std::vector<int> ids;
+  for (const size_t m : members) ids.push_back(order_[m]);
+  std::vector<WriteLease> leases;
+  if (!PartitionWriteLeases(ids, scopes, &leases)) {
+    ASPECT_LOG(Warning)
+        << "write-lease partition found overlapping write scopes in a "
+           "supposedly non-conflicting group; running it serially";
+    for (const size_t m : members) ASPECT_RETURN_NOT_OK(SerialStep(m));
+    return Status::OK();
+  }
+  std::vector<GroupTask> tasks = SetUpGroup(members, scopes, leases);
+  // The listeners that need the group's notifications spliced in after
+  // the barrier: modification logs and other observers that are
+  // neither tools (bound tools are handled by the rebind rules) nor a
+  // member's own listeners, which saw its writes live.
+  std::set<const ModificationListener*> excluded;
+  for (const auto& t : tools_) excluded.insert(t.get());
+  for (const GroupTask& task : tasks) {
+    excluded.insert(task.route.begin(), task.route.end());
+  }
+  std::vector<ModificationListener*> replay_to;
+  for (ModificationListener* l : db_->listeners()) {
+    if (excluded.count(l) == 0) replay_to.push_back(l);
+  }
+  report_->group_setup_seconds += Now() - setup0;
+  ++report_->parallel_groups;
+  // A group that only exists thanks to row-range declarations: some
+  // member pair overlaps on an atom under the interval-blind rules and
+  // was admitted because the declared intervals are disjoint.
+  bool range_only = false;
+  for (size_t a = 0; a < scopes.size(); ++a) {
+    for (size_t b = a + 1; b < scopes.size(); ++b) {
+      range_only |= WritesDisturbAtoms(scopes[a].writes, scopes[b].reads) ||
+                    WritesDisturbAtoms(scopes[b].writes, scopes[a].reads);
+    }
+  }
+  if (range_only) ++report_->row_range_groups;
+  RunTasks(&tasks);
+  if (!VerifyGroup(&tasks)) return DiscardAndRedo(&tasks);
+  return CommitGroup(&tasks, replay_to);
+}
+
+std::vector<GroupTask> TweakLoop::SetUpGroup(
+    const std::vector<size_t>& members, const std::vector<AccessScope>& scopes,
+    const std::vector<WriteLease>& leases) {
+  std::vector<GroupTask> tasks(members.size());
+  for (size_t k = 0; k < members.size(); ++k) {
+    GroupTask& task = tasks[k];
+    task.pos = members[k];
+    task.id = order_[task.pos];
+    task.scope = scopes[k];
+    task.lease = &leases[k];
+    task.rng = children_[task.pos];
+    // Measured at group start, this equals the serial value: the
+    // co-members scheduled before this position cannot disturb the
+    // tool's reads.
+    task.error_before = tool(task.id)->Error();
+    // Recorders keep full notification copies even with no listener to
+    // splice into: a discarded group must undo writes that already
+    // landed in the shared database.
+    task.recorder = std::make_unique<WriteRecorder>(&db_->schema());
+    task.monitor = std::make_unique<AccessMonitor>(
+        static_cast<int>(tools_.size()));
+    if (checker_ != nullptr) {
+      task.footprint =
+          std::make_unique<analysis::FootprintRecorder>(columns_per_table_);
+    }
+    // The member's own listener set — the tool plus its auxiliary
+    // listeners (e.g. coappear's RefCounter), via AppendListeners.
+    tool(task.id)->AppendListeners(&task.route);
+    task.route.push_back(task.recorder.get());
+  }
+  return tasks;
+}
+
+void TweakLoop::RunTasks(std::vector<GroupTask>* tasks) {
+  int threads = options_.pass_threads;
+  if (threads <= 0) threads = ThreadPool::HardwareThreads();
+  if (threads > 1 && pool_ == nullptr) pool_ = ThreadPool::Shared(threads);
+  if (threads > 1 && pool_ != nullptr) {
+    for (GroupTask& task : *tasks) {
+      pool_->Submit([this, &task]() { RunTask(&task); });
+    }
+    pool_->Wait();
+  } else {
+    for (GroupTask& task : *tasks) RunTask(&task);
+  }
+}
+
+void TweakLoop::RunTask(GroupTask* task) {
+  PropertyTool* t = tool(task->id);
+  // No validators: eligibility proved every enforced vote is zero, and
+  // co-member votes are zero by the group's non-conflict.
+  TweakContext ctx(db_, {}, &task->rng, task->monitor.get(), task->id);
+  ctx.set_batch_hint(BatchHint(task->id));
+  ctx.set_batch_auto(options_.batch_auto);
+  // Divert this thread's Apply notifications to the task's private
+  // route for the duration of the Tweak.
+  Database::ScopedListenerRoute route(&task->route);
+  // Lease enforcement at Apply time: debug builds and checker-on runs
+  // observe every semantic write through the access probes and pinpoint
+  // the first out-of-lease write at the violating modification.
+  // Everything else — release builds at kOff, and kSampled anywhere —
+  // runs the sampled canary: one write in LeaseProbeSink::kSampleStride
+  // (the first one always) pays the containment check, so a lying
+  // declaration is still caught without --check-scopes, alongside the
+  // atom-level recorder diff at the barrier.
+#ifdef NDEBUG
+  const bool probe_full = task->footprint != nullptr;
+#else
+  const bool probe_full =
+      options_.check_scopes != analysis::ScopeCheckMode::kSampled;
+#endif
+  const double t0 = Now();
+  LeaseProbeSink sink(task->lease, task->footprint.get(), !probe_full);
+  {
+    // The probe sink is thread-local, so each worker records into its
+    // own task's sink without any sharing.
+    analysis::ScopedAccessProbe probe(&sink);
+    task->status = t->Tweak(&ctx);
+  }
+  task->lease_violated = sink.violated();
+  task->lease_violation = sink.violation();
+  task->lease_violation_row = sink.violation_row();
+  task->seconds = Now() - t0;
+  task->applied = ctx.applied();
+  task->vetoed = ctx.vetoed();
+  task->forced = ctx.forced();
+  task->batch_final = ctx.batch_hint();
+}
+
+/// True when every task succeeded inside the scope the grouping
+/// assumed; an offender is distrusted before the serial redo re-plans.
+bool TweakLoop::VerifyGroup(std::vector<GroupTask>* tasks) {
+  bool ok = true;
+  for (GroupTask& task : *tasks) {
+    const std::string name = tool(task.id)->name();
+    if (!task.status.ok()) {
+      ASPECT_LOG(Warning) << "parallel group discarded: " << name
+                          << " failed (" << task.status.ToString()
+                          << "); redoing serially";
+      ok = false;
+      continue;
+    }
+    if (task.lease_violated) {
+      std::ostringstream row_info;
+      if (task.lease_violation_row != analysis::kProbeAllRows) {
+        row_info << ", row " << task.lease_violation_row;
+      }
+      ASPECT_LOG(Warning)
+          << "parallel group discarded: " << name << " wrote (table "
+          << task.lease_violation.first << ", col "
+          << task.lease_violation.second << row_info.str()
+          << ") outside its write lease; redoing serially and "
+             "distrusting its declaration";
+      ++report_->lease_violations;
+      ledger_.Distrust(task.id);
+      ok = false;
+      continue;
+    }
+    for (const AccessScope::Atom& a : task.recorder->written()) {
+      if (!AtomCoveredBy(a, task.scope.writes)) {
+        ASPECT_LOG(Warning)
+            << "parallel group discarded: " << name << " wrote (table "
+            << a.first << ", col " << a.second
+            << ") outside its assumed scope; redoing serially and "
+               "distrusting its declaration";
+        ledger_.Distrust(task.id);
+        ok = false;
+        break;
+      }
+    }
+  }
+  // Conformance: diff each task's observed footprint against its
+  // declaration, and cross-check that the members' observed footprints
+  // really were pairwise non-disturbing — the grouping was proved on
+  // declarations, this verifies it held in fact. Run even when the
+  // group is about to be discarded: the violation that caused the
+  // discard is exactly what should be reported.
+  if (checker_ == nullptr) return ok;
+  std::vector<int> group_tools;
+  std::vector<std::string> group_names;
+  std::vector<const analysis::FootprintRecorder*> group_prints;
+  for (GroupTask& task : *tasks) {
+    if (!task.status.ok()) continue;
+    PropertyTool* t = tool(task.id);
+    checker_->CheckStep(task.id, t->name(), t->DeclaredScope(),
+                        *task.footprint, pass_);
+    group_tools.push_back(task.id);
+    group_names.push_back(t->name());
+    group_prints.push_back(task.footprint.get());
+  }
+  if (group_prints.size() > 1) {
+    checker_->CheckGroupDisjoint(group_tools, group_names, group_prints,
+                                 pass_);
+  }
+  for (const int id : group_tools) SyncCheckerDistrust(id);
+  return ok;
+}
+
+/// Restores the pre-group database and replays the group serially with
+/// the pristine preforked RNGs — exact serial semantics, bit for bit.
+/// Each recorder's writes are reverted from the captured pre-images,
+/// newest task first: per table only the row-structure lease holder
+/// inserted, so the last-slot invariant of Database::Undo holds, and
+/// Undo is listener-silent while the routes kept the main listeners
+/// blind during the group — so after the undo only the members' own
+/// statistics are stale, and rebinding them rebuilds exactly those.
+Status TweakLoop::DiscardAndRedo(std::vector<GroupTask>* tasks) {
+  for (GroupTask& task : *tasks) {
+    if (tool(task.id)->bound()) tool(task.id)->Unbind();
+  }
+  for (size_t k = tasks->size(); k-- > 0;) {
+    ASPECT_RETURN_NOT_OK((*tasks)[k].recorder->UndoOnto(db_));
+  }
+  for (GroupTask& task : *tasks) {
+    ASPECT_RETURN_NOT_OK(tool(task.id)->Bind(db_));
+  }
+  for (GroupTask& task : *tasks) ASPECT_RETURN_NOT_OK(SerialStep(task.pos));
+  return Status::OK();
+}
+
+Status TweakLoop::CommitGroup(
+    std::vector<GroupTask>* tasks,
+    const std::vector<ModificationListener*>& replay_to) {
+  // Splice the recorded notifications (original order and delivery
+  // shape) into the remaining listeners, one member segment after
+  // another in order-position order — exactly the serial per-position
+  // segment order, so the spliced log is bitwise identical to the
+  // serial one. A lone modification log — the common case — adopts the
+  // entries by move.
+  const double merge0 = Now();
+  for (GroupTask& task : *tasks) {
+    auto* log = replay_to.size() == 1
+                    ? dynamic_cast<ModificationLog*>(replay_to[0])
+                    : nullptr;
+    if (log != nullptr) {
+      task.recorder->MoveInto(log);
+      continue;
+    }
+    for (ModificationListener* l : replay_to) task.recorder->ReplayTo(l);
+  }
+  report_->group_merge_seconds += Now() - merge0;
+
+  // Any other bound tool whose statistics the group may have touched
+  // (or whose scope is unknown or write-only observed) gets them
+  // rebuilt. The test is directional and against stats_reads: Bind
+  // only rebuilds statistics, so a tool whose statistics inputs no
+  // group write can disturb — e.g. a pure row-structure reader when the
+  // group wrote only cells — is provably unchanged (O1) and keeps its
+  // state.
+  const double rebind0 = Now();
+  std::set<AccessScope::Atom> group_written;
+  std::set<int> considered;
+  for (const GroupTask& task : *tasks) {
+    considered.insert(task.id);
+    group_written.insert(task.recorder->written().begin(),
+                         task.recorder->written().end());
+  }
+  for (const int v : order_) {
+    if (!considered.insert(v).second || !tool(v)->bound()) continue;
+    const AccessScope vs = ledger_.Scope(v);
+    if (!vs.known || !vs.reads_complete ||
+        WritesDisturbAtoms(group_written, vs.stats_reads)) {
+      tool(v)->Unbind();
+      ASPECT_RETURN_NOT_OK(tool(v)->Bind(db_));
+    }
+  }
+  report_->group_rebase_seconds += Now() - rebind0;
+
+  // Adopt the tasks' access records and file the reports in order.
+  for (GroupTask& task : *tasks) monitor_->MergeFrom(std::move(*task.monitor));
+  for (GroupTask& task : *tasks) {
+    ToolReport step;
+    step.tool = tool(task.id)->name();
+    step.error_before = task.error_before;
+    step.error_after = tool(task.id)->Error();
+    step.applied = task.applied;
+    step.vetoed = task.vetoed;
+    step.forced = task.forced;
+    step.seconds = task.seconds;
+    step.parallel = true;
+    step.batch_final = task.batch_final;
+    batch_hint_[static_cast<size_t>(task.id)] = task.batch_final;
+    ASPECT_LOG(Info) << "tweak " << step.tool << " (parallel): "
+                     << step.error_before << " -> " << step.error_after;
+    report_->steps.push_back(std::move(step));
+    ledger_.Enforce(task.id);
+  }
+  return Status::OK();
+}
+
+/// Closes a run: final errors, unbinding, vote totals and the strict
+/// scope-check verdict.
+Status FinishRun(const ToolList& tools, const std::vector<int>& order,
+                 const analysis::ScopeChecker* checker,
+                 analysis::ScopeCheckMode mode, RunReport* report) {
+  report->final_errors.resize(tools.size(), 0.0);
+  for (size_t i = 0; i < tools.size(); ++i) {
+    if (tools[i]->bound()) report->final_errors[i] = tools[i]->Error();
+  }
+  for (const int id : order) tools[static_cast<size_t>(id)]->Unbind();
+  for (const ToolReport& s : report->steps) {
+    report->votes_total += s.votes_total;
+    report->votes_skipped += s.votes_skipped;
+    report->route_audit_violations += s.route_audit_violations;
+    report->route_fallbacks += s.route_fallbacks;
+  }
+  if (checker == nullptr) return Status::OK();
+  report->scope_violations = checker->violations();
+  if (mode == analysis::ScopeCheckMode::kStrict && !checker->ok()) {
+    return Status::ValidationFailed(StrFormat(
+        "scope check (strict): %zu violation(s), first: %s",
+        report->scope_violations.size(),
+        report->scope_violations.front().ToString().c_str()));
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -260,6 +1006,10 @@ Status Coordinator::SetTargetsFromDataset(const Database& ground_truth) {
   return Status::OK();
 }
 
+
+// Stage 2 of Fig. 2: every pass tweaks the tools in order, each under
+// the votes of the tools enforced before it, until the iterations run
+// out or a pass stops improving the summed error (Sec. VII-C).
 Result<RunReport> Coordinator::Run(Database* db,
                                    const std::vector<int>& order,
                                    const CoordinatorOptions& options) {
@@ -280,954 +1030,43 @@ Result<RunReport> Coordinator::Run(Database* db,
     checker_ = std::make_unique<analysis::ScopeChecker>(options.check_scopes,
                                                         num_tools());
   }
-  // Footprint recorders are dense bitmaps shaped by the schema.
-  std::vector<int> columns_per_table;
-  columns_per_table.reserve(static_cast<size_t>(db->num_tables()));
-  for (int i = 0; i < db->num_tables(); ++i) {
-    columns_per_table.push_back(db->table(i).num_columns());
-  }
-  Rng rng(options.seed);
-
   // Bind all tools in the order so each maintains statistics (and can
   // validate) from the start of the run.
   for (const int id : order) {
-    PropertyTool* t = tools_[static_cast<size_t>(id)].get();
-    ASPECT_RETURN_NOT_OK(t->Bind(db));
-    if (options.repair_targets) {
-      ASPECT_RETURN_NOT_OK(t->RepairTarget());
-    }
+    ASPECT_RETURN_NOT_OK(tool(id)->Bind(db));
+    if (options.repair_targets) ASPECT_RETURN_NOT_OK(tool(id)->RepairTarget());
   }
-
-  // Validators accumulate: a tool that has completed at least one
-  // Tweak vetoes later tools' damaging proposals (Sec. III-C).
-  std::vector<int> enforced;
+  TweakLoop loop(tools_, monitor_.get(), checker_.get(), db, order, options,
+                 &report);
+  Rng rng(options.seed);
   double prev_total = -1;
-  // Undo-log rollback records every step's modifications with
-  // pre-images; a regressed step is reverted in reverse at a cost
-  // linear in the step's modifications, not the database size.
-  const bool undo_mode = options.rollback_on_regression &&
-                         options.rollback_mode == RollbackMode::kUndoLog;
-  std::unique_ptr<ModificationLog> undo_log;
-  if (undo_mode) undo_log = std::make_unique<ModificationLog>(db);
-
-  // One preforked RNG child per order position of the current pass.
-  // The fork sequence is identical to forking immediately before each
-  // step (one Fork per step, in order), so serial results are
-  // unchanged, and each parallel task's randomness is fixed before any
-  // scheduling happens.
-  std::vector<Rng> children;
-
-  // Tools whose lease probes (full or sampled canary) caught an
-  // out-of-lease write. The checker distrusts via its own violation
-  // record; this set covers the canary-only configurations (kOff in
-  // release, kSampled anywhere), where no checker exists but a caught
-  // liar must still be kept off the parallel fast path.
-  std::set<int> lease_distrusted;
-
-  // Tools whose pruned votes the routing audit caught returning a
-  // nonzero penalty (options.route_votes): the declared read scope
-  // lied, so the declaration is distrusted exactly like a lease catch
-  // — the tool votes on everything and plans serially from here on.
-  std::set<int> route_distrusted;
-
-  // Scope the pass planner assumes for a tool: declared if the tool
-  // knows it, else what the AccessMonitor has observed so far (O2),
-  // else unknown (which keeps the tool serial). A tool the checker,
-  // the lease probes, or the vote-routing audit have caught violating
-  // its declaration is distrusted: its declaration is ignored for the
-  // rest of the run, so it degrades to the observed (write-only) scope
-  // and the serial path.
-  const auto resolve_scope = [this, &lease_distrusted,
-                              &route_distrusted](int id) {
-    if ((checker_ == nullptr || !checker_->IsDistrusted(id)) &&
-        lease_distrusted.count(id) == 0 && route_distrusted.count(id) == 0) {
-      AccessScope s = tools_[static_cast<size_t>(id)]->DeclaredScope();
-      if (s.known) return s;
+  for (int pass = 0; pass < options.iterations; ++pass) {
+    loop.StartPass(pass, &rng);
+    for (size_t pos = 0; pos < order.size();) {
+      ASPECT_ASSIGN_OR_RETURN(pos, loop.Step(pos));
     }
-    return monitor_->ObservedScope(id);
-  };
-
-  // 0-based pass index, for violation diagnostics ("first seen in
-  // pass N"); advanced by the iteration loop below.
-  int cur_pass = 0;
-
-  // Incrementally maintained vote-routing index over the *enforced*
-  // list (slot j <-> enforced[j]; the list only grows and never
-  // reorders). Exactly two events change what a from-scratch Build
-  // over resolve_scope would produce: a tool joining the enforced
-  // list, and a distrust event degrading a tool's certified scope to
-  // observed. Everything else resolve_scope depends on is inert here —
-  // an observed scope evolves as the monitor records writes, but every
-  // !known / !reads_complete scope contributes the identical index
-  // state (always-vote bit, no buckets), and declarations are stable
-  // for the duration of a run. So syncing = append the new enforced
-  // tools + degrade the newly distrusted slots, O(change) per step
-  // (the debug cross-check in serial_step asserts this equals a fresh
-  // rebuild).
-  VoteIndex route_index;
-  route_index.Reset(&db->schema());
-  double route_index_build_seconds = 0;
-  // Per enforced slot: 1 once the slot has been degraded in the index.
-  std::vector<uint8_t> route_index_degraded;
-  // Distrust events are detected by a monotone epoch (set sizes plus
-  // the checker's violation count): the O(fleet) flag re-scan runs
-  // only when the epoch moved, not on every step.
-  size_t route_distrust_epoch = 0;
-
-  const auto tool_distrusted = [&](int id) {
-    return (checker_ != nullptr && checker_->IsDistrusted(id)) ||
-           lease_distrusted.count(id) != 0 || route_distrusted.count(id) != 0;
-  };
-
-  const auto sync_route_index = [&]() {
-    while (route_index.num_validators() < enforced.size()) {
-      const size_t slot = route_index.num_validators();
-      const int id = enforced[slot];
-      route_index.AddValidator(resolve_scope(id));
-      route_index_degraded.push_back(tool_distrusted(id) ? 1 : 0);
-    }
-    const size_t epoch =
-        lease_distrusted.size() + route_distrusted.size() +
-        (checker_ != nullptr ? checker_->NumViolations() : 0);
-    if (epoch == route_distrust_epoch) return;
-    route_distrust_epoch = epoch;
-    for (size_t j = 0; j < enforced.size(); ++j) {
-      if (!route_index_degraded[j] && tool_distrusted(enforced[j])) {
-        route_index.Distrust(static_cast<int>(j));
-        route_index_degraded[j] = 1;
-      }
-    }
-  };
-
-  // Autotuned batch-size hint per tool (options.batch_auto): a step
-  // starts from the size the tool's previous step settled on, so the
-  // tuning survives across passes. Committed only by steps that stuck
-  // (serial steps and successful parallel groups, in execution order),
-  // so a discarded group's serial redo starts from the same hint the
-  // group did — the trajectory is identical in every execution mode.
-  std::vector<int> tool_batch_hint(static_cast<size_t>(num_tools()),
-                                   options.batch_size);
-
-  // One serial tool step (the historical path); `child` is the
-  // position's preforked RNG.
-  const auto serial_step = [&](size_t pos, Rng* child) -> Status {
-    const int id = order[pos];
-    PropertyTool* t = tools_[static_cast<size_t>(id)].get();
-    std::vector<PropertyTool*> validators;
-    std::vector<int> validator_ids;
-    if (options.validate) {
-      for (const int e : enforced) {
-        if (e != id) {
-          validators.push_back(tools_[static_cast<size_t>(e)].get());
-          validator_ids.push_back(e);
-        }
-      }
-    }
-    TweakContext ctx(db, std::move(validators), child, monitor_.get(), id);
-    ctx.set_batch_hint(options.batch_auto
-                           ? tool_batch_hint[static_cast<size_t>(id)]
-                           : options.batch_size);
-    ctx.set_batch_auto(options.batch_auto);
-    // Vote routing: the run-wide incremental index over the enforced
-    // validators' certified scopes — exactly what resolve_scope
-    // certifies for the lease partitioner, with distrusted
-    // declarations degrading to observed (incomplete) scopes and
-    // therefore to the always-vote set. Synced by O(change) deltas;
-    // the stepping tool's own slot (when already enforced) is handed
-    // to the context so its vote loops skip it.
-    VoteIndex rebuilt_index;  // only used with route_rebuild_per_step
-    if (options.route_votes != RouteVotes::kOff && !validator_ids.empty()) {
-      const double build0 = Now();
-      sync_route_index();
-      size_t self_slot = TweakContext::kNoSelfSlot;
-      for (size_t j = 0; j < enforced.size(); ++j) {
-        if (enforced[j] == id) {
-          self_slot = j;
-          break;
-        }
-      }
-      const VoteIndex* index = &route_index;
-      if (options.route_rebuild_per_step) {
-        // The pre-incremental behaviour, kept as a measurable baseline:
-        // re-resolve and rebuild over the whole enforced fleet.
-        std::vector<AccessScope> scopes;
-        scopes.reserve(enforced.size());
-        for (const int e : enforced) scopes.push_back(resolve_scope(e));
-        rebuilt_index.Build(&db->schema(), scopes);
-        index = &rebuilt_index;
-      }
-      route_index_build_seconds += Now() - build0;
-#ifndef NDEBUG
-      {
-        // Debug cross-check: the incrementally maintained index must
-        // be structurally identical to a from-scratch rebuild over the
-        // currently resolved scopes (see the sync_route_index note for
-        // why this is a pure function of enforced order + distrust).
-        std::vector<AccessScope> scopes;
-        scopes.reserve(enforced.size());
-        for (const int e : enforced) scopes.push_back(resolve_scope(e));
-        VoteIndex fresh;
-        fresh.Build(&db->schema(), scopes);
-        assert(route_index.DebugEquals(fresh));
-      }
-#endif
-      ctx.set_vote_routing(index, options.route_votes, self_slot);
-    }
-    ToolReport step;
-    step.tool = t->name();
-    step.error_before = t->Error();
-    // For rollback: the summed error of everything already enforced
-    // plus this tool, and a way to restore the pre-step state.
-    std::unique_ptr<Database> snapshot;
-    double guarded_before = 0;
-    if (options.rollback_on_regression) {
-      const double snap0 = Now();
-      if (undo_mode) {
-        undo_log->Clear();
+    if (options.converge_epsilon <= 0) continue;
+    double total = 0;
+    for (const int id : order) total += tool(id)->Error();
+    const double improvement = prev_total - total;
+    if (prev_total >= 0 && improvement < options.converge_epsilon) {
+      // A pass that made things worse is not convergence.
+      if (improvement < 0) {
+        report.stop_reason = RunReport::StopReason::kRegressed;
+        ASPECT_LOG(Warning) << "pass " << pass + 1
+                            << " regressed: total error " << prev_total
+                            << " -> " << total;
       } else {
-        snapshot = db->Clone();
+        report.stop_reason = RunReport::StopReason::kConverged;
       }
-      step.rollback_seconds += Now() - snap0;
-      guarded_before = step.error_before;
-      for (const int e : enforced) {
-        if (e != id) guarded_before += tools_[static_cast<size_t>(e)]->Error();
-      }
+      break;
     }
-    const double t0 = Now();
-    Status st;
-    if (checker_ != nullptr) {
-      analysis::FootprintRecorder footprint(columns_per_table);
-      {
-        analysis::ScopedAccessProbe probe(&footprint);
-        st = t->Tweak(&ctx);
-      }
-      checker_->CheckStep(id, t->name(), t->DeclaredScope(), footprint,
-                          cur_pass);
-    } else {
-      st = t->Tweak(&ctx);
-    }
-    step.seconds = Now() - t0;
-    if (!st.ok()) {
-      for (const int uid : order) {
-        tools_[static_cast<size_t>(uid)]->Unbind();
-      }
-      return st;
-    }
-    if (options.rollback_on_regression) {
-      if (undo_mode) step.rollback_mods = undo_log->size();
-      double guarded_after = t->Error();
-      for (const int e : enforced) {
-        if (e != id) guarded_after += tools_[static_cast<size_t>(e)]->Error();
-      }
-      if (guarded_after > guarded_before + 1e-12) {
-        // Restore the pre-step state and rebuild every bound tool's
-        // statistics.
-        const double undo0 = Now();
-        for (const int uid : order) {
-          tools_[static_cast<size_t>(uid)]->Unbind();
-        }
-        if (undo_mode) {
-          ASPECT_RETURN_NOT_OK(undo_log->UndoOnto(db));
-          undo_log->Clear();
-        } else {
-          ASPECT_RETURN_NOT_OK(db->CopyContentFrom(*snapshot));
-        }
-        for (const int uid : order) {
-          ASPECT_RETURN_NOT_OK(tools_[static_cast<size_t>(uid)]->Bind(db));
-        }
-        step.rolled_back = true;
-        step.rollback_seconds += Now() - undo0;
-        ASPECT_LOG(Info) << "rolled back " << t->name()
-                         << " (regression " << guarded_before << " -> "
-                         << guarded_after << ")";
-      }
-    }
-    step.error_after = t->Error();
-    step.applied = ctx.applied();
-    step.vetoed = ctx.vetoed();
-    step.forced = ctx.forced();
-    step.batch_final = ctx.batch_hint();
-    step.votes_total = ctx.votes_total();
-    step.votes_skipped = ctx.votes_skipped();
-    step.route_audit_violations =
-        static_cast<int64_t>(ctx.route_violations().size());
-    step.route_fallbacks = ctx.route_fallbacks();
-    for (const TweakContext::RouteViolation& v : ctx.route_violations()) {
-      route_distrusted.insert(validator_ids[static_cast<size_t>(v.validator)]);
-      ASPECT_LOG(Info) << "vote-routing audit: pruned validator " << v.name
-                       << " returned penalty " << v.penalty << " during "
-                       << t->name()
-                       << "; declaration distrusted, full voting restored";
-    }
-    if (options.batch_auto) {
-      tool_batch_hint[static_cast<size_t>(id)] = ctx.batch_hint();
-    }
-    ASPECT_LOG(Info) << "tweak " << step.tool << ": "
-                     << step.error_before << " -> " << step.error_after;
-    report.steps.push_back(std::move(step));
-    if (std::find(enforced.begin(), enforced.end(), id) == enforced.end()) {
-      enforced.push_back(id);
-    }
-    return Status::OK();
-  };
-
-  // A position may run inside a parallel group only if its scope is
-  // known with a complete read set — an observed (write-only) scope
-  // cannot prove the tool's reads are undisturbed by co-members, so
-  // such tools stay on the serial path — and every enforced
-  // validator's vote on its proposals is provably zero. A vote depends
-  // on the validator's *statistics* (its Error/ValidationPenalty
-  // inputs), so the eligibility test is against stats_reads
-  // (ValidationDisturb), not the full Tweak read set: a validator's
-  // Tweak-only reads (e.g. TupleCountTool's whole template rows)
-  // cannot change its votes. ValidationDisturb still refuses to
-  // certify validators with incomplete read sets. Votes of group
-  // co-members are covered by the group's pairwise non-conflict.
-  const auto parallel_eligible = [&](size_t pos, AccessScope* out) {
-    const AccessScope s = resolve_scope(order[pos]);
-    if (!s.known || !s.reads_complete) return false;
-    // A known-but-empty scope means the tool touches no data at all.
-    // Grouping it buys nothing and used to cost something: CloneAtoms
-    // with an empty `touched` set still deep-copies the schema
-    // scaffolding (every table as an empty shell). Run it serially.
-    if (s.reads.empty() && s.writes.empty()) return false;
-    if (options.validate) {
-      for (const int e : enforced) {
-        if (e == order[pos]) continue;
-        if (ValidationDisturb(s, resolve_scope(e))) return false;
-      }
-    }
-    *out = s;
-    return true;
-  };
-
-  // One worker pool for the whole run (thread spawns are too expensive
-  // to pay per group); fetched lazily from the process-wide shared pool
-  // once parallel eligibility is established, below. Stays null when
-  // this Run itself executes on a pool worker (the parallel order
-  // search), in which case groups run serially inline.
-  ThreadPool* pass_pool = nullptr;
-
-  // State of one parallel task: the tool runs on its own clone of the
-  // main database with a recording listener and a private monitor, so
-  // nothing it does is visible to other tasks until the merge.
-  struct GroupTask {
-    size_t pos = 0;
-    int id = -1;
-    AccessScope scope;
-    Rng rng;
-    std::unique_ptr<Database> clone;
-    std::unique_ptr<WriteRecorder> recorder;
-    std::unique_ptr<AccessMonitor> local_monitor;
-    /// Observed read+write footprint of the task's Tweak (conformance
-    /// checking only; null when no checker is installed).
-    std::unique_ptr<analysis::FootprintRecorder> footprint;
-    /// Shared mode only: the task's write ownership on the main
-    /// database (null in clone mode) and its private notification
-    /// route — the member tool's own listeners plus the recorder.
-    /// Database::Apply on the task's thread notifies only this route.
-    const WriteLease* lease = nullptr;
-    std::vector<ModificationListener*> route;
-    /// Probe-enforced configurations (full probes in debug/checker-on
-    /// runs, the sampled canary elsewhere): the first write observed
-    /// outside the lease, latched by LeaseProbeSink.
-    bool lease_violated = false;
-    AccessScope::Atom lease_violation{-1, -1};
-    int64_t lease_violation_row = analysis::kProbeAllRows;
-    Status status = Status::OK();
-    double seconds = 0;
-    int64_t applied = 0;
-    int64_t vetoed = 0;
-    int64_t forced = 0;
-    int batch_final = 1;
-  };
-
-  // Runs the given consecutive, pairwise non-conflicting order
-  // positions concurrently (clone-and-merge), falling back to a
-  // deterministic serial redo of the whole group if any task errors or
-  // writes outside its assumed scope.
-  const auto run_group = [&](const std::vector<size_t>& members,
-                             const std::vector<AccessScope>& mscopes)
-      -> Status {
-    const double setup0 = Now();
-    // Write leases are built in BOTH execution modes. Shared mode uses
-    // them as the ownership partition on the main database; clone mode
-    // gets them purely as canaries — an out-of-lease (in particular
-    // out-of-range) write on a clone would otherwise be silently
-    // dropped by the range-limited merge below, which is worse than
-    // being clobbered. The partition cannot fail for a correctly
-    // formed group (every write atom is also a read atom, so
-    // overlapping writers always conflict at grouping time, and
-    // row-ranged leases reuse the grouping's interval exemption); if
-    // it ever does, clone-and-merge is the safe fallback — each lease
-    // still describes its own member's certified writes, so the
-    // canaries stay valid.
-    std::vector<WriteLease> leases;
-    bool shared = options.parallel_mode == ParallelMode::kShared;
-    {
-      std::vector<int> member_ids;
-      member_ids.reserve(members.size());
-      for (const size_t m : members) member_ids.push_back(order[m]);
-      if (!PartitionWriteLeases(member_ids, mscopes, &leases) && shared) {
-        ASPECT_LOG(Warning)
-            << "write-lease partition found overlapping write scopes in a "
-               "supposedly non-conflicting group; falling back to "
-               "clone-and-merge";
-        shared = false;
-      }
-    }
-
-    // Each member's own listener set — the tool plus its auxiliary
-    // listeners (e.g. coappear's RefCounter), via AppendListeners. In
-    // shared mode this is the task's private notification route; in
-    // both modes it is excluded from the post-group replay, because a
-    // member's listeners already saw its writes live (shared) or on
-    // its clone after the swap-Rebase moved them over (clone).
-    // Filtering by AppendListeners rather than by tool pointer also
-    // fixes a latent clone-mode bug: a member's auxiliary listener
-    // used to stay in the replay set even though Rebase had moved (or,
-    // with the default Unbind+Bind Rebase, destroyed) it.
-    std::vector<std::vector<ModificationListener*>> member_listeners(
-        members.size());
-    std::set<const ModificationListener*> excluded;
-    for (size_t k = 0; k < members.size(); ++k) {
-      tools_[static_cast<size_t>(order[members[k]])]->AppendListeners(
-          &member_listeners[k]);
-      excluded.insert(member_listeners[k].begin(), member_listeners[k].end());
-    }
-    for (const auto& t : tools_) {
-      excluded.insert(static_cast<const ModificationListener*>(t.get()));
-    }
-    // The listeners that need the group's notifications replayed after
-    // the barrier — modification logs and other observers that are
-    // neither tools (bound tools are handled by the rebind rules) nor
-    // a member's own listeners. Computed up front: when there are none
-    // (and no undo log is needed), the recorders skip the notification
-    // copies entirely.
-    std::vector<ModificationListener*> replay_to;
-    for (ModificationListener* l : db->listeners()) {
-      if (excluded.count(l) == 0) replay_to.push_back(l);
-    }
-
-    std::vector<GroupTask> tasks(members.size());
-    std::vector<double> error_before(members.size(), 0.0);
-    for (size_t k = 0; k < members.size(); ++k) {
-      GroupTask& task = tasks[k];
-      task.pos = members[k];
-      task.id = order[task.pos];
-      task.scope = mscopes[k];
-      // Copy, not the child itself: a scope violation redoes the group
-      // serially with the pristine children.
-      task.rng = children[task.pos];
-      // Measured at group start, this equals the serial value: the
-      // co-members scheduled before this position cannot disturb the
-      // tool's reads.
-      error_before[k] = tools_[static_cast<size_t>(task.id)]->Error();
-    }
-    for (size_t k = 0; k < tasks.size(); ++k) {
-      GroupTask& task = tasks[k];
-      PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-      // Shared mode records entries even with no replay target: a
-      // discarded group must undo writes that already landed in the
-      // main database.
-      task.recorder = std::make_unique<WriteRecorder>(
-          &db->schema(), shared || !replay_to.empty());
-      task.local_monitor = std::make_unique<AccessMonitor>(num_tools());
-      if (checker_ != nullptr) {
-        task.footprint =
-            std::make_unique<analysis::FootprintRecorder>(columns_per_table);
-      }
-      // In shared mode the lease is the task's write ownership on the
-      // main database; in clone mode it is a canary only (the clone
-      // merge consults the declared ranges, not the lease).
-      task.lease = &leases[k];
-      if (shared) {
-        // Zero-copy setup: the tool stays bound to the main database.
-        // Its route is the only notification target on the task's
-        // thread, so its statistics updates fire privately and
-        // siblings see nothing.
-        task.route = member_listeners[k];
-        task.route.push_back(task.recorder.get());
-        continue;
-      }
-      if (t->DeclaredScope().known) {
-        // A declared scope is a complete access-set contract, so the
-        // task only needs the atoms it names: scoped columns are deep-
-        // copied, the rest of their tables become kEmpty shells, and
-        // the clone cost scales with the tool's scope (a kWholeTable
-        // atom maps to CloneAtoms' negative-column whole-table copy).
-        std::set<AccessScope::Atom> touched;
-        touched.insert(task.scope.reads.begin(), task.scope.reads.end());
-        touched.insert(task.scope.writes.begin(), task.scope.writes.end());
-        task.clone = db->CloneAtoms(touched);
-      } else {
-        task.clone = db->Clone();
-      }
-      // Move the tool onto its clone now, while the group is still
-      // serial: Rebase unhooks the tool from the shared main
-      // database's listener list, which concurrent tasks must not
-      // mutate. The clone is content-identical for every table in the
-      // task's scope, so a bound tool keeps its statistics (no
-      // rescan).
-      task.status = t->Rebase(task.clone.get());
-      if (task.status.ok()) {
-        task.clone->AddListener(task.recorder.get());
-      }
-    }
-    report.group_setup_seconds += Now() - setup0;
-    ++report.parallel_groups;
-    // A group that only exists thanks to row-range declarations: some
-    // member pair overlaps on an atom under the interval-blind rules
-    // and was admitted because the declared intervals are disjoint.
-    for (size_t a = 0; a < mscopes.size(); ++a) {
-      bool counted = false;
-      for (size_t b = a + 1; b < mscopes.size(); ++b) {
-        if (WritesDisturbAtoms(mscopes[a].writes, mscopes[b].reads) ||
-            WritesDisturbAtoms(mscopes[b].writes, mscopes[a].reads)) {
-          ++report.row_range_groups;
-          counted = true;
-          break;
-        }
-      }
-      if (counted) break;
-    }
-    const auto run_task = [&](GroupTask& task) {
-      if (!task.status.ok()) return;
-      PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-      Database* task_db = task.clone != nullptr ? task.clone.get() : db;
-      // No validators: eligibility proved every enforced vote is zero,
-      // and co-member votes are zero by the group's non-conflict.
-      TweakContext ctx(task_db, {}, &task.rng, task.local_monitor.get(),
-                       task.id);
-      ctx.set_batch_hint(options.batch_auto
-                             ? tool_batch_hint[static_cast<size_t>(task.id)]
-                             : options.batch_size);
-      ctx.set_batch_auto(options.batch_auto);
-      // Shared mode: divert this thread's Apply notifications to the
-      // task's private route for the duration of the Tweak.
-      std::optional<Database::ScopedListenerRoute> route;
-      if (shared) route.emplace(&task.route);
-      // Lease enforcement at Apply time: debug builds and checker-on
-      // runs observe every semantic write through the access probes
-      // and pinpoint the first out-of-lease write at the violating
-      // modification. Everything else — release builds at kOff, and
-      // kSampled anywhere — runs the sampled canary: one write in
-      // LeaseProbeSink::kSampleStride (the first one always) pays the
-      // containment check, so a lying declaration is still caught
-      // without --check-scopes, alongside the atom-level recorder diff
-      // at the barrier.
-#ifdef NDEBUG
-      const bool probe_full = task.footprint != nullptr;
-#else
-      const bool probe_full =
-          options.check_scopes != analysis::ScopeCheckMode::kSampled;
-#endif
-      const double t0 = Now();
-      if (task.lease != nullptr) {
-        LeaseProbeSink sink(task.lease, task.footprint.get(), !probe_full);
-        {
-          // The probe sink is thread-local, so each worker records
-          // into its own task's sink without any sharing.
-          analysis::ScopedAccessProbe probe(&sink);
-          task.status = t->Tweak(&ctx);
-        }
-        task.lease_violated = sink.violated();
-        task.lease_violation = sink.violation();
-        task.lease_violation_row = sink.violation_row();
-      } else if (task.footprint != nullptr) {
-        analysis::ScopedAccessProbe probe(task.footprint.get());
-        task.status = t->Tweak(&ctx);
-      } else {
-        task.status = t->Tweak(&ctx);
-      }
-      task.seconds = Now() - t0;
-      task.applied = ctx.applied();
-      task.vetoed = ctx.vetoed();
-      task.forced = ctx.forced();
-      task.batch_final = ctx.batch_hint();
-      if (task.clone != nullptr) {
-        task.clone->RemoveListener(task.recorder.get());
-      }
-    };
-    int threads = options.pass_threads;
-    if (threads <= 0) threads = ThreadPool::HardwareThreads();
-    if (threads > 1 && tasks.size() > 1 && pass_pool == nullptr) {
-      pass_pool = ThreadPool::Shared(threads);
-    }
-    if (threads > 1 && tasks.size() > 1 && pass_pool != nullptr) {
-      for (GroupTask& task : tasks) {
-        pass_pool->Submit([&run_task, &task]() { run_task(task); });
-      }
-      pass_pool->Wait();
-    } else {
-      for (GroupTask& task : tasks) run_task(task);
-    }
-
-    // Verify every task stayed inside the scope the grouping assumed.
-    bool discard = false;
-    for (GroupTask& task : tasks) {
-      PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-      if (!task.status.ok()) {
-        ASPECT_LOG(Warning) << "parallel group discarded: " << t->name()
-                            << " failed (" << task.status.ToString()
-                            << "); redoing serially";
-        discard = true;
-        continue;
-      }
-      if (task.lease_violated) {
-        std::ostringstream row_info;
-        if (task.lease_violation_row != analysis::kProbeAllRows) {
-          row_info << ", row " << task.lease_violation_row;
-        }
-        ASPECT_LOG(Warning)
-            << "parallel group discarded: " << t->name() << " wrote (table "
-            << task.lease_violation.first << ", col "
-            << task.lease_violation.second << row_info.str()
-            << ") outside its write lease; redoing serially and "
-               "distrusting its declaration";
-        ++report.lease_violations;
-        lease_distrusted.insert(task.id);
-        discard = true;
-        continue;
-      }
-      for (const AccessScope::Atom& a : task.recorder->semantic_written()) {
-        if (!AtomCoveredBy(a, task.scope.writes)) {
-          ASPECT_LOG(Warning)
-              << "parallel group discarded: " << t->name()
-              << " wrote (table " << a.first << ", col " << a.second
-              << ") outside its assumed scope; redoing serially and "
-                 "distrusting its declaration";
-          lease_distrusted.insert(task.id);
-          discard = true;
-          break;
-        }
-      }
-    }
-    // Conformance: diff each task's observed footprint against its
-    // declaration, and cross-check that the group members' observed
-    // footprints really were pairwise non-disturbing — the grouping
-    // was proved on declarations, this verifies it held in fact. Run
-    // even when the group is about to be discarded: the violation that
-    // caused the discard is exactly what should be reported (and the
-    // offender distrusted before the serial redo re-plans).
-    if (checker_ != nullptr) {
-      std::vector<int> group_tools;
-      std::vector<std::string> group_names;
-      std::vector<const analysis::FootprintRecorder*> group_prints;
-      for (GroupTask& task : tasks) {
-        if (!task.status.ok()) continue;
-        PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-        checker_->CheckStep(task.id, t->name(), t->DeclaredScope(),
-                            *task.footprint, cur_pass);
-        group_tools.push_back(task.id);
-        group_names.push_back(t->name());
-        group_prints.push_back(task.footprint.get());
-      }
-      if (group_prints.size() > 1) {
-        checker_->CheckGroupDisjoint(group_tools, group_names, group_prints,
-                                     cur_pass);
-      }
-    }
-    if (discard) {
-      // Restore the pre-group database, then replay the group serially
-      // with the pristine preforked RNGs — exact serial semantics, bit
-      // for bit. Clone mode just drops the clones (the main database
-      // was never touched). Shared mode reverts each recorder's writes
-      // from the captured pre-images, newest task first: per table
-      // only the row-structure lease holder inserted, so the last-slot
-      // invariant of Database::Undo holds, and Undo is listener-silent
-      // while the routes kept the main listeners blind during the
-      // group — so after the undo only the members' own statistics are
-      // stale, and rebinding them below rebuilds exactly those.
-      for (GroupTask& task : tasks) {
-        PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-        if (t->bound()) t->Unbind();
-        task.clone.reset();
-      }
-      if (shared) {
-        for (size_t k = tasks.size(); k-- > 0;) {
-          ASPECT_RETURN_NOT_OK(tasks[k].recorder->UndoOnto(db));
-        }
-      }
-      for (GroupTask& task : tasks) {
-        ASPECT_RETURN_NOT_OK(
-            tools_[static_cast<size_t>(task.id)]->Bind(db));
-      }
-      for (GroupTask& task : tasks) {
-        ASPECT_RETURN_NOT_OK(serial_step(task.pos, &children[task.pos]));
-      }
-      return Status::OK();
-    }
-
-    // Merge, in order-position order (clone mode only): move each
-    // task's written columns (whole tables for row-structure changes)
-    // from its clone into the main database — the clone is discarded
-    // right after the merge, so stealing the storage avoids a second
-    // full copy. Scopes are pairwise disjoint, so no cell is written
-    // by two tasks. A task that wrote both (t, kWholeTable) and (t, c)
-    // atoms — tuple ops plus cell ops on one table — must move the
-    // table exactly once: the whole-table move already carries every
-    // column, and a subsequent per-column move would index the
-    // moved-from clone table's empty storage. Shared mode has nothing
-    // to move — every write already sits in the main tables — so its
-    // merge cost is the modlog splice below and nothing else.
-    const double merge0 = Now();
-    if (!shared) {
-      for (GroupTask& task : tasks) {
-        const std::set<AccessScope::Atom>& written = task.recorder->written();
-        for (const AccessScope::Atom& a : written) {
-          Table& dst = db->table(a.first);
-          Table& src = task.clone->table(a.first);
-          if (a.second == AccessScope::kWholeTable) {
-            dst = std::move(src);
-          } else if (written.count({a.first, AccessScope::kWholeTable}) ==
-                     0) {
-            const auto* range = task.scope.RangeOf(a);
-            if (range == nullptr) {
-              dst.column(a.second) = std::move(src.column(a.second));
-            } else {
-              // Row-range lease: two group members may hold disjoint
-              // ranges of this very column, so a whole-column move
-              // would clobber a co-member's merged rows. Copy only the
-              // leased range. Group formation keeps structural writers
-              // of this table out of the group (a row-structure write
-              // disturbs every ranged reader), so the slot counts of
-              // clone and main agree and the clamp is just belt and
-              // braces against over-wide declarations.
-              const int64_t lo = std::max<int64_t>(range->first, 0);
-              const int64_t hi = std::min<int64_t>(
-                  range->second, dst.column(a.second).size() - 1);
-              if (lo <= hi) {
-                dst.column(a.second)
-                    // aspect-lint: framework-write -- swap-rebase bulk
-                    .CopyRowsFrom(src.column(a.second), lo, hi);
-              }
-            }
-          }
-        }
-      }
-    }
-
-    // Replay the recorded notifications (original order and delivery
-    // shape) to the main database's remaining listeners, one member
-    // segment after another in order-position order — which is exactly
-    // the serial per-position segment order, so the spliced log is
-    // bitwise identical to the serial one. A lone modification log —
-    // the common case — adopts the entries by move.
-    for (GroupTask& task : tasks) {
-      if (replay_to.size() == 1) {
-        if (auto* log = dynamic_cast<ModificationLog*>(replay_to[0])) {
-          task.recorder->MoveInto(log);
-          continue;
-        }
-      }
-      for (ModificationListener* l : replay_to) {
-        task.recorder->ReplayTo(l);
-      }
-    }
-    report.group_merge_seconds += Now() - merge0;
-
-    // Hand the group's tools back to the merged main database (clone
-    // mode; shared-mode tools never left it). The merge copied the
-    // task's written tables verbatim, so for every table in the tool's
-    // scope the main database now equals its clone and Rebase keeps
-    // the incrementally maintained statistics.
-    const double rebase0 = Now();
-    if (!shared) {
-      for (GroupTask& task : tasks) {
-        PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-        ASPECT_RETURN_NOT_OK(t->Rebase(db));
-        task.clone.reset();
-      }
-    }
-    // Any other bound tool whose statistics the group may have touched
-    // (or whose scope is unknown or write-only observed) gets them
-    // rebuilt the same way. The rebind test is directional and against
-    // stats_reads: Bind only rebuilds statistics, so a tool whose
-    // statistics inputs no group write can disturb — e.g. a pure
-    // row-structure reader when the group wrote only cells — is
-    // provably unchanged (O1) and keeps its state.
-    std::set<AccessScope::Atom> group_written;
-    std::set<int> group_ids;
-    for (GroupTask& task : tasks) {
-      group_ids.insert(task.id);
-      group_written.insert(task.recorder->written().begin(),
-                           task.recorder->written().end());
-    }
-    std::set<int> considered;
-    for (const int v : order) {
-      if (group_ids.count(v) > 0 || !considered.insert(v).second) continue;
-      PropertyTool* vt = tools_[static_cast<size_t>(v)].get();
-      if (!vt->bound()) continue;
-      const AccessScope vs = resolve_scope(v);
-      if (!vs.known || !vs.reads_complete ||
-          WritesDisturbAtoms(group_written, vs.stats_reads)) {
-        vt->Unbind();
-        ASPECT_RETURN_NOT_OK(vt->Bind(db));
-      }
-    }
-    report.group_rebase_seconds += Now() - rebase0;
-
-    // Adopt the tasks' access records and file the reports in order.
-    for (GroupTask& task : tasks) {
-      monitor_->MergeFrom(std::move(*task.local_monitor));
-    }
-    for (size_t k = 0; k < tasks.size(); ++k) {
-      GroupTask& task = tasks[k];
-      PropertyTool* t = tools_[static_cast<size_t>(task.id)].get();
-      ToolReport step;
-      step.tool = t->name();
-      step.error_before = error_before[k];
-      step.error_after = t->Error();
-      step.applied = task.applied;
-      step.vetoed = task.vetoed;
-      step.forced = task.forced;
-      step.seconds = task.seconds;
-      step.parallel = true;
-      step.batch_final = task.batch_final;
-      if (options.batch_auto) {
-        tool_batch_hint[static_cast<size_t>(task.id)] = task.batch_final;
-      }
-      ASPECT_LOG(Info) << "tweak " << step.tool << " (parallel): "
-                       << step.error_before << " -> " << step.error_after;
-      report.steps.push_back(std::move(step));
-      if (std::find(enforced.begin(), enforced.end(), task.id) ==
-          enforced.end()) {
-        enforced.push_back(task.id);
-      }
-    }
-    return Status::OK();
-  };
-
-  const bool try_parallel = options.parallel_pass &&
-                            !options.rollback_on_regression &&
-                            order.size() > 1;
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    cur_pass = iter;
-    children.clear();
-    children.reserve(order.size());
-    for (size_t i = 0; i < order.size(); ++i) children.push_back(rng.Fork());
-
-    size_t pos = 0;
-    while (pos < order.size()) {
-      if (!try_parallel) {
-        ASPECT_RETURN_NOT_OK(serial_step(pos, &children[pos]));
-        ++pos;
-        continue;
-      }
-      // Collect the maximal run of consecutive parallel-eligible
-      // positions starting here; anything shorter than two runs serial.
-      std::vector<AccessScope> window;
-      size_t end = pos;
-      while (end < order.size()) {
-        AccessScope s;
-        if (!parallel_eligible(end, &s)) break;
-        window.push_back(std::move(s));
-        ++end;
-      }
-      if (end - pos < 2) {
-        ASPECT_RETURN_NOT_OK(serial_step(pos, &children[pos]));
-        ++pos;
-        continue;
-      }
-      // Partition the window by scope conflicts (O1): positions in one
-      // independence class are pairwise non-conflicting. The group is
-      // the maximal consecutive prefix sharing the first position's
-      // class — consecutiveness means no conflicting tool was
-      // scheduled between the members, so running them concurrently is
-      // exactly the commutation O1 licenses.
-      const size_t wn = end - pos;
-      std::vector<std::vector<bool>> adj(wn, std::vector<bool>(wn, false));
-      for (size_t a = 0; a < wn; ++a) {
-        for (size_t b = a + 1; b < wn; ++b) {
-          const bool c = ScopesConflict(window[a], window[b]);
-          adj[a][b] = c;
-          adj[b][a] = c;
-        }
-      }
-      const std::vector<std::vector<int>> classes = IndependentClasses(adj);
-      std::vector<int> class_of(wn, 0);
-      for (size_t k = 0; k < classes.size(); ++k) {
-        for (const int v : classes[k]) {
-          class_of[static_cast<size_t>(v)] = static_cast<int>(k);
-        }
-      }
-      std::vector<size_t> members = {pos};
-      std::vector<AccessScope> mscopes = {window[0]};
-      for (size_t j = 1; j < wn; ++j) {
-        if (class_of[j] != class_of[0]) break;
-        // The same tool twice in one group would race with itself.
-        bool duplicate = false;
-        for (const size_t m : members) {
-          if (order[m] == order[pos + j]) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) break;
-        members.push_back(pos + j);
-        mscopes.push_back(window[j]);
-      }
-      if (members.size() < 2) {
-        ASPECT_RETURN_NOT_OK(serial_step(pos, &children[pos]));
-        ++pos;
-        continue;
-      }
-      ASPECT_RETURN_NOT_OK(run_group(members, mscopes));
-      pos = members.back() + 1;
-    }
-    if (options.converge_epsilon > 0) {
-      double total = 0;
-      for (const int id : order) {
-        total += tools_[static_cast<size_t>(id)]->Error();
-      }
-      if (prev_total >= 0) {
-        const double improvement = prev_total - total;
-        if (improvement < 0) {
-          // A pass that made things worse is not convergence: report
-          // it as a regression (previously conflated with kConverged).
-          report.stop_reason = RunReport::StopReason::kRegressed;
-          ASPECT_LOG(Warning)
-              << "pass " << iter + 1 << " regressed: total error "
-              << prev_total << " -> " << total;
-          break;
-        }
-        if (improvement < options.converge_epsilon) {
-          report.stop_reason = RunReport::StopReason::kConverged;
-          break;
-        }
-      }
-      prev_total = total;
-    }
+    prev_total = total;
   }
-
-  report.final_errors.resize(tools_.size(), 0.0);
-  for (size_t i = 0; i < tools_.size(); ++i) {
-    if (tools_[i]->bound()) {
-      report.final_errors[i] = tools_[i]->Error();
-    }
-  }
-  for (const int id : order) {
-    tools_[static_cast<size_t>(id)]->Unbind();
-  }
+  report.route_index_build_seconds = loop.index_seconds();
+  ASPECT_RETURN_NOT_OK(FinishRun(tools_, order, checker_.get(),
+                                 options.check_scopes, &report));
   report.total_seconds = Now() - run_start;
-  for (const ToolReport& s : report.steps) {
-    report.votes_total += s.votes_total;
-    report.votes_skipped += s.votes_skipped;
-    report.route_audit_violations += s.route_audit_violations;
-    report.route_fallbacks += s.route_fallbacks;
-  }
-  report.route_index_build_seconds = route_index_build_seconds;
-  if (checker_ != nullptr) {
-    report.scope_violations = checker_->violations();
-    if (options.check_scopes == analysis::ScopeCheckMode::kStrict &&
-        !checker_->ok()) {
-      return Status::ValidationFailed(StrFormat(
-          "scope check (strict): %zu violation(s), first: %s",
-          report.scope_violations.size(),
-          report.scope_violations.front().ToString().c_str()));
-    }
-  }
   return report;
 }
 

@@ -18,34 +18,6 @@
 
 namespace aspect {
 
-/// Execution model of the O1-parallel pass (options.parallel_pass).
-enum class ParallelMode : int {
-  /// Clone-and-merge: each group task runs on a partial clone of the
-  /// main database (Database::CloneAtoms over its declared atoms) and
-  /// the written columns are move-merged back after the barrier. The
-  /// legacy model; pays a clone per task and a merge per group.
-  kClone = 0,
-  /// Shared-database: the group partitions the members' certified
-  /// write scopes into per-(table, column) write leases on the main
-  /// database and the tasks tweak the shared tables directly. No
-  /// clone, no merge; per-thread listener routing keeps each tool's
-  /// statistics private, and per-lease modlog segments splice in group
-  /// order, so output stays bitwise identical to serial (DESIGN.md
-  /// Sec. 10). The default.
-  kShared = 1,
-};
-
-/// How rollback_on_regression restores the pre-step state.
-enum class RollbackMode : int {
-  /// Deep-copy the database before every tool step and restore the
-  /// copy on regression. O(database) per step.
-  kClone = 0,
-  /// Record an undo log (ModificationLog pre-images) during the step
-  /// and revert it in reverse on regression. O(modifications in the
-  /// step) per step — the default.
-  kUndoLog = 1,
-};
-
 struct CoordinatorOptions {
   /// Number of full passes over the tool order (Sec. VII-C shows 2-3
   /// passes drive residual errors to ~0.02).
@@ -59,12 +31,10 @@ struct CoordinatorOptions {
   /// Safety net beyond the paper: guard each tool step and roll it
   /// back if it left the summed error of the already-enforced
   /// properties plus its own *higher* than before (O4's accepted-error
-  /// policy, but bounded). Cost depends on rollback_mode.
+  /// policy, but bounded). The step's modifications are recorded in an
+  /// undo log and reverted in reverse on regression, so the cost is
+  /// linear in the step's modifications, not in the database size.
   bool rollback_on_regression = false;
-  /// Restore strategy for rollback_on_regression. kUndoLog reverts the
-  /// step's recorded modifications in reverse (cheap); kClone restores
-  /// a per-step deep copy. Both restore byte-identical state.
-  RollbackMode rollback_mode = RollbackMode::kUndoLog;
   /// Worker threads for CompareOrders (one candidate order per task):
   /// 0 = one per hardware thread, 1 = serial. Rankings and errors are
   /// identical for every thread count: each candidate runs on its own
@@ -79,21 +49,19 @@ struct CoordinatorOptions {
   /// Run each pass O1-parallel: consecutive order positions whose
   /// declared access scopes provably cannot disturb each other — and
   /// whose enforced validators' votes are provably zero — are tweaked
-  /// concurrently on database clones, with the written columns merged
-  /// back afterwards. Falls back to serial steps when scopes are
-  /// undeclared (the AccessMonitor's observed scope covers writes
-  /// only, which cannot prove the tool's reads safe), scopes overlap,
-  /// or rollback_on_regression is on. For a fixed seed the results are
-  /// identical for every thread count; see DESIGN.md for the
-  /// determinism argument.
+  /// concurrently on the shared database, each inside a write lease
+  /// over its certified write scope, with per-thread listener routing
+  /// keeping each tool's statistics private (DESIGN.md Sec. 10). Falls
+  /// back to serial steps when scopes are undeclared (the
+  /// AccessMonitor's observed scope covers writes only, which cannot
+  /// prove the tool's reads safe), scopes overlap, or
+  /// rollback_on_regression is on. For a fixed seed the results are
+  /// bitwise identical to the serial pass at every thread count; see
+  /// DESIGN.md for the determinism argument.
   bool parallel_pass = false;
   /// Worker threads for parallel_pass groups: 0 = one per hardware
   /// thread, 1 = run the same grouped schedule on the calling thread.
   int pass_threads = 0;
-  /// Execution model for parallel_pass groups; see ParallelMode. Both
-  /// modes produce bitwise-identical results; kShared eliminates the
-  /// per-task clone and per-group merge.
-  ParallelMode parallel_mode = ParallelMode::kShared;
   /// Batch-size hint handed to tools via TweakContext::batch_hint():
   /// how many modifications to group per proposal. 1 (the default)
   /// keeps the historical one-modification-at-a-time pipeline
@@ -103,9 +71,9 @@ struct CoordinatorOptions {
   /// each step starts from batch_size and TweakContext grows the hint
   /// on sustained accepted proposals and shrinks it on vetoes. The
   /// size a step settled on is reported in ToolReport::batch_final.
-  /// Deterministic across serial/clone/shared execution: parallel
+  /// Deterministic across serial and parallel execution: parallel
   /// group members provably receive zero vetoes, so their hint follows
-  /// the same trajectory in every mode.
+  /// the same trajectory either way.
   bool batch_auto = false;
   /// Scope-conformance checking (src/analysis): kWarn / kStrict
   /// install access probes around every Tweak and diff each tool's
@@ -135,13 +103,6 @@ struct CoordinatorOptions {
   /// is O(change), not O(fleet) (debug builds cross-check against a
   /// from-scratch rebuild every step).
   RouteVotes route_votes = RouteVotes::kOff;
-  /// Testing / benchmarking escape hatch: resolve every enforced scope
-  /// and rebuild the routing index from scratch on each serial step
-  /// (the pre-incremental behaviour) instead of maintaining it
-  /// incrementally. Voting results are bitwise identical either way;
-  /// only RunReport::route_index_build_seconds differs. The bench's
-  /// route_incremental_speedup metric compares the two.
-  bool route_rebuild_per_step = false;
 };
 
 /// Per-tool outcome of one coordinator run.
@@ -154,10 +115,11 @@ struct ToolReport {
   int64_t forced = 0;
   double seconds = 0;
   /// Rollback safety-net cost of this step (rollback_on_regression):
-  /// seconds spent snapshotting and, if the step regressed, restoring.
+  /// seconds spent resetting the undo log and, if the step regressed,
+  /// restoring.
   double rollback_seconds = 0;
-  /// Modifications recorded in the step's undo log (kUndoLog only) —
-  /// the rollback cost is linear in this, not in the database size.
+  /// Modifications recorded in the step's undo log — the rollback
+  /// cost is linear in this, not in the database size.
   int64_t rollback_mods = 0;
   /// True if the step regressed and was rolled back.
   bool rolled_back = false;
@@ -206,14 +168,7 @@ struct RunReport {
   double total_seconds = 0;
   StopReason stop_reason = StopReason::kIterationsExhausted;
 
-  /// Phase breakdown of the O1-parallel groups (parallel_pass only).
-  /// Setup: clone construction and rebase-to-clone (clone mode) or
-  /// lease partition and listener-route assembly (shared mode). Merge:
-  /// column/table move-merge plus notification replay (clone mode) or
-  /// modlog splice alone (shared mode, where merge work is ~0 by
-  /// construction). Rebase: handing the members back to the main
-  /// database and rebinding disturbed non-members — with the pointer-
-  /// swap Rebase overrides this is ~0 for every built-in tool.
+  /// O1-parallel groups that ran (parallel_pass only).
   int64_t parallel_groups = 0;
   /// The subset of parallel_groups that exist only thanks to row-range
   /// declarations: some member pair overlaps on a (table, column) atom
@@ -233,12 +188,15 @@ struct RunReport {
   int64_t route_audit_violations = 0;
   /// Unknown-table conservative routing fallbacks over all steps.
   int64_t route_fallbacks = 0;
-  /// Seconds spent building and incrementally maintaining the routing
-  /// index (options.route_votes != kOff). With the incremental path
-  /// this stays ~0 after the first step of a pass regardless of fleet
-  /// size; options.route_rebuild_per_step restores the O(fleet)
-  /// per-step cost for comparison.
+  /// Seconds spent maintaining the routing index
+  /// (options.route_votes != kOff): one append per newly enforced
+  /// validator and one degrade per distrust event.
   double route_index_build_seconds = 0;
+  /// Phase breakdown of the parallel groups. Setup: lease partition,
+  /// recorders and listener routes. Merge: splicing the members'
+  /// recorded notifications into the database's other listeners (the
+  /// modification log). Rebase: rebinding the bound non-members whose
+  /// statistics the group's writes may have disturbed.
   double group_setup_seconds = 0;
   double group_merge_seconds = 0;
   double group_rebase_seconds = 0;

@@ -60,11 +60,10 @@ struct WriteLease {
 /// verifies the partition is truly pairwise disjoint (no atom of one
 /// lease overlaps an atom of another, under the same overlap rules
 /// that formed the group — two leases holding disjoint row ranges of
-/// one column do NOT overlap). Returns false — and the caller must
-/// fall back to the clone-and-merge path — if any two leases overlap;
-/// with correctly formed groups this never happens, so the check is
-/// cheap insurance against a planner bug corrupting the shared
-/// database.
+/// one column do NOT overlap). Returns false — and the caller runs the
+/// members serially instead — if any two leases overlap; with
+/// correctly formed groups this never happens, so the check is cheap
+/// insurance against a planner bug corrupting the shared database.
 bool PartitionWriteLeases(const std::vector<int>& tool_ids,
                           const std::vector<AccessScope>& scopes,
                           std::vector<WriteLease>* leases);

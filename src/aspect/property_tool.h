@@ -80,14 +80,11 @@ class PropertyTool : public ModificationListener {
   virtual void Unbind() = 0;
   virtual bool bound() const = 0;
 
-  /// Moves a bound tool onto `db` WITHOUT rescanning, assuming `db`'s
-  /// content is identical, tuple id for tuple id, to the currently
-  /// bound database for every table in the tool's access set. The
-  /// default rebuilds from scratch (Unbind + Bind); tools whose bound
-  /// state is keyed only by stable tuple ids can override with a
-  /// listener re-registration and pointer swap. The O1-parallel pass
-  /// uses this to hand tools between the main database and content-
-  /// identical task clones without paying two full rescans per pass.
+  /// Moves a bound tool onto `db`, assuming `db`'s content is
+  /// identical, tuple id for tuple id, to the currently bound database
+  /// for every table in the tool's access set. The default rebuilds
+  /// from scratch (Unbind + Bind); a wrapping tool forwards it to the
+  /// tool it wraps.
   virtual Status Rebase(Database* db) {
     Unbind();
     return Bind(db);
@@ -95,11 +92,11 @@ class PropertyTool : public ModificationListener {
 
   /// Appends every ModificationListener a bound tool has registered on
   /// its database: the tool itself plus any auxiliary listeners its
-  /// Bind installed (e.g. coappear's RefCounter). The shared-database
-  /// parallel pass routes exactly this set (plus the task's write
-  /// recorder) to the task's thread, and excludes it from the
-  /// post-group notification replay, so a tool's statistics see each
-  /// of its own writes exactly once. Only meaningful while bound.
+  /// Bind installed (e.g. coappear's RefCounter). The parallel pass
+  /// routes exactly this set (plus the task's write recorder) to the
+  /// task's thread, and excludes it from the post-group notification
+  /// replay, so a tool's statistics see each of its own writes exactly
+  /// once. Only meaningful while bound.
   virtual void AppendListeners(std::vector<ModificationListener*>* out) {
     out->push_back(this);
   }

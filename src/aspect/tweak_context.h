@@ -77,8 +77,8 @@ class TweakContext {
   /// proposals as soon as vetoes appear (a vetoed batch rejects all
   /// its modifications at once, so high veto rates make big batches
   /// wasteful). Deterministic: the hint trajectory depends only on the
-  /// proposal/vote sequence, which is identical across the serial,
-  /// clone-parallel and shared-parallel execution modes.
+  /// proposal/vote sequence, which is identical in serial and parallel
+  /// execution.
   bool batch_auto() const { return batch_auto_; }
   void set_batch_auto(bool on) { batch_auto_ = on; }
 

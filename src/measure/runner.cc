@@ -200,7 +200,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   opts.seed = config.seed + 1;
   opts.parallel_pass = config.parallel_pass;
   opts.pass_threads = config.pass_threads;
-  opts.parallel_mode = config.parallel_mode;
   opts.batch_size = config.batch_size;
   opts.batch_auto = config.batch_auto;
   opts.route_votes = config.route_votes;

@@ -40,9 +40,6 @@ struct ExperimentConfig {
   bool parallel_pass = false;
   /// Worker threads for the parallel pass (0 = hardware concurrency).
   int pass_threads = 0;
-  /// Execution model of the parallel pass: zero-copy shared-database
-  /// with write leases (the default), or legacy clone-and-merge.
-  ParallelMode parallel_mode = ParallelMode::kShared;
   /// Preferred modifications per batched proposal (1 = no batching).
   int batch_size = 1;
   /// Autotune the batch size from the veto rate (--batch=auto).

@@ -150,19 +150,6 @@ void CoappearPropertyTool::Unbind() {
   state_.clear();
 }
 
-Status CoappearPropertyTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  if (db == db_) return Status::OK();
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  // The refcount cache swaps with its owner. Its counts are exact for
-  // every table whose inbound FK columns are in this tool's declared
-  // scope — the member tables, which is all Tweak ever queries.
-  refcount_->Rebase(db);
-  return Status::OK();
-}
-
 void CoappearPropertyTool::AppendListeners(
     std::vector<ModificationListener*>* out) {
   out->push_back(this);

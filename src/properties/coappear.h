@@ -49,13 +49,11 @@ class CoappearPropertyTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics (GroupState) are keyed by stable tuple ids and slot
-  /// indices, so a content-identical database swap needs no rebuild:
-  /// pointer swap for the tool and its RefCounter, both re-registered
-  /// as listeners on the new database.
-  Status Rebase(Database* db) override;
   /// The tool plus its RefCounter (the auxiliary listener Bind
-  /// installs).
+  /// installs). Inside a parallel group the counter sees only this
+  /// tool's writes, so counts of tables outside the declared scope may
+  /// go stale; Tweak only queries member tables, whose inbound FK
+  /// columns the declared scope names, so those counts stay exact.
   void AppendListeners(std::vector<ModificationListener*>* out) override;
 
   double Error() const override;

@@ -210,15 +210,6 @@ void LinearPropertyTool::Unbind() {
   }
 }
 
-Status LinearPropertyTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  if (db == db_) return Status::OK();
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  return Status::OK();
-}
-
 double LinearPropertyTool::Error() const {
   if (chains_.empty()) return 0.0;
   double sum = 0;

@@ -46,11 +46,6 @@ class LinearPropertyTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics (ChainStats) are keyed by stable tuple ids, never by
-  /// raw storage addresses, so a content-identical database swap needs
-  /// no rebuild: pointer swap plus listener re-registration.
-  Status Rebase(Database* db) override;
-
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Exact composite vote: all edge changes of the batch are applied to

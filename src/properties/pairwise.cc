@@ -137,15 +137,6 @@ void PairwisePropertyTool::Unbind() {
   state_.clear();
 }
 
-Status PairwisePropertyTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  if (db == db_) return Status::OK();
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  return Status::OK();
-}
-
 void PairwisePropertyTool::ApplyNChange(const NChange& c) {
   SpecState& st = state_[static_cast<size_t>(c.spec)];
   auto& incoming = st.incoming[c.v];

@@ -45,11 +45,6 @@ class PairwisePropertyTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics (SpecState) are keyed by stable tuple ids and slot
-  /// indices, so a content-identical database swap needs no rebuild:
-  /// pointer swap plus listener re-registration.
-  Status Rebase(Database* db) override;
-
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Exact composite vote: counted-response changes of all

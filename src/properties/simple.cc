@@ -159,14 +159,6 @@ void ColumnFreqTool::Unbind() {
   }
 }
 
-Status ColumnFreqTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  return Status::OK();
-}
-
 double ColumnFreqTool::Error() const {
   const int64_t n = std::max<int64_t>(1, target_.TotalMass());
   return static_cast<double>(current_.L1Distance(target_)) /
@@ -558,14 +550,6 @@ void NullCountTool::Unbind() {
   }
 }
 
-Status NullCountTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  return Status::OK();
-}
-
 double NullCountTool::Error() const {
   const int64_t n =
       std::max<int64_t>(1, db_->FindTable(table_)->NumTuples());
@@ -831,14 +815,6 @@ void DomainBoundsTool::Unbind() {
     db_->RemoveListener(this);
     db_ = nullptr;
   }
-}
-
-Status DomainBoundsTool::Rebase(Database* db) {
-  if (db_ == nullptr) return Bind(db);
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-  return Status::OK();
 }
 
 double DomainBoundsTool::ErrorOf(int64_t out_of_range, bool has_min,

@@ -55,9 +55,6 @@ class ColumnFreqTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics are one id-independent distribution: pointer swap.
-  Status Rebase(Database* db) override;
-
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Exact composite vote: simulates the batch's cumulative frequency
@@ -122,9 +119,6 @@ class NullCountTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics are one counter: pointer swap.
-  Status Rebase(Database* db) override;
-
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Exact composite vote: one |delta| evaluation over the batch's
@@ -191,9 +185,6 @@ class DomainBoundsTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// Statistics are three counters: pointer swap.
-  Status Rebase(Database* db) override;
-
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Exact composite vote: accumulates the batch's out-of-range and

@@ -159,23 +159,6 @@ void Column::Reserve(int64_t n) {
   }
 }
 
-void Column::ResizeEmpty(int64_t n) {
-  const size_t rows = static_cast<size_t>(n);
-  state_.assign(rows, CellState::kEmpty);
-  switch (type_) {
-    case ColumnType::kInt64:
-    case ColumnType::kForeignKey:
-      ints_.assign(rows, 0);
-      break;
-    case ColumnType::kDouble:
-      doubles_.assign(rows, 0);
-      break;
-    case ColumnType::kString:
-      strings_.assign(rows, std::string());
-      break;
-  }
-}
-
 void Column::Erase(int64_t row) {
   analysis::ProbeWrite(probe_table_, probe_col_, row);
   state_[static_cast<size_t>(row)] = CellState::kEmpty;
@@ -253,27 +236,6 @@ Status Column::AppendBatch(Column&& src) {
   }
   state_.insert(state_.end(), src.state_.begin(), src.state_.end());
   return Status::OK();
-}
-
-void Column::CopyRowsFrom(const Column& src, int64_t lo, int64_t hi) {
-  assert(type_ == src.type_);
-  assert(lo >= 0 && hi < size() && hi < src.size());
-  for (int64_t row = lo; row <= hi; ++row) {
-    const size_t r = static_cast<size_t>(row);
-    switch (type_) {
-      case ColumnType::kInt64:
-      case ColumnType::kForeignKey:
-        ints_[r] = src.ints_[r];
-        break;
-      case ColumnType::kDouble:
-        doubles_[r] = src.doubles_[r];
-        break;
-      case ColumnType::kString:
-        strings_[r] = src.strings_[r];
-        break;
-    }
-    state_[r] = src.state_[r];
-  }
 }
 
 }  // namespace aspect

@@ -89,12 +89,6 @@ class Column {
   /// Pre-allocates capacity for `n` total rows.
   void Reserve(int64_t n);
 
-  /// Grows the column to exactly `n` rows of kEmpty cells with
-  /// default-initialized storage. Shell columns of a partial table
-  /// clone (Database::CloneAtoms) use this so out-of-scope cells stay
-  /// addressable without paying for a deep copy.
-  void ResizeEmpty(int64_t n);
-
   /// Marks the cell kEmpty (ASPECT deleteValues semantics).
   void Erase(int64_t row);
 
@@ -116,14 +110,6 @@ class Column {
   /// this; no per-cell probes fire (the rows did not exist before the
   /// splice, so there is no prior state to attribute).
   Status AppendBatch(Column&& src);
-
-  /// Copies the cells of rows [lo, hi] (values and states) from `src`
-  /// into this column. Types must match and both columns must span the
-  /// range. The parallel pass's clone merge uses this when a task holds
-  /// a row-range lease on the column: only its leased rows move back,
-  /// so co-members of the group can merge disjoint ranges of the same
-  /// column without clobbering each other.
-  void CopyRowsFrom(const Column& src, int64_t lo, int64_t hi);
 
  private:
   std::string name_;

@@ -408,55 +408,10 @@ Status Database::Undo(const Modification& mod,
   return Status::Internal("unknown modification kind");
 }
 
-Status Database::CopyContentFrom(const Database& other) {
-  if (schema_.tables.size() != other.schema_.tables.size()) {
-    return Status::Invalid("CopyContentFrom: schema mismatch");
-  }
-  for (size_t i = 0; i < tables_.size(); ++i) {
-    if (tables_[i]->name() != other.tables_[i]->name()) {
-      return Status::Invalid("CopyContentFrom: schema mismatch");
-    }
-    *tables_[i] = *other.tables_[i];
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<Database> Database::Clone() const {
   std::unique_ptr<Database> copy(new Database(schema_));
   for (size_t i = 0; i < tables_.size(); ++i) {
     *copy->tables_[i] = *tables_[i];
-  }
-  return copy;
-}
-
-std::unique_ptr<Database> Database::CloneAtoms(
-    const std::set<std::pair<int, int>>& atoms) const {
-  std::unique_ptr<Database> copy(new Database(schema_));
-  // Group the requested columns by table; a negative column index
-  // requests the table whole.
-  std::vector<std::set<int>> cols(tables_.size());
-  std::vector<bool> whole(tables_.size(), false);
-  std::vector<bool> requested(tables_.size(), false);
-  for (const auto& [t, c] : atoms) {
-    if (t < 0 || t >= static_cast<int>(tables_.size())) continue;
-    requested[static_cast<size_t>(t)] = true;
-    if (c >= 0) {
-      cols[static_cast<size_t>(t)].insert(c);
-    } else if (c != -2) {
-      // -1 (kWholeTable, or legacy negative columns) copies the table
-      // whole. -2 (kRowStructure) asks for the row skeleton only,
-      // which CopyColumnsFrom carries for free: slot count and
-      // tombstones are copied, columns stay kEmpty shells.
-      whole[static_cast<size_t>(t)] = true;
-    }
-  }
-  for (size_t i = 0; i < tables_.size(); ++i) {
-    if (!requested[i]) continue;
-    if (whole[i]) {
-      *copy->tables_[i] = *tables_[i];
-    } else {
-      copy->tables_[i]->CopyColumnsFrom(*tables_[i], cols[i]);
-    }
   }
   return copy;
 }

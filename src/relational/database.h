@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -112,8 +111,8 @@ class Database {
   void RemoveListener(ModificationListener* listener);
 
   /// The registered listeners, in registration order. The coordinator's
-  /// parallel pass uses this to replay notifications recorded on a
-  /// clone to the listeners that stayed on the main database.
+  /// parallel pass splices the notifications its tasks recorded into
+  /// the listeners no task route covered.
   const std::vector<ModificationListener*>& listeners() const {
     return listeners_;
   }
@@ -160,8 +159,8 @@ class Database {
 
   /// Reverts one applied modification given the pre-images captured by
   /// the listener notification (`old_values` / `new_tuple` exactly as
-  /// OnApplied received them). Listeners are NOT notified, like
-  /// CopyContentFrom: callers rebuild listener-held state afterwards.
+  /// OnApplied received them). Listeners are NOT notified: callers
+  /// rebuild listener-held state afterwards.
   /// Modifications must be undone in reverse application order so that
   /// a kInsertTuple always reverts the table's last slot (see
   /// ModificationLog::UndoOnto).
@@ -170,23 +169,6 @@ class Database {
 
   /// Deep copy (listeners are not copied).
   std::unique_ptr<Database> Clone() const;
-
-  /// Deep copy of only the listed (table index, column index) atoms; a
-  /// column of -1 (AccessScope::kWholeTable) copies that table whole,
-  /// and -2 (kRowStructure) copies just its row skeleton (slot count,
-  /// tombstones) with every column a kEmpty shell. Unlisted tables
-  /// exist but are empty; unlisted columns of a listed table keep the
-  /// row structure but hold only kEmpty cells. The O1-parallel pass
-  /// hands a task exactly the atoms its declared access set names, so
-  /// the clone cost scales with the task's scope, not the database.
-  std::unique_ptr<Database> CloneAtoms(
-      const std::set<std::pair<int, int>>& atoms) const;
-
-  /// Replaces this database's table contents with a deep copy of
-  /// `other`'s. Schemas must match. Listeners stay registered but are
-  /// NOT notified - callers must rebuild any listener-held state (the
-  /// coordinator rebinds its tools after a rollback).
-  Status CopyContentFrom(const Database& other);
 
  private:
   explicit Database(Schema schema);

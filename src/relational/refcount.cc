@@ -31,13 +31,6 @@ RefCounter::~RefCounter() {
   if (db_ != nullptr) db_->RemoveListener(this);
 }
 
-void RefCounter::Rebase(Database* db) {
-  if (db == db_) return;
-  db_->RemoveListener(this);
-  db_ = db;
-  db_->AddListener(this);
-}
-
 int64_t RefCounter::Count(int table, TupleId t) const {
   const auto& counts = counts_[static_cast<size_t>(table)];
   if (t < 0 || t >= static_cast<TupleId>(counts.size())) return 0;

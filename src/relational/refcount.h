@@ -28,18 +28,6 @@ class RefCounter : public ModificationListener {
     return Count(table, t) == 0;
   }
 
-  /// Moves the listener registration to `db` without rebuilding the
-  /// counts (the pointer-swap Rebase of the owning tool). Valid only
-  /// under the PropertyTool::Rebase contract: `db` is content-identical
-  /// to the current database, tuple id for tuple id, for every table
-  /// whose inbound foreign-key columns lie in the owning tool's access
-  /// set. Counts of tables outside that set may go stale across a
-  /// parallel group (co-members' notifications are routed away); the
-  /// owning tool must only query tables it covers — coappear's
-  /// declared scope names every FK column referencing a member table,
-  /// so its member-table counts stay exact.
-  void Rebase(Database* db);
-
   void OnApplied(const Modification& mod,
                  const std::vector<Value>& old_values,
                  TupleId new_tuple) override;

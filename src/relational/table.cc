@@ -130,18 +130,6 @@ void Table::Reserve(int64_t n) {
   for (Column& c : columns_) c.Reserve(n);
 }
 
-void Table::CopyColumnsFrom(const Table& src, const std::set<int>& cols) {
-  live_ = src.live_;
-  num_live_ = src.num_live_;
-  for (int i = 0; i < num_columns(); ++i) {
-    if (cols.count(i) > 0) {
-      columns_[static_cast<size_t>(i)] = src.columns_[static_cast<size_t>(i)];
-    } else {
-      columns_[static_cast<size_t>(i)].ResizeEmpty(src.NumSlots());
-    }
-  }
-}
-
 Status Table::Delete(TupleId t) {
   if (!IsLive(t)) {
     return Status::KeyError(

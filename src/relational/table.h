@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -115,14 +114,6 @@ class Table {
   /// Pre-allocates capacity for `n` total slots across all columns.
   void Reserve(int64_t n);
 
-  /// Rebuilds this table as a partial copy of `src` (same spec): the
-  /// row structure (slot count, tombstones) and the columns named in
-  /// `cols` are deep-copied; every other column becomes a kEmpty shell
-  /// of the same height. Cells outside `cols` read as erased, so a
-  /// caller must only touch the copied columns (the declared-access-
-  /// set contract of the O1-parallel pass).
-  void CopyColumnsFrom(const Table& src, const std::set<int>& cols);
-
   /// Tombstones a live tuple.
   Status Delete(TupleId t);
 
@@ -163,7 +154,7 @@ class Table {
   /// witness asserts exactly that: two threads inside a structural
   /// mutation of the same table at once trip the counter. Copies and
   /// moves reset the witness (the new storage has no mutator), keeping
-  /// Table's implicit copy/move assignable for the clone/merge paths.
+  /// Table's implicit copy/move assignable for Database::Clone.
   struct MutationWitness {
     std::atomic<int> depth{0};
     MutationWitness() = default;

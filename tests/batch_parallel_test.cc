@@ -488,10 +488,9 @@ class RowAndCellTool : public PropertyTool {
   Database* db_ = nullptr;
 };
 
-// A task that inserts tuples AND rewrites cells on one table records
-// both (t, kWholeTable) and (t, c) atoms; the merge must move that
-// table exactly once instead of following the whole-table move with a
-// per-column move from the moved-from clone.
+// A task that inserts tuples AND rewrites cells on one table writes
+// both its row structure and a column inside one parallel group; the
+// result must match the serial pass exactly.
 TEST(BatchPipelineTest, ParallelMergeHandlesWholeTablePlusCellAtoms) {
   const Schema schema = TinySchema();
   const auto run_with = [&](bool parallel) {
@@ -596,7 +595,7 @@ class ShadowReaderTool : public PropertyTool {
 // A tool without a declared scope reads a column it never writes, so
 // its observed (write-only) scope must NOT license grouping it with a
 // tool that writes that column: serial semantics would see the
-// writer's update, a group clone would not. The fix keeps such tools
+// writer's update, a concurrent group would not. The fix keeps such tools
 // on the serial path; results must match the serial run exactly and
 // no step may have run in a group.
 TEST(BatchPipelineTest, ObservedWriteOnlyScopeStaysSerial) {
@@ -635,7 +634,7 @@ TEST(BatchPipelineTest, ObservedWriteOnlyScopeStaysSerial) {
 
 // ---------------------------------------------------------------------
 // Shared-database mode: zero-copy groups with write leases must be
-// bitwise indistinguishable from clone-and-merge and from serial — in
+// bitwise indistinguishable from serial — in
 // the database AND in the modification log — at every thread count.
 // ---------------------------------------------------------------------
 
@@ -670,8 +669,7 @@ class SharedModeTest : public ::testing::Test {
     }
   }
 
-  ModeOutcome RunMode(bool parallel, ParallelMode mode, int threads,
-                      bool batch_auto = false) {
+  ModeOutcome RunMode(bool parallel, int threads, bool batch_auto = false) {
     ModeOutcome out;
     out.db = base_->Clone();
     out.log = std::make_unique<ModificationLog>(out.db.get());
@@ -685,7 +683,6 @@ class SharedModeTest : public ::testing::Test {
     CoordinatorOptions opts;
     opts.seed = 5;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = mode;
     opts.pass_threads = threads;
     opts.batch_size = batch_auto ? 1 : 64;
     opts.batch_auto = batch_auto;
@@ -718,51 +715,43 @@ class SharedModeTest : public ::testing::Test {
 };
 
 TEST_F(SharedModeTest, SharedCloneSerialBitwiseIdenticalAcrossThreads) {
-  const ModeOutcome serial = RunMode(false, ParallelMode::kShared, 1);
+  const ModeOutcome serial = RunMode(false, 1);
   EXPECT_EQ(serial.report.parallel_groups, 0);
-  for (const ParallelMode mode :
-       {ParallelMode::kClone, ParallelMode::kShared}) {
-    for (const int threads : {1, 2, 8}) {
-      const ModeOutcome run = RunMode(true, mode, threads);
-      // The group must actually have formed, or the modes were never
-      // exercised.
-      EXPECT_GT(run.report.parallel_groups, 0)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      ExpectSameSteps(run.report, serial.report);
-      ExpectDatabasesIdentical(*run.db, *serial.db);
-      ExpectLogsIdentical(*run.log, *serial.log);
-    }
-  }
-}
-
-// Veto-rate-driven batch autotuning: trajectories (and therefore the
-// produced databases and logs) are identical in serial, clone and
-// shared execution, and sustained accepted proposals actually grow the
-// hint past the starting size of 1.
-TEST_F(SharedModeTest, BatchAutoDeterministicAcrossModesAndGrows) {
-  const ModeOutcome serial =
-      RunMode(false, ParallelMode::kShared, 1, /*batch_auto=*/true);
-  bool grew = false;
-  for (const ToolReport& step : serial.report.steps) {
-    grew = grew || step.batch_final > 1;
-  }
-  EXPECT_TRUE(grew);
-  for (const ParallelMode mode :
-       {ParallelMode::kClone, ParallelMode::kShared}) {
-    const ModeOutcome run = RunMode(true, mode, 8, /*batch_auto=*/true);
-    EXPECT_GT(run.report.parallel_groups, 0);
+  for (const int threads : {1, 2, 8}) {
+    const ModeOutcome run = RunMode(true, threads);
+    // The group must actually have formed, or the parallel pass was
+    // never exercised.
+    EXPECT_GT(run.report.parallel_groups, 0) << "threads " << threads;
     ExpectSameSteps(run.report, serial.report);
     ExpectDatabasesIdentical(*run.db, *serial.db);
     ExpectLogsIdentical(*run.log, *serial.log);
   }
 }
 
+// Veto-rate-driven batch autotuning: trajectories (and therefore the
+// produced databases and logs) are identical in serial and parallel
+// execution, and sustained accepted proposals actually grow the
+// hint past the starting size of 1.
+TEST_F(SharedModeTest, BatchAutoDeterministicAcrossModesAndGrows) {
+  const ModeOutcome serial = RunMode(false, 1, /*batch_auto=*/true);
+  bool grew = false;
+  for (const ToolReport& step : serial.report.steps) {
+    grew = grew || step.batch_final > 1;
+  }
+  EXPECT_TRUE(grew);
+  const ModeOutcome run = RunMode(true, 8, /*batch_auto=*/true);
+  EXPECT_GT(run.report.parallel_groups, 0);
+  ExpectSameSteps(run.report, serial.report);
+  ExpectDatabasesIdentical(*run.db, *serial.db);
+  ExpectLogsIdentical(*run.log, *serial.log);
+}
+
 // The headline row-range case: two instances of one ColumnFreqTool
 // split the SAME (table, column) into disjoint tuple-id halves. Under
 // the interval-blind rules they conflict (same cell atom), so the
 // group they form exists only thanks to the range declarations — and
-// it must still be bitwise indistinguishable from serial, in clone and
-// shared mode, at every thread count.
+// it must still be bitwise indistinguishable from serial at every
+// thread count.
 TEST_F(SharedModeTest, RowRangeSplitToolsGroupAndMatchSerial) {
   const Table* user = base_->FindTable("User");
   ASSERT_NE(user, nullptr);
@@ -770,7 +759,7 @@ TEST_F(SharedModeTest, RowRangeSplitToolsGroupAndMatchSerial) {
   ASSERT_GT(mid, 0);
   const int64_t last = user->NumSlots() - 1;
 
-  const auto run_with = [&](bool parallel, ParallelMode mode, int threads) {
+  const auto run_with = [&](bool parallel, int threads) {
     ModeOutcome out;
     out.db = base_->Clone();
     out.log = std::make_unique<ModificationLog>(out.db.get());
@@ -787,36 +776,29 @@ TEST_F(SharedModeTest, RowRangeSplitToolsGroupAndMatchSerial) {
     CoordinatorOptions opts;
     opts.seed = 5;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = mode;
     opts.pass_threads = threads;
     opts.batch_size = 64;
     out.report = coordinator.Run(out.db.get(), order, opts).ValueOrAbort();
     return out;
   };
 
-  const ModeOutcome serial = run_with(false, ParallelMode::kShared, 1);
+  const ModeOutcome serial = run_with(false, 1);
   EXPECT_EQ(serial.report.parallel_groups, 0);
-  for (const ParallelMode mode :
-       {ParallelMode::kClone, ParallelMode::kShared}) {
-    for (const int threads : {1, 2, 8}) {
-      const ModeOutcome run = run_with(true, mode, threads);
-      // The split pair really ran as a group, and the group was
-      // admitted by the interval exemption, not by coarse disjointness.
-      EXPECT_GT(run.report.parallel_groups, 0)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      EXPECT_GT(run.report.row_range_groups, 0)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      EXPECT_EQ(run.report.lease_violations, 0);
-      int parallel_steps = 0;
-      for (const ToolReport& step : run.report.steps) {
-        parallel_steps += step.parallel ? 1 : 0;
-      }
-      EXPECT_GE(parallel_steps, 2)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      ExpectSameSteps(run.report, serial.report);
-      ExpectDatabasesIdentical(*run.db, *serial.db);
-      ExpectLogsIdentical(*run.log, *serial.log);
+  for (const int threads : {1, 2, 8}) {
+    const ModeOutcome run = run_with(true, threads);
+    // The split pair really ran as a group, and the group was admitted
+    // by the interval exemption, not by coarse disjointness.
+    EXPECT_GT(run.report.parallel_groups, 0) << "threads " << threads;
+    EXPECT_GT(run.report.row_range_groups, 0) << "threads " << threads;
+    EXPECT_EQ(run.report.lease_violations, 0);
+    int parallel_steps = 0;
+    for (const ToolReport& step : run.report.steps) {
+      parallel_steps += step.parallel ? 1 : 0;
     }
+    EXPECT_GE(parallel_steps, 2) << "threads " << threads;
+    ExpectSameSteps(run.report, serial.report);
+    ExpectDatabasesIdentical(*run.db, *serial.db);
+    ExpectLogsIdentical(*run.log, *serial.log);
   }
 }
 
@@ -882,7 +864,6 @@ TEST(SharedModeLeaseTest, UnderDeclaredWriteIsUndoneAndRedoneSerially) {
     opts.seed = 13;
     opts.iterations = 2;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = ParallelMode::kShared;
     opts.pass_threads = 2;
     opts.check_scopes = analysis::ScopeCheckMode::kWarn;
     RunReport report =
@@ -972,7 +953,6 @@ TEST(SharedModeLeaseTest, SampledCanaryCatchesFirstWriteRangeLiar) {
     opts.seed = 13;
     opts.iterations = 2;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = ParallelMode::kShared;
     opts.pass_threads = 2;
     opts.check_scopes = analysis::ScopeCheckMode::kSampled;
     RunReport report =
@@ -1042,7 +1022,6 @@ TEST(SharedModeLeaseTest, BatchAutoHintsMatchSerialAcrossGroupDiscard) {
     opts.seed = 13;
     opts.iterations = 3;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = ParallelMode::kShared;
     opts.pass_threads = 2;
     opts.batch_size = 1;
     opts.batch_auto = true;
@@ -1150,7 +1129,6 @@ TEST(SharedModeLeaseTest, EmptyMemberSegmentSplicesCleanly) {
     CoordinatorOptions opts;
     opts.seed = 3;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = ParallelMode::kShared;
     opts.pass_threads = threads;
     RunReport report =
         coordinator.Run(db.get(), order, opts).ValueOrAbort();

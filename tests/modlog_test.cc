@@ -6,6 +6,7 @@
 #include "properties/coappear.h"
 #include "properties/linear.h"
 #include "properties/pairwise.h"
+#include "relational/fingerprint.h"
 #include "relational/modlog.h"
 #include "scaler/size_scaler.h"
 #include "workload/generator.h"
@@ -205,72 +206,101 @@ TEST(RollbackTest, RegressionStepsAreUndone) {
   (void)co;
 }
 
-TEST(RollbackTest, UndoLogMatchesCloneRollback) {
-  // The undo-log restore must be indistinguishable from the deep-copy
-  // restore: same per-step reports, same final errors, and the two
-  // final databases byte-identical.
+// Delegates everything to `inner` and records ContentHash of the
+// database each time a Tweak starts, so a test can compare the state
+// after a rolled-back step with the state the step started from.
+class HashAtTweakTool : public PropertyTool {
+ public:
+  HashAtTweakTool(std::unique_ptr<PropertyTool> inner,
+                  std::vector<uint64_t>* starts)
+      : inner_(std::move(inner)), starts_(starts) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status SetTargetFromDataset(const Database& truth) override {
+    return inner_->SetTargetFromDataset(truth);
+  }
+  Status RepairTarget() override { return inner_->RepairTarget(); }
+  Status CheckTargetFeasible() const override {
+    return inner_->CheckTargetFeasible();
+  }
+  Status Bind(Database* db) override { return inner_->Bind(db); }
+  void Unbind() override { inner_->Unbind(); }
+  bool bound() const override { return inner_->bound(); }
+  void AppendListeners(std::vector<ModificationListener*>* out) override {
+    inner_->AppendListeners(out);
+  }
+  double Error() const override { return inner_->Error(); }
+  double ValidationPenalty(const Modification& mod) const override {
+    return inner_->ValidationPenalty(mod);
+  }
+  using PropertyTool::ValidationPenaltyBatch;
+  double ValidationPenaltyBatch(std::span<const Modification> mods,
+                                double veto_cap) const override {
+    return inner_->ValidationPenaltyBatch(mods, veto_cap);
+  }
+  AccessScope DeclaredScope() const override {
+    return inner_->DeclaredScope();
+  }
+  Status Tweak(TweakContext* ctx) override {
+    starts_->push_back(ContentHash(*ctx->db()));
+    return inner_->Tweak(ctx);
+  }
+  void OnApplied(const Modification& mod, const std::vector<Value>& old_values,
+                 TupleId new_tuple) override {
+    inner_->OnApplied(mod, old_values, new_tuple);
+  }
+
+ private:
+  std::unique_ptr<PropertyTool> inner_;
+  std::vector<uint64_t>* starts_;
+};
+
+TEST(RollbackTest, RolledBackStepsRestoreTheirStartState) {
+  // The reference for a rollback is the pre-step state itself: after a
+  // rolled-back step the database hashes exactly as it did when the
+  // step's Tweak started, and every tool's statistics equal a fresh
+  // Bind on the final database.
   auto gen = GenerateDataset(DoubanMusicLike(0.3), 17).ValueOrAbort();
   auto truth = gen.Materialize(4).ValueOrAbort();
   RandScaler scaler;
-  auto base = scaler
-                  .Scale(*gen.Materialize(1).ValueOrAbort(),
-                         gen.SnapshotSizes(4), 17)
-                  .ValueOrAbort();
+  auto db = scaler
+                .Scale(*gen.Materialize(1).ValueOrAbort(),
+                       gen.SnapshotSizes(4), 17)
+                .ValueOrAbort();
+  std::vector<uint64_t> starts;
+  Coordinator coordinator;
+  const int li = coordinator.AddTool(std::make_unique<HashAtTweakTool>(
+      std::make_unique<LinearPropertyTool>(truth->schema()), &starts));
+  const int co = coordinator.AddTool(std::make_unique<HashAtTweakTool>(
+      std::make_unique<CoappearPropertyTool>(truth->schema()), &starts));
+  const int pa = coordinator.AddTool(std::make_unique<HashAtTweakTool>(
+      std::make_unique<PairwisePropertyTool>(truth->schema()), &starts));
+  coordinator.SetTargetsFromDataset(*truth).Check();
+  CoordinatorOptions opts;
+  opts.seed = 23;
+  opts.iterations = 2;
+  opts.rollback_on_regression = true;
+  const RunReport report =
+      coordinator.Run(db.get(), {pa, co, li}, opts).ValueOrAbort();
 
-  auto run_with = [&](RollbackMode mode, std::unique_ptr<Database>* out) {
-    Coordinator coordinator;
-    const int li = coordinator.AddTool(
-        std::make_unique<LinearPropertyTool>(truth->schema()));
-    const int co = coordinator.AddTool(
-        std::make_unique<CoappearPropertyTool>(truth->schema()));
-    const int pa = coordinator.AddTool(
-        std::make_unique<PairwisePropertyTool>(truth->schema()));
-    coordinator.SetTargetsFromDataset(*truth).Check();
-    CoordinatorOptions opts;
-    opts.seed = 23;
-    opts.iterations = 2;
-    opts.rollback_on_regression = true;
-    opts.rollback_mode = mode;
-    *out = base->Clone();
-    (void)co;
-    return coordinator.Run(out->get(), {pa, co, li}, opts).ValueOrAbort();
-  };
-
-  std::unique_ptr<Database> via_clone, via_undo;
-  const RunReport clone_report = run_with(RollbackMode::kClone, &via_clone);
-  const RunReport undo_report = run_with(RollbackMode::kUndoLog, &via_undo);
-
-  ASSERT_EQ(clone_report.steps.size(), undo_report.steps.size());
+  ASSERT_EQ(starts.size(), report.steps.size());
+  starts.push_back(ContentHash(*db));
   bool any_rolled_back = false;
-  for (size_t i = 0; i < clone_report.steps.size(); ++i) {
-    const ToolReport& a = clone_report.steps[i];
-    const ToolReport& b = undo_report.steps[i];
-    EXPECT_EQ(a.tool, b.tool) << i;
-    EXPECT_EQ(a.error_before, b.error_before) << i;
-    EXPECT_EQ(a.error_after, b.error_after) << i;
-    EXPECT_EQ(a.applied, b.applied) << i;
-    EXPECT_EQ(a.vetoed, b.vetoed) << i;
-    EXPECT_EQ(a.rolled_back, b.rolled_back) << i;
-    any_rolled_back = any_rolled_back || b.rolled_back;
+  for (size_t i = 0; i < report.steps.size(); ++i) {
+    if (!report.steps[i].rolled_back) continue;
+    any_rolled_back = true;
+    EXPECT_EQ(starts[i + 1], starts[i])
+        << "step " << i << " (" << report.steps[i].tool << ")";
   }
   EXPECT_TRUE(any_rolled_back)
       << "scenario never exercised the rollback path";
-  EXPECT_EQ(clone_report.final_errors, undo_report.final_errors);
-  ExpectDatabasesIdentical(*via_clone, *via_undo);
-}
-
-TEST(DatabaseCopyTest, CopyContentFromRestoresState) {
-  auto gen = GenerateDataset(DoubanMusicLike(0.2), 9).ValueOrAbort();
-  auto db = gen.Materialize(2).ValueOrAbort();
-  auto snapshot = db->Clone();
-  ASSERT_TRUE(db->Apply(Modification::ReplaceValues(
-                            "Album_Heard", {0}, {0}, {Value(int64_t{0})}))
-                  .ok());
-  ASSERT_TRUE(db->Apply(Modification::DeleteTuple("User_Fan", 0)).ok());
-  ASSERT_TRUE(db->CopyContentFrom(*snapshot).ok());
-  EXPECT_EQ(db->FindTable("User_Fan")->NumTuples(),
-            snapshot->FindTable("User_Fan")->NumTuples());
-  EXPECT_TRUE(db->FindTable("User_Fan")->IsLive(0));
+  for (const int id : {li, co, pa}) {
+    PropertyTool* t = coordinator.tool(id);
+    ASSERT_TRUE(t->Bind(db.get()).ok());
+    EXPECT_EQ(t->Error(), report.final_errors[static_cast<size_t>(id)])
+        << t->name();
+    t->Unbind();
+  }
 }
 
 }  // namespace

@@ -132,9 +132,8 @@ class VoteRoutingTest : public ::testing::Test {
     }
   }
 
-  Outcome RunWith(RouteVotes route, bool parallel, ParallelMode mode,
-                  int threads, int batch_size = 64,
-                  bool rebuild_per_step = false) {
+  Outcome RunWith(RouteVotes route, bool parallel, int threads,
+                  int batch_size = 64) {
     Outcome out;
     out.db = base_->Clone();
     out.log = std::make_unique<ModificationLog>(out.db.get());
@@ -150,11 +149,9 @@ class VoteRoutingTest : public ::testing::Test {
     CoordinatorOptions opts;
     opts.seed = 5;
     opts.parallel_pass = parallel;
-    opts.parallel_mode = mode;
     opts.pass_threads = threads;
     opts.batch_size = batch_size;
     opts.route_votes = route;
-    opts.route_rebuild_per_step = rebuild_per_step;
     out.report = coordinator.Run(out.db.get(), order, opts).ValueOrAbort();
     return out;
   }
@@ -168,14 +165,13 @@ class VoteRoutingTest : public ::testing::Test {
 };
 
 TEST_F(VoteRoutingTest, RoutedMatchesFullAcrossModesAndThreads) {
-  const Outcome full_serial =
-      RunWith(RouteVotes::kOff, false, ParallelMode::kShared, 1);
+  const Outcome full_serial = RunWith(RouteVotes::kOff, false, 1);
   // Full voting never skips and the off mode never audits.
   EXPECT_EQ(full_serial.report.votes_skipped, 0);
   EXPECT_GT(full_serial.report.votes_total, 0);
 
   for (const RouteVotes route : {RouteVotes::kOn, RouteVotes::kAudit}) {
-    const Outcome routed = RunWith(route, false, ParallelMode::kShared, 1);
+    const Outcome routed = RunWith(route, false, 1);
     ExpectSameSteps(routed.report, full_serial.report);
     ExpectDatabasesIdentical(*routed.db, *full_serial.db);
     ExpectLogsIdentical(*routed.log, *full_serial.log);
@@ -187,25 +183,20 @@ TEST_F(VoteRoutingTest, RoutedMatchesFullAcrossModesAndThreads) {
     EXPECT_EQ(routed.report.route_audit_violations, 0);
   }
 
-  for (const ParallelMode mode :
-       {ParallelMode::kClone, ParallelMode::kShared}) {
-    for (const int threads : {1, 2, 8}) {
-      const Outcome full = RunWith(RouteVotes::kOff, true, mode, threads);
-      const Outcome routed = RunWith(RouteVotes::kOn, true, mode, threads);
-      EXPECT_GT(routed.report.parallel_groups, 0)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      ExpectSameSteps(routed.report, full.report);
-      ExpectDatabasesIdentical(*routed.db, *full.db);
-      ExpectLogsIdentical(*routed.log, *full.log);
-      // ... and both match the serial full-voting run bit for bit.
-      ExpectDatabasesIdentical(*routed.db, *full_serial.db);
-      ExpectLogsIdentical(*routed.log, *full_serial.log);
-      // The serial tuple-count step prunes the off-table ColumnFreq
-      // validators even when the ColumnFreq trio ran as a group.
-      EXPECT_GT(routed.report.votes_skipped, 0)
-          << "mode " << static_cast<int>(mode) << " threads " << threads;
-      EXPECT_EQ(routed.report.route_audit_violations, 0);
-    }
+  for (const int threads : {1, 2, 8}) {
+    const Outcome full = RunWith(RouteVotes::kOff, true, threads);
+    const Outcome routed = RunWith(RouteVotes::kOn, true, threads);
+    EXPECT_GT(routed.report.parallel_groups, 0) << "threads " << threads;
+    ExpectSameSteps(routed.report, full.report);
+    ExpectDatabasesIdentical(*routed.db, *full.db);
+    ExpectLogsIdentical(*routed.log, *full.log);
+    // ... and both match the serial full-voting run bit for bit.
+    ExpectDatabasesIdentical(*routed.db, *full_serial.db);
+    ExpectLogsIdentical(*routed.log, *full_serial.log);
+    // The serial tuple-count step prunes the off-table ColumnFreq
+    // validators even when the ColumnFreq trio ran as a group.
+    EXPECT_GT(routed.report.votes_skipped, 0) << "threads " << threads;
+    EXPECT_EQ(routed.report.route_audit_violations, 0);
   }
 }
 
@@ -509,28 +500,23 @@ TEST(VoteIndexTest, AggregateThresholdMatchesPerModUnion) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental maintenance: the run-wide index with O(1) deltas must be
-// indistinguishable — database, log, per-step report, pruning counts —
-// from tearing the index down and rebuilding it from certified scopes
-// on every serial step (route_rebuild_per_step, the pre-incremental
-// behaviour kept as a baseline). In debug builds every routed step
-// additionally asserts the incremental index is structurally identical
-// to a from-scratch rebuild.
+// Incremental maintenance: routing through the run-wide index, grown by
+// one slot per enforced validator, must be indistinguishable — database,
+// log, per-step report — from full voting, on the workload whose
+// tuple-count step takes the row-structure routing branch. In debug
+// builds every routed step additionally asserts the incremental index is
+// structurally identical to a from-scratch rebuild (VoteIndex::Build).
 // ---------------------------------------------------------------------
-TEST_F(VoteRoutingTest, IncrementalIndexMatchesPerStepRebuild) {
-  const Outcome incremental =
-      RunWith(RouteVotes::kOn, false, ParallelMode::kShared, 1);
-  const Outcome rebuilt =
-      RunWith(RouteVotes::kOn, false, ParallelMode::kShared, 1,
-              /*batch_size=*/64, /*rebuild_per_step=*/true);
-  ExpectSameSteps(rebuilt.report, incremental.report);
-  ExpectDatabasesIdentical(*rebuilt.db, *incremental.db);
-  ExpectLogsIdentical(*rebuilt.log, *incremental.log);
-  EXPECT_EQ(rebuilt.report.votes_skipped, incremental.report.votes_skipped);
-  // Both record the maintenance time behind the same metric; only the
-  // amount of work behind it differs.
+TEST_F(VoteRoutingTest, IncrementalIndexMatchesFullVoting) {
+  const Outcome incremental = RunWith(RouteVotes::kOn, false, 1);
+  const Outcome full = RunWith(RouteVotes::kOff, false, 1);
+  ExpectSameSteps(incremental.report, full.report);
+  ExpectDatabasesIdentical(*incremental.db, *full.db);
+  ExpectLogsIdentical(*incremental.log, *full.log);
+  EXPECT_EQ(incremental.report.votes_total, full.report.votes_total);
+  EXPECT_GT(incremental.report.votes_skipped, 0);
+  EXPECT_EQ(full.report.votes_skipped, 0);
   EXPECT_GE(incremental.report.route_index_build_seconds, 0.0);
-  EXPECT_GE(rebuilt.report.route_index_build_seconds, 0.0);
   // No unknown-table proposals in this workload.
   EXPECT_EQ(incremental.report.route_fallbacks, 0);
 }
@@ -543,10 +529,8 @@ TEST_F(VoteRoutingTest, IncrementalIndexMatchesPerStepRebuild) {
 // ---------------------------------------------------------------------
 TEST_F(VoteRoutingTest, AggregateThresholdBatchSizesMatchFull) {
   for (const int batch_size : {8, 9}) {
-    const Outcome full = RunWith(RouteVotes::kOff, false,
-                                 ParallelMode::kShared, 1, batch_size);
-    const Outcome routed = RunWith(RouteVotes::kOn, false,
-                                   ParallelMode::kShared, 1, batch_size);
+    const Outcome full = RunWith(RouteVotes::kOff, false, 1, batch_size);
+    const Outcome routed = RunWith(RouteVotes::kOn, false, 1, batch_size);
     ExpectSameSteps(routed.report, full.report);
     ExpectDatabasesIdentical(*routed.db, *full.db);
     ExpectLogsIdentical(*routed.log, *full.log);
@@ -663,7 +647,7 @@ class BWriterTool : public PropertyTool {
 
 TEST(VoteRoutingAuditTest, OverNarrowValidatorIsCaughtAndDistrusted) {
   const Schema schema = TinySchema();
-  const auto run_with = [&](RouteVotes route, bool rebuild_per_step = false) {
+  const auto run_with = [&](RouteVotes route) {
     auto db = TinyDb();
     Coordinator coordinator;
     std::vector<int> order = {
@@ -674,7 +658,6 @@ TEST(VoteRoutingAuditTest, OverNarrowValidatorIsCaughtAndDistrusted) {
     opts.seed = 13;
     opts.iterations = 2;
     opts.route_votes = route;
-    opts.route_rebuild_per_step = rebuild_per_step;
     RunReport report = coordinator.Run(db.get(), order, opts).ValueOrAbort();
     return std::make_pair(std::move(db), std::move(report));
   };
@@ -688,11 +671,7 @@ TEST(VoteRoutingAuditTest, OverNarrowValidatorIsCaughtAndDistrusted) {
   EXPECT_EQ(full.second.route_audit_violations, 0);
 
   for (const RouteVotes route : {RouteVotes::kOn, RouteVotes::kAudit}) {
-   // The distrust-and-degrade sequence must play out identically under
-   // the incrementally maintained run-wide index and under per-step
-   // rebuilds from the (degraded) scope list.
-   for (const bool rebuild : {false, true}) {
-    const auto routed = run_with(route, rebuild);
+    const auto routed = run_with(route);
     ASSERT_EQ(routed.second.steps.size(), 4u);
     const ToolReport& pass1 = routed.second.steps[1];
     const ToolReport& pass2 = routed.second.steps[3];
@@ -719,7 +698,6 @@ TEST(VoteRoutingAuditTest, OverNarrowValidatorIsCaughtAndDistrusted) {
     EXPECT_EQ(routed.second.route_audit_violations, 1);
     // The audited vote counted, so the outcome matches full voting.
     ExpectDatabasesIdentical(*routed.first, *full.first);
-   }
   }
 }
 

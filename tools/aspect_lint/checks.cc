@@ -372,17 +372,16 @@ void CheckProbes(const std::vector<SourceModel>& project,
 // Check family 3: lease/write discipline.
 //
 // Semantic mutations of Table/Column must flow through
-// Database::Apply/ApplyBatch (or undo/rebase internals) so write
+// Database::Apply/ApplyBatch (or the undo internals) so write
 // leases, the modification log, and undo stay coherent. Direct
 // mutator calls elsewhere need an explicit
 // `// aspect-lint: framework-write` marker.
 // ---------------------------------------------------------------------------
 
 const char* const kMutators[] = {
-    "Set",        "SetBroadcast", "SetInt",          "SetDouble",
-    "Erase",      "Append",       "AppendRows",      "AppendBatch",
-    "PopBack",    "CopyRowsFrom", "CopyColumnsFrom", "Delete",
-    "Undelete",   "ResizeEmpty"};
+    "Set",     "SetBroadcast", "SetInt",     "SetDouble", "Erase",
+    "Append",  "AppendRows",   "AppendBatch", "PopBack",  "Delete",
+    "Undelete"};
 
 bool IsMutator(const std::string& s) {
   for (const char* m : kMutators) {
@@ -392,16 +391,14 @@ bool IsMutator(const std::string& s) {
 }
 
 // Functions allowed to mutate directly: the lease-holding Database
-// internals and the undo/rebase machinery.
+// internals and the undo machinery.
 bool IsFrameworkWriter(const std::string& fn) {
   static const std::set<std::string>* const kAllowed =
-      new std::set<std::string>{
-          "Database::Apply",     "Database::ApplyBatch",
-          "Database::ApplyOne",  "Database::ApplyCellOp",
-          "Database::Undo",      "Database::CloneAtoms",
-          "Database::CopyContentFrom"};
+      new std::set<std::string>{"Database::Apply", "Database::ApplyBatch",
+                                "Database::ApplyOne", "Database::ApplyCellOp",
+                                "Database::Undo"};
   if (kAllowed->count(fn)) return true;
-  return EndsWith(fn, "::Rebase") || EndsWith(fn, "UndoOnto");
+  return EndsWith(fn, "UndoOnto");
 }
 
 // The storage classes' own translation units implement the mutators;
