@@ -338,7 +338,9 @@ class TweakLoop {
     return members.back() + 1;
   }
 
-  double index_seconds() const { return ledger_.index_seconds(); }
+  /// Closes the run: final errors, unbinding, report totals and the
+  /// strict scope-check verdict.
+  Status Finish();
 
  private:
   PropertyTool* tool(int id) const {
@@ -349,7 +351,7 @@ class TweakLoop {
   /// step starts where the tool's previous committed step settled, so
   /// the tuning survives across passes; a discarded group commits no
   /// hint, so its serial redo starts from the same hint the group did
-  /// and the trajectory is identical in every execution mode.
+  /// and the trajectory is identical in serial and parallel execution.
   int BatchHint(int id) const {
     return options_.batch_auto ? batch_hint_[static_cast<size_t>(id)]
                                : options_.batch_size;
@@ -889,29 +891,27 @@ Status TweakLoop::CommitGroup(
   return Status::OK();
 }
 
-/// Closes a run: final errors, unbinding, vote totals and the strict
-/// scope-check verdict.
-Status FinishRun(const ToolList& tools, const std::vector<int>& order,
-                 const analysis::ScopeChecker* checker,
-                 analysis::ScopeCheckMode mode, RunReport* report) {
-  report->final_errors.resize(tools.size(), 0.0);
-  for (size_t i = 0; i < tools.size(); ++i) {
-    if (tools[i]->bound()) report->final_errors[i] = tools[i]->Error();
+Status TweakLoop::Finish() {
+  report_->final_errors.resize(tools_.size(), 0.0);
+  for (size_t i = 0; i < tools_.size(); ++i) {
+    if (tools_[i]->bound()) report_->final_errors[i] = tools_[i]->Error();
   }
-  for (const int id : order) tools[static_cast<size_t>(id)]->Unbind();
-  for (const ToolReport& s : report->steps) {
-    report->votes_total += s.votes_total;
-    report->votes_skipped += s.votes_skipped;
-    report->route_audit_violations += s.route_audit_violations;
-    report->route_fallbacks += s.route_fallbacks;
+  UnbindAll();
+  for (const ToolReport& s : report_->steps) {
+    report_->votes_total += s.votes_total;
+    report_->votes_skipped += s.votes_skipped;
+    report_->route_audit_violations += s.route_audit_violations;
+    report_->route_fallbacks += s.route_fallbacks;
   }
-  if (checker == nullptr) return Status::OK();
-  report->scope_violations = checker->violations();
-  if (mode == analysis::ScopeCheckMode::kStrict && !checker->ok()) {
+  report_->route_index_build_seconds = ledger_.index_seconds();
+  if (checker_ == nullptr) return Status::OK();
+  report_->scope_violations = checker_->violations();
+  if (options_.check_scopes == analysis::ScopeCheckMode::kStrict &&
+      !checker_->ok()) {
     return Status::ValidationFailed(StrFormat(
         "scope check (strict): %zu violation(s), first: %s",
-        report->scope_violations.size(),
-        report->scope_violations.front().ToString().c_str()));
+        report_->scope_violations.size(),
+        report_->scope_violations.front().ToString().c_str()));
   }
   return Status::OK();
 }
@@ -1063,9 +1063,7 @@ Result<RunReport> Coordinator::Run(Database* db,
     }
     prev_total = total;
   }
-  report.route_index_build_seconds = loop.index_seconds();
-  ASPECT_RETURN_NOT_OK(FinishRun(tools_, order, checker_.get(),
-                                 options.check_scopes, &report));
+  ASPECT_RETURN_NOT_OK(loop.Finish());
   report.total_seconds = Now() - run_start;
   return report;
 }
