@@ -5,6 +5,7 @@
 // the relational substrate.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "measure/runner.h"
@@ -13,7 +14,11 @@
 namespace aspect {
 namespace {
 
-using SweepParam = std::tuple<const char*, const char*, uint64_t>;
+// std::string rather than const char*: gtest prints a const char*
+// parameter with its address, and the printed parameter is part of the
+// name that test discovery registers, so a pointer would give the test
+// a different name on every run.
+using SweepParam = std::tuple<std::string, std::string, uint64_t>;
 
 class PipelineSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -53,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("Dscaler", "ReX", "Rand"),
                        ::testing::Values(1001u, 1002u)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::get<1>(info.param) + "_" +
              std::to_string(std::get<2>(info.param));
     });
