@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <set>
 
@@ -13,14 +14,68 @@
 namespace aspect {
 namespace {
 
-bool AllZero(const FrequencyDistribution::Key& v) {
+bool AllZero(std::span<const int64_t> v) {
   for (const int64_t x : v) {
     if (x != 0) return false;
   }
   return true;
 }
 
+// Interns the combo of every counted live tuple of `grp`'s members in
+// `db` (members in order, tuples in ForEachLive order), counts
+// (*appearances)[c * k + mi] and calls visit(mi, tuple, c).
+template <typename Visit>
+void CountCombos(const Database& db, const CoappearGroup& grp,
+                 KeyInterner* combos, std::vector<int64_t>* appearances,
+                 Visit&& visit) {
+  const size_t k = grp.member_tables.size();
+  std::vector<int64_t> b(grp.parent_tables.size());
+  for (size_t mi = 0; mi < k; ++mi) {
+    const Table& t = db.table(grp.member_tables[mi]);
+    const std::vector<int>& cols = grp.member_fk_cols[mi];
+    t.ForEachLive([&](TupleId tid) {
+      for (size_t p = 0; p < cols.size(); ++p) {
+        const Column& col = t.column(cols[p]);
+        if (!col.IsValue(tid)) return;
+        b[p] = col.GetInt(tid);
+      }
+      const int32_t c = combos->Intern(b);
+      appearances->resize(static_cast<size_t>(combos->size()) * k, 0);
+      ++(*appearances)[static_cast<size_t>(c) * k + mi];
+      visit(mi, tid, c);
+    });
+  }
+}
+
 }  // namespace
+
+struct CoappearPropertyTool::PricingScratch {
+  TransitionBuffer tb;
+  // Simulated vectors: every Sim and Delta owns a group-width run here.
+  std::vector<int64_t> vals;
+  struct Sim {  // a combo touched by the priced transitions
+    int group;
+    int32_t combo;  // combo id, or kUnseen with its key at tb.keys[key]
+    size_t key;
+    size_t vec;  // its simulated vector
+  };
+  struct Delta {  // simulated change of xi at one vector
+    int group;
+    int32_t vid;  // -1: never interned
+    size_t vec;
+    int64_t delta;
+  };
+  std::vector<Sim> sims;
+  std::vector<Delta> deltas;
+  std::vector<std::pair<int, int64_t>> group_num;  // ascending group
+  std::vector<double> suffix;
+  std::vector<size_t> order;
+};
+
+CoappearPropertyTool::PricingScratch& CoappearPropertyTool::ThreadScratch() {
+  thread_local PricingScratch scratch;
+  return scratch;
+}
 
 CoappearPropertyTool::CoappearPropertyTool(const Schema& schema)
     : schema_(schema) {
@@ -33,11 +88,6 @@ CoappearPropertyTool::CoappearPropertyTool(const Schema& schema)
     for (size_t mi = 0; mi < grp.member_tables.size(); ++mi) {
       member_index_[grp.member_tables[mi]].emplace_back(
           static_cast<int>(g), static_cast<int>(mi));
-      for (size_t p = 0; p < grp.member_fk_cols[mi].size(); ++p) {
-        fk_index_[{grp.member_tables[mi], grp.member_fk_cols[mi][p]}]
-            .emplace_back(static_cast<int>(g), static_cast<int>(mi),
-                          static_cast<int>(p));
-      }
     }
   }
   target_parent_sizes_.resize(groups_.size());
@@ -51,22 +101,25 @@ Status CoappearPropertyTool::SetTargetFromDataset(
     const Database& ground_truth) {
   for (size_t g = 0; g < groups_.size(); ++g) {
     const CoappearGroup& grp = groups_[g];
-    FrequencyDistribution xi(static_cast<int>(grp.member_tables.size()));
-    std::map<Key, Key> combos;
-    for (size_t mi = 0; mi < grp.member_tables.size(); ++mi) {
-      const Table& t = ground_truth.table(grp.member_tables[mi]);
-      t.ForEachLive([&](TupleId tid) {
-        Key b;
-        for (const int col : grp.member_fk_cols[mi]) {
-          if (!t.column(col).IsValue(tid)) return;
-          b.push_back(t.column(col).GetInt(tid));
-        }
-        auto [it, inserted] = combos.try_emplace(
-            b, Key(grp.member_tables.size(), 0));
-        ++it->second[mi];
-      });
+    const size_t k = grp.member_tables.size();
+    KeyInterner combos(static_cast<int>(grp.parent_tables.size()));
+    std::vector<int64_t> appearances;
+    CountCombos(ground_truth, grp, &combos, &appearances,
+                [](size_t, TupleId, int32_t) {});
+    // xi(v) = number of combos whose appearance vector is v.
+    KeyInterner vecs(static_cast<int>(k));
+    std::vector<int64_t> combos_of;
+    for (size_t c = 0; c < static_cast<size_t>(combos.size()); ++c) {
+      const int32_t vid = vecs.Intern(
+          std::span<const int64_t>(appearances.data() + c * k, k));
+      combos_of.resize(static_cast<size_t>(vecs.size()), 0);
+      ++combos_of[static_cast<size_t>(vid)];
     }
-    for (const auto& [b, v] : combos) xi.Add(v, 1);
+    FrequencyDistribution xi(static_cast<int>(k));
+    for (int32_t vid = 0; vid < vecs.size(); ++vid) {
+      const auto v = vecs.key(vid);
+      xi.Add(Key(v.begin(), v.end()), combos_of[static_cast<size_t>(vid)]);
+    }
     target_xi_[g] = std::move(xi);
     target_parent_sizes_[g].clear();
     for (const int p : grp.parent_tables) {
@@ -77,6 +130,7 @@ Status CoappearPropertyTool::SetTargetFromDataset(
       target_member_sizes_[g].push_back(ground_truth.table(m).NumTuples());
     }
   }
+  IndexTargets();
   return Status::OK();
 }
 
@@ -92,6 +146,7 @@ Status CoappearPropertyTool::SetTargetDistributions(
   target_xi_ = std::move(targets);
   target_parent_sizes_ = std::move(target_parent_sizes);
   target_member_sizes_ = std::move(target_member_sizes);
+  IndexTargets();
   return Status::OK();
 }
 
@@ -107,35 +162,99 @@ std::unique_ptr<PropertyTool> CoappearPropertyTool::Clone() const {
   return copy;
 }
 
+int32_t CoappearPropertyTool::InternCombo(GroupState* st,
+                                          std::span<const int64_t> b) {
+  const int32_t c = st->combos.Intern(b);
+  if (static_cast<size_t>(c) == st->combo_vec.size()) {
+    st->combo_vec.push_back(-1);
+    st->combo_slot.push_back(-1);
+    for (SlotLists& lists : st->tuples_by_combo) {
+      lists.EnsureLists(static_cast<size_t>(c) + 1);
+    }
+  }
+  return c;
+}
+
+int32_t CoappearPropertyTool::InternVec(GroupState* st,
+                                        std::span<const int64_t> v) {
+  const int32_t vid = st->vecs.Intern(v);
+  if (static_cast<size_t>(vid) == st->buckets.size()) {
+    st->buckets.emplace_back();
+    st->vec_key.emplace_back(v.begin(), v.end());
+    st->target_count.push_back(0);
+  }
+  return vid;
+}
+
+void CoappearPropertyTool::IndexTargets() {
+  if (!bound()) return;
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    GroupState& st = state_[g];
+    const FrequencyDistribution& tgt = target_xi_[g];
+    std::fill(st.target_count.begin(), st.target_count.end(), 0);
+    for (const auto& [v, c] : tgt.counts()) {
+      if (static_cast<int>(v.size()) != st.vecs.width()) continue;
+      st.target_count[static_cast<size_t>(InternVec(&st, v))] = c;
+    }
+    st.n_fk = std::max<int64_t>(1, tgt.TotalMass());
+  }
+}
+
 Status CoappearPropertyTool::Bind(Database* db) {
   db_ = db;
-  state_.assign(groups_.size(), GroupState{});
+  state_.clear();
+  state_.resize(groups_.size());
   for (size_t g = 0; g < groups_.size(); ++g) {
     const CoappearGroup& grp = groups_[g];
     GroupState& st = state_[g];
+    const size_t k = grp.member_tables.size();
+    st.combos = KeyInterner(static_cast<int>(grp.parent_tables.size()));
+    st.vecs = KeyInterner(static_cast<int>(k));
     xi_[g].Clear();
-    st.tuples_by_combo.resize(grp.member_tables.size());
-    st.tuple_combo.resize(grp.member_tables.size());
-    for (size_t mi = 0; mi < grp.member_tables.size(); ++mi) {
-      const Table& t = db_->table(grp.member_tables[mi]);
-      st.tuple_combo[mi].assign(static_cast<size_t>(t.NumSlots()), Key{});
-      t.ForEachLive([&](TupleId tid) {
-        const Key b = ReadCombo(static_cast<int>(g), static_cast<int>(mi),
-                                tid, nullptr, nullptr, false);
-        if (b.empty()) return;
-        st.tuple_combo[mi][static_cast<size_t>(tid)] = b;
-        st.tuples_by_combo[mi][b].push_back(tid);
-        auto [it, inserted] = st.combo_vec.try_emplace(
-            b, Key(grp.member_tables.size(), 0));
-        if (!AllZero(it->second)) xi_[g].Add(it->second, -1);
-        ++it->second[mi];
-        xi_[g].Add(it->second, 1);
-      });
+    st.tuples_by_combo.resize(k);
+    st.tuple_combo.resize(k);
+    for (size_t mi = 0; mi < k; ++mi) {
+      const auto slots =
+          static_cast<size_t>(db_->table(grp.member_tables[mi]).NumSlots());
+      st.tuple_combo[mi].assign(slots, kNoCombo);
+      st.tuples_by_combo[mi].Reset(0, slots);
     }
-    for (const auto& [b, v] : st.combo_vec) {
-      st.buckets[v].push_back(b);
+    std::vector<int64_t> appearances;
+    CountCombos(*db_, grp, &st.combos, &appearances,
+                [&](size_t mi, TupleId tid, int32_t c) {
+                  SlotLists& lists = st.tuples_by_combo[mi];
+                  lists.EnsureLists(static_cast<size_t>(c) + 1);
+                  lists.PushBack(c, tid);
+                  st.tuple_combo[mi][static_cast<size_t>(tid)] = c;
+                });
+    const auto n = static_cast<size_t>(st.combos.size());
+    st.combo_vec.assign(n, -1);
+    st.combo_slot.assign(n, -1);
+    for (SlotLists& lists : st.tuples_by_combo) lists.EnsureLists(n);
+    // Buckets start in combo-key order (the order a std::map keyed by
+    // combo visits them); ConvertOne's rank draws depend on it.
+    std::vector<int32_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
+      const auto kx = st.combos.key(x);
+      const auto ky = st.combos.key(y);
+      return std::lexicographical_compare(kx.begin(), kx.end(), ky.begin(),
+                                          ky.end());
+    });
+    for (const int32_t c : order) {
+      const int32_t vid = InternVec(
+          &st, std::span<const int64_t>(
+                   appearances.data() + static_cast<size_t>(c) * k, k));
+      st.combo_vec[static_cast<size_t>(c)] = vid;
+      st.combo_slot[static_cast<size_t>(c)] =
+          st.buckets[static_cast<size_t>(vid)].PushBack(c);
+    }
+    st.live_combos = static_cast<int64_t>(n);
+    for (size_t vid = 0; vid < st.buckets.size(); ++vid) {
+      xi_[g].Add(st.vec_key[vid], st.buckets[vid].live());
     }
   }
+  IndexTargets();
   refcount_ = std::make_unique<RefCounter>(db_);
   db_->AddListener(this);
   return Status::OK();
@@ -156,13 +275,13 @@ void CoappearPropertyTool::AppendListeners(
   if (refcount_ != nullptr) out->push_back(refcount_.get());
 }
 
-CoappearPropertyTool::Key CoappearPropertyTool::ReadCombo(
-    int g, int member, TupleId t, const std::vector<int>* overlay_cols,
-    const std::vector<Value>* overlay_vals, bool deleted_cells) const {
+bool CoappearPropertyTool::ReadCombo(int g, int member, TupleId t,
+                                     const std::vector<int>* overlay_cols,
+                                     const std::vector<Value>* overlay_vals,
+                                     bool deleted_cells, int64_t* b) const {
   const CoappearGroup& grp = groups_[static_cast<size_t>(g)];
   const Table& table =
       db_->table(grp.member_tables[static_cast<size_t>(member)]);
-  Key b;
   for (const int col :
        grp.member_fk_cols[static_cast<size_t>(member)]) {
     int overlay = -1;
@@ -175,38 +294,53 @@ CoappearPropertyTool::Key CoappearPropertyTool::ReadCombo(
       }
     }
     if (overlay >= 0) {
-      if (deleted_cells) return Key{};  // cell proposed to be erased
+      if (deleted_cells) return false;  // cell proposed to be erased
       const Value& v = (*overlay_vals)[static_cast<size_t>(overlay)];
-      if (v.is_null()) return Key{};
-      b.push_back(v.int64());
+      if (v.is_null()) return false;
+      *b++ = v.int64();
     } else {
       if (t >= table.NumSlots() || !table.column(col).IsValue(t)) {
-        return Key{};
+        return false;
       }
-      b.push_back(table.column(col).GetInt(t));
+      *b++ = table.column(col).GetInt(t);
     }
   }
-  return b;
+  return true;
 }
 
-std::vector<CoappearPropertyTool::Transition>
-CoappearPropertyTool::CollectTransitions(const Modification& mod,
-                                         TupleId new_tuple,
-                                         bool pre_apply) const {
-  std::vector<Transition> out;
+void CoappearPropertyTool::CollectTransitions(const Modification& mod,
+                                              TupleId new_tuple,
+                                              bool pre_apply,
+                                              TransitionBuffer* out) const {
   const int table = db_->schema().TableIndex(mod.table);
   const auto mit = member_index_.find(table);
-  if (mit == member_index_.end()) return out;
+  if (mit == member_index_.end()) return;
 
   for (const auto& [g, mi] : mit->second) {
     const GroupState& st = state_[static_cast<size_t>(g)];
     const auto& fk_cols =
         groups_[static_cast<size_t>(g)].member_fk_cols[static_cast<size_t>(mi)];
-    auto cached = [&](TupleId t) -> Key {
+    const size_t width = fk_cols.size();
+    auto cached = [&](TupleId t) -> int32_t {
       const auto& cache = st.tuple_combo[static_cast<size_t>(mi)];
       return t < static_cast<TupleId>(cache.size())
                  ? cache[static_cast<size_t>(t)]
-                 : Key{};
+                 : kNoCombo;
+    };
+    // The new combo's key is read into the tail of out->keys; it stays
+    // there only if the combo was never interned.
+    auto emit = [&](TupleId t, int32_t old_c, bool counted) {
+      const size_t key = out->keys.size() - width;
+      int32_t new_c = kNoCombo;
+      if (counted) {
+        new_c = st.combos.Find(
+            std::span<const int64_t>(out->keys.data() + key, width));
+        if (new_c < 0) new_c = kUnseen;
+      }
+      if (new_c != kUnseen) out->keys.resize(key);
+      if (old_c != new_c) {
+        out->ts.push_back(Transition{g, mi, t, old_c, new_c, key});
+      }
     };
     switch (mod.kind) {
       case OpKind::kDeleteValues:
@@ -220,97 +354,90 @@ CoappearPropertyTool::CollectTransitions(const Modification& mod,
         }
         if (!touches) break;
         for (const TupleId t : mod.tuples) {
-          Transition tr;
-          tr.group = g;
-          tr.member = mi;
-          tr.tuple = t;
-          tr.old_b = cached(t);
-          if (pre_apply) {
-            tr.new_b = ReadCombo(g, mi, t, &mod.cols, &mod.values,
-                                 mod.kind == OpKind::kDeleteValues);
-          } else {
-            tr.new_b = ReadCombo(g, mi, t, nullptr, nullptr, false);
-          }
-          if (tr.old_b != tr.new_b) out.push_back(std::move(tr));
+          out->keys.resize(out->keys.size() + width);
+          int64_t* b = out->keys.data() + out->keys.size() - width;
+          const bool counted =
+              pre_apply ? ReadCombo(g, mi, t, &mod.cols, &mod.values,
+                                    mod.kind == OpKind::kDeleteValues, b)
+                        : ReadCombo(g, mi, t, nullptr, nullptr, false, b);
+          emit(t, cached(t), counted);
         }
         break;
       }
       case OpKind::kInsertTuple: {
-        Transition tr;
-        tr.group = g;
-        tr.member = mi;
-        tr.tuple = new_tuple != kInvalidTuple
-                       ? new_tuple
-                       : db_->table(table).NumSlots();
+        bool counted = true;
         for (const int col : fk_cols) {
           const Value& v = mod.values[static_cast<size_t>(col)];
-          if (v.is_null()) {
-            tr.new_b.clear();
-            break;
-          }
-          tr.new_b.push_back(v.int64());
+          counted = counted && !v.is_null();
+          out->keys.push_back(counted ? v.int64() : 0);
         }
-        if (!tr.new_b.empty()) out.push_back(std::move(tr));
+        emit(new_tuple != kInvalidTuple ? new_tuple
+                                        : db_->table(table).NumSlots(),
+             kNoCombo, counted);
         break;
       }
       case OpKind::kDeleteTuple: {
-        Transition tr;
-        tr.group = g;
-        tr.member = mi;
-        tr.tuple = mod.tuples[0];
-        tr.old_b = cached(tr.tuple);
-        if (!tr.old_b.empty()) out.push_back(std::move(tr));
+        out->keys.resize(out->keys.size() + width);
+        emit(mod.tuples[0], cached(mod.tuples[0]), false);
         break;
       }
     }
   }
-  return out;
 }
 
-void CoappearPropertyTool::ApplyTransitions(
-    const std::vector<Transition>& ts) {
-  for (const Transition& tr : ts) {
+void CoappearPropertyTool::ApplyTransitions(const TransitionBuffer& tb) {
+  for (const Transition& tr : tb.ts) {
     GroupState& st = state_[static_cast<size_t>(tr.group)];
-    const CoappearGroup& grp = groups_[static_cast<size_t>(tr.group)];
     auto& cache = st.tuple_combo[static_cast<size_t>(tr.member)];
-    if (tr.tuple >= static_cast<TupleId>(cache.size())) {
-      cache.resize(static_cast<size_t>(tr.tuple) + 1, Key{});
+    const size_t slot = static_cast<size_t>(tr.tuple);
+    if (slot >= cache.size()) {
+      cache.resize(slot + 1, kNoCombo);
+      st.tuples_by_combo[static_cast<size_t>(tr.member)].EnsureSlots(slot + 1);
     }
-    auto adjust = [&](const Key& b, int64_t delta) {
-      if (b.empty()) return;
-      auto [it, inserted] =
-          st.combo_vec.try_emplace(b, Key(grp.member_tables.size(), 0));
-      Key& vec = it->second;
-      auto debucket = [&]() {
-        auto& bucket = st.buckets[vec];
-        bucket.erase(std::find(bucket.begin(), bucket.end(), b));
-        if (bucket.empty()) st.buckets.erase(vec);
-      };
-      if (!AllZero(vec)) {
-        xi_[static_cast<size_t>(tr.group)].Add(vec, -1);
-        debucket();
-      }
-      vec[static_cast<size_t>(tr.member)] += delta;
-      assert(vec[static_cast<size_t>(tr.member)] >= 0);
-      if (AllZero(vec)) {
-        st.combo_vec.erase(it);
-      } else {
-        xi_[static_cast<size_t>(tr.group)].Add(vec, 1);
-        st.buckets[vec].push_back(b);
-      }
-      // Per-member tuple lists.
-      auto& by_combo = st.tuples_by_combo[static_cast<size_t>(tr.member)];
-      if (delta > 0) {
-        by_combo[b].push_back(tr.tuple);
-      } else {
-        auto& list = by_combo[b];
-        list.erase(std::find(list.begin(), list.end(), tr.tuple));
-        if (list.empty()) by_combo.erase(b);
-      }
-    };
-    adjust(tr.old_b, -1);
-    adjust(tr.new_b, +1);
-    cache[static_cast<size_t>(tr.tuple)] = tr.new_b;
+    const int32_t new_c =
+        tr.new_c != kUnseen
+            ? tr.new_c
+            : InternCombo(&st, std::span<const int64_t>(
+                                   tb.keys.data() + tr.key,
+                                   static_cast<size_t>(st.combos.width())));
+    AdjustCombo(tr.group, tr.member, tr.tuple, tr.old_c, -1);
+    AdjustCombo(tr.group, tr.member, tr.tuple, new_c, +1);
+    cache[slot] = new_c;
+  }
+}
+
+void CoappearPropertyTool::AdjustCombo(int g, int mi, TupleId t, int32_t c,
+                                       int64_t delta) {
+  if (c == kNoCombo) return;
+  GroupState& st = state_[static_cast<size_t>(g)];
+  FrequencyDistribution& xi = xi_[static_cast<size_t>(g)];
+  const size_t cs = static_cast<size_t>(c);
+  const int32_t old_vid = st.combo_vec[cs];
+  if (old_vid >= 0) {
+    st.vec_buf = st.vec_key[static_cast<size_t>(old_vid)];
+    xi.Add(st.vec_buf, -1);
+    st.buckets[static_cast<size_t>(old_vid)].Remove(st.combo_slot[cs],
+                                                    &st.combo_slot);
+  } else {
+    st.vec_buf.assign(static_cast<size_t>(st.vecs.width()), 0);
+  }
+  st.vec_buf[static_cast<size_t>(mi)] += delta;
+  assert(st.vec_buf[static_cast<size_t>(mi)] >= 0);
+  if (AllZero(st.vec_buf)) {
+    st.combo_vec[cs] = -1;
+    --st.live_combos;
+  } else {
+    const int32_t vid = InternVec(&st, st.vec_buf);
+    if (old_vid < 0) ++st.live_combos;
+    st.combo_vec[cs] = vid;
+    xi.Add(st.vec_key[static_cast<size_t>(vid)], 1);
+    st.combo_slot[cs] = st.buckets[static_cast<size_t>(vid)].PushBack(c);
+  }
+  SlotLists& lists = st.tuples_by_combo[static_cast<size_t>(mi)];
+  if (delta > 0) {
+    lists.PushBack(c, t);
+  } else {
+    lists.Unlink(c, t);
   }
 }
 
@@ -319,7 +446,53 @@ void CoappearPropertyTool::OnApplied(const Modification& mod,
                                      TupleId new_tuple) {
   (void)old_values;  // combos come from the pre-apply cache
   if (db_ == nullptr) return;
-  ApplyTransitions(CollectTransitions(mod, new_tuple, /*pre_apply=*/false));
+  TransitionBuffer& tb = ThreadScratch().tb;
+  tb.clear();
+  CollectTransitions(mod, new_tuple, /*pre_apply=*/false, &tb);
+  ApplyTransitions(tb);
+}
+
+CoappearPropertyTool::StateSnapshot CoappearPropertyTool::Snapshot(
+    int g) const {
+  StateSnapshot snap;
+  if (db_ == nullptr) return snap;
+  const GroupState& st = state_[static_cast<size_t>(g)];
+  auto combo_key = [&](int32_t c) {
+    const auto key = st.combos.key(c);
+    return Key(key.begin(), key.end());
+  };
+  for (size_t c = 0; c < st.combo_vec.size(); ++c) {
+    const int32_t vid = st.combo_vec[c];
+    if (vid < 0) continue;
+    snap.combo_vec[combo_key(static_cast<int32_t>(c))] =
+        st.vec_key[static_cast<size_t>(vid)];
+  }
+  for (size_t vid = 0; vid < st.buckets.size(); ++vid) {
+    const TombstoneBucket& bucket = st.buckets[vid];
+    for (int32_t slot = 0; slot < bucket.slots(); ++slot) {
+      if (bucket.id(slot) < 0) continue;
+      snap.buckets[st.vec_key[vid]].insert(combo_key(bucket.id(slot)));
+    }
+  }
+  const size_t k = st.tuple_combo.size();
+  snap.tuples_by_combo.resize(k);
+  snap.tuple_combo.resize(k);
+  for (size_t mi = 0; mi < k; ++mi) {
+    const SlotLists& lists = st.tuples_by_combo[mi];
+    for (size_t c = 0; c < st.combo_vec.size(); ++c) {
+      const auto list = static_cast<int32_t>(c);
+      int64_t t = lists.size(list) > 0 ? lists.AtRank(list, 0) : -1;
+      for (int32_t i = 0; i < lists.size(list); ++i) {
+        snap.tuples_by_combo[mi][combo_key(list)].insert(t);
+        t = lists.NextWrapped(list, t);
+      }
+    }
+    for (size_t t = 0; t < st.tuple_combo[mi].size(); ++t) {
+      const int32_t c = st.tuple_combo[mi][t];
+      if (c >= 0) snap.tuple_combo[mi][static_cast<TupleId>(t)] = combo_key(c);
+    }
+  }
+  return snap;
 }
 
 int64_t CoappearPropertyTool::CurrentComboSpace(int g) const {
@@ -332,9 +505,7 @@ int64_t CoappearPropertyTool::CurrentComboSpace(int g) const {
 
 int64_t CoappearPropertyTool::CurrentCount(int g, const Key& v) const {
   if (AllZero(v)) {
-    return CurrentComboSpace(g) -
-           static_cast<int64_t>(
-               state_[static_cast<size_t>(g)].combo_vec.size());
+    return CurrentComboSpace(g) - state_[static_cast<size_t>(g)].live_combos;
   }
   return xi_[static_cast<size_t>(g)].Count(v);
 }
@@ -374,22 +545,21 @@ double CoappearPropertyTool::Error() const {
 double CoappearPropertyTool::ValidationPenalty(
     const Modification& mod) const {
   if (db_ == nullptr) return 0.0;
-  const std::vector<Transition> ts =
-      CollectTransitions(mod, kInvalidTuple, /*pre_apply=*/true);
-  return PenaltyOfTransitions(ts);
+  PricingScratch& s = ThreadScratch();
+  s.tb.clear();
+  CollectTransitions(mod, kInvalidTuple, /*pre_apply=*/true, &s.tb);
+  return PenaltyOfTransitions(&s, kNoPenaltyCap);
 }
 
 double CoappearPropertyTool::ValidationPenaltyBatch(
     std::span<const Modification> mods, double veto_cap) const {
   if (db_ == nullptr) return 0.0;
-  std::vector<Transition> ts;
+  PricingScratch& s = ThreadScratch();
+  s.tb.clear();
   for (const Modification& mod : mods) {
-    std::vector<Transition> one =
-        CollectTransitions(mod, kInvalidTuple, /*pre_apply=*/true);
-    ts.insert(ts.end(), std::make_move_iterator(one.begin()),
-              std::make_move_iterator(one.end()));
+    CollectTransitions(mod, kInvalidTuple, /*pre_apply=*/true, &s.tb);
   }
-  return PenaltyOfTransitions(ts, veto_cap);
+  return PenaltyOfTransitions(&s, veto_cap);
 }
 
 AccessScope CoappearPropertyTool::DeclaredScope() const {
@@ -414,38 +584,46 @@ AccessScope CoappearPropertyTool::DeclaredScope() const {
   return scope;
 }
 
-double CoappearPropertyTool::PenaltyOfTransitions(
-    const std::vector<Transition>& ts, double veto_cap) const {
+double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
+                                                  double veto_cap) const {
+  const std::vector<Transition>& ts = s->tb.ts;
   if (ts.empty()) return 0.0;
   const bool capped = veto_cap != kNoPenaltyCap;
-  // Per group, per vector: delta of xi caused by the transitions.
-  std::map<std::pair<int, Key>, int64_t> xi_delta;
-  std::map<int, int64_t> zero_delta;
-  // Simulated per-combo vectors.
-  std::map<std::pair<int, Key>, Key> sim_vec;
-  auto vec_of = [&](int g, const Key& b) -> Key {
-    const auto sit = sim_vec.find({g, b});
-    if (sit != sim_vec.end()) return sit->second;
-    const auto& cv = state_[static_cast<size_t>(g)].combo_vec;
-    const auto it = cv.find(b);
-    return it == cv.end()
-               ? Key(groups_[static_cast<size_t>(g)].member_tables.size(), 0)
-               : it->second;
-  };
+  s->vals.clear();
+  s->sims.clear();
+  s->deltas.clear();
+  s->group_num.clear();
   auto n_fk_of = [&](int g) -> double {
-    return static_cast<double>(std::max<int64_t>(
-        1, target_xi_[static_cast<size_t>(g)].TotalMass()));
+    return static_cast<double>(state_[static_cast<size_t>(g)].n_fk);
+  };
+  auto vec_of = [&](size_t off, int g) {
+    return std::span<int64_t>(
+        s->vals.data() + off,
+        static_cast<size_t>(state_[static_cast<size_t>(g)].vecs.width()));
+  };
+  // |cur+delta-tgt| - |cur-tgt| for vector `vid` (-1: never interned,
+  // so both counts are zero).
+  auto term_of = [&](int g, int32_t vid, int64_t delta) -> int64_t {
+    const GroupState& st = state_[static_cast<size_t>(g)];
+    const int64_t cur =
+        vid < 0 ? 0 : st.buckets[static_cast<size_t>(vid)].live();
+    const int64_t tgt =
+        vid < 0 ? 0 : st.target_count[static_cast<size_t>(vid)];
+    return std::llabs(cur + delta - tgt) - std::llabs(cur - tgt);
   };
   // Capped pricing keeps each group's partial penalty numerator exact
   // (in integers): the final loop's |cur+delta-tgt| - |cur-tgt| term,
-  // summed over this group's xi_delta keys, re-adjusted on every delta
+  // summed over this group's delta entries, re-adjusted on every delta
   // change. The early-exit test then sums a handful of exact integer
   // numerators instead of accumulating a drifting float.
-  std::map<int, int64_t> group_num;
-  auto term_of = [&](int g, const Key& vec, int64_t delta) -> int64_t {
-    const int64_t cur = xi_[static_cast<size_t>(g)].Count(vec);
-    const int64_t tgt = target_xi_[static_cast<size_t>(g)].Count(vec);
-    return std::llabs(cur + delta - tgt) - std::llabs(cur - tgt);
+  auto group_num = [&](int g) -> int64_t& {
+    auto it = std::lower_bound(
+        s->group_num.begin(), s->group_num.end(), g,
+        [](const std::pair<int, int64_t>& e, int x) { return e.first < x; });
+    if (it == s->group_num.end() || it->first != g) {
+      it = s->group_num.insert(it, {g, 0});
+    }
+    return it->second;
   };
   // suffix[i] bounds how much the numerators can still move pricing
   // ts[i..): one transition makes two combo adjusts, each touching at
@@ -453,45 +631,84 @@ double CoappearPropertyTool::PenaltyOfTransitions(
   // by at most 1 — so at most 4/n_fk per transition. (Adjusts that
   // land on the implicit zero vector touch fewer entries; the bound
   // still covers them.)
-  std::vector<double> suffix;
   if (capped) {
-    suffix.assign(ts.size() + 1, 0.0);
+    s->suffix.assign(ts.size() + 1, 0.0);
     for (size_t i = ts.size(); i-- > 0;) {
-      suffix[i] = suffix[i + 1] + 4.0 / n_fk_of(ts[i].group);
+      s->suffix[i] = s->suffix[i + 1] + 4.0 / n_fk_of(ts[i].group);
     }
   }
   for (size_t ti = 0; ti < ts.size(); ++ti) {
     const Transition& tr = ts[ti];
-    auto adjust = [&](const Key& b, int64_t delta) {
-      if (b.empty()) return;
-      Key vec = vec_of(tr.group, b);
-      auto bump = [&](const Key& v, int64_t d) {
-        int64_t& slot = xi_delta[{tr.group, v}];
-        if (capped) group_num[tr.group] -= term_of(tr.group, v, slot);
-        slot += d;
-        if (capped) group_num[tr.group] += term_of(tr.group, v, slot);
-      };
-      if (!AllZero(vec)) {
-        bump(vec, -1);
-      } else {
-        zero_delta[tr.group] -= 1;
+    const GroupState& st = state_[static_cast<size_t>(tr.group)];
+    const size_t k = static_cast<size_t>(st.vecs.width());
+    // Adds d to the simulated xi delta of the vector at vals[src].
+    auto bump = [&](size_t src, int64_t d) {
+      PricingScratch::Delta* entry = nullptr;
+      for (PricingScratch::Delta& e : s->deltas) {
+        if (e.group == tr.group &&
+            std::equal(s->vals.begin() + src, s->vals.begin() + src + k,
+                       s->vals.begin() + e.vec)) {
+          entry = &e;
+          break;
+        }
       }
-      vec[static_cast<size_t>(tr.member)] += delta;
-      if (!AllZero(vec)) {
-        bump(vec, +1);
-      } else {
-        zero_delta[tr.group] += 1;
+      if (entry == nullptr) {
+        const size_t off = s->vals.size();
+        s->vals.resize(off + k);
+        std::copy_n(s->vals.begin() + src, k, s->vals.begin() + off);
+        s->deltas.push_back({tr.group, st.vecs.Find(vec_of(off, tr.group)),
+                             off, 0});
+        entry = &s->deltas.back();
       }
-      sim_vec[{tr.group, b}] = vec;
+      if (capped) group_num(tr.group) -= term_of(tr.group, entry->vid,
+                                                 entry->delta);
+      entry->delta += d;
+      if (capped) group_num(tr.group) += term_of(tr.group, entry->vid,
+                                                 entry->delta);
     };
-    adjust(tr.old_b, -1);
-    adjust(tr.new_b, +1);
+    auto adjust = [&](int32_t c, int64_t delta) {
+      if (c == kNoCombo) return;
+      // The combo's simulated vector: found by id, or for a combo that
+      // was never interned by key; new entries start from the current
+      // vector (all-zero when absent).
+      const PricingScratch::Sim* sim = nullptr;
+      for (const PricingScratch::Sim& e : s->sims) {
+        if (e.group != tr.group || e.combo != c) continue;
+        if (c != kUnseen ||
+            std::equal(s->tb.keys.begin() + e.key,
+                       s->tb.keys.begin() + e.key + st.combos.width(),
+                       s->tb.keys.begin() + tr.key)) {
+          sim = &e;
+          break;
+        }
+      }
+      size_t off;
+      if (sim != nullptr) {
+        off = sim->vec;
+      } else {
+        off = s->vals.size();
+        const int32_t vid =
+            c == kUnseen ? -1 : st.combo_vec[static_cast<size_t>(c)];
+        if (vid >= 0) {
+          const Key& cur = st.vec_key[static_cast<size_t>(vid)];
+          s->vals.insert(s->vals.end(), cur.begin(), cur.end());
+        } else {
+          s->vals.resize(off + k, 0);
+        }
+        s->sims.push_back({tr.group, c, tr.key, off});
+      }
+      if (!AllZero(vec_of(off, tr.group))) bump(off, -1);
+      s->vals[off + static_cast<size_t>(tr.member)] += delta;
+      if (!AllZero(vec_of(off, tr.group))) bump(off, +1);
+    };
+    adjust(tr.old_c, -1);
+    adjust(tr.new_c, +1);
     if (capped) {
       double running = 0;
-      for (const auto& [g, num] : group_num) {
+      for (const auto& [g, num] : s->group_num) {
         running += static_cast<double>(num) / n_fk_of(g);
       }
-      const double floor_penalty = (running - suffix[ti + 1]) /
+      const double floor_penalty = (running - s->suffix[ti + 1]) /
                                    static_cast<double>(groups_.size());
       if (floor_penalty >
           veto_cap + kPenaltyCapSlack * (1.0 + std::fabs(veto_cap))) {
@@ -499,18 +716,26 @@ double CoappearPropertyTool::PenaltyOfTransitions(
       }
     }
   }
-  (void)zero_delta;  // the zero vector is excluded from the measure
+  // Sum in (group, vector key) order: floating-point addition is not
+  // associative, and votes compare the sum against a cap.
+  s->order.clear();
+  for (size_t i = 0; i < s->deltas.size(); ++i) {
+    if (s->deltas[i].delta != 0) s->order.push_back(i);
+  }
+  std::sort(s->order.begin(), s->order.end(), [&](size_t x, size_t y) {
+    const PricingScratch::Delta& a = s->deltas[x];
+    const PricingScratch::Delta& b = s->deltas[y];
+    if (a.group != b.group) return a.group < b.group;
+    const auto va = vec_of(a.vec, a.group);
+    const auto vb = vec_of(b.vec, b.group);
+    return std::lexicographical_compare(va.begin(), va.end(), vb.begin(),
+                                        vb.end());
+  });
   double penalty = 0;
-  for (const auto& [gk, delta] : xi_delta) {
-    if (delta == 0) continue;
-    const auto& [g, vec] = gk;
-    const int64_t cur = xi_[static_cast<size_t>(g)].Count(vec);
-    const int64_t tgt = target_xi_[static_cast<size_t>(g)].Count(vec);
-    const int64_t n_fk =
-        std::max<int64_t>(1, target_xi_[static_cast<size_t>(g)].TotalMass());
-    penalty += static_cast<double>(std::llabs(cur + delta - tgt) -
-                                   std::llabs(cur - tgt)) /
-               static_cast<double>(n_fk);
+  for (const size_t i : s->order) {
+    const PricingScratch::Delta& e = s->deltas[i];
+    penalty += static_cast<double>(term_of(e.group, e.vid, e.delta)) /
+               n_fk_of(e.group);
   }
   return penalty / static_cast<double>(groups_.size());
 }
@@ -573,6 +798,7 @@ Status CoappearPropertyTool::RepairTarget() {
       }
     }
   }
+  IndexTargets();
   return Status::OK();
 }
 
@@ -628,15 +854,11 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
   // never half-apply, so a candidate is accepted only if every member
   // with surplus appearances owns enough unreferenced tuples to delete
   // (members can be post tables whose tuples responses reference).
-  auto deletable = [&](const Key& cand) {
+  auto deletable = [&](int32_t cand) {
     for (size_t mi = 0; mi < k; ++mi) {
       const int64_t need = from[mi] - to[mi];
       if (need <= 0) continue;
-      const auto lit = st.tuples_by_combo[mi].find(cand);
-      if (lit == st.tuples_by_combo[mi].end() ||
-          static_cast<int64_t>(lit->second.size()) < need) {
-        return false;
-      }
+      if (st.tuples_by_combo[mi].size(cand) < need) return false;
       // Referenced tuples count too: their references are evacuated
       // to a survivor before deletion, which therefore must exist.
       if (db_->table(grp.member_tables[mi]).NumTuples() <= need) {
@@ -646,9 +868,11 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
     return true;
   };
   Key b;
+  int32_t combo = kNoCombo;  // b's id; kNoCombo for a fresh combo
   if (AllZero(from)) {
+    Key cand;
     for (int tries = 0; tries < 64 && b.empty(); ++tries) {
-      Key cand;
+      cand.clear();
       for (const int p : grp.parent_tables) {
         const int64_t n = db_->table(p).NumTuples();
         if (n == 0) return false;
@@ -660,23 +884,30 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
         }
         cand.push_back(pick);
       }
-      if (!cand.empty() && st.combo_vec.find(cand) == st.combo_vec.end()) {
-        b = std::move(cand);
-      }
+      if (cand.empty()) continue;
+      const int32_t c = st.combos.Find(cand);
+      if (c < 0 || st.combo_vec[static_cast<size_t>(c)] < 0) b = cand;
     }
     if (b.empty()) return false;
   } else {
-    const auto it = st.buckets.find(from);
-    if (it == st.buckets.end() || it->second.empty()) return false;
-    const auto& bucket = it->second;
-    const size_t offset = static_cast<size_t>(ctx->rng()->UniformInt(
-        0, static_cast<int64_t>(bucket.size()) - 1));
-    const size_t probes = std::min<size_t>(bucket.size(), 16);
-    for (size_t j = 0; j < probes && b.empty(); ++j) {
-      const Key& cand = bucket[(offset + j) % bucket.size()];
-      if (deletable(cand)) b = cand;
+    const int32_t vid = st.vecs.Find(from);
+    if (vid < 0) return false;
+    const TombstoneBucket& bucket = st.buckets[static_cast<size_t>(vid)];
+    if (bucket.live() == 0) return false;
+    // Live ranks offset, offset+1, ... (mod live size), in bucket order.
+    const int32_t offset = static_cast<int32_t>(
+        ctx->rng()->UniformInt(0, int64_t{bucket.live()} - 1));
+    const int32_t probes = std::min<int32_t>(bucket.live(), 16);
+    int32_t slot = bucket.SlotOfRank(offset);
+    for (int32_t j = 0; j < probes; ++j, slot = bucket.NextLive(slot)) {
+      if (deletable(bucket.id(slot))) {
+        combo = bucket.id(slot);
+        break;
+      }
     }
-    if (b.empty()) return false;
+    if (combo == kNoCombo) return false;
+    const auto key = st.combos.key(combo);
+    b.assign(key.begin(), key.end());
   }
 
   // TupleModification: per member, delete surplus / insert missing
@@ -687,24 +918,23 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
     const int64_t want = to[mi];
     const Table& table = db_->table(grp.member_tables[mi]);
     const int table_index = grp.member_tables[mi];
+    const SlotLists& lists = st.tuples_by_combo[mi];
     int64_t d = have;
     while (d > want) {
       // Batched deletion: propose all unreferenced victims of this
       // combo as one span (one composite vote, one log segment);
       // fall back to the per-victim escalation path on veto.
       if (ctx->batch_hint() > 1 && d - want > 1) {
-        const auto lit = st.tuples_by_combo[mi].find(b);
-        if (lit == st.tuples_by_combo[mi].end() || lit->second.empty()) {
-          return false;  // statistics drifted; caller re-evaluates
-        }
-        const auto& list = lit->second;
+        const int32_t size = lists.size(combo);
+        if (size == 0) return false;  // statistics drifted; re-evaluate
         const size_t cap = static_cast<size_t>(
             std::min<int64_t>(d - want, ctx->batch_hint()));
         std::vector<Modification> batch;
-        const size_t boff = static_cast<size_t>(ctx->rng()->UniformInt(
-            0, static_cast<int64_t>(list.size()) - 1));
-        for (size_t j = 0; j < list.size() && batch.size() < cap; ++j) {
-          const TupleId cand = list[(boff + j) % list.size()];
+        const auto boff = static_cast<int32_t>(
+            ctx->rng()->UniformInt(0, int64_t{size} - 1));
+        int64_t cand = lists.AtRank(combo, boff);
+        for (int32_t j = 0; j < size && batch.size() < cap;
+             ++j, cand = lists.NextWrapped(combo, cand)) {
           if (refcount_->Unreferenced(table_index, cand)) {
             batch.push_back(Modification::DeleteTuple(table.name(), cand));
           }
@@ -717,24 +947,23 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
       // Delete one tuple carrying combo b, trying alternatives on veto.
       bool deleted = false;
       while (!deleted) {
-        const auto lit = st.tuples_by_combo[mi].find(b);
-        if (lit == st.tuples_by_combo[mi].end() || lit->second.empty()) {
-          return false;  // statistics drifted; caller re-evaluates
-        }
-        const auto& list = lit->second;
+        const int32_t size = lists.size(combo);
+        if (size == 0) return false;  // statistics drifted; re-evaluate
         // Prefer an unreferenced victim; otherwise evacuate one.
         TupleId victim = kInvalidTuple;
-        const size_t offset = static_cast<size_t>(
-            ctx->rng()->UniformInt(0, static_cast<int64_t>(list.size()) - 1));
-        for (size_t j = 0; j < list.size(); ++j) {
-          const TupleId cand = list[(offset + j) % list.size()];
+        const auto offset = static_cast<int32_t>(
+            ctx->rng()->UniformInt(0, int64_t{size} - 1));
+        const int64_t first = lists.AtRank(combo, offset);
+        int64_t cand = first;
+        for (int32_t j = 0; j < size;
+             ++j, cand = lists.NextWrapped(combo, cand)) {
           if (refcount_->Unreferenced(table_index, cand)) {
             victim = cand;
             break;
           }
         }
         if (victim == kInvalidTuple) {
-          victim = list[offset];
+          victim = first;
           if (!EvacuateReferences(ctx, table_index, victim)) return false;
         }
         const Status s = ProposeOrForce(
@@ -917,6 +1146,12 @@ Status CoappearPropertyTool::SaveTarget(std::ostream* out) const {
 }
 
 Status CoappearPropertyTool::LoadTarget(std::istream* in) {
+  const Status st = ReadTarget(in);
+  IndexTargets();
+  return st;
+}
+
+Status CoappearPropertyTool::ReadTarget(std::istream* in) {
   std::string tag;
   size_t n = 0;
   if (!(*in >> tag >> n) || tag != "coappear" || n != groups_.size()) {

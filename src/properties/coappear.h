@@ -14,10 +14,13 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "aspect/property_tool.h"
 #include "aspect/tweak_context.h"
+#include "properties/coappear_index.h"
 #include "relational/refcount.h"
 #include "relational/refgraph.h"
 #include "stats/freq_dist.h"
@@ -92,48 +95,109 @@ class CoappearPropertyTool : public PropertyTool {
     return target_xi_[static_cast<size_t>(g)];
   }
 
- private:
   using Key = FrequencyDistribution::Key;  // combo b or vector v
 
+  /// Layout-free view of group g's bound statistics, for comparing
+  /// incrementally maintained state with a fresh Bind. Buckets and
+  /// tuple lists are sets because a fresh Bind orders buckets by combo
+  /// key while incremental state orders them by arrival.
+  struct StateSnapshot {
+    std::map<Key, Key> combo_vec;          // live combos only
+    std::map<Key, std::set<Key>> buckets;  // vector -> combos
+    std::vector<std::map<Key, std::set<TupleId>>> tuples_by_combo;
+    std::vector<std::map<TupleId, Key>> tuple_combo;  // counted tuples
+    bool operator==(const StateSnapshot&) const = default;
+  };
+  StateSnapshot Snapshot(int g) const;
+
+ private:
+  /// Bound statistics of one group (DESIGN.md §15). FK combos b and
+  /// appearance vectors v are interned as dense ids, so every table
+  /// below is a flat array indexed by an id or a tuple slot.
   struct GroupState {
-    // combo b -> appearance vector v (per member); absent == all-zero.
-    std::map<Key, Key> combo_vec;
-    // vector v -> combos currently realizing it.
-    std::map<Key, std::vector<Key>> buckets;
-    // per member: combo -> tuple ids carrying it.
-    std::vector<std::map<Key, std::vector<TupleId>>> tuples_by_combo;
-    // per member: tuple slot -> its combo (empty key = not counted).
-    std::vector<std::vector<Key>> tuple_combo;
+    KeyInterner combos;  // combo b; width = number of parents
+    KeyInterner vecs;    // vector v; width = number of members
+    // combo id -> vector id (-1: all-zero, i.e. the combo is absent)
+    // and the combo's slot in that vector's bucket.
+    std::vector<int32_t> combo_vec;
+    std::vector<int32_t> combo_slot;
+    int64_t live_combos = 0;  // combos whose vector is not all-zero
+    // vector id -> combos realizing it. A fresh Bind fills a bucket in
+    // combo-key order; later arrivals append and removals tombstone, so
+    // live order is what push_back + find/erase would leave.
+    std::vector<TombstoneBucket> buckets;
+    // vector id -> the vector as a Key (xi_ is keyed by it) and its
+    // target count. Every target vector is interned while bound, so a
+    // vector without an id has current and target count zero.
+    std::vector<Key> vec_key;
+    std::vector<int64_t> target_count;
+    int64_t n_fk = 1;  // max(1, target mass): the error's normalizer
+    // per member: one list of tuple slots per combo id, in arrival
+    // order, and tuple slot -> combo id (-1 = not counted).
+    std::vector<SlotLists> tuples_by_combo;
+    std::vector<std::vector<int32_t>> tuple_combo;
+    std::vector<int64_t> vec_buf;  // AdjustCombo's working vector
   };
 
+  static constexpr int32_t kNoCombo = -1;
+  /// A combo that was never interned; its key is in the buffer.
+  static constexpr int32_t kUnseen = -2;
+
   /// One member-tuple transition: tuple of member `member` changes its
-  /// combo from `old_b` to `new_b` (either may be empty = uncounted).
+  /// combo from `old_c` to `new_c` (combo ids; kNoCombo = uncounted).
+  /// Only `new_c` can be kUnseen, with its key at `TransitionBuffer::
+  /// keys[key..]`: pricing treats it as absent with the zero vector and
+  /// never interns it; ApplyTransitions interns it.
   struct Transition {
     int group;
     int member;
     TupleId tuple;
-    Key old_b;
-    Key new_b;
+    int32_t old_c;
+    int32_t new_c;
+    size_t key;
   };
+  struct TransitionBuffer {
+    std::vector<Transition> ts;
+    std::vector<int64_t> keys;
+    void clear() {
+      ts.clear();
+      keys.clear();
+    }
+  };
+  /// Per-thread working memory of pricing (defined in coappear.cc).
+  /// Validators may be priced from concurrent parallel-pass members,
+  /// so pricing keeps no scratch in the tool itself.
+  struct PricingScratch;
+  static PricingScratch& ThreadScratch();
 
-  std::vector<Transition> CollectTransitions(const Modification& mod,
-                                             TupleId new_tuple,
-                                             bool pre_apply) const;
-  void ApplyTransitions(const std::vector<Transition>& ts);
-  /// Simulated error change of applying `ts` (shared across the single
-  /// and batch validation paths). A finite `veto_cap` allows stopping
-  /// as soon as the final penalty is provably above the cap, returning
-  /// a conservative lower bound that is itself above the cap.
-  double PenaltyOfTransitions(const std::vector<Transition>& ts,
-                              double veto_cap = kNoPenaltyCap) const;
+  /// Appends the transitions `mod` causes to `out`.
+  void CollectTransitions(const Modification& mod, TupleId new_tuple,
+                          bool pre_apply, TransitionBuffer* out) const;
+  void ApplyTransitions(const TransitionBuffer& tb);
+  /// Moves combo `c` of group g by `delta` appearances in member `mi`
+  /// (tuple `t` joins or leaves its list).
+  void AdjustCombo(int g, int mi, TupleId t, int32_t c, int64_t delta);
+  /// Id of combo b / vector v, growing the per-id tables on first use.
+  int32_t InternCombo(GroupState* st, std::span<const int64_t> b);
+  int32_t InternVec(GroupState* st, std::span<const int64_t> v);
+  /// Interns every target vector and refreshes the target counts and
+  /// n_fk of the bound state; every target setter calls it.
+  void IndexTargets();
+  /// Simulated error change of applying `s`'s transitions (shared by
+  /// the single and batch validation paths). A finite `veto_cap` allows
+  /// stopping as soon as the final penalty is provably above the cap,
+  /// returning a conservative lower bound that is itself above the cap.
+  double PenaltyOfTransitions(PricingScratch* s, double veto_cap) const;
+  Status ReadTarget(std::istream* in);
 
-  /// Reads the combo of a member tuple from the database (empty key if
-  /// any FK cell is not a value). With `overlay`, the given columns
-  /// take the proposed values instead (pre-apply simulation).
-  Key ReadCombo(int g, int member, TupleId t,
-                const std::vector<int>* overlay_cols,
-                const std::vector<Value>* overlay_vals,
-                bool deleted_cells) const;
+  /// Reads the combo of a member tuple from the database into `b`
+  /// (one value per parent); false if any FK cell is not a value. With
+  /// `overlay`, the given columns take the proposed values instead
+  /// (pre-apply simulation).
+  bool ReadCombo(int g, int member, TupleId t,
+                 const std::vector<int>* overlay_cols,
+                 const std::vector<Value>* overlay_vals, bool deleted_cells,
+                 int64_t* b) const;
 
   /// Current count of vector v in group g, including the implicit
   /// zero vector.
@@ -162,9 +226,6 @@ class CoappearPropertyTool : public PropertyTool {
 
   Schema schema_;
   std::vector<CoappearGroup> groups_;
-  // (table, col) -> (group, member, col position within combo).
-  std::map<std::pair<int, int>, std::vector<std::tuple<int, int, int>>>
-      fk_index_;
   // table -> (group, member) memberships.
   std::map<int, std::vector<std::pair<int, int>>> member_index_;
   // table -> FK edges referencing it (for reference evacuation).

@@ -5,6 +5,9 @@
 // Updater contract - any missed or double-counted event shows up here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "properties/coappear.h"
 #include "properties/degree.h"
 #include "properties/linear.h"
@@ -39,9 +42,31 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   const std::vector<std::string> leaf_tables = {
       "Album_Comment", "Album_Listening", "Album_Heard", "Album_Wish",
       "Review_Comment", "Artist_Fan", "User_Fan"};
+  auto random_leaf = [&]() -> Table* {
+    return db->FindTable(leaf_tables[static_cast<size_t>(rng.UniformInt(
+        0, static_cast<int64_t>(leaf_tables.size()) - 1))]);
+  };
+  // A random live row of `t` whose FK cells point at random live
+  // parents (nullopt when a drawn parent slot is dead).
+  auto random_row = [&](const Table& t) -> std::optional<std::vector<Value>> {
+    std::vector<Value> row;
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const Column& col = t.column(c);
+      if (col.is_foreign_key()) {
+        const Table* parent = db->FindTable(col.ref_table());
+        const TupleId p = rng.UniformInt(0, parent->NumSlots() - 1);
+        if (!parent->IsLive(p)) return std::nullopt;
+        row.push_back(Value(static_cast<int64_t>(p)));
+      } else {
+        row.push_back(Value(int64_t{1}));
+      }
+    }
+    return row;
+  };
   int64_t applied = 0;
+  int64_t batches = 0;
   for (int step = 0; step < 400; ++step) {
-    const int kind = static_cast<int>(rng.UniformInt(0, 5));
+    const int kind = static_cast<int>(rng.UniformInt(0, 7));
     switch (kind) {
       case 0:
       case 1: {  // ReplaceValues on a random FK cell
@@ -66,28 +91,9 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         break;
       }
       case 2: {  // Insert a tuple into a leaf table
-        const std::string& name = leaf_tables[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(leaf_tables.size()) - 1))];
-        Table* t = db->FindTable(name);
-        std::vector<Value> row;
-        bool ok = true;
-        for (int c = 0; c < t->num_columns(); ++c) {
-          const Column& col = t->column(c);
-          if (col.is_foreign_key()) {
-            const Table* parent = db->FindTable(col.ref_table());
-            const TupleId p = rng.UniformInt(0, parent->NumSlots() - 1);
-            if (!parent->IsLive(p)) {
-              ok = false;
-              break;
-            }
-            row.push_back(Value(static_cast<int64_t>(p)));
-          } else {
-            row.push_back(Value(int64_t{1}));
-          }
-        }
-        if (ok) {
-          applied +=
-              db->Apply(Modification::InsertTuple(name, row)).ok();
+        Table* t = random_leaf();
+        if (const auto row = random_row(*t)) {
+          applied += db->Apply(Modification::InsertTuple(t->name(), *row)).ok();
         }
         break;
       }
@@ -138,9 +144,61 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
                        .ok();
         break;
       }
+      case 6: {  // One ApplyBatch span: FK replaces, deletes, inserts
+        Table* t = random_leaf();
+        const int ti = db->schema().TableIndex(t->name());
+        std::vector<Modification> batch;
+        std::vector<TupleId> touched;
+        for (int j = 0; j < 6; ++j) {
+          const TupleId tid = rng.UniformInt(0, t->NumSlots() - 1);
+          const auto row = random_row(*t);
+          if (!t->IsLive(tid) || !row ||
+              std::find(touched.begin(), touched.end(), tid) !=
+                  touched.end()) {
+            continue;
+          }
+          touched.push_back(tid);
+          switch (j % 3) {
+            case 0:  // re-point FK column 0 to the row's parent
+              batch.push_back(Modification::ReplaceValues(
+                  t->name(), {tid}, {0}, {(*row)[0]}));
+              break;
+            case 1:
+              if (t->NumTuples() > 4 && refcount.Unreferenced(ti, tid)) {
+                batch.push_back(Modification::DeleteTuple(t->name(), tid));
+              }
+              break;
+            default:
+              batch.push_back(Modification::InsertTuple(t->name(), *row));
+              batch.push_back(Modification::InsertTuple(t->name(), *row));
+          }
+        }
+        if (batch.empty()) break;
+        ASSERT_TRUE(db->ApplyBatch(batch).ok());
+        applied += static_cast<int64_t>(batch.size());
+        ++batches;
+        break;
+      }
+      case 7: {  // Delete a tuple, then re-insert its row (same FK combo)
+        Table* t = random_leaf();
+        if (t->NumTuples() <= 1) break;
+        const TupleId victim = rng.UniformInt(0, t->NumSlots() - 1);
+        const int ti = db->schema().TableIndex(t->name());
+        if (!t->IsLive(victim) || !refcount.Unreferenced(ti, victim)) break;
+        std::vector<Value> row;
+        for (int c = 0; c < t->num_columns(); ++c) {
+          row.push_back(t->column(c).Get(victim));
+        }
+        ASSERT_TRUE(
+            db->Apply(Modification::DeleteTuple(t->name(), victim)).ok());
+        ASSERT_TRUE(db->Apply(Modification::InsertTuple(t->name(), row)).ok());
+        applied += 2;
+        break;
+      }
     }
   }
   EXPECT_GT(applied, 100);
+  EXPECT_GT(batches, 10);
   EXPECT_TRUE(CheckIntegrity(*db).ok());
 
   // Fresh rebuilds must agree with the incrementally maintained state.
@@ -158,6 +216,9 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   for (size_t g = 0; g < coappear.groups().size(); ++g) {
     EXPECT_EQ(coappear.CurrentXi(static_cast<int>(g)),
               coappear2.CurrentXi(static_cast<int>(g)))
+        << "group " << g;
+    EXPECT_TRUE(coappear.Snapshot(static_cast<int>(g)) ==
+                coappear2.Snapshot(static_cast<int>(g)))
         << "group " << g;
   }
   PairwisePropertyTool pairwise2(db->schema());
