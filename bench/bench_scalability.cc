@@ -1,9 +1,11 @@
-// Ablation: scalability of the full pipeline. Fig. 17 shows execution
-// time growing linearly with dataset size across snapshots; this bench
-// extends the claim across generator scales 1-16 (2x more data per
-// step) and reports tweaking throughput per scale. BENCH_scalability
-// .json carries each scale's tuples, tweak_s and tuples_per_s as
-// metrics "scale_<s>_<field>".
+// Ablation: scalability of the full pipeline. Fig. 17/35 show
+// execution time growing linearly with dataset size across snapshots;
+// this bench extends the claim across generator scales 1-16 (2x more
+// data per step) on two workloads - Rand-XiamiLike D1->D4 C-L-P and
+// Dscaler-DoubanMovieLike D1->D6 L-P-C - and reports tweaking
+// throughput per scale. BENCH_scalability.json carries each scale's
+// tuples, tweak_s and tuples_per_s as metrics "<prefix>scale_<s>_
+// <field>", prefix "" for XiamiLike and "douban_" for DoubanMovieLike.
 #include <chrono>
 #include <string>
 
@@ -18,39 +20,64 @@
 using namespace aspect;
 using namespace aspect::bench;
 
+namespace {
+
+struct Sweep {
+  const char* banner;
+  const char* prefix;
+  DatasetBlueprint (*blueprint)(double);
+  int target_snapshot;
+  const char* scaler;
+  const char* order;
+};
+
+const Sweep kSweeps[] = {
+    {"Ablation: pipeline scalability (Rand-XiamiLike, C-L-P, D4)", "",
+     XiamiLike, 4, "Rand", "C-L-P"},
+    {"Ablation: pipeline scalability (Dscaler-DoubanMovieLike, L-P-C, D6)",
+     "douban_", DoubanMovieLike, 6, "Dscaler", "L-P-C"},
+};
+
+}  // namespace
+
 int main() {
   BenchReport report("scalability");
-  Banner("Ablation: pipeline scalability (Rand-XiamiLike, C-L-P, D4)");
-  Header({"scale", "tuples", "tweak-s", "tuples/s", "err-L", "err-C",
-          "err-P"});
-  for (const int scale : {1, 2, 4, 8, 16}) {
-    ExperimentConfig c;
-    c.blueprint = XiamiLike(scale);
-    c.seed = kSeed;
-    c.source_snapshot = 1;
-    c.target_snapshot = 4;
-    c.scaler = "Rand";
-    c.order = OrderFromLabel("C-L-P").ValueOrAbort();
-    const ExperimentResult r = RunExperiment(c).ValueOrAbort();
-    // Tuple count of the tweaked dataset.
-    auto gen = GenerateDataset(c.blueprint, c.seed).ValueOrAbort();
-    int64_t tuples = 0;
-    for (const int64_t s : gen.SnapshotSizes(4)) tuples += s;
-    const double tuples_per_s =
-        static_cast<double>(tuples) / std::max(1e-9, r.tweak_seconds);
-    report.AddTuples(tuples);
-    const std::string key = "scale_" + std::to_string(scale) + "_";
-    report.Metric(key + "tuples", static_cast<double>(tuples));
-    report.Metric(key + "tweak_s", r.tweak_seconds);
-    report.Metric(key + "tuples_per_s", tuples_per_s);
-    Cell(std::to_string(scale));
-    Cell(std::to_string(tuples));
-    Cell(r.tweak_seconds);
-    Cell(tuples_per_s);
-    Cell(r.after.linear);
-    Cell(r.after.coappear);
-    Cell(r.after.pairwise);
-    EndRow();
+  for (const Sweep& sweep : kSweeps) {
+    Banner(sweep.banner);
+    Header({"scale", "tuples", "tweak-s", "tuples/s", "err-L", "err-C",
+            "err-P"});
+    for (const int scale : {1, 2, 4, 8, 16}) {
+      ExperimentConfig c;
+      c.blueprint = sweep.blueprint(scale);
+      c.seed = kSeed;
+      c.source_snapshot = 1;
+      c.target_snapshot = sweep.target_snapshot;
+      c.scaler = sweep.scaler;
+      c.order = OrderFromLabel(sweep.order).ValueOrAbort();
+      const ExperimentResult r = RunExperiment(c).ValueOrAbort();
+      // Tuple count of the tweaked dataset.
+      auto gen = GenerateDataset(c.blueprint, c.seed).ValueOrAbort();
+      int64_t tuples = 0;
+      for (const int64_t s : gen.SnapshotSizes(c.target_snapshot)) {
+        tuples += s;
+      }
+      const double tuples_per_s =
+          static_cast<double>(tuples) / std::max(1e-9, r.tweak_seconds);
+      report.AddTuples(tuples);
+      const std::string key =
+          sweep.prefix + std::string("scale_") + std::to_string(scale) + "_";
+      report.Metric(key + "tuples", static_cast<double>(tuples));
+      report.Metric(key + "tweak_s", r.tweak_seconds);
+      report.Metric(key + "tuples_per_s", tuples_per_s);
+      Cell(std::to_string(scale));
+      Cell(std::to_string(tuples));
+      Cell(r.tweak_seconds);
+      Cell(tuples_per_s);
+      Cell(r.after.linear);
+      Cell(r.after.coappear);
+      Cell(r.after.pairwise);
+      EndRow();
+    }
   }
 
   // How the order search scales with workers: the six candidate

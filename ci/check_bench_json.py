@@ -7,9 +7,12 @@ With no arguments it checks every BENCH_*.json that git tracks (or, outside
 a git checkout, every one in the root directory). Each must parse as JSON
 and carry "name", "hardware_threads" and "tuples_per_s": a throughput
 figure only compares across runs on the same hardware width. The
-scalability record must also hold one row per pipeline scale, i.e. the
-metrics scale_<s>_tuples, scale_<s>_tweak_s and scale_<s>_tuples_per_s
-for every s in SCALES. Exits non-zero with one line per problem.
+scalability record must also hold one row per pipeline scale of each
+sweep, i.e. the metrics <p>scale_<s>_tuples, <p>scale_<s>_tweak_s and
+<p>scale_<s>_tuples_per_s for every s in SCALES and every sweep prefix
+p in SWEEPS ("" for Rand-XiamiLike C-L-P, "douban_" for
+Dscaler-DoubanMovieLike L-P-C). Exits non-zero with one line per
+problem.
 """
 import glob
 import json
@@ -20,6 +23,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REQUIRED = ("name", "hardware_threads", "tuples_per_s")
 SCALES = (1, 2, 4, 8, 16)
+SWEEPS = ("", "douban_")
 SCALE_FIELDS = ("tuples", "tweak_s", "tuples_per_s")
 
 
@@ -48,11 +52,12 @@ def check(path):
             problems.append(f"{path}: missing \"{key}\"")
     if record.get("name") == "scalability":
         metrics = record.get("metrics", {})
-        for s in SCALES:
-            for field in SCALE_FIELDS:
-                key = f"scale_{s}_{field}"
-                if not isinstance(metrics.get(key), (int, float)):
-                    problems.append(f"{path}: no metric \"{key}\"")
+        for prefix in SWEEPS:
+            for s in SCALES:
+                for field in SCALE_FIELDS:
+                    key = f"{prefix}scale_{s}_{field}"
+                    if not isinstance(metrics.get(key), (int, float)):
+                        problems.append(f"{path}: no metric \"{key}\"")
     return problems
 
 

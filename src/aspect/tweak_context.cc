@@ -29,6 +29,35 @@ TweakContext::TweakContext(Database* db,
       monitor_(monitor),
       tool_id_(tool_id) {}
 
+Status TweakContext::TryOrForce(const Modification& mod,
+                                TupleId* new_tuple) {
+  const Status st = TryApply(mod, new_tuple);
+  return st.IsValidationFailed() ? ForceApply(mod, new_tuple) : st;
+}
+
+std::vector<Value> TweakContext::TemplateRow(const Table& table) {
+  TupleId tmpl = kInvalidTuple;
+  for (int tries = 0; table.NumTuples() > 0 && tries < 32 &&
+                      tmpl == kInvalidTuple;
+       ++tries) {
+    const TupleId cand = rng_->UniformInt(0, table.NumSlots() - 1);
+    if (table.IsLive(cand)) tmpl = cand;
+  }
+  std::vector<Value> row;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (tmpl != kInvalidTuple) {
+      row.push_back(table.column(c).Get(tmpl));
+    } else if (table.column(c).type() == ColumnType::kString) {
+      row.push_back(Value(std::string()));
+    } else if (table.column(c).type() == ColumnType::kDouble) {
+      row.push_back(Value(0.0));
+    } else {
+      row.push_back(Value(int64_t{0}));
+    }
+  }
+  return row;
+}
+
 void TweakContext::set_vote_routing(const VoteIndex* index, RouteVotes mode,
                                     size_t self_slot) {
   // Precondition: `index` describes the coordinator's enforced list —

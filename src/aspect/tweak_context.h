@@ -35,6 +35,9 @@ class TweakContext {
   Database* db() { return db_; }
   const Database& db() const { return *db_; }
   Rng* rng() { return rng_; }
+  /// A row to insert into `table`: a copy of a random live tuple (up to
+  /// 32 draws, none when no tuple is live), else per-type defaults.
+  std::vector<Value> TemplateRow(const Table& table);
 
   /// Applies `mod` if every validator accepts it; returns
   /// ValidationFailed (without applying) otherwise.
@@ -42,6 +45,9 @@ class TweakContext {
 
   /// Applies `mod` regardless of votes (accepted error increase).
   Status ForceApply(const Modification& mod, TupleId* new_tuple = nullptr);
+
+  /// TryApply, then ForceApply if the validators vetoed `mod`.
+  Status TryOrForce(const Modification& mod, TupleId* new_tuple = nullptr);
 
   /// Puts the whole batch to the vote as ONE composite proposal
   /// (PropertyTool::ValidationPenaltyBatch): if any validator's batch

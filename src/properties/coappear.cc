@@ -6,7 +6,6 @@
 #include <istream>
 #include <numeric>
 #include <ostream>
-#include <set>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -83,7 +82,6 @@ CoappearPropertyTool::CoappearPropertyTool(const Schema& schema)
   groups_ = graph.CoappearGroups();
   for (size_t g = 0; g < groups_.size(); ++g) {
     const CoappearGroup& grp = groups_[g];
-    xi_.emplace_back(static_cast<int>(grp.member_tables.size()));
     target_xi_.emplace_back(static_cast<int>(grp.member_tables.size()));
     for (size_t mi = 0; mi < grp.member_tables.size(); ++mi) {
       member_index_[grp.member_tables[mi]].emplace_back(
@@ -107,20 +105,12 @@ Status CoappearPropertyTool::SetTargetFromDataset(
     CountCombos(ground_truth, grp, &combos, &appearances,
                 [](size_t, TupleId, int32_t) {});
     // xi(v) = number of combos whose appearance vector is v.
-    KeyInterner vecs(static_cast<int>(k));
-    std::vector<int64_t> combos_of;
+    CountGapTable xi(static_cast<int>(k));
     for (size_t c = 0; c < static_cast<size_t>(combos.size()); ++c) {
-      const int32_t vid = vecs.Intern(
-          std::span<const int64_t>(appearances.data() + c * k, k));
-      combos_of.resize(static_cast<size_t>(vecs.size()), 0);
-      ++combos_of[static_cast<size_t>(vid)];
+      const std::span<const int64_t> v(appearances.data() + c * k, k);
+      xi.Add(xi.Intern(v), 1);
     }
-    FrequencyDistribution xi(static_cast<int>(k));
-    for (int32_t vid = 0; vid < vecs.size(); ++vid) {
-      const auto v = vecs.key(vid);
-      xi.Add(Key(v.begin(), v.end()), combos_of[static_cast<size_t>(vid)]);
-    }
-    target_xi_[g] = std::move(xi);
+    target_xi_[g] = xi.Current();
     target_parent_sizes_[g].clear();
     for (const int p : grp.parent_tables) {
       target_parent_sizes_[g].push_back(ground_truth.table(p).NumTuples());
@@ -142,6 +132,12 @@ Status CoappearPropertyTool::SetTargetDistributions(
       target_parent_sizes.size() != groups_.size() ||
       target_member_sizes.size() != groups_.size()) {
     return Status::Invalid("coappear: wrong number of group targets");
+  }
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    if (targets[g].dim() !=
+        static_cast<int>(groups_[g].member_tables.size())) {
+      return Status::Invalid("coappear: target dim differs from group");
+    }
   }
   target_xi_ = std::move(targets);
   target_parent_sizes_ = std::move(target_parent_sizes);
@@ -175,28 +171,14 @@ int32_t CoappearPropertyTool::InternCombo(GroupState* st,
   return c;
 }
 
-int32_t CoappearPropertyTool::InternVec(GroupState* st,
-                                        std::span<const int64_t> v) {
-  const int32_t vid = st->vecs.Intern(v);
-  if (static_cast<size_t>(vid) == st->buckets.size()) {
-    st->buckets.emplace_back();
-    st->vec_key.emplace_back(v.begin(), v.end());
-    st->target_count.push_back(0);
-  }
-  return vid;
-}
-
 void CoappearPropertyTool::IndexTargets() {
   if (!bound()) return;
   for (size_t g = 0; g < groups_.size(); ++g) {
+    int64_t space = 1;
+    for (const int64_t s : target_parent_sizes_[g]) space *= s;
     GroupState& st = state_[g];
-    const FrequencyDistribution& tgt = target_xi_[g];
-    std::fill(st.target_count.begin(), st.target_count.end(), 0);
-    for (const auto& [v, c] : tgt.counts()) {
-      if (static_cast<int>(v.size()) != st.vecs.width()) continue;
-      st.target_count[static_cast<size_t>(InternVec(&st, v))] = c;
-    }
-    st.n_fk = std::max<int64_t>(1, tgt.TotalMass());
+    st.xi.SetTarget(target_xi_[g], space);
+    st.buckets.resize(static_cast<size_t>(st.xi.size()));
   }
 }
 
@@ -209,8 +191,7 @@ Status CoappearPropertyTool::Bind(Database* db) {
     GroupState& st = state_[g];
     const size_t k = grp.member_tables.size();
     st.combos = KeyInterner(static_cast<int>(grp.parent_tables.size()));
-    st.vecs = KeyInterner(static_cast<int>(k));
-    xi_[g].Clear();
+    st.xi = CountGapTable(static_cast<int>(k));
     st.tuples_by_combo.resize(k);
     st.tuple_combo.resize(k);
     for (size_t mi = 0; mi < k; ++mi) {
@@ -242,16 +223,13 @@ Status CoappearPropertyTool::Bind(Database* db) {
                                           ky.end());
     });
     for (const int32_t c : order) {
-      const int32_t vid = InternVec(
-          &st, std::span<const int64_t>(
-                   appearances.data() + static_cast<size_t>(c) * k, k));
+      const int32_t vid = st.xi.Intern(std::span<const int64_t>(
+          appearances.data() + static_cast<size_t>(c) * k, k));
+      st.buckets.resize(static_cast<size_t>(st.xi.size()));
       st.combo_vec[static_cast<size_t>(c)] = vid;
       st.combo_slot[static_cast<size_t>(c)] =
           st.buckets[static_cast<size_t>(vid)].PushBack(c);
-    }
-    st.live_combos = static_cast<int64_t>(n);
-    for (size_t vid = 0; vid < st.buckets.size(); ++vid) {
-      xi_[g].Add(st.vec_key[vid], st.buckets[vid].live());
+      st.xi.Add(vid, 1);
     }
   }
   IndexTargets();
@@ -410,27 +388,26 @@ void CoappearPropertyTool::AdjustCombo(int g, int mi, TupleId t, int32_t c,
                                        int64_t delta) {
   if (c == kNoCombo) return;
   GroupState& st = state_[static_cast<size_t>(g)];
-  FrequencyDistribution& xi = xi_[static_cast<size_t>(g)];
   const size_t cs = static_cast<size_t>(c);
   const int32_t old_vid = st.combo_vec[cs];
   if (old_vid >= 0) {
-    st.vec_buf = st.vec_key[static_cast<size_t>(old_vid)];
-    xi.Add(st.vec_buf, -1);
+    const auto old_v = st.xi.key(old_vid);
+    st.vec_buf.assign(old_v.begin(), old_v.end());
+    st.xi.Add(old_vid, -1);
     st.buckets[static_cast<size_t>(old_vid)].Remove(st.combo_slot[cs],
                                                     &st.combo_slot);
   } else {
-    st.vec_buf.assign(static_cast<size_t>(st.vecs.width()), 0);
+    st.vec_buf.assign(static_cast<size_t>(st.xi.width()), 0);
   }
   st.vec_buf[static_cast<size_t>(mi)] += delta;
   assert(st.vec_buf[static_cast<size_t>(mi)] >= 0);
   if (AllZero(st.vec_buf)) {
     st.combo_vec[cs] = -1;
-    --st.live_combos;
   } else {
-    const int32_t vid = InternVec(&st, st.vec_buf);
-    if (old_vid < 0) ++st.live_combos;
+    const int32_t vid = st.xi.Intern(st.vec_buf);
+    st.buckets.resize(static_cast<size_t>(st.xi.size()));
     st.combo_vec[cs] = vid;
-    xi.Add(st.vec_key[static_cast<size_t>(vid)], 1);
+    st.xi.Add(vid, 1);
     st.combo_slot[cs] = st.buckets[static_cast<size_t>(vid)].PushBack(c);
   }
   SlotLists& lists = st.tuples_by_combo[static_cast<size_t>(mi)];
@@ -461,17 +438,21 @@ CoappearPropertyTool::StateSnapshot CoappearPropertyTool::Snapshot(
     const auto key = st.combos.key(c);
     return Key(key.begin(), key.end());
   };
+  auto vec_key = [&](int32_t vid) {
+    const auto key = st.xi.key(vid);
+    return Key(key.begin(), key.end());
+  };
   for (size_t c = 0; c < st.combo_vec.size(); ++c) {
     const int32_t vid = st.combo_vec[c];
     if (vid < 0) continue;
-    snap.combo_vec[combo_key(static_cast<int32_t>(c))] =
-        st.vec_key[static_cast<size_t>(vid)];
+    snap.combo_vec[combo_key(static_cast<int32_t>(c))] = vec_key(vid);
   }
   for (size_t vid = 0; vid < st.buckets.size(); ++vid) {
     const TombstoneBucket& bucket = st.buckets[vid];
     for (int32_t slot = 0; slot < bucket.slots(); ++slot) {
       if (bucket.id(slot) < 0) continue;
-      snap.buckets[st.vec_key[vid]].insert(combo_key(bucket.id(slot)));
+      snap.buckets[vec_key(static_cast<int32_t>(vid))].insert(
+          combo_key(bucket.id(slot)));
     }
   }
   const size_t k = st.tuple_combo.size();
@@ -503,41 +484,28 @@ int64_t CoappearPropertyTool::CurrentComboSpace(int g) const {
   return space;
 }
 
-int64_t CoappearPropertyTool::CurrentCount(int g, const Key& v) const {
-  if (AllZero(v)) {
-    return CurrentComboSpace(g) - state_[static_cast<size_t>(g)].live_combos;
-  }
-  return xi_[static_cast<size_t>(g)].Count(v);
+double CoappearPropertyTool::NFk(int g) const {
+  return static_cast<double>(std::max<int64_t>(
+      1, state_[static_cast<size_t>(g)].xi.target_mass()));
 }
 
-int64_t CoappearPropertyTool::TargetCount(int g, const Key& v) const {
-  if (AllZero(v)) {
-    int64_t space = 1;
-    for (const int64_t s : target_parent_sizes_[static_cast<size_t>(g)]) {
-      space *= s;
-    }
-    return space - target_xi_[static_cast<size_t>(g)].TotalMass();
+FrequencyDistribution CoappearPropertyTool::CurrentXi(int g) const {
+  if (db_ == nullptr) {
+    return FrequencyDistribution(static_cast<int>(
+        groups_[static_cast<size_t>(g)].member_tables.size()));
   }
-  return target_xi_[static_cast<size_t>(g)].Count(v);
-}
-
-double CoappearPropertyTool::GroupError(int g) const {
-  // epsilon_xi = (1/N_FK) sum_v |xi(v) - xi~(v)| over observed vectors,
-  // where N_FK is the number of distinct foreign-key combinations in
-  // the target - this is the normalization that makes the paper's
-  // bound of 2 tight (Sec. VI-C1).
-  const int64_t n_fk =
-      std::max<int64_t>(1, target_xi_[static_cast<size_t>(g)].TotalMass());
-  const int64_t sum = xi_[static_cast<size_t>(g)].L1Distance(
-      target_xi_[static_cast<size_t>(g)]);
-  return static_cast<double>(sum) / static_cast<double>(n_fk);
+  return state_[static_cast<size_t>(g)].xi.Current();
 }
 
 double CoappearPropertyTool::Error() const {
   if (groups_.empty() || db_ == nullptr) return 0.0;
+  // epsilon_xi = (1/N_FK) sum_v |xi(v) - xi~(v)| over observed vectors,
+  // where N_FK is the number of distinct foreign-key combinations in
+  // the target - this is the normalization that makes the paper's
+  // bound of 2 tight (Sec. VI-C1).
   double sum = 0;
   for (size_t g = 0; g < groups_.size(); ++g) {
-    sum += GroupError(static_cast<int>(g));
+    sum += static_cast<double>(state_[g].xi.gap()) / NFk(static_cast<int>(g));
   }
   return sum / static_cast<double>(groups_.size());
 }
@@ -593,23 +561,10 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
   s->sims.clear();
   s->deltas.clear();
   s->group_num.clear();
-  auto n_fk_of = [&](int g) -> double {
-    return static_cast<double>(state_[static_cast<size_t>(g)].n_fk);
-  };
   auto vec_of = [&](size_t off, int g) {
     return std::span<int64_t>(
         s->vals.data() + off,
-        static_cast<size_t>(state_[static_cast<size_t>(g)].vecs.width()));
-  };
-  // |cur+delta-tgt| - |cur-tgt| for vector `vid` (-1: never interned,
-  // so both counts are zero).
-  auto term_of = [&](int g, int32_t vid, int64_t delta) -> int64_t {
-    const GroupState& st = state_[static_cast<size_t>(g)];
-    const int64_t cur =
-        vid < 0 ? 0 : st.buckets[static_cast<size_t>(vid)].live();
-    const int64_t tgt =
-        vid < 0 ? 0 : st.target_count[static_cast<size_t>(vid)];
-    return std::llabs(cur + delta - tgt) - std::llabs(cur - tgt);
+        static_cast<size_t>(state_[static_cast<size_t>(g)].xi.width()));
   };
   // Capped pricing keeps each group's partial penalty numerator exact
   // (in integers): the final loop's |cur+delta-tgt| - |cur-tgt| term,
@@ -634,13 +589,13 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
   if (capped) {
     s->suffix.assign(ts.size() + 1, 0.0);
     for (size_t i = ts.size(); i-- > 0;) {
-      s->suffix[i] = s->suffix[i + 1] + 4.0 / n_fk_of(ts[i].group);
+      s->suffix[i] = s->suffix[i + 1] + 4.0 / NFk(ts[i].group);
     }
   }
   for (size_t ti = 0; ti < ts.size(); ++ti) {
     const Transition& tr = ts[ti];
     const GroupState& st = state_[static_cast<size_t>(tr.group)];
-    const size_t k = static_cast<size_t>(st.vecs.width());
+    const size_t k = static_cast<size_t>(st.xi.width());
     // Adds d to the simulated xi delta of the vector at vals[src].
     auto bump = [&](size_t src, int64_t d) {
       PricingScratch::Delta* entry = nullptr;
@@ -656,15 +611,13 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
         const size_t off = s->vals.size();
         s->vals.resize(off + k);
         std::copy_n(s->vals.begin() + src, k, s->vals.begin() + off);
-        s->deltas.push_back({tr.group, st.vecs.Find(vec_of(off, tr.group)),
+        s->deltas.push_back({tr.group, st.xi.Find(vec_of(off, tr.group)),
                              off, 0});
         entry = &s->deltas.back();
       }
-      if (capped) group_num(tr.group) -= term_of(tr.group, entry->vid,
-                                                 entry->delta);
+      if (capped) group_num(tr.group) -= st.xi.Term(entry->vid, entry->delta);
       entry->delta += d;
-      if (capped) group_num(tr.group) += term_of(tr.group, entry->vid,
-                                                 entry->delta);
+      if (capped) group_num(tr.group) += st.xi.Term(entry->vid, entry->delta);
     };
     auto adjust = [&](int32_t c, int64_t delta) {
       if (c == kNoCombo) return;
@@ -690,7 +643,7 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
         const int32_t vid =
             c == kUnseen ? -1 : st.combo_vec[static_cast<size_t>(c)];
         if (vid >= 0) {
-          const Key& cur = st.vec_key[static_cast<size_t>(vid)];
+          const auto cur = st.xi.key(vid);
           s->vals.insert(s->vals.end(), cur.begin(), cur.end());
         } else {
           s->vals.resize(off + k, 0);
@@ -706,7 +659,7 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
     if (capped) {
       double running = 0;
       for (const auto& [g, num] : s->group_num) {
-        running += static_cast<double>(num) / n_fk_of(g);
+        running += static_cast<double>(num) / NFk(g);
       }
       const double floor_penalty = (running - s->suffix[ti + 1]) /
                                    static_cast<double>(groups_.size());
@@ -734,8 +687,8 @@ double CoappearPropertyTool::PenaltyOfTransitions(PricingScratch* s,
   double penalty = 0;
   for (const size_t i : s->order) {
     const PricingScratch::Delta& e = s->deltas[i];
-    penalty += static_cast<double>(term_of(e.group, e.vid, e.delta)) /
-               n_fk_of(e.group);
+    const CountGapTable& xi = state_[static_cast<size_t>(e.group)].xi;
+    penalty += static_cast<double>(xi.Term(e.vid, e.delta)) / NFk(e.group);
   }
   return penalty / static_cast<double>(groups_.size());
 }
@@ -844,7 +797,8 @@ Status CoappearPropertyTool::ProposeOrForce(TweakContext* ctx,
 }
 
 bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
-                                      const Key& from, const Key& to) {
+                                      std::span<const int64_t> from,
+                                      std::span<const int64_t> to) {
   GroupState& st = state_[static_cast<size_t>(g)];
   const CoappearGroup& grp = groups_[static_cast<size_t>(g)];
   const size_t k = grp.member_tables.size();
@@ -890,7 +844,7 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
     }
     if (b.empty()) return false;
   } else {
-    const int32_t vid = st.vecs.Find(from);
+    const int32_t vid = st.xi.Find(from);
     if (vid < 0) return false;
     const TombstoneBucket& bucket = st.buckets[static_cast<size_t>(vid)];
     if (bucket.live() == 0) return false;
@@ -984,27 +938,7 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
               : 1;
       std::vector<Modification> batch;
       for (int64_t j = 0; j < pending; ++j) {
-        std::vector<Value> row(static_cast<size_t>(table.num_columns()));
-        TupleId tmpl = kInvalidTuple;
-        if (table.NumTuples() > 0) {
-          for (int tries = 0; tries < 32 && tmpl == kInvalidTuple;
-               ++tries) {
-            const TupleId cand =
-                ctx->rng()->UniformInt(0, table.NumSlots() - 1);
-            if (table.IsLive(cand)) tmpl = cand;
-          }
-        }
-        for (int c = 0; c < table.num_columns(); ++c) {
-          if (tmpl != kInvalidTuple) {
-            row[static_cast<size_t>(c)] = table.column(c).Get(tmpl);
-          } else if (table.column(c).type() == ColumnType::kString) {
-            row[static_cast<size_t>(c)] = Value(std::string());
-          } else if (table.column(c).type() == ColumnType::kDouble) {
-            row[static_cast<size_t>(c)] = Value(0.0);
-          } else {
-            row[static_cast<size_t>(c)] = Value(int64_t{0});
-          }
-        }
+        std::vector<Value> row = ctx->TemplateRow(table);
         for (size_t p = 0; p < grp.member_fk_cols[mi].size(); ++p) {
           row[static_cast<size_t>(grp.member_fk_cols[mi][p])] = Value(b[p]);
         }
@@ -1015,9 +949,7 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
         continue;
       }
       for (const Modification& mod : batch) {
-        Status s = ctx->TryApply(mod);
-        if (s.IsValidationFailed()) s = ctx->ForceApply(mod);
-        if (!s.ok()) return false;
+        if (!ctx->TryOrForce(mod).ok()) return false;
       }
       d += static_cast<int64_t>(batch.size());
     }
@@ -1057,18 +989,14 @@ bool CoappearPropertyTool::EvacuateReferences(TweakContext* ctx,
       Modification mod = Modification::ReplaceValues(
           child.name(), referrers, {e.fk_col},
           {Value(static_cast<int64_t>(survivor))});
-      Status st = ctx->TryApply(mod);
-      if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-      if (!st.ok()) return false;
+      if (!ctx->TryOrForce(mod).ok()) return false;
       continue;
     }
     for (const TupleId r : referrers) {
       Modification mod = Modification::ReplaceValues(
           child.name(), {r}, {e.fk_col},
           {Value(static_cast<int64_t>(survivor))});
-      Status st = ctx->TryApply(mod);
-      if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-      if (!st.ok()) return false;
+      if (!ctx->TryOrForce(mod).ok()) return false;
     }
   }
   return refcount_->Unreferenced(table_index, victim);
@@ -1077,57 +1005,18 @@ bool CoappearPropertyTool::EvacuateReferences(TweakContext* ctx,
 Status CoappearPropertyTool::Tweak(TweakContext* ctx) {
   if (!bound()) return Status::Invalid("coappear: Tweak needs Bind");
   for (size_t g = 0; g < groups_.size(); ++g) {
-    const Key zero(groups_[g].member_tables.size(), 0);
+    const int gi = static_cast<int>(g);
+    CountGapTable& xi = state_[g].xi;
+    // A member that also is a parent (a self-referencing table) moves
+    // the combo space, so it is re-read after every conversion.
+    xi.SetSpace(CurrentComboSpace(gi));
     // Guard: each conversion reduces the L1 gap, so 2x the initial gap
     // (plus slack) bounds the loop.
-    int64_t guard =
-        2 * (xi_[g].L1Distance(target_xi_[g]) +
-             std::llabs(CurrentCount(static_cast<int>(g), zero) -
-                        TargetCount(static_cast<int>(g), zero))) +
-        64;
-    std::set<Key> stuck;  // deficits proven unconvertible this pass
-    while (guard-- > 0) {
-      // Find a deficit vector (scan target then current keys).
-      Key deficit;
-      bool found = false;
-      for (const auto& [v, c] : target_xi_[g].counts()) {
-        if (stuck.count(v) == 0 &&
-            CurrentCount(static_cast<int>(g), v) < c) {
-          deficit = v;
-          found = true;
-          break;
-        }
-      }
-      if (!found && stuck.count(zero) == 0 &&
-          CurrentCount(static_cast<int>(g), zero) <
-              TargetCount(static_cast<int>(g), zero)) {
-        deficit = zero;
-        found = true;
-      }
-      if (!found) break;
-
-      // Surplus vectors ordered by Manhattan distance (zero included);
-      // fall through to farther ones when the closest has no
-      // convertible combo (e.g. all its tuples are referenced posts).
-      std::vector<std::pair<int64_t, Key>> surpluses;
-      for (const auto& [v, c] : xi_[g].counts()) {
-        if (c <= target_xi_[g].Count(v)) continue;
-        surpluses.emplace_back(ManhattanDistance(v, deficit), v);
-      }
-      if (CurrentCount(static_cast<int>(g), zero) >
-          TargetCount(static_cast<int>(g), zero)) {
-        surpluses.emplace_back(ManhattanDistance(zero, deficit), zero);
-      }
-      std::sort(surpluses.begin(), surpluses.end());
-      bool converted = false;
-      for (const auto& [dist, surplus] : surpluses) {
-        if (ConvertOne(ctx, static_cast<int>(g), surplus, deficit)) {
-          converted = true;
-          break;
-        }
-      }
-      if (!converted) stuck.insert(deficit);  // try remaining deficits
-    }
+    xi.ConvertDeficits(2 * xi.full_gap() + 64, [&](auto from, auto to) {
+      const bool converted = ConvertOne(ctx, gi, from, to);
+      xi.SetSpace(CurrentComboSpace(gi));
+      return converted;
+    });
   }
   return Status::OK();
 }
@@ -1158,9 +1047,13 @@ Status CoappearPropertyTool::ReadTarget(std::istream* in) {
     return Status::IoError("coappear: bad target header");
   }
   for (size_t g = 0; g < n; ++g) {
+    const CoappearGroup& grp = groups_[g];
     size_t parents = 0;
     if (!(*in >> tag >> parents) || tag != "group") {
       return Status::IoError("coappear: bad group header");
+    }
+    if (parents != grp.parent_tables.size()) {
+      return Status::IoError("coappear: parent count differs from group");
     }
     target_parent_sizes_[g].assign(parents, 0);
     for (int64_t& s : target_parent_sizes_[g]) {
@@ -1168,15 +1061,16 @@ Status CoappearPropertyTool::ReadTarget(std::istream* in) {
     }
     size_t members = 0;
     if (!(*in >> members)) return Status::IoError("coappear: truncated");
+    if (members != grp.member_tables.size()) {
+      return Status::IoError("coappear: member count differs from group");
+    }
     target_member_sizes_[g].assign(members, 0);
     for (int64_t& s : target_member_sizes_[g]) {
       if (!(*in >> s)) return Status::IoError("coappear: truncated");
     }
-    ASPECT_ASSIGN_OR_RETURN(target_xi_[g], FrequencyDistribution::Read(in));
-    if (target_xi_[g].dim() !=
-        static_cast<int>(groups_[g].member_tables.size())) {
-      return Status::IoError("coappear: distribution dim mismatch");
-    }
+    ASPECT_ASSIGN_OR_RETURN(
+        target_xi_[g],
+        FrequencyDistribution::Read(in, static_cast<int>(members)));
   }
   return Status::OK();
 }

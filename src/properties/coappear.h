@@ -9,7 +9,9 @@
 // The tweaking algorithm is Algorithm 2: for every deficit vector v it
 // repeatedly picks the Manhattan-closest surplus vector v', selects a
 // combination b currently realizing v', and inserts/deletes tuples
-// with foreign keys b until b realizes v.
+// with foreign keys b until b realizes v. Each group keeps xi and its
+// target in one CountGapTable (stats/count_gap.h), which runs that
+// loop and measures the error; this tool supplies the conversion.
 #pragma once
 
 #include <map>
@@ -23,6 +25,7 @@
 #include "properties/coappear_index.h"
 #include "relational/refcount.h"
 #include "relational/refgraph.h"
+#include "stats/count_gap.h"
 #include "stats/freq_dist.h"
 
 namespace aspect {
@@ -87,10 +90,9 @@ class CoappearPropertyTool : public PropertyTool {
                  TupleId new_tuple) override;
 
   const std::vector<CoappearGroup>& groups() const { return groups_; }
-  /// Current distribution of group g (stored, zero vector implicit).
-  const FrequencyDistribution& CurrentXi(int g) const {
-    return xi_[static_cast<size_t>(g)];
-  }
+  /// Current distribution of group g (zero vector implicit), built
+  /// from the bound table; empty while unbound.
+  FrequencyDistribution CurrentXi(int g) const;
   const FrequencyDistribution& TargetXi(int g) const {
     return target_xi_[static_cast<size_t>(g)];
   }
@@ -116,22 +118,17 @@ class CoappearPropertyTool : public PropertyTool {
   /// below is a flat array indexed by an id or a tuple slot.
   struct GroupState {
     KeyInterner combos;  // combo b; width = number of parents
-    KeyInterner vecs;    // vector v; width = number of members
+    // vector v (width = number of members) -> current count xi(v) and
+    // target count; the all-zero vector's count is implicit.
+    CountGapTable xi;
     // combo id -> vector id (-1: all-zero, i.e. the combo is absent)
     // and the combo's slot in that vector's bucket.
     std::vector<int32_t> combo_vec;
     std::vector<int32_t> combo_slot;
-    int64_t live_combos = 0;  // combos whose vector is not all-zero
     // vector id -> combos realizing it. A fresh Bind fills a bucket in
     // combo-key order; later arrivals append and removals tombstone, so
     // live order is what push_back + find/erase would leave.
     std::vector<TombstoneBucket> buckets;
-    // vector id -> the vector as a Key (xi_ is keyed by it) and its
-    // target count. Every target vector is interned while bound, so a
-    // vector without an id has current and target count zero.
-    std::vector<Key> vec_key;
-    std::vector<int64_t> target_count;
-    int64_t n_fk = 1;  // max(1, target mass): the error's normalizer
     // per member: one list of tuple slots per combo id, in arrival
     // order, and tuple slot -> combo id (-1 = not counted).
     std::vector<SlotLists> tuples_by_combo;
@@ -177,11 +174,10 @@ class CoappearPropertyTool : public PropertyTool {
   /// Moves combo `c` of group g by `delta` appearances in member `mi`
   /// (tuple `t` joins or leaves its list).
   void AdjustCombo(int g, int mi, TupleId t, int32_t c, int64_t delta);
-  /// Id of combo b / vector v, growing the per-id tables on first use.
+  /// Id of combo b, growing the per-combo tables on first use.
   int32_t InternCombo(GroupState* st, std::span<const int64_t> b);
-  int32_t InternVec(GroupState* st, std::span<const int64_t> v);
-  /// Interns every target vector and refreshes the target counts and
-  /// n_fk of the bound state; every target setter calls it.
+  /// Loads every group's target into its bound table; every target
+  /// setter calls it.
   void IndexTargets();
   /// Simulated error change of applying `s`'s transitions (shared by
   /// the single and batch validation paths). A finite `veto_cap` allows
@@ -199,19 +195,17 @@ class CoappearPropertyTool : public PropertyTool {
                  const std::vector<Value>* overlay_vals, bool deleted_cells,
                  int64_t* b) const;
 
-  /// Current count of vector v in group g, including the implicit
-  /// zero vector.
-  int64_t CurrentCount(int g, const Key& v) const;
-  int64_t TargetCount(int g, const Key& v) const;
-  /// Number of possible combos = product of parent sizes.
+  /// Number of possible combos = product of parent sizes: the mass of
+  /// xi including the zero vector.
   int64_t CurrentComboSpace(int g) const;
-
-  double GroupError(int g) const;
+  /// max(1, target mass): group g's error normalizer N_FK.
+  double NFk(int g) const;
 
   /// One Algorithm-2 unit: convert one combo from vector `from` to
   /// vector `to` in group g. Returns false if no combo realizes
   /// `from` (or no fresh combo can be sampled when `from` is zero).
-  bool ConvertOne(TweakContext* ctx, int g, const Key& from, const Key& to);
+  bool ConvertOne(TweakContext* ctx, int g, std::span<const int64_t> from,
+                  std::span<const int64_t> to);
 
   Status ProposeOrForce(TweakContext* ctx, const Modification& mod,
                         int* veto_budget, TupleId* new_tuple = nullptr);
@@ -233,7 +227,6 @@ class CoappearPropertyTool : public PropertyTool {
 
   Database* db_ = nullptr;
   std::vector<GroupState> state_;
-  std::vector<FrequencyDistribution> xi_;
   // Deletion victims must be unreferenced (members can be post tables
   // that response tables reference, e.g. Review in the Douban schemas).
   std::unique_ptr<RefCounter> refcount_;

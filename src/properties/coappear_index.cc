@@ -5,53 +5,6 @@
 
 namespace aspect {
 
-KeyInterner::KeyInterner(int width) : width_(width) { Rehash(16); }
-
-uint64_t KeyInterner::Hash(std::span<const int64_t> key) const {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const int64_t x : key) {
-    h ^= static_cast<uint64_t>(x);
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 31;
-  }
-  h *= 0x94d049bb133111ebULL;
-  return h ^ (h >> 29);
-}
-
-int32_t KeyInterner::Find(std::span<const int64_t> key) const {
-  assert(static_cast<int>(key.size()) == width_);
-  const size_t mask = index_.size() - 1;
-  for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
-    const int32_t id = index_[i];
-    if (id < 0) return -1;
-    if (std::equal(key.begin(), key.end(), this->key(id).begin())) return id;
-  }
-}
-
-int32_t KeyInterner::Intern(std::span<const int64_t> key) {
-  const int32_t found = Find(key);
-  if (found >= 0) return found;
-  if (static_cast<size_t>(size_ + 1) * 2 > index_.size()) {
-    Rehash(index_.size() * 2);
-  }
-  const size_t mask = index_.size() - 1;
-  size_t i = Hash(key) & mask;
-  while (index_[i] >= 0) i = (i + 1) & mask;
-  keys_.insert(keys_.end(), key.begin(), key.end());
-  index_[i] = size_;
-  return size_++;
-}
-
-void KeyInterner::Rehash(size_t capacity) {
-  index_.assign(capacity, -1);
-  const size_t mask = capacity - 1;
-  for (int32_t id = 0; id < size_; ++id) {
-    size_t i = Hash(key(id)) & mask;
-    while (index_[i] >= 0) i = (i + 1) & mask;
-    index_[i] = id;
-  }
-}
-
 int32_t TombstoneBucket::PushBack(int32_t id) {
   ids_.push_back(id);
   if (tree_.empty()) tree_.push_back(0);

@@ -1,6 +1,5 @@
 // Flat containers behind CoappearPropertyTool's bound statistics
-// (DESIGN.md §15):
-//   - KeyInterner: fixed-width int64 keys interned as dense int32 ids,
+// (DESIGN.md §15); its keys and counts live in stats/count_gap.h:
 //   - TombstoneBucket: an ordered id array whose removals clear a live
 //     bit in O(log n) and whose live entries are addressable by rank,
 //   - SlotLists: intrusive doubly-linked lists over tuple slots.
@@ -8,39 +7,11 @@
 // random rank drawn against them picks the same element.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace aspect {
-
-/// Interns fixed-width keys of int64 values as dense ids 0, 1, 2, ...
-/// Ids are never freed: a key keeps its id for the table's lifetime.
-class KeyInterner {
- public:
-  explicit KeyInterner(int width = 1);
-
-  int width() const { return width_; }
-  int32_t size() const { return size_; }
-
-  /// Id of `key` (width() values), or -1 if it was never interned.
-  int32_t Find(std::span<const int64_t> key) const;
-  /// Id of `key`, interning it first if needed.
-  int32_t Intern(std::span<const int64_t> key);
-  std::span<const int64_t> key(int32_t id) const {
-    return {keys_.data() + static_cast<size_t>(id) * width_,
-            static_cast<size_t>(width_)};
-  }
-
- private:
-  uint64_t Hash(std::span<const int64_t> key) const;
-  void Rehash(size_t capacity);
-
-  int width_;
-  int32_t size_ = 0;
-  std::vector<int64_t> keys_;   // size_ * width_ values
-  std::vector<int32_t> index_;  // open addressing; -1 = empty slot
-};
 
 /// An append-ordered array of ids in which removal leaves a tombstone.
 /// Live entries keep their relative order, exactly as with

@@ -435,10 +435,7 @@ Status DegreeDistributionTool::LoadTarget(std::istream* in) {
     if (!(*in >> tag >> target_parents_[e]) || tag != "edge") {
       return Status::IoError("degree: bad edge header");
     }
-    ASPECT_ASSIGN_OR_RETURN(target_[e], FrequencyDistribution::Read(in));
-    if (target_[e].dim() != 1) {
-      return Status::IoError("degree: distribution dim mismatch");
-    }
+    ASPECT_ASSIGN_OR_RETURN(target_[e], FrequencyDistribution::Read(in, 1));
   }
   return Status::OK();
 }

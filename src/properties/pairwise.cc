@@ -1,6 +1,7 @@
 #include "properties/pairwise.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <istream>
@@ -22,6 +23,22 @@ bool EraseFrom(std::vector<TupleId>* v, TupleId t) {
   return true;
 }
 
+// Counts `who` into (d > 0) or out of (d < 0) key `key` of `table` and
+// its bucket of realizing pairs or users.
+template <typename Bucket, typename Who>
+void Move(CountGapTable* table, std::vector<Bucket>* buckets,
+          std::span<const int64_t> key, const Who& who, int64_t d) {
+  const int32_t id = table->Intern(key);
+  buckets->resize(static_cast<size_t>(table->size()));
+  table->Add(id, d);
+  Bucket& bucket = (*buckets)[static_cast<size_t>(id)];
+  if (d > 0) {
+    bucket.insert(who);
+  } else {
+    bucket.erase(who);
+  }
+}
+
 }  // namespace
 
 PairwisePropertyTool::PairwisePropertyTool(const Schema& schema)
@@ -31,8 +48,6 @@ PairwisePropertyTool::PairwisePropertyTool(const Schema& schema)
         static_cast<int>(s));
     post_index_[schema_.TableIndex(specs_[s].post_table)].push_back(
         static_cast<int>(s));
-    rho_.emplace_back(2);
-    rho_self_.emplace_back(1);
     target_rho_.emplace_back(2);
     target_rho_self_.emplace_back(1);
   }
@@ -80,7 +95,20 @@ Status PairwisePropertyTool::SetTargetFromDataset(
     target_rho_self_[s] = std::move(rho_self);
     target_users_[s] = user->NumTuples();
   }
+  IndexTargets();
   return Status::OK();
+}
+
+void PairwisePropertyTool::IndexTargets() {
+  if (!bound()) return;
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    SpecState& st = state_[s];
+    const int64_t users = target_users_[s];
+    st.rho.SetTarget(target_rho_[s], users * (users - 1));
+    st.self.SetTarget(target_rho_self_[s], users);
+    st.buckets.resize(static_cast<size_t>(st.rho.size()));
+    st.self_buckets.resize(static_cast<size_t>(st.self.size()));
+  }
 }
 
 Status PairwisePropertyTool::Bind(Database* db) {
@@ -89,8 +117,6 @@ Status PairwisePropertyTool::Bind(Database* db) {
   for (size_t s = 0; s < specs_.size(); ++s) {
     const ResponseSpec& spec = specs_[s];
     SpecState& st = state_[s];
-    rho_[s].Clear();
-    rho_self_[s].Clear();
     const Table* resp = db_->FindTable(spec.response_table);
     const Table* post = db_->FindTable(spec.post_table);
     st.resp_user.assign(static_cast<size_t>(resp->NumSlots()),
@@ -117,14 +143,10 @@ Status PairwisePropertyTool::Bind(Database* db) {
       st.responses_by_post[p].push_back(rid);
       const TupleId v = st.post_author[static_cast<size_t>(p)];
       st.responses[{u, v}].push_back(rid);
-      NChange c;
-      c.spec = static_cast<int>(s);
-      c.u = u;
-      c.v = v;
-      c.delta = 1;
-      ApplyNChange(c);
+      ApplyNChange({static_cast<int>(s), u, v, 1});
     });
   }
+  IndexTargets();
   db_->AddListener(this);
   return Status::OK();
 }
@@ -142,25 +164,18 @@ void PairwisePropertyTool::ApplyNChange(const NChange& c) {
   auto& incoming = st.incoming[c.v];
   incoming += c.delta;
   if (incoming == 0) st.incoming.erase(c.v);
-  FrequencyDistribution& rho = rho_[static_cast<size_t>(c.spec)];
-  FrequencyDistribution& rho_self = rho_self_[static_cast<size_t>(c.spec)];
   auto count = [&](TupleId a, TupleId b) -> int64_t {
     const auto it = st.n.find({a, b});
     return it == st.n.end() ? 0 : it->second;
   };
   if (c.u == c.v) {
     const int64_t x = count(c.u, c.u);
-    if (x > 0) {
-      rho_self.Add({x}, -1);
-      st.self_buckets[x].erase(c.u);
-      if (st.self_buckets[x].empty()) st.self_buckets.erase(x);
-    }
+    if (x > 0) Move(&st.self, &st.self_buckets, std::array{x}, c.u, -1);
     const int64_t nx = x + c.delta;
     assert(nx >= 0);
     if (nx > 0) {
       st.n[{c.u, c.u}] = nx;
-      rho_self.Add({nx}, 1);
-      st.self_buckets[nx].insert(c.u);
+      Move(&st.self, &st.self_buckets, std::array{nx}, c.u, +1);
     } else {
       st.n.erase({c.u, c.u});
     }
@@ -168,16 +183,11 @@ void PairwisePropertyTool::ApplyNChange(const NChange& c) {
   }
   const int64_t x = count(c.u, c.v);
   const int64_t y = count(c.v, c.u);
+  const UserPair uv{c.u, c.v};
+  const UserPair vu{c.v, c.u};
   if (x != 0 || y != 0) {
-    rho.Add({x, y}, -1);
-    rho.Add({y, x}, -1);
-    auto debucket = [&](const Key& k, const UserPair& p) {
-      const auto it = st.buckets.find(k);
-      it->second.erase(p);
-      if (it->second.empty()) st.buckets.erase(it);
-    };
-    debucket({x, y}, {c.u, c.v});
-    debucket({y, x}, {c.v, c.u});
+    Move(&st.rho, &st.buckets, std::array{x, y}, uv, -1);
+    Move(&st.rho, &st.buckets, std::array{y, x}, vu, -1);
   }
   const int64_t nx = x + c.delta;
   assert(nx >= 0);
@@ -187,10 +197,8 @@ void PairwisePropertyTool::ApplyNChange(const NChange& c) {
     st.n.erase({c.u, c.v});
   }
   if (nx != 0 || y != 0) {
-    rho.Add({nx, y}, 1);
-    rho.Add({y, nx}, 1);
-    st.buckets[{nx, y}].insert({c.u, c.v});
-    st.buckets[{y, nx}].insert({c.v, c.u});
+    Move(&st.rho, &st.buckets, std::array{nx, y}, uv, +1);
+    Move(&st.rho, &st.buckets, std::array{y, nx}, vu, +1);
   }
 }
 
@@ -236,13 +244,9 @@ PairwisePropertyTool::CollectNChanges(const Modification& mod,
         return {u, *counted ? author_of(p) : kInvalidTuple};
       };
       auto emit = [&](TupleId u, TupleId v, int64_t delta) {
-        if (u == kInvalidTuple || v == kInvalidTuple) return;
-        NChange c;
-        c.spec = s;
-        c.u = u;
-        c.v = v;
-        c.delta = delta;
-        out.push_back(c);
+        if (u != kInvalidTuple && v != kInvalidTuple) {
+          out.push_back({s, u, v, delta});
+        }
       };
       switch (mod.kind) {
         case OpKind::kInsertTuple: {
@@ -328,20 +332,8 @@ PairwisePropertyTool::CollectNChanges(const Modification& mod,
         for (const TupleId rid : lit->second) {
           const TupleId u = st.resp_user[static_cast<size_t>(rid)];
           if (u == kInvalidTuple) continue;
-          NChange c;
-          c.spec = s;
-          c.u = u;
-          c.delta = 0;  // filled below
-          if (old_a != kInvalidTuple) {
-            c.v = old_a;
-            c.delta = -1;
-            out.push_back(c);
-          }
-          if (new_a != kInvalidTuple) {
-            c.v = new_a;
-            c.delta = +1;
-            out.push_back(c);
-          }
+          if (old_a != kInvalidTuple) out.push_back({s, u, old_a, -1});
+          if (new_a != kInvalidTuple) out.push_back({s, u, new_a, +1});
         }
       }
     }
@@ -518,51 +510,42 @@ void PairwisePropertyTool::OnApplied(const Modification& mod,
   ApplyStructural(mod, old_values, new_tuple);
 }
 
-int64_t PairwisePropertyTool::CurrentZeroPairs(int s) const {
+void PairwisePropertyTool::SetSpaces(int s) {
   const Table* t = db_->FindTable(schema_.user_table);
-  if (t == nullptr) return 0;  // user table dropped since the bind
-  const int64_t users = t->NumTuples();
-  return users * (users - 1) - rho_[static_cast<size_t>(s)].TotalMass();
+  const int64_t users = t == nullptr ? 0 : t->NumTuples();
+  SpecState& st = state_[static_cast<size_t>(s)];
+  st.rho.SetSpace(users * (users - 1));
+  st.self.SetSpace(users);
 }
 
-int64_t PairwisePropertyTool::TargetZeroPairs(int s) const {
-  const int64_t users = target_users_[static_cast<size_t>(s)];
-  return users * (users - 1) -
-         target_rho_[static_cast<size_t>(s)].TotalMass();
+double PairwisePropertyTool::Denominator(int s) const {
+  const SpecState& st = state_[static_cast<size_t>(s)];
+  return static_cast<double>(std::max<int64_t>(
+      1, st.rho.target_mass() + st.self.target_mass()));
 }
 
-int64_t PairwisePropertyTool::CurrentZeroSelf(int s) const {
-  const Table* t = db_->FindTable(schema_.user_table);
-  if (t == nullptr) return 0;  // user table dropped since the bind
-  return t->NumTuples() - rho_self_[static_cast<size_t>(s)].TotalMass();
+FrequencyDistribution PairwisePropertyTool::CurrentRho(int s) const {
+  return bound() ? state_[static_cast<size_t>(s)].rho.Current()
+                 : FrequencyDistribution(2);
 }
 
-int64_t PairwisePropertyTool::TargetZeroSelf(int s) const {
-  return target_users_[static_cast<size_t>(s)] -
-         target_rho_self_[static_cast<size_t>(s)].TotalMass();
+FrequencyDistribution PairwisePropertyTool::CurrentRhoSelf(int s) const {
+  return bound() ? state_[static_cast<size_t>(s)].self.Current()
+                 : FrequencyDistribution(1);
 }
 
-double PairwisePropertyTool::SpecError(int s) const {
+double PairwisePropertyTool::Error() const {
+  if (specs_.empty() || db_ == nullptr) return 0.0;
   // epsilon_rho = (1/N_user-pair) sum |rho - rho~| over interacting
   // pairs, where N_user-pair is the number of interacting (ordered)
   // pairs in the target - the normalization under which the paper's
   // bound of 2 is tight (Sec. VI-C1). Self-responses are measured the
   // same way and folded in.
-  const int64_t denom = std::max<int64_t>(
-      1, target_rho_[static_cast<size_t>(s)].TotalMass() +
-             target_rho_self_[static_cast<size_t>(s)].TotalMass());
-  int64_t sum =
-      rho_[static_cast<size_t>(s)].L1Distance(target_rho_[static_cast<size_t>(s)]);
-  sum += rho_self_[static_cast<size_t>(s)].L1Distance(
-      target_rho_self_[static_cast<size_t>(s)]);
-  return static_cast<double>(sum) / static_cast<double>(denom);
-}
-
-double PairwisePropertyTool::Error() const {
-  if (specs_.empty() || db_ == nullptr) return 0.0;
   double sum = 0;
   for (size_t s = 0; s < specs_.size(); ++s) {
-    sum += SpecError(static_cast<int>(s));
+    const SpecState& st = state_[s];
+    sum += static_cast<double>(st.rho.gap() + st.self.gap()) /
+           Denominator(static_cast<int>(s));
   }
   return sum / static_cast<double>(specs_.size());
 }
@@ -604,11 +587,11 @@ double PairwisePropertyTool::PenaltyOfChanges(
     const std::vector<NChange>& changes, double veto_cap) const {
   if (changes.empty()) return 0.0;
   const bool capped = veto_cap != kNoPenaltyCap;
-  // Simulate: n-values overlay, rho deltas.
+  // Simulate: n-values overlay, rho and rho_S deltas keyed by (is
+  // rho_S, spec, key), so every rho term sorts before every rho_S one.
   std::map<std::tuple<int, TupleId, TupleId>, int64_t> sim_n;
-  std::map<std::pair<int, Key>, int64_t> rho_delta;
-  std::map<std::pair<int, Key>, int64_t> self_delta;
-  std::map<int, int64_t> zero_pair_delta, zero_self_delta;
+  using DeltaKey = std::tuple<bool, int, Key>;
+  std::map<DeltaKey, int64_t> deltas;
   auto count = [&](int s, TupleId a, TupleId b) -> int64_t {
     const auto& n = state_[static_cast<size_t>(s)].n;
     const auto it = n.find({a, b});
@@ -617,38 +600,24 @@ double PairwisePropertyTool::PenaltyOfChanges(
     if (sit != sim_n.end()) base += sit->second;
     return base;
   };
-  auto denom_of = [&](int s) {
-    return static_cast<double>(std::max<int64_t>(
-        1, target_rho_[static_cast<size_t>(s)].TotalMass() +
-               target_rho_self_[static_cast<size_t>(s)].TotalMass()));
-  };
   // Capped pricing keeps each spec's partial penalty numerator exact
   // (in integers): the final loops' |cur+delta-tgt| - |cur-tgt| term,
   // summed over this spec's rho/self delta keys, re-adjusted on every
   // delta change. The early-exit test then sums a handful of exact
   // integer numerators instead of accumulating a drifting float.
   std::map<int, int64_t> spec_num;
-  auto rho_term = [&](int s, const Key& key, int64_t delta) -> int64_t {
-    const int64_t cur = rho_[static_cast<size_t>(s)].Count(key);
-    const int64_t tgt = target_rho_[static_cast<size_t>(s)].Count(key);
-    return std::llabs(cur + delta - tgt) - std::llabs(cur - tgt);
+  auto term = [&](const DeltaKey& k, int64_t delta) {
+    const auto& [self, s, key] = k;
+    const SpecState& st = state_[static_cast<size_t>(s)];
+    const CountGapTable& t = self ? st.self : st.rho;
+    return t.Term(t.Find(key), delta);
   };
-  auto self_term = [&](int s, const Key& key, int64_t delta) -> int64_t {
-    const int64_t cur = rho_self_[static_cast<size_t>(s)].Count(key);
-    const int64_t tgt = target_rho_self_[static_cast<size_t>(s)].Count(key);
-    return std::llabs(cur + delta - tgt) - std::llabs(cur - tgt);
-  };
-  auto rho_bump = [&](int s, const Key& key, int64_t d) {
-    int64_t& slot = rho_delta[{s, key}];
-    if (capped) spec_num[s] -= rho_term(s, key, slot);
+  auto bump = [&](bool self, int s, const Key& key, int64_t d) {
+    const DeltaKey k{self, s, key};
+    int64_t& slot = deltas[k];
+    if (capped) spec_num[s] -= term(k, slot);
     slot += d;
-    if (capped) spec_num[s] += rho_term(s, key, slot);
-  };
-  auto self_bump = [&](int s, const Key& key, int64_t d) {
-    int64_t& slot = self_delta[{s, key}];
-    if (capped) spec_num[s] -= self_term(s, key, slot);
-    slot += d;
-    if (capped) spec_num[s] += self_term(s, key, slot);
+    if (capped) spec_num[s] += term(k, slot);
   };
   // suffix[i] bounds how much the numerators can still move pricing
   // changes[i..): a pair change touches four rho entries by +-1, a
@@ -661,46 +630,35 @@ double PairwisePropertyTool::PenaltyOfChanges(
     suffix.assign(changes.size() + 1, 0.0);
     for (size_t i = changes.size(); i-- > 0;) {
       const double moves = changes[i].u == changes[i].v ? 2.0 : 4.0;
-      suffix[i] = suffix[i + 1] + moves / denom_of(changes[i].spec);
+      suffix[i] = suffix[i + 1] + moves / Denominator(changes[i].spec);
     }
   }
   for (size_t ci = 0; ci < changes.size(); ++ci) {
     const NChange& c = changes[ci];
     if (c.u == c.v) {
       const int64_t x = count(c.spec, c.u, c.u);
-      if (x > 0) {
-        self_bump(c.spec, {x}, -1);
-      } else {
-        zero_self_delta[c.spec] -= 1;
-      }
+      // The zero key is excluded from the measure, as in Error().
+      if (x > 0) bump(true, c.spec, {x}, -1);
       const int64_t nx = x + c.delta;
-      if (nx > 0) {
-        self_bump(c.spec, {nx}, +1);
-      } else {
-        zero_self_delta[c.spec] += 1;
-      }
+      if (nx > 0) bump(true, c.spec, {nx}, +1);
     } else {
       const int64_t x = count(c.spec, c.u, c.v);
       const int64_t y = count(c.spec, c.v, c.u);
       if (x != 0 || y != 0) {
-        rho_bump(c.spec, {x, y}, -1);
-        rho_bump(c.spec, {y, x}, -1);
-      } else {
-        zero_pair_delta[c.spec] -= 2;
+        bump(false, c.spec, {x, y}, -1);
+        bump(false, c.spec, {y, x}, -1);
       }
       const int64_t nx = x + c.delta;
       if (nx != 0 || y != 0) {
-        rho_bump(c.spec, {nx, y}, +1);
-        rho_bump(c.spec, {y, nx}, +1);
-      } else {
-        zero_pair_delta[c.spec] += 2;
+        bump(false, c.spec, {nx, y}, +1);
+        bump(false, c.spec, {y, nx}, +1);
       }
     }
     sim_n[{c.spec, c.u, c.v}] += c.delta;
     if (capped) {
       double running = 0;
       for (const auto& [s, num] : spec_num) {
-        running += static_cast<double>(num) / denom_of(s);
+        running += static_cast<double>(num) / Denominator(s);
       }
       const double floor_penalty = (running - suffix[ci + 1]) /
                                    static_cast<double>(specs_.size());
@@ -710,28 +668,11 @@ double PairwisePropertyTool::PenaltyOfChanges(
       }
     }
   }
-  // The (0,0) mass is excluded from the measure, matching SpecError.
-  (void)zero_pair_delta;
-  (void)zero_self_delta;
   double penalty = 0;
-  for (const auto& [sk, delta] : rho_delta) {
+  for (const auto& [k, delta] : deltas) {
     if (delta == 0) continue;
-    const auto& [s, key] = sk;
-    const int64_t cur = rho_[static_cast<size_t>(s)].Count(key);
-    const int64_t tgt = target_rho_[static_cast<size_t>(s)].Count(key);
-    penalty += static_cast<double>(std::llabs(cur + delta - tgt) -
-                                   std::llabs(cur - tgt)) /
-               denom_of(s);
-  }
-  for (const auto& [sk, delta] : self_delta) {
-    if (delta == 0) continue;
-    const auto& [s, key] = sk;
-    const int64_t cur = rho_self_[static_cast<size_t>(s)].Count(key);
-    const int64_t tgt =
-        target_rho_self_[static_cast<size_t>(s)].Count(key);
-    penalty += static_cast<double>(std::llabs(cur + delta - tgt) -
-                                   std::llabs(cur - tgt)) /
-               denom_of(s);
+    penalty += static_cast<double>(term(k, delta)) /
+               Denominator(std::get<1>(k));
   }
   return penalty / static_cast<double>(specs_.size());
 }
@@ -816,6 +757,7 @@ Status PairwisePropertyTool::RepairTarget() {
       ++d;
     }
   }
+  IndexTargets();
   return Status::OK();
 }
 
@@ -900,53 +842,29 @@ TupleId PairwisePropertyTool::EnsurePost(TweakContext* ctx, int s,
       Modification shift = Modification::ReplaceValues(
           spec.response_table, rids, {spec.post_col},
           {Value(static_cast<int64_t>(sibling))});
-      Status sh = ctx->TryApply(shift);
-      if (sh.IsValidationFailed()) sh = ctx->ForceApply(shift);
-      if (!sh.ok()) return kInvalidTuple;
+      if (!ctx->TryOrForce(shift).ok()) return kInvalidTuple;
     } else {
       for (const TupleId rid : rids) {
         Modification shift = Modification::ReplaceValues(
             spec.response_table, {rid}, {spec.post_col},
             {Value(static_cast<int64_t>(sibling))});
-        Status sh = ctx->TryApply(shift);
-        if (sh.IsValidationFailed()) sh = ctx->ForceApply(shift);
-        if (!sh.ok()) return kInvalidTuple;
+        if (!ctx->TryOrForce(shift).ok()) return kInvalidTuple;
       }
     }
     // Re-author the now-empty post to v.
     Modification reauthor = Modification::ReplaceValues(
         spec.post_table, {victim}, {spec.author_col},
         {Value(static_cast<int64_t>(v))});
-    Status ra = ctx->TryApply(reauthor);
-    if (ra.IsValidationFailed()) ra = ctx->ForceApply(reauthor);
-    if (!ra.ok()) return kInvalidTuple;
+    if (!ctx->TryOrForce(reauthor).ok()) return kInvalidTuple;
     return victim;
   }
   // Last resort: create a post for v (at most |U| - |P| of these).
-  std::vector<Value> row(static_cast<size_t>(post->num_columns()));
-  TupleId tmpl = kInvalidTuple;
-  for (int tries = 0; tries < 32 && tmpl == kInvalidTuple; ++tries) {
-    const TupleId cand = ctx->rng()->UniformInt(0, post->NumSlots() - 1);
-    if (post->IsLive(cand)) tmpl = cand;
-  }
-  for (int c = 0; c < post->num_columns(); ++c) {
-    if (tmpl != kInvalidTuple) {
-      row[static_cast<size_t>(c)] = post->column(c).Get(tmpl);
-    } else if (post->column(c).type() == ColumnType::kString) {
-      row[static_cast<size_t>(c)] = Value(std::string());
-    } else if (post->column(c).type() == ColumnType::kDouble) {
-      row[static_cast<size_t>(c)] = Value(0.0);
-    } else {
-      row[static_cast<size_t>(c)] = Value(int64_t{0});
-    }
-  }
+  std::vector<Value> row = ctx->TemplateRow(*post);
   row[static_cast<size_t>(spec.author_col)] =
       Value(static_cast<int64_t>(v));
   Modification ins = Modification::InsertTuple(spec.post_table, row);
   TupleId pid = kInvalidTuple;
-  Status st2 = ctx->TryApply(ins, &pid);
-  if (st2.IsValidationFailed()) st2 = ctx->ForceApply(ins, &pid);
-  if (!st2.ok()) return kInvalidTuple;
+  if (!ctx->TryOrForce(ins, &pid).ok()) return kInvalidTuple;
   ++st.created_posts;
   return pid;
 }
@@ -995,24 +913,7 @@ bool PairwisePropertyTool::AdjustResponses(TweakContext* ctx, int s,
     Table* resp = db_->FindTable(spec.response_table);
     if (resp == nullptr) return false;  // table dropped since the bind
     auto make_row = [&]() {
-      std::vector<Value> row(static_cast<size_t>(resp->num_columns()));
-      TupleId tmpl = kInvalidTuple;
-      for (int tries = 0; tries < 32 && tmpl == kInvalidTuple; ++tries) {
-        const TupleId cand =
-            ctx->rng()->UniformInt(0, resp->NumSlots() - 1);
-        if (resp->IsLive(cand)) tmpl = cand;
-      }
-      for (int c = 0; c < resp->num_columns(); ++c) {
-        if (tmpl != kInvalidTuple) {
-          row[static_cast<size_t>(c)] = resp->column(c).Get(tmpl);
-        } else if (resp->column(c).type() == ColumnType::kString) {
-          row[static_cast<size_t>(c)] = Value(std::string());
-        } else if (resp->column(c).type() == ColumnType::kDouble) {
-          row[static_cast<size_t>(c)] = Value(0.0);
-        } else {
-          row[static_cast<size_t>(c)] = Value(int64_t{0});
-        }
-      }
+      std::vector<Value> row = ctx->TemplateRow(*resp);
       row[static_cast<size_t>(spec.responder_col)] =
           Value(static_cast<int64_t>(u));
       return row;
@@ -1064,7 +965,8 @@ bool PairwisePropertyTool::AdjustResponses(TweakContext* ctx, int s,
 }
 
 bool PairwisePropertyTool::ConvertPair(TweakContext* ctx, int s,
-                                       const Key& from, const Key& to) {
+                                       std::span<const int64_t> from,
+                                       std::span<const int64_t> to) {
   SpecState& st = state_[static_cast<size_t>(s)];
   TupleId u = kInvalidTuple, v = kInvalidTuple;
   if (from[0] == 0 && from[1] == 0) {
@@ -1086,21 +988,21 @@ bool PairwisePropertyTool::ConvertPair(TweakContext* ctx, int s,
       break;
     }
   } else {
-    const auto bit = st.buckets.find(from);
-    if (bit == st.buckets.end() || bit->second.empty()) return false;
+    const int32_t id = st.rho.Find(from);
+    if (id < 0 || st.buckets[static_cast<size_t>(id)].empty()) return false;
+    const std::set<UserPair>& bucket = st.buckets[static_cast<size_t>(id)];
     auto incoming_of = [&](TupleId w) {
       const auto it = st.incoming.find(w);
       return it == st.incoming.end() ? int64_t{0} : it->second;
     };
     // Probe a few pairs; prefer ones whose receivers keep other
     // incoming responses after the conversion (no reachability flip).
-    auto it = bit->second.begin();
+    auto it = bucket.begin();
     std::advance(it, ctx->rng()->UniformInt(
                          0, std::min<int64_t>(
-                                static_cast<int64_t>(bit->second.size()) - 1,
-                                15)));
-    for (int probes = 0;
-         probes < 12 && std::next(it) != bit->second.end(); ++probes) {
+                                static_cast<int64_t>(bucket.size()) - 1, 15)));
+    for (int probes = 0; probes < 12 && std::next(it) != bucket.end();
+         ++probes) {
       const bool v_safe =
           !(to[0] == 0 && from[0] > 0) || incoming_of(it->second) > from[0];
       const bool u_safe =
@@ -1130,13 +1032,15 @@ bool PairwisePropertyTool::ConvertSelf(TweakContext* ctx, int s,
       }
     }
   } else {
-    const auto bit = st.self_buckets.find(from);
-    if (bit == st.self_buckets.end() || bit->second.empty()) return false;
-    auto it = bit->second.begin();
+    const int32_t id = st.self.Find(std::array{from});
+    if (id < 0 || st.self_buckets[static_cast<size_t>(id)].empty()) {
+      return false;
+    }
+    const std::set<TupleId>& bucket = st.self_buckets[static_cast<size_t>(id)];
+    auto it = bucket.begin();
     std::advance(it, ctx->rng()->UniformInt(
                          0, std::min<int64_t>(
-                                static_cast<int64_t>(bit->second.size()) - 1,
-                                15)));
+                                static_cast<int64_t>(bucket.size()) - 1, 15)));
     u = *it;
   }
   if (u == kInvalidTuple) return false;
@@ -1147,84 +1051,21 @@ Status PairwisePropertyTool::Tweak(TweakContext* ctx) {
   if (!bound()) return Status::Invalid("pairwise: Tweak needs Bind");
   for (size_t s = 0; s < specs_.size(); ++s) {
     const int si = static_cast<int>(s);
-    // --- ordered pair distribution (Algorithm 3) ---
-    int64_t guard = rho_[s].L1Distance(target_rho_[s]) +
-                    std::llabs(CurrentZeroPairs(si) - TargetZeroPairs(si)) +
-                    64;
-    std::set<Key> stuck;
-    const Key zero = {0, 0};
-    while (guard-- > 0) {
-      Key deficit;
-      bool found = false;
-      for (const auto& [k, c] : target_rho_[s].counts()) {
-        if (stuck.count(k) == 0 && rho_[s].Count(k) < c) {
-          deficit = k;
-          found = true;
-          break;
-        }
-      }
-      if (!found && stuck.count(zero) == 0 &&
-          CurrentZeroPairs(si) < TargetZeroPairs(si)) {
-        deficit = zero;
-        found = true;
-      }
-      if (!found) break;
-      // Surpluses by Manhattan distance.
-      std::vector<std::pair<int64_t, Key>> surpluses;
-      for (const auto& [k, c] : rho_[s].counts()) {
-        if (c > target_rho_[s].Count(k)) {
-          surpluses.emplace_back(ManhattanDistance(k, deficit), k);
-        }
-      }
-      if (CurrentZeroPairs(si) > TargetZeroPairs(si)) {
-        surpluses.emplace_back(ManhattanDistance(zero, deficit), zero);
-      }
-      std::sort(surpluses.begin(), surpluses.end());
-      bool converted = false;
-      for (const auto& [dist, surplus] : surpluses) {
-        if (ConvertPair(ctx, si, surplus, deficit)) {
-          converted = true;
-          break;
-        }
-      }
-      if (!converted) stuck.insert(deficit);
-    }
-    // --- self distribution (Theorem 11) ---
-    guard = rho_self_[s].L1Distance(target_rho_self_[s]) +
-            std::llabs(CurrentZeroSelf(si) - TargetZeroSelf(si)) + 32;
-    std::set<int64_t> self_stuck;
-    while (guard-- > 0) {
-      int64_t deficit = -1;
-      for (const auto& [k, c] : target_rho_self_[s].counts()) {
-        if (self_stuck.count(k[0]) == 0 && rho_self_[s].Count(k) < c) {
-          deficit = k[0];
-          break;
-        }
-      }
-      if (deficit < 0 && self_stuck.count(0) == 0 &&
-          CurrentZeroSelf(si) < TargetZeroSelf(si)) {
-        deficit = 0;
-      }
-      if (deficit < 0) break;
-      std::vector<std::pair<int64_t, int64_t>> surpluses;
-      for (const auto& [k, c] : rho_self_[s].counts()) {
-        if (c > target_rho_self_[s].Count(k)) {
-          surpluses.emplace_back(std::llabs(k[0] - deficit), k[0]);
-        }
-      }
-      if (CurrentZeroSelf(si) > TargetZeroSelf(si)) {
-        surpluses.emplace_back(deficit, 0);
-      }
-      std::sort(surpluses.begin(), surpluses.end());
-      bool converted = false;
-      for (const auto& [dist, surplus] : surpluses) {
-        if (ConvertSelf(ctx, si, surplus, deficit)) {
-          converted = true;
-          break;
-        }
-      }
-      if (!converted) self_stuck.insert(deficit);
-    }
+    SpecState& st = state_[s];
+    // The ordered pair distribution (Algorithm 3), then the self
+    // distribution (Theorem 11). The user count sets both zero masses;
+    // it is re-read after every conversion.
+    SetSpaces(si);
+    st.rho.ConvertDeficits(st.rho.full_gap() + 64, [&](auto from, auto to) {
+      const bool converted = ConvertPair(ctx, si, from, to);
+      SetSpaces(si);
+      return converted;
+    });
+    st.self.ConvertDeficits(st.self.full_gap() + 32, [&](auto from, auto to) {
+      const bool converted = ConvertSelf(ctx, si, from[0], to[0]);
+      SetSpaces(si);
+      return converted;
+    });
   }
   return Status::OK();
 }
@@ -1245,17 +1086,21 @@ Status PairwisePropertyTool::LoadTarget(std::istream* in) {
   if (!(*in >> tag >> n) || tag != "pairwise" || n != specs_.size()) {
     return Status::IoError("pairwise: bad target header");
   }
+  std::vector<int64_t> users(n);
+  std::vector<FrequencyDistribution> rho, rho_self;
   for (size_t s = 0; s < n; ++s) {
-    if (!(*in >> tag >> target_users_[s]) || tag != "spec") {
+    if (!(*in >> tag >> users[s]) || tag != "spec") {
       return Status::IoError("pairwise: bad spec header");
     }
-    ASPECT_ASSIGN_OR_RETURN(target_rho_[s], FrequencyDistribution::Read(in));
-    ASPECT_ASSIGN_OR_RETURN(target_rho_self_[s],
-                            FrequencyDistribution::Read(in));
-    if (target_rho_[s].dim() != 2 || target_rho_self_[s].dim() != 1) {
-      return Status::IoError("pairwise: distribution dim mismatch");
-    }
+    ASPECT_ASSIGN_OR_RETURN(auto r, FrequencyDistribution::Read(in, 2));
+    ASPECT_ASSIGN_OR_RETURN(auto r_self, FrequencyDistribution::Read(in, 1));
+    rho.push_back(std::move(r));
+    rho_self.push_back(std::move(r_self));
   }
+  target_users_ = std::move(users);
+  target_rho_ = std::move(rho);
+  target_rho_self_ = std::move(rho_self);
+  IndexTargets();
   return Status::OK();
 }
 

@@ -13,6 +13,9 @@
 // no post to respond to, a post is stolen from a user with several
 // (shifting its responses to their other posts first) or, in the last
 // resort, newly created - at most |U| - |P| creations (Theorem 5).
+// Each spec keeps rho and rho_S with their targets in two
+// CountGapTables (stats/count_gap.h), which run that loop and measure
+// the error; this tool supplies the conversions.
 #pragma once
 
 #include <map>
@@ -21,6 +24,7 @@
 
 #include "aspect/property_tool.h"
 #include "aspect/tweak_context.h"
+#include "stats/count_gap.h"
 #include "stats/freq_dist.h"
 
 namespace aspect {
@@ -72,15 +76,13 @@ class PairwisePropertyTool : public PropertyTool {
                  TupleId new_tuple) override;
 
   int num_specs() const { return static_cast<int>(specs_.size()); }
-  /// Current ordered-pair distribution of spec s (zero pair implicit).
-  const FrequencyDistribution& CurrentRho(int s) const {
-    return rho_[static_cast<size_t>(s)];
-  }
+  /// Current ordered-pair distribution of spec s (zero pair implicit)
+  /// and self-response distribution, built from the bound tables;
+  /// empty while unbound.
+  FrequencyDistribution CurrentRho(int s) const;
+  FrequencyDistribution CurrentRhoSelf(int s) const;
   const FrequencyDistribution& TargetRho(int s) const {
     return target_rho_[static_cast<size_t>(s)];
-  }
-  const FrequencyDistribution& CurrentRhoSelf(int s) const {
-    return rho_self_[static_cast<size_t>(s)];
   }
 
  private:
@@ -91,10 +93,14 @@ class PairwisePropertyTool : public PropertyTool {
     std::map<UserPair, int64_t> n;
     // Response tuple ids per ordered (responder, author) pair.
     std::map<UserPair, std::vector<TupleId>> responses;
-    // (x, y) -> ordered pairs currently realizing it (x=n(u,v)).
-    std::map<FrequencyDistribution::Key, std::set<UserPair>> buckets;
-    // x -> users with x self-responses.
-    std::map<int64_t, std::set<TupleId>> self_buckets;
+    // rho: (x, y) -> ordered pairs (u, v) with x = n(u,v), y = n(v,u);
+    // rho_S: x -> users with x self-responses. Current and target
+    // counts; the zero key's are implicit.
+    CountGapTable rho{2};
+    CountGapTable self{1};
+    // Per rho / rho_S id: the pairs / users currently realizing it.
+    std::vector<std::set<UserPair>> buckets;
+    std::vector<std::set<TupleId>> self_buckets;
     // Response tuple caches (by slot): responder / post; -1 unknown.
     std::vector<TupleId> resp_user;
     std::vector<TupleId> resp_post;
@@ -135,11 +141,14 @@ class PairwisePropertyTool : public PropertyTool {
                        const std::vector<Value>& old_values,
                        TupleId new_tuple);
 
-  double SpecError(int s) const;
-  int64_t CurrentZeroPairs(int s) const;
-  int64_t TargetZeroPairs(int s) const;
-  int64_t CurrentZeroSelf(int s) const;
-  int64_t TargetZeroSelf(int s) const;
+  /// Loads every spec's targets into its bound tables; every target
+  /// setter calls it.
+  void IndexTargets();
+  /// Sets the current spaces of spec s's tables from the user table:
+  /// |U| (|U| - 1) ordered pairs, |U| self counts.
+  void SetSpaces(int s);
+  /// max(1, target pairs + target self users): spec s's normalizer.
+  double Denominator(int s) const;
 
   /// Ensures user `v` has at least one post, stealing or creating one
   /// (the Theorem 5 procedure). Returns the post id or kInvalidTuple.
@@ -152,9 +161,8 @@ class PairwisePropertyTool : public PropertyTool {
 
   /// Converts one pair from vector `from` to `to` (Algorithm 3 unit);
   /// zero vectors select a fresh non-interacting pair.
-  bool ConvertPair(TweakContext* ctx, int s,
-                   const FrequencyDistribution::Key& from,
-                   const FrequencyDistribution::Key& to);
+  bool ConvertPair(TweakContext* ctx, int s, std::span<const int64_t> from,
+                   std::span<const int64_t> to);
   /// Same for the self distribution (Theorem 11 unit).
   bool ConvertSelf(TweakContext* ctx, int s, int64_t from, int64_t to);
 
@@ -166,8 +174,6 @@ class PairwisePropertyTool : public PropertyTool {
 
   Database* db_ = nullptr;
   std::vector<SpecState> state_;
-  std::vector<FrequencyDistribution> rho_;       // dim 2, ordered pairs
-  std::vector<FrequencyDistribution> rho_self_;  // dim 1
 
   std::vector<FrequencyDistribution> target_rho_;
   std::vector<FrequencyDistribution> target_rho_self_;

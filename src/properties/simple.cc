@@ -970,9 +970,7 @@ Status DomainBoundsTool::Tweak(TweakContext* ctx) {
     Modification mod = Modification::ReplaceValues(
         table_, {tid}, {col},
         {Value(v < target_min_ ? target_min_ : target_max_)});
-    Status st = ctx->TryApply(mod);
-    if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-    ASPECT_RETURN_NOT_OK(st);
+    ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
   }
   // Pin one tuple to each missing bound.
   for (const auto& [needed, value] :
@@ -994,9 +992,7 @@ Status DomainBoundsTool::Tweak(TweakContext* ctx) {
       if (v == target_min_ || v == target_max_) continue;  // keep bounds
       Modification mod = Modification::ReplaceValues(table_, {tid}, {col},
                                                      {Value(value)});
-      Status st = ctx->TryApply(mod);
-      if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-      ASPECT_RETURN_NOT_OK(st);
+      ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
       break;
     }
   }
@@ -1143,9 +1139,7 @@ Status TupleCountTool::Tweak(TweakContext* ctx) {
       }
       if (tmpl == kInvalidTuple) break;
       Modification mod = Modification::InsertTuple(t.name(), t.GetRow(tmpl));
-      Status st = ctx->TryApply(mod);
-      if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-      ASPECT_RETURN_NOT_OK(st);
+      ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
     }
     // Shrink: delete unreferenced tuples.
     int64_t scan = t.NumSlots();
@@ -1153,9 +1147,7 @@ Status TupleCountTool::Tweak(TweakContext* ctx) {
       const TupleId cand = ctx->rng()->UniformInt(0, t.NumSlots() - 1);
       if (!t.IsLive(cand) || !refcount_->Unreferenced(ti, cand)) continue;
       Modification mod = Modification::DeleteTuple(t.name(), cand);
-      Status st = ctx->TryApply(mod);
-      if (st.IsValidationFailed()) st = ctx->ForceApply(mod);
-      ASPECT_RETURN_NOT_OK(st);
+      ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
     }
   }
   return Status::OK();

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/string_util.h"
+
 namespace aspect {
 
 void FrequencyDistribution::Add(const Key& key, int64_t delta) {
@@ -103,17 +105,22 @@ void FrequencyDistribution::Write(std::ostream* out) const {
   }
 }
 
-Result<FrequencyDistribution> FrequencyDistribution::Read(std::istream* in) {
+Result<FrequencyDistribution> FrequencyDistribution::Read(std::istream* in,
+                                                         int dim) {
   std::string tag;
-  int dim = 0;
+  int file_dim = 0;
   int64_t entries = 0;
-  if (!(*in >> tag >> dim >> entries) || tag != "dist" || dim < 1 ||
+  if (!(*in >> tag >> file_dim >> entries) || tag != "dist" ||
       entries < 0) {
     return Status::IoError("bad distribution header");
   }
+  if (file_dim != dim) {
+    return Status::IoError(StrFormat("distribution dim %d, expected %d",
+                                     file_dim, dim));
+  }
   FrequencyDistribution out(dim);
+  Key key(static_cast<size_t>(dim));
   for (int64_t e = 0; e < entries; ++e) {
-    Key key(static_cast<size_t>(dim));
     for (int64_t& v : key) {
       if (!(*in >> v)) return Status::IoError("truncated distribution");
     }

@@ -69,9 +69,10 @@ class FrequencyDistribution {
   std::string ToString(int64_t max_entries = 16) const;
 
   /// Serializes as lines "v1 v2 ... vk count" preceded by a header
-  /// "dist <dim> <entries>"; Read parses the same format.
+  /// "dist <dim> <entries>"; Read parses the same format and rejects a
+  /// header whose dim is not the caller's `dim`.
   void Write(std::ostream* out) const;
-  static Result<FrequencyDistribution> Read(std::istream* in);
+  static Result<FrequencyDistribution> Read(std::istream* in, int dim);
 
  private:
   int dim_;

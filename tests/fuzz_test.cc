@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <sstream>
 
 #include "properties/coappear.h"
 #include "properties/degree.h"
@@ -18,6 +19,14 @@
 
 namespace aspect {
 namespace {
+
+// Loads `from`'s targets into `to`, so that a fresh Bind of `to`
+// measures the error of `from`'s incrementally maintained state.
+void CopyTargets(const PropertyTool& from, PropertyTool* to) {
+  std::stringstream ss;
+  ASSERT_TRUE(from.SaveTarget(&ss).ok());
+  ASSERT_TRUE(to->LoadTarget(&ss).ok());
+}
 
 class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -211,8 +220,10 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         << "chain " << c;
   }
   CoappearPropertyTool coappear2(db->schema());
-  ASSERT_TRUE(coappear2.SetTargetFromDataset(*db).ok());
+  CopyTargets(coappear, &coappear2);
   ASSERT_TRUE(coappear2.Bind(db.get()).ok());
+  EXPECT_GT(coappear.Error(), 0.0);
+  EXPECT_EQ(coappear.Error(), coappear2.Error());
   for (size_t g = 0; g < coappear.groups().size(); ++g) {
     EXPECT_EQ(coappear.CurrentXi(static_cast<int>(g)),
               coappear2.CurrentXi(static_cast<int>(g)))
@@ -222,8 +233,10 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         << "group " << g;
   }
   PairwisePropertyTool pairwise2(db->schema());
-  ASSERT_TRUE(pairwise2.SetTargetFromDataset(*db).ok());
+  CopyTargets(pairwise, &pairwise2);
   ASSERT_TRUE(pairwise2.Bind(db.get()).ok());
+  EXPECT_GT(pairwise.Error(), 0.0);
+  EXPECT_EQ(pairwise.Error(), pairwise2.Error());
   for (int s = 0; s < pairwise.num_specs(); ++s) {
     EXPECT_EQ(pairwise.CurrentRho(s), pairwise2.CurrentRho(s)) << s;
     EXPECT_EQ(pairwise.CurrentRhoSelf(s), pairwise2.CurrentRhoSelf(s)) << s;
@@ -289,16 +302,20 @@ TEST(FuzzXiamiTest, HeavySchemaConsistency) {
         << c;
   }
   CoappearPropertyTool coappear2(db->schema());
-  ASSERT_TRUE(coappear2.SetTargetFromDataset(*db).ok());
+  CopyTargets(coappear, &coappear2);
   ASSERT_TRUE(coappear2.Bind(db.get()).ok());
+  ASSERT_GT(coappear.Error(), 0.0);
+  ASSERT_EQ(coappear.Error(), coappear2.Error());
   for (size_t g = 0; g < coappear.groups().size(); ++g) {
     ASSERT_EQ(coappear.CurrentXi(static_cast<int>(g)),
               coappear2.CurrentXi(static_cast<int>(g)))
         << g;
   }
   PairwisePropertyTool pairwise2(db->schema());
-  ASSERT_TRUE(pairwise2.SetTargetFromDataset(*db).ok());
+  CopyTargets(pairwise, &pairwise2);
   ASSERT_TRUE(pairwise2.Bind(db.get()).ok());
+  ASSERT_GT(pairwise.Error(), 0.0);
+  ASSERT_EQ(pairwise.Error(), pairwise2.Error());
   for (int s = 0; s < pairwise.num_specs(); ++s) {
     ASSERT_EQ(pairwise.CurrentRho(s), pairwise2.CurrentRho(s)) << s;
   }

@@ -1,9 +1,17 @@
-// Tests for src/stats: frequency distributions, fitting, sampling.
+// Tests for src/stats: frequency distributions, count-gap tables,
+// fitting, sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <set>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "relational/integrity.h"
+#include "stats/count_gap.h"
 #include "stats/fitting.h"
 #include "stats/freq_dist.h"
 #include "stats/sampler.h"
@@ -82,6 +90,192 @@ TEST(FreqDistTest, EqualityAndToString) {
 TEST(FreqDistTest, ManhattanDistance) {
   EXPECT_EQ(ManhattanDistance({1, 2, 3}, {4, 0, 3}), 5);
   EXPECT_EQ(ManhattanDistance({}, {}), 0);
+}
+
+using Key = FrequencyDistribution::Key;
+
+bool AllZero(const Key& k) {
+  return std::all_of(k.begin(), k.end(), [](int64_t x) { return x == 0; });
+}
+
+// The Algorithm 2/3 loop as the coappear and pairwise tools wrote it
+// over FrequencyDistributions, kept as the reference for
+// CountGapTable::ConvertDeficits. The zero key is implicit on both
+// sides: its count is the space minus the stored mass.
+void ReferenceConvertDeficits(const FrequencyDistribution& cur,
+                              int64_t space, const FrequencyDistribution& tgt,
+                              int64_t tgt_space, int64_t guard,
+                              const std::function<bool(Key, Key)>& convert) {
+  const Key zero(static_cast<size_t>(cur.dim()), 0);
+  auto current = [&](const Key& v) {
+    return AllZero(v) ? space - cur.TotalMass() : cur.Count(v);
+  };
+  auto target = [&](const Key& v) {
+    return AllZero(v) ? tgt_space - tgt.TotalMass() : tgt.Count(v);
+  };
+  std::set<Key> stuck;
+  while (guard-- > 0) {
+    Key deficit;
+    bool found = false;
+    for (const auto& [v, c] : tgt.counts()) {
+      if (stuck.count(v) == 0 && current(v) < c) {
+        deficit = v;
+        found = true;
+        break;
+      }
+    }
+    if (!found && stuck.count(zero) == 0 && current(zero) < target(zero)) {
+      deficit = zero;
+      found = true;
+    }
+    if (!found) break;
+    std::vector<std::pair<int64_t, Key>> surpluses;
+    for (const auto& [v, c] : cur.counts()) {
+      if (c > tgt.Count(v)) {
+        surpluses.emplace_back(ManhattanDistance(v, deficit), v);
+      }
+    }
+    if (current(zero) > target(zero)) {
+      surpluses.emplace_back(ManhattanDistance(zero, deficit), zero);
+    }
+    std::sort(surpluses.begin(), surpluses.end());
+    bool converted = false;
+    for (const auto& [dist, surplus] : surpluses) {
+      if (convert(surplus, deficit)) {
+        converted = true;
+        break;
+      }
+    }
+    if (!converted) stuck.insert(deficit);
+  }
+}
+
+// Seeded current and target distributions over 2-wide keys in [0, 4]^2
+// (keys only in one of them, the implicit zero key on either side), and
+// a conversion that fails for some pairs - sometimes after moving a
+// unit elsewhere, as a half-applied tool conversion does - so that
+// deficits get stuck and surplus lists go stale. The table must try
+// the reference's (surplus, deficit) sequence and end at its gap.
+TEST(CountGapTableTest, ConvertDeficitsMatchesReferenceLoop) {
+  int64_t calls = 0, failures = 0, zero_deficits = 0, zero_surpluses = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    FrequencyDistribution cur(2), tgt(2);
+    for (int64_t a = 0; a <= 4; ++a) {
+      for (int64_t b = 0; b <= 4; ++b) {
+        if (a == 0 && b == 0) continue;
+        if (rng.UniformInt(0, 2) > 0) cur.Add({a, b}, rng.UniformInt(1, 4));
+        if (rng.UniformInt(0, 2) > 0) tgt.Add({a, b}, rng.UniformInt(1, 4));
+      }
+    }
+    const int64_t space = cur.TotalMass() + rng.UniformInt(0, 12);
+    const int64_t tgt_space = tgt.TotalMass() + rng.UniformInt(0, 12);
+
+    // One simulated tool state per run; `count` and `move` act on it.
+    struct Run {
+      std::function<int64_t(const Key&)> count;
+      std::function<void(const Key&, const Key&)> move;
+      std::vector<std::pair<Key, Key>> tried;
+    };
+    auto make_convert = [&](Run* run) {
+      return [run, &calls, &failures](const Key& from, const Key& to) {
+        run->tried.emplace_back(from, to);
+        ++calls;
+        const auto n = static_cast<int64_t>(run->tried.size());
+        const int64_t h = (from[0] * 7 + from[1] * 13 + to[0] * 17 +
+                           to[1] * 19 + n * 31) % 5;
+        if (run->count(from) <= 0 || h == 0) {
+          ++failures;
+          return false;
+        }
+        if (h == 1) {  // half-applied: one unit moved elsewhere
+          ++failures;
+          run->move(from, {from[0] + 1, from[1]});
+          return false;
+        }
+        run->move(from, to);
+        return true;
+      };
+    };
+
+    FrequencyDistribution ref = cur;
+    Run ref_run;
+    ref_run.count = [&](const Key& v) {
+      return AllZero(v) ? space - ref.TotalMass() : ref.Count(v);
+    };
+    ref_run.move = [&](const Key& from, const Key& to) {
+      if (!AllZero(from)) ref.Add(from, -1);
+      if (!AllZero(to)) ref.Add(to, 1);
+    };
+    const int64_t guard =
+        2 * (cur.L1Distance(tgt) +
+             std::llabs((space - cur.TotalMass()) -
+                        (tgt_space - tgt.TotalMass()))) +
+        64;
+    ReferenceConvertDeficits(ref, space, tgt, tgt_space, guard,
+                             make_convert(&ref_run));
+
+    CountGapTable table(2);
+    for (const auto& [v, c] : cur.counts()) table.Add(table.Intern(v), c);
+    table.SetTarget(tgt, tgt_space);
+    table.SetSpace(space);
+    ASSERT_EQ(table.full_gap() * 2 + 64, guard);
+    Run table_run;
+    table_run.count = [&](const Key& v) {
+      if (AllZero(v)) return space - table.mass();
+      const int32_t id = table.Find(v);
+      return id < 0 ? int64_t{0} : table.count(id);
+    };
+    table_run.move = [&](const Key& from, const Key& to) {
+      if (!AllZero(from)) table.Add(table.Find(from), -1);
+      if (!AllZero(to)) table.Add(table.Intern(to), 1);
+    };
+    const auto table_convert = make_convert(&table_run);
+    table.ConvertDeficits(guard, [&](CountGapTable::Keys from,
+                                     CountGapTable::Keys to) {
+      return table_convert(Key(from.begin(), from.end()),
+                           Key(to.begin(), to.end()));
+    });
+
+    ASSERT_EQ(table_run.tried, ref_run.tried) << "seed " << seed;
+    ASSERT_EQ(table.gap(), ref.L1Distance(tgt)) << "seed " << seed;
+    ASSERT_EQ(table.Current(), ref) << "seed " << seed;
+    for (const auto& [from, to] : ref_run.tried) {
+      zero_surpluses += AllZero(from);
+      zero_deficits += AllZero(to);
+    }
+  }
+  // The seeds exercise every branch of the loop.
+  EXPECT_GT(calls, 3000);
+  EXPECT_GT(failures, 500);
+  EXPECT_GT(zero_deficits, 20);
+  EXPECT_GT(zero_surpluses, 20);
+}
+
+TEST(CountGapTableTest, GapMassAndTermsTrackAdds) {
+  FrequencyDistribution tgt(1);
+  tgt.Add({1}, 3);
+  tgt.Add({2}, 1);
+  CountGapTable table(1);
+  table.SetTarget(tgt, 10);
+  table.SetSpace(8);
+  EXPECT_EQ(table.target_mass(), 4);
+  EXPECT_EQ(table.gap(), 4);
+  EXPECT_EQ(table.full_gap(), 4 + 2);  // zero key: 8 - 0 vs 10 - 4
+  const int32_t one = table.Find(std::vector<int64_t>{1});
+  ASSERT_GE(one, 0);
+  EXPECT_EQ(table.Term(one, 2), -2);
+  EXPECT_EQ(table.Term(one, 7), 1);
+  EXPECT_EQ(table.Term(-1, -3), 3);  // never interned: both counts 0
+  table.Add(one, 2);
+  table.Add(table.Intern(std::vector<int64_t>{7}), 1);
+  EXPECT_EQ(table.mass(), 3);
+  EXPECT_EQ(table.gap(), 1 + 1 + 1);
+  EXPECT_EQ(table.full_gap(), 3 + 1);  // zero key: 8 - 3 vs 6
+  FrequencyDistribution want(1);
+  want.Add({1}, 2);
+  want.Add({7}, 1);
+  EXPECT_EQ(table.Current(), want);
 }
 
 TEST(FittingTest, ExactPolynomialRecovered) {

@@ -131,13 +131,62 @@ TEST(FreqDistIoTest, WriteReadRoundTrip) {
   d.Add({0, 0, 9}, -2);
   std::stringstream ss;
   d.Write(&ss);
-  const auto back = FrequencyDistribution::Read(&ss).ValueOrAbort();
+  const auto back = FrequencyDistribution::Read(&ss, 3).ValueOrAbort();
   EXPECT_EQ(back, d);
   // Corrupt input.
   std::stringstream bad("dist x");
-  EXPECT_FALSE(FrequencyDistribution::Read(&bad).ok());
+  EXPECT_FALSE(FrequencyDistribution::Read(&bad, 2).ok());
   std::stringstream truncated("dist 2 3\n1 2 5\n");
-  EXPECT_FALSE(FrequencyDistribution::Read(&truncated).ok());
+  EXPECT_FALSE(FrequencyDistribution::Read(&truncated, 2).ok());
+}
+
+// A header whose dimension is not the caller's is rejected before any
+// key is read, so a target file cannot size the reader's allocations.
+TEST(TargetsIoTest, WrongDimensionIsAnIoError) {
+  std::stringstream wide("dist 3 1\n1 2 3 4\n");
+  EXPECT_EQ(FrequencyDistribution::Read(&wide, 2).status().code(),
+            StatusCode::kIoError);
+
+  auto gen = GenerateDataset(DoubanMusicLike(0.2), 5).ValueOrAbort();
+  PairwisePropertyTool pairwise(gen.schema());
+  ASSERT_GT(pairwise.num_specs(), 0);
+  std::stringstream rho("pairwise " + std::to_string(pairwise.num_specs()) +
+                        "\nspec 10\ndist 3 0\ndist 1 0\n");
+  EXPECT_EQ(pairwise.LoadTarget(&rho).code(), StatusCode::kIoError);
+  std::stringstream self("pairwise " +
+                         std::to_string(pairwise.num_specs()) +
+                         "\nspec 10\ndist 2 0\ndist 2 0\n");
+  EXPECT_EQ(pairwise.LoadTarget(&self).code(), StatusCode::kIoError);
+  DegreeDistributionTool degree(gen.schema());
+  ASSERT_FALSE(degree.edges().empty());
+  std::stringstream deg("degree " + std::to_string(degree.edges().size()) +
+                        "\nedge 10\ndist 2 0\n");
+  EXPECT_EQ(degree.LoadTarget(&deg).code(), StatusCode::kIoError);
+}
+
+// Coappear's group header must name the group's own parent and member
+// counts, and its distribution the member count as dimension.
+TEST(TargetsIoTest, WrongParentOrMemberCountIsAnIoError) {
+  auto gen = GenerateDataset(DoubanMusicLike(0.2), 5).ValueOrAbort();
+  CoappearPropertyTool tool(gen.schema());
+  ASSERT_FALSE(tool.groups().empty());
+  const size_t parents = tool.groups()[0].parent_tables.size();
+  const size_t members = tool.groups()[0].member_tables.size();
+  // "<n> 4 4 ... 4": a count and n sizes.
+  auto sizes = [](size_t n) {
+    std::string out = std::to_string(n);
+    for (size_t i = 0; i < n; ++i) out += " 4";
+    return out + " ";
+  };
+  const std::string head =
+      "coappear " + std::to_string(tool.groups().size()) + "\ngroup ";
+  std::stringstream more_parents(head + sizes(parents + 1) + sizes(members));
+  EXPECT_EQ(tool.LoadTarget(&more_parents).code(), StatusCode::kIoError);
+  std::stringstream more_members(head + sizes(parents) + sizes(members + 1));
+  EXPECT_EQ(tool.LoadTarget(&more_members).code(), StatusCode::kIoError);
+  std::stringstream wider(head + sizes(parents) + sizes(members) + "\ndist " +
+                          std::to_string(members + 1) + " 0\n");
+  EXPECT_EQ(tool.LoadTarget(&wider).code(), StatusCode::kIoError);
 }
 
 }  // namespace
