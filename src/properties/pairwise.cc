@@ -13,41 +13,165 @@
 namespace aspect {
 namespace {
 
-using Key = FrequencyDistribution::Key;
-
-bool EraseFrom(std::vector<TupleId>* v, TupleId t) {
-  const auto it = std::find(v->begin(), v->end(), t);
-  if (it == v->end()) return false;
-  *it = v->back();
-  v->pop_back();
-  return true;
+// An ordered user pair as one bucket key: ascending keys are pairs in
+// ascending (u, v) order.
+uint64_t Pack(TupleId u, TupleId v) {
+  assert(u >= 0 && v >= 0 && u <= UINT32_MAX && v <= UINT32_MAX);
+  return static_cast<uint64_t>(u) << 32 | static_cast<uint64_t>(v);
+}
+TupleId PackedFirst(uint64_t key) { return static_cast<TupleId>(key >> 32); }
+TupleId PackedSecond(uint64_t key) {
+  return static_cast<TupleId>(key & UINT32_MAX);
+}
+// The unordered pair {u, v} as a PairIndex key, and the slot of the
+// ordered pair (u, v) under that key's id (see SpecState).
+uint64_t PairKey(TupleId u, TupleId v) {
+  return Pack(std::min(u, v), std::max(u, v));
+}
+int64_t PairSlot(int32_t id, TupleId u, TupleId v) {
+  return int64_t{id} * 2 + (u > v ? 1 : 0);
 }
 
 // Counts `who` into (d > 0) or out of (d < 0) key `key` of `table` and
 // its bucket of realizing pairs or users.
-template <typename Bucket, typename Who>
-void Move(CountGapTable* table, std::vector<Bucket>* buckets,
-          std::span<const int64_t> key, const Who& who, int64_t d) {
+void Move(CountGapTable* table, std::vector<OrderedKeySet>* buckets,
+          std::span<const int64_t> key, uint64_t who, int64_t d) {
   const int32_t id = table->Intern(key);
-  buckets->resize(static_cast<size_t>(table->size()));
+  if (buckets->size() < static_cast<size_t>(table->size())) {
+    buckets->resize(static_cast<size_t>(table->size()));
+  }
   table->Add(id, d);
-  Bucket& bucket = (*buckets)[static_cast<size_t>(id)];
+  OrderedKeySet& bucket = (*buckets)[static_cast<size_t>(id)];
   if (d > 0) {
-    bucket.insert(who);
+    bucket.Insert(who);
   } else {
-    bucket.erase(who);
+    bucket.Remove(who);
+  }
+}
+
+// An FK cell as a tuple id: kInvalidTuple for NULL and for values
+// that are no tuple slot (outside [0, 2^31)), which count as NULL.
+TupleId IdOf(int64_t v) {
+  return v < 0 || v > INT32_MAX ? kInvalidTuple : v;
+}
+TupleId IdOf(const Value& v) {
+  return v.is_null() ? kInvalidTuple : IdOf(v.int64());
+}
+TupleId IdAt(const Table& t, int col, TupleId row) {
+  if (row < 0 || row >= t.NumSlots() || !t.column(col).IsValue(row)) {
+    return kInvalidTuple;
+  }
+  return IdOf(t.column(col).GetInt(row));
+}
+
+template <typename T>
+void GrowTo(std::vector<T>* v, TupleId i, T fill) {
+  if (static_cast<size_t>(i) >= v->size()) {
+    v->resize(static_cast<size_t>(i) + 1, fill);
+  }
+}
+
+// Author of every post slot: kInvalidTuple for dead posts and NULL
+// authors.
+std::vector<TupleId> PostAuthors(const Table& post, int author_col) {
+  std::vector<TupleId> author(static_cast<size_t>(post.NumSlots()),
+                              kInvalidTuple);
+  post.ForEachLive([&](TupleId pid) {
+    author[static_cast<size_t>(pid)] = IdAt(post, author_col, pid);
+  });
+  return author;
+}
+
+// Counts every live response whose responder and post author are both
+// non-NULL into n (ordered-pair slots over `pairs`, see SpecState) and
+// calls visit(rid, u, p, v, slot) for every response with a non-NULL
+// responder and post (v = kInvalidTuple and slot = -1 when it does not
+// count). Target extraction and Bind share it.
+template <typename Visit>
+void CountResponses(const Table& resp, const ResponseSpec& spec,
+                    const std::vector<TupleId>& author, PairIndex* pairs,
+                    std::vector<int64_t>* n, Visit&& visit) {
+  resp.ForEachLive([&](TupleId rid) {
+    const TupleId u = IdAt(resp, spec.responder_col, rid);
+    const TupleId p = IdAt(resp, spec.post_col, rid);
+    if (u == kInvalidTuple || p == kInvalidTuple) return;
+    const TupleId v = static_cast<size_t>(p) < author.size()
+                          ? author[static_cast<size_t>(p)]
+                          : kInvalidTuple;
+    int64_t slot = -1;
+    if (v != kInvalidTuple) {
+      slot = PairSlot(pairs->Intern(PairKey(u, v)), u, v);
+      n->resize(static_cast<size_t>(pairs->bound()) * 2, 0);
+      ++(*n)[static_cast<size_t>(slot)];
+    }
+    visit(rid, u, p, v, slot);
+  });
+}
+
+// Calls fn(x, y, u, v) for every ordered pair (u, v), u != v, with
+// (x, y) = (n(u, v), n(v, u)) != (0, 0), and fn(x, 0, u, u) for every
+// user with x = n(u, u) > 0 self-responses.
+template <typename Fn>
+void ForEachPairCount(const PairIndex& pairs, const std::vector<int64_t>& n,
+                      Fn&& fn) {
+  for (int32_t id = 0; id < pairs.bound(); ++id) {
+    if (!pairs.held(id)) continue;
+    const TupleId a = PackedFirst(pairs.key(id));
+    const TupleId b = PackedSecond(pairs.key(id));
+    const int64_t x = n[static_cast<size_t>(id) * 2];
+    const int64_t y = n[static_cast<size_t>(id) * 2 + 1];
+    if (a == b) {
+      if (x > 0) fn(x, int64_t{0}, a, a);
+    } else if (x != 0 || y != 0) {
+      fn(x, y, a, b);
+      fn(y, x, b, a);
+    }
   }
 }
 
 }  // namespace
 
+struct PairwisePropertyTool::PricingScratch {
+  std::vector<NChange> changes;
+  struct Sim {  // simulated change of n(u, v)
+    int spec;
+    TupleId u;
+    TupleId v;
+    int64_t delta;
+  };
+  std::vector<Sim> sims;
+  struct Delta {  // simulated change of rho (self = false) or rho_S
+    bool self;
+    int spec;
+    std::array<int64_t, 2> key;  // rho_S keys use key[0] only
+    int32_t id;                  // -1: never interned
+    int64_t delta;
+  };
+  std::vector<Delta> deltas;
+  std::vector<std::pair<int, int64_t>> spec_num;  // ascending spec
+  std::vector<double> suffix;
+  std::vector<size_t> order;
+};
+
+PairwisePropertyTool::PricingScratch& PairwisePropertyTool::ThreadScratch() {
+  thread_local PricingScratch scratch;
+  return scratch;
+}
+
 PairwisePropertyTool::PairwisePropertyTool(const Schema& schema)
-    : schema_(schema), specs_(schema.responses) {
+    : schema_(schema),
+      specs_(schema.responses),
+      response_index_(schema.tables.size()),
+      post_index_(schema.tables.size()) {
   for (size_t s = 0; s < specs_.size(); ++s) {
-    response_index_[schema_.TableIndex(specs_[s].response_table)].push_back(
-        static_cast<int>(s));
-    post_index_[schema_.TableIndex(specs_[s].post_table)].push_back(
-        static_cast<int>(s));
+    const int resp = schema_.TableIndex(specs_[s].response_table);
+    const int post = schema_.TableIndex(specs_[s].post_table);
+    if (resp >= 0) {
+      response_index_[static_cast<size_t>(resp)].push_back(static_cast<int>(s));
+    }
+    if (post >= 0) {
+      post_index_[static_cast<size_t>(post)].push_back(static_cast<int>(s));
+    }
     target_rho_.emplace_back(2);
     target_rho_self_.emplace_back(1);
   }
@@ -64,35 +188,21 @@ Status PairwisePropertyTool::SetTargetFromDataset(
     if (resp == nullptr || post == nullptr || user == nullptr) {
       return Status::Invalid("pairwise: ground truth misses tables");
     }
-    std::map<UserPair, int64_t> n;
-    resp->ForEachLive([&](TupleId rid) {
-      if (!resp->column(spec.responder_col).IsValue(rid) ||
-          !resp->column(spec.post_col).IsValue(rid)) {
-        return;
-      }
-      const TupleId u = resp->column(spec.responder_col).GetInt(rid);
-      const TupleId p = resp->column(spec.post_col).GetInt(rid);
-      const TupleId v = post->column(spec.author_col).GetInt(p);
-      ++n[{u, v}];
-    });
-    FrequencyDistribution rho(2), rho_self(1);
-    for (const auto& [pair, x] : n) {
-      const auto& [u, v] = pair;
+    PairIndex pairs;
+    std::vector<int64_t> n;
+    CountResponses(*resp, spec, PostAuthors(*post, spec.author_col), &pairs,
+                   &n, [](TupleId, TupleId, TupleId, TupleId, int64_t) {});
+    CountGapTable rho(2), rho_self(1);
+    ForEachPairCount(pairs, n, [&](int64_t x, int64_t y, TupleId u,
+                                   TupleId v) {
       if (u == v) {
-        rho_self.Add({x}, 1);
+        rho_self.Add(rho_self.Intern(std::array{x}), 1);
       } else {
-        const auto yit = n.find({v, u});
-        const int64_t y = yit == n.end() ? 0 : yit->second;
-        rho.Add({x, y}, 1);  // counted once per ordered pair
+        rho.Add(rho.Intern(std::array{x, y}), 1);
       }
-      // Pairs where only (v, u) is present are added when the loop
-      // reaches them; (x, 0) pairs need the reverse entry too.
-      if (u != v && n.find({v, u}) == n.end()) {
-        rho.Add({0, x}, 1);
-      }
-    }
-    target_rho_[s] = std::move(rho);
-    target_rho_self_[s] = std::move(rho_self);
+    });
+    target_rho_[s] = rho.Current();
+    target_rho_self_[s] = rho_self.Current();
     target_users_[s] = user->NumTuples();
   }
   IndexTargets();
@@ -119,31 +229,41 @@ Status PairwisePropertyTool::Bind(Database* db) {
     SpecState& st = state_[s];
     const Table* resp = db_->FindTable(spec.response_table);
     const Table* post = db_->FindTable(spec.post_table);
+    const Table* user = db_->FindTable(schema_.user_table);
     st.resp_user.assign(static_cast<size_t>(resp->NumSlots()),
                         kInvalidTuple);
     st.resp_post.assign(static_cast<size_t>(resp->NumSlots()),
                         kInvalidTuple);
-    st.post_author.assign(static_cast<size_t>(post->NumSlots()),
-                          kInvalidTuple);
-    post->ForEachLive([&](TupleId pid) {
-      if (!post->column(spec.author_col).IsValue(pid)) return;
-      const TupleId a = post->column(spec.author_col).GetInt(pid);
-      st.post_author[static_cast<size_t>(pid)] = a;
-      st.posts_by_user[a].push_back(pid);
-    });
-    resp->ForEachLive([&](TupleId rid) {
-      if (!resp->column(spec.responder_col).IsValue(rid) ||
-          !resp->column(spec.post_col).IsValue(rid)) {
-        return;
+    st.post_author = PostAuthors(*post, spec.author_col);
+    for (size_t pid = 0; pid < st.post_author.size(); ++pid) {
+      const TupleId a = st.post_author[pid];
+      if (a != kInvalidTuple) {
+        st.posts_by_user.PushBack(a, static_cast<TupleId>(pid));
       }
-      const TupleId u = resp->column(spec.responder_col).GetInt(rid);
-      const TupleId p = resp->column(spec.post_col).GetInt(rid);
-      st.resp_user[static_cast<size_t>(rid)] = u;
-      st.resp_post[static_cast<size_t>(rid)] = p;
-      st.responses_by_post[p].push_back(rid);
-      const TupleId v = st.post_author[static_cast<size_t>(p)];
-      st.responses[{u, v}].push_back(rid);
-      ApplyNChange({static_cast<int>(s), u, v, 1});
+    }
+    st.incoming.assign(
+        user == nullptr ? 0 : static_cast<size_t>(user->NumSlots()), 0);
+    CountResponses(
+        *resp, spec, st.post_author, &st.pairs, &st.n,
+        [&](TupleId rid, TupleId u, TupleId p, TupleId v, int64_t slot) {
+          st.resp_user[static_cast<size_t>(rid)] = u;
+          st.resp_post[static_cast<size_t>(rid)] = p;
+          st.responses_by_post.PushBack(p, rid);
+          if (v == kInvalidTuple) return;
+          st.responses.PushBack(slot, rid);
+          GrowTo(&st.incoming, v, int64_t{0});
+          ++st.incoming[static_cast<size_t>(v)];
+        });
+    st.n.resize(static_cast<size_t>(st.pairs.bound()) * 2, 0);
+    // Every pair enters rho / rho_S once, with its final counts.
+    ForEachPairCount(st.pairs, st.n, [&](int64_t x, int64_t y, TupleId u,
+                                         TupleId v) {
+      if (u == v) {
+        Move(&st.self, &st.self_buckets, std::array{x},
+             static_cast<uint64_t>(u), +1);
+      } else {
+        Move(&st.rho, &st.buckets, std::array{x, y}, Pack(u, v), +1);
+      }
     });
   }
   IndexTargets();
@@ -159,42 +279,66 @@ void PairwisePropertyTool::Unbind() {
   state_.clear();
 }
 
+int64_t PairwisePropertyTool::FindPair(const SpecState& st, TupleId u,
+                                       TupleId v) {
+  const int32_t id = st.pairs.Find(PairKey(u, v));
+  return id < 0 ? -1 : PairSlot(id, u, v);
+}
+
+int64_t PairwisePropertyTool::InternPair(SpecState* st, TupleId u,
+                                         TupleId v) {
+  const int32_t id = st->pairs.Intern(PairKey(u, v));
+  st->n.resize(static_cast<size_t>(st->pairs.bound()) * 2, 0);
+  return PairSlot(id, u, v);
+}
+
+int64_t PairwisePropertyTool::Count(const SpecState& st, TupleId u,
+                                    TupleId v) {
+  const int64_t slot = FindPair(st, u, v);
+  return slot < 0 ? 0 : st.n[static_cast<size_t>(slot)];
+}
+
+int64_t PairwisePropertyTool::Incoming(const SpecState& st, TupleId u) {
+  return u >= 0 && static_cast<size_t>(u) < st.incoming.size()
+             ? st.incoming[static_cast<size_t>(u)]
+             : 0;
+}
+
+TupleId PairwisePropertyTool::AuthorOf(int s, TupleId p) const {
+  const SpecState& st = state_[static_cast<size_t>(s)];
+  if (p >= 0 && static_cast<size_t>(p) < st.post_author.size()) {
+    return st.post_author[static_cast<size_t>(p)];
+  }
+  // A post past the cache (appended without a notification).
+  const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
+  const Table* post = db_->FindTable(spec.post_table);
+  if (post == nullptr || p < 0 || p >= post->NumSlots() || !post->IsLive(p)) {
+    return kInvalidTuple;
+  }
+  return IdAt(*post, spec.author_col, p);
+}
+
 void PairwisePropertyTool::ApplyNChange(const NChange& c) {
   SpecState& st = state_[static_cast<size_t>(c.spec)];
-  auto& incoming = st.incoming[c.v];
-  incoming += c.delta;
-  if (incoming == 0) st.incoming.erase(c.v);
-  auto count = [&](TupleId a, TupleId b) -> int64_t {
-    const auto it = st.n.find({a, b});
-    return it == st.n.end() ? 0 : it->second;
-  };
+  GrowTo(&st.incoming, c.v, int64_t{0});
+  st.incoming[static_cast<size_t>(c.v)] += c.delta;
+  const auto slot = static_cast<size_t>(InternPair(&st, c.u, c.v));
+  const int64_t x = st.n[slot];
+  const int64_t nx = x + c.delta;
+  assert(nx >= 0);
+  st.n[slot] = nx;
   if (c.u == c.v) {
-    const int64_t x = count(c.u, c.u);
-    if (x > 0) Move(&st.self, &st.self_buckets, std::array{x}, c.u, -1);
-    const int64_t nx = x + c.delta;
-    assert(nx >= 0);
-    if (nx > 0) {
-      st.n[{c.u, c.u}] = nx;
-      Move(&st.self, &st.self_buckets, std::array{nx}, c.u, +1);
-    } else {
-      st.n.erase({c.u, c.u});
-    }
+    const auto who = static_cast<uint64_t>(c.u);
+    if (x > 0) Move(&st.self, &st.self_buckets, std::array{x}, who, -1);
+    if (nx > 0) Move(&st.self, &st.self_buckets, std::array{nx}, who, +1);
     return;
   }
-  const int64_t x = count(c.u, c.v);
-  const int64_t y = count(c.v, c.u);
-  const UserPair uv{c.u, c.v};
-  const UserPair vu{c.v, c.u};
+  const int64_t y = st.n[slot ^ 1];
+  const uint64_t uv = Pack(c.u, c.v);
+  const uint64_t vu = Pack(c.v, c.u);
   if (x != 0 || y != 0) {
     Move(&st.rho, &st.buckets, std::array{x, y}, uv, -1);
     Move(&st.rho, &st.buckets, std::array{y, x}, vu, -1);
-  }
-  const int64_t nx = x + c.delta;
-  assert(nx >= 0);
-  if (nx > 0) {
-    st.n[{c.u, c.v}] = nx;
-  } else {
-    st.n.erase({c.u, c.v});
   }
   if (nx != 0 || y != 0) {
     Move(&st.rho, &st.buckets, std::array{nx, y}, uv, +1);
@@ -202,299 +346,207 @@ void PairwisePropertyTool::ApplyNChange(const NChange& c) {
   }
 }
 
-std::vector<PairwisePropertyTool::NChange>
-PairwisePropertyTool::CollectNChanges(const Modification& mod,
-                                      TupleId new_tuple,
-                                      bool pre_apply) const {
-  // The inserted tuple's id is irrelevant to pair counts (the counts
-  // key on responder/author, not on the response id).
-  (void)new_tuple;
-  std::vector<NChange> out;
-  const int table = db_->schema().TableIndex(mod.table);
-
-  const auto rit = response_index_.find(table);
-  if (rit != response_index_.end()) {
-    for (const int s : rit->second) {
-      const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
-      const SpecState& st = state_[static_cast<size_t>(s)];
-      const Table& resp = db_->table(table);
-      auto author_of = [&](TupleId p) -> TupleId {
-        if (p < 0 ||
-            p >= static_cast<TupleId>(st.post_author.size())) {
-          // A post appended after Bind: read from the database.
-          const Table* post = db_->FindTable(spec.post_table);
-          if (post == nullptr || p < 0 || p >= post->NumSlots() ||
-              !post->column(spec.author_col).IsValue(p)) {
-            return kInvalidTuple;
-          }
-          return post->column(spec.author_col).GetInt(p);
+void PairwisePropertyTool::CollectNChanges(const Modification& mod,
+                                           int table, bool pre_apply,
+                                           std::vector<NChange>* out) const {
+  if (table < 0 || static_cast<size_t>(table) >= response_index_.size()) {
+    return;
+  }
+  for (const int s : response_index_[static_cast<size_t>(table)]) {
+    const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
+    const SpecState& st = state_[static_cast<size_t>(s)];
+    const Table& resp = db_->table(table);
+    // Emits delta for a response by `u` on post `p` if it counts.
+    auto emit = [&](TupleId u, TupleId p, int64_t delta) {
+      if (u == kInvalidTuple || p == kInvalidTuple) return;
+      const TupleId v = AuthorOf(s, p);
+      if (v != kInvalidTuple) out->push_back({s, u, v, delta});
+    };
+    auto emit_cached = [&](TupleId rid, int64_t delta) {
+      if (rid < 0 || static_cast<size_t>(rid) >= st.resp_user.size()) return;
+      emit(st.resp_user[static_cast<size_t>(rid)],
+           st.resp_post[static_cast<size_t>(rid)], delta);
+    };
+    switch (mod.kind) {
+      case OpKind::kInsertTuple:
+        emit(IdOf(mod.values[static_cast<size_t>(spec.responder_col)]),
+             IdOf(mod.values[static_cast<size_t>(spec.post_col)]), +1);
+        break;
+      case OpKind::kDeleteTuple:
+        emit_cached(mod.tuples[0], -1);
+        break;
+      case OpKind::kDeleteValues:
+      case OpKind::kInsertValues:
+      case OpKind::kReplaceValues: {
+        bool touches = false;
+        for (const int c : mod.cols) {
+          touches |= c == spec.responder_col || c == spec.post_col;
         }
-        return st.post_author[static_cast<size_t>(p)];
-      };
-      auto cached = [&](TupleId rid, bool* counted) -> UserPair {
-        const TupleId u =
-            rid < static_cast<TupleId>(st.resp_user.size())
-                ? st.resp_user[static_cast<size_t>(rid)]
-                : kInvalidTuple;
-        const TupleId p =
-            rid < static_cast<TupleId>(st.resp_post.size())
-                ? st.resp_post[static_cast<size_t>(rid)]
-                : kInvalidTuple;
-        *counted = u != kInvalidTuple && p != kInvalidTuple;
-        return {u, *counted ? author_of(p) : kInvalidTuple};
-      };
-      auto emit = [&](TupleId u, TupleId v, int64_t delta) {
-        if (u != kInvalidTuple && v != kInvalidTuple) {
-          out.push_back({s, u, v, delta});
-        }
-      };
-      switch (mod.kind) {
-        case OpKind::kInsertTuple: {
-          const Value& uv =
-              mod.values[static_cast<size_t>(spec.responder_col)];
-          const Value& pv = mod.values[static_cast<size_t>(spec.post_col)];
-          if (!uv.is_null() && !pv.is_null()) {
-            emit(uv.int64(), author_of(pv.int64()), +1);
-          }
-          break;
-        }
-        case OpKind::kDeleteTuple: {
-          bool counted = false;
-          const UserPair uvp = cached(mod.tuples[0], &counted);
-          if (counted) emit(uvp.first, uvp.second, -1);
-          break;
-        }
-        case OpKind::kDeleteValues:
-        case OpKind::kInsertValues:
-        case OpKind::kReplaceValues: {
-          bool touches = false;
-          for (const int c : mod.cols) {
-            touches |= c == spec.responder_col || c == spec.post_col;
-          }
-          if (!touches) break;
-          for (const TupleId rid : mod.tuples) {
-            bool counted = false;
-            const UserPair old_uv = cached(rid, &counted);
-            if (counted) emit(old_uv.first, old_uv.second, -1);
-            // New state: overlay proposed values (pre-apply) or read
-            // the updated database (post-apply).
-            TupleId nu = kInvalidTuple, np = kInvalidTuple;
-            auto cell = [&](int col) -> Value {
-              if (pre_apply) {
-                for (size_t j = 0; j < mod.cols.size(); ++j) {
-                  if (mod.cols[j] == col) {
-                    if (mod.kind == OpKind::kDeleteValues) return Value();
-                    return mod.values[j];
-                  }
-                }
+        if (!touches) break;
+        for (const TupleId rid : mod.tuples) {
+          emit_cached(rid, -1);
+          // New state: overlay proposed values (pre-apply) or read
+          // the updated database (post-apply).
+          auto cell = [&](int col) -> TupleId {
+            if (pre_apply) {
+              for (size_t j = 0; j < mod.cols.size(); ++j) {
+                if (mod.cols[j] != col) continue;
+                return mod.kind == OpKind::kDeleteValues
+                           ? kInvalidTuple
+                           : IdOf(mod.values[j]);
               }
-              return resp.column(col).Get(rid);
-            };
-            const Value nuv = cell(spec.responder_col);
-            const Value npv = cell(spec.post_col);
-            if (!nuv.is_null()) nu = nuv.int64();
-            if (!npv.is_null()) np = npv.int64();
-            if (nu != kInvalidTuple && np != kInvalidTuple) {
-              emit(nu, author_of(np), +1);
             }
-          }
-          break;
+            return IdAt(resp, col, rid);
+          };
+          emit(cell(spec.responder_col), cell(spec.post_col), +1);
         }
+        break;
       }
     }
   }
 
-  const auto pit = post_index_.find(table);
-  if (pit != post_index_.end()) {
-    for (const int s : pit->second) {
-      const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
-      const SpecState& st = state_[static_cast<size_t>(s)];
-      const Table& post = db_->table(table);
-      // Only author reassignment moves response counts between pairs.
-      if (mod.kind != OpKind::kReplaceValues) continue;
-      int author_j = -1;
-      for (size_t j = 0; j < mod.cols.size(); ++j) {
-        if (mod.cols[j] == spec.author_col) author_j = static_cast<int>(j);
-      }
-      if (author_j < 0) continue;
-      for (const TupleId pid : mod.tuples) {
-        const TupleId old_a =
-            pid < static_cast<TupleId>(st.post_author.size())
-                ? st.post_author[static_cast<size_t>(pid)]
-                : (post.column(spec.author_col).IsValue(pid)
-                       ? post.column(spec.author_col).GetInt(pid)
-                       : kInvalidTuple);
-        const Value& nav = mod.values[static_cast<size_t>(author_j)];
-        const TupleId new_a = nav.is_null() ? kInvalidTuple : nav.int64();
-        if (old_a == new_a) continue;
-        const auto lit = st.responses_by_post.find(pid);
-        if (lit == st.responses_by_post.end()) continue;
-        for (const TupleId rid : lit->second) {
-          const TupleId u = st.resp_user[static_cast<size_t>(rid)];
-          if (u == kInvalidTuple) continue;
-          if (old_a != kInvalidTuple) out.push_back({s, u, old_a, -1});
-          if (new_a != kInvalidTuple) out.push_back({s, u, new_a, +1});
+  for (const int s : post_index_[static_cast<size_t>(table)]) {
+    const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
+    const SpecState& st = state_[static_cast<size_t>(s)];
+    // An author change moves the post's responses between pairs. A
+    // new post has no responses yet (FK integrity), so inserts move
+    // nothing; a deleted post's author becomes NULL.
+    TupleId new_a = kInvalidTuple;
+    switch (mod.kind) {
+      case OpKind::kInsertTuple:
+        continue;
+      case OpKind::kDeleteTuple:
+        break;
+      case OpKind::kDeleteValues:
+      case OpKind::kInsertValues:
+      case OpKind::kReplaceValues: {
+        int author_j = -1;
+        for (size_t j = 0; j < mod.cols.size(); ++j) {
+          if (mod.cols[j] == spec.author_col) {
+            author_j = static_cast<int>(j);
+          }
         }
+        if (author_j < 0) continue;
+        if (mod.kind != OpKind::kDeleteValues) {
+          new_a = IdOf(mod.values[static_cast<size_t>(author_j)]);
+        }
+        break;
+      }
+    }
+    for (const TupleId pid : mod.tuples) {
+      const TupleId old_a = AuthorOf(s, pid);
+      if (old_a == new_a) continue;
+      for (const TupleId rid : st.responses_by_post.list(pid)) {
+        const TupleId u = st.resp_user[static_cast<size_t>(rid)];
+        if (old_a != kInvalidTuple) out->push_back({s, u, old_a, -1});
+        if (new_a != kInvalidTuple) out->push_back({s, u, new_a, +1});
       }
     }
   }
-  return out;
 }
 
-void PairwisePropertyTool::ApplyStructural(
-    const Modification& mod, const std::vector<Value>& old_values,
-    TupleId new_tuple) {
-  (void)old_values;  // pre-images come from this tool's own caches
-  const int table = db_->schema().TableIndex(mod.table);
+void PairwisePropertyTool::Reauthor(SpecState* st, TupleId pid, TupleId a) {
+  GrowTo(&st->post_author, pid, kInvalidTuple);
+  const TupleId old_a = st->post_author[static_cast<size_t>(pid)];
+  // The counted responses leave the old author's pair lists, all of
+  // them before any joins the new author's. Even an unchanged author
+  // takes the post and its responses off their lists and appends them
+  // again: list order is what later random picks index into.
+  const std::span<const TupleId> rids = st->responses_by_post.list(pid);
+  if (old_a != kInvalidTuple) {
+    for (const TupleId rid : rids) {
+      st->responses.Remove(
+          FindPair(*st, st->resp_user[static_cast<size_t>(rid)], old_a), rid);
+    }
+    st->posts_by_user.Remove(old_a, pid);
+  }
+  st->post_author[static_cast<size_t>(pid)] = a;
+  if (a == kInvalidTuple) return;
+  st->posts_by_user.PushBack(a, pid);
+  for (const TupleId rid : rids) {
+    st->responses.PushBack(
+        InternPair(st, st->resp_user[static_cast<size_t>(rid)], a), rid);
+  }
+}
 
-  const auto rit = response_index_.find(table);
-  if (rit != response_index_.end()) {
-    for (const int s : rit->second) {
-      const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
-      SpecState& st = state_[static_cast<size_t>(s)];
-      auto author_of = [&](TupleId p) -> TupleId {
-        return p >= 0 && p < static_cast<TupleId>(st.post_author.size())
-                   ? st.post_author[static_cast<size_t>(p)]
-                   : kInvalidTuple;
-      };
-      auto unlink = [&](TupleId rid) {
-        const TupleId u = st.resp_user[static_cast<size_t>(rid)];
-        const TupleId p = st.resp_post[static_cast<size_t>(rid)];
-        if (u == kInvalidTuple || p == kInvalidTuple) return;
-        EraseFrom(&st.responses_by_post[p], rid);
-        if (st.responses_by_post[p].empty()) st.responses_by_post.erase(p);
-        const TupleId v = author_of(p);
-        const auto it = st.responses.find({u, v});
-        if (it != st.responses.end()) {
-          EraseFrom(&it->second, rid);
-          if (it->second.empty()) st.responses.erase(it);
+void PairwisePropertyTool::ApplyStructural(const Modification& mod,
+                                           int table, TupleId new_tuple) {
+  for (const int s : response_index_[static_cast<size_t>(table)]) {
+    const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
+    SpecState& st = state_[static_cast<size_t>(s)];
+    // Responses with a non-NULL responder and post are on their
+    // post's list; those that count also on their pair's.
+    auto unlink = [&](TupleId rid) {
+      const TupleId u = st.resp_user[static_cast<size_t>(rid)];
+      const TupleId p = st.resp_post[static_cast<size_t>(rid)];
+      if (u == kInvalidTuple || p == kInvalidTuple) return;
+      st.responses_by_post.Remove(p, rid);
+      const TupleId v = AuthorOf(s, p);
+      if (v != kInvalidTuple) st.responses.Remove(FindPair(st, u, v), rid);
+    };
+    auto link = [&](TupleId rid, TupleId u, TupleId p) {
+      GrowTo(&st.resp_user, rid, kInvalidTuple);
+      GrowTo(&st.resp_post, rid, kInvalidTuple);
+      st.resp_user[static_cast<size_t>(rid)] = u;
+      st.resp_post[static_cast<size_t>(rid)] = p;
+      if (u == kInvalidTuple || p == kInvalidTuple) return;
+      st.responses_by_post.PushBack(p, rid);
+      const TupleId v = AuthorOf(s, p);
+      if (v != kInvalidTuple) {
+        st.responses.PushBack(InternPair(&st, u, v), rid);
+      }
+    };
+    switch (mod.kind) {
+      case OpKind::kInsertTuple:
+        link(new_tuple,
+             IdOf(mod.values[static_cast<size_t>(spec.responder_col)]),
+             IdOf(mod.values[static_cast<size_t>(spec.post_col)]));
+        break;
+      case OpKind::kDeleteTuple:
+        unlink(mod.tuples[0]);
+        link(mod.tuples[0], kInvalidTuple, kInvalidTuple);
+        break;
+      case OpKind::kDeleteValues:
+      case OpKind::kInsertValues:
+      case OpKind::kReplaceValues: {
+        bool touches = false;
+        for (const int c : mod.cols) {
+          touches |= c == spec.responder_col || c == spec.post_col;
         }
-      };
-      auto link = [&](TupleId rid) {
-        const TupleId u = st.resp_user[static_cast<size_t>(rid)];
-        const TupleId p = st.resp_post[static_cast<size_t>(rid)];
-        if (u == kInvalidTuple || p == kInvalidTuple) return;
-        st.responses_by_post[p].push_back(rid);
-        st.responses[{u, author_of(p)}].push_back(rid);
-      };
-      auto grow = [&](TupleId rid) {
-        if (rid >= static_cast<TupleId>(st.resp_user.size())) {
-          st.resp_user.resize(static_cast<size_t>(rid) + 1, kInvalidTuple);
-          st.resp_post.resize(static_cast<size_t>(rid) + 1, kInvalidTuple);
+        if (!touches) break;
+        const Table& resp = db_->table(table);
+        for (const TupleId rid : mod.tuples) {
+          if (static_cast<size_t>(rid) < st.resp_user.size()) unlink(rid);
+          link(rid, IdAt(resp, spec.responder_col, rid),
+               IdAt(resp, spec.post_col, rid));
         }
-      };
-      switch (mod.kind) {
-        case OpKind::kInsertTuple: {
-          grow(new_tuple);
-          const Value& uv =
-              mod.values[static_cast<size_t>(spec.responder_col)];
-          const Value& pv = mod.values[static_cast<size_t>(spec.post_col)];
-          st.resp_user[static_cast<size_t>(new_tuple)] =
-              uv.is_null() ? kInvalidTuple : uv.int64();
-          st.resp_post[static_cast<size_t>(new_tuple)] =
-              pv.is_null() ? kInvalidTuple : pv.int64();
-          link(new_tuple);
-          break;
-        }
-        case OpKind::kDeleteTuple: {
-          const TupleId rid = mod.tuples[0];
-          unlink(rid);
-          st.resp_user[static_cast<size_t>(rid)] = kInvalidTuple;
-          st.resp_post[static_cast<size_t>(rid)] = kInvalidTuple;
-          break;
-        }
-        case OpKind::kDeleteValues:
-        case OpKind::kInsertValues:
-        case OpKind::kReplaceValues: {
-          bool touches = false;
-          for (const int c : mod.cols) {
-            touches |= c == spec.responder_col || c == spec.post_col;
-          }
-          if (!touches) break;
-          const Table& resp = db_->table(table);
-          for (const TupleId rid : mod.tuples) {
-            unlink(rid);
-            grow(rid);
-            st.resp_user[static_cast<size_t>(rid)] =
-                resp.column(spec.responder_col).IsValue(rid)
-                    ? resp.column(spec.responder_col).GetInt(rid)
-                    : kInvalidTuple;
-            st.resp_post[static_cast<size_t>(rid)] =
-                resp.column(spec.post_col).IsValue(rid)
-                    ? resp.column(spec.post_col).GetInt(rid)
-                    : kInvalidTuple;
-            link(rid);
-          }
-          break;
-        }
+        break;
       }
     }
   }
 
-  const auto pit = post_index_.find(table);
-  if (pit != post_index_.end()) {
-    for (const int s : pit->second) {
-      const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
-      SpecState& st = state_[static_cast<size_t>(s)];
-      auto set_author = [&](TupleId pid, TupleId a) {
-        if (pid >= static_cast<TupleId>(st.post_author.size())) {
-          st.post_author.resize(static_cast<size_t>(pid) + 1,
-                                kInvalidTuple);
+  for (const int s : post_index_[static_cast<size_t>(table)]) {
+    const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
+    SpecState& st = state_[static_cast<size_t>(s)];
+    switch (mod.kind) {
+      case OpKind::kInsertTuple:
+        Reauthor(&st, new_tuple,
+                 IdOf(mod.values[static_cast<size_t>(spec.author_col)]));
+        break;
+      case OpKind::kDeleteTuple:
+        Reauthor(&st, mod.tuples[0], kInvalidTuple);
+        break;
+      case OpKind::kDeleteValues:
+      case OpKind::kInsertValues:
+      case OpKind::kReplaceValues: {
+        bool touches = false;
+        for (const int c : mod.cols) touches |= c == spec.author_col;
+        if (!touches) break;
+        const Table& post = db_->table(table);
+        for (const TupleId pid : mod.tuples) {
+          Reauthor(&st, pid, IdAt(post, spec.author_col, pid));
         }
-        const TupleId old_a = st.post_author[static_cast<size_t>(pid)];
-        if (old_a != kInvalidTuple) {
-          EraseFrom(&st.posts_by_user[old_a], pid);
-          if (st.posts_by_user[old_a].empty()) {
-            st.posts_by_user.erase(old_a);
-          }
-        }
-        st.post_author[static_cast<size_t>(pid)] = a;
-        if (a != kInvalidTuple) st.posts_by_user[a].push_back(pid);
-      };
-      switch (mod.kind) {
-        case OpKind::kInsertTuple: {
-          const Value& av =
-              mod.values[static_cast<size_t>(spec.author_col)];
-          set_author(new_tuple, av.is_null() ? kInvalidTuple : av.int64());
-          break;
-        }
-        case OpKind::kDeleteTuple:
-          set_author(mod.tuples[0], kInvalidTuple);
-          break;
-        case OpKind::kDeleteValues:
-        case OpKind::kInsertValues:
-        case OpKind::kReplaceValues: {
-          bool touches = false;
-          for (const int c : mod.cols) touches |= c == spec.author_col;
-          if (!touches) break;
-          const Table& post = db_->table(table);
-          for (const TupleId pid : mod.tuples) {
-            const TupleId a = post.column(spec.author_col).IsValue(pid)
-                                  ? post.column(spec.author_col).GetInt(pid)
-                                  : kInvalidTuple;
-            // Response pair lists keyed by the old author must be
-            // re-homed: move every response of this post.
-            const auto lit = st.responses_by_post.find(pid);
-            std::vector<TupleId> rids =
-                lit == st.responses_by_post.end() ? std::vector<TupleId>{}
-                                                  : lit->second;
-            const TupleId old_a = st.post_author[static_cast<size_t>(pid)];
-            for (const TupleId rid : rids) {
-              const TupleId u = st.resp_user[static_cast<size_t>(rid)];
-              auto it = st.responses.find({u, old_a});
-              if (it != st.responses.end()) {
-                EraseFrom(&it->second, rid);
-                if (it->second.empty()) st.responses.erase(it);
-              }
-            }
-            set_author(pid, a);
-            for (const TupleId rid : rids) {
-              const TupleId u = st.resp_user[static_cast<size_t>(rid)];
-              st.responses[{u, a}].push_back(rid);
-            }
-          }
-          break;
-        }
+        break;
       }
     }
   }
@@ -503,11 +555,81 @@ void PairwisePropertyTool::ApplyStructural(
 void PairwisePropertyTool::OnApplied(const Modification& mod,
                                      const std::vector<Value>& old_values,
                                      TupleId new_tuple) {
+  (void)old_values;  // pre-images come from this tool's own caches
   if (db_ == nullptr) return;
-  const std::vector<NChange> changes =
-      CollectNChanges(mod, new_tuple, /*pre_apply=*/false);
+  const int table = db_->schema().TableIndex(mod.table);
+  if (table < 0 || static_cast<size_t>(table) >= response_index_.size()) {
+    return;
+  }
+  std::vector<NChange>& changes = ThreadScratch().changes;
+  changes.clear();
+  CollectNChanges(mod, table, /*pre_apply=*/false, &changes);
   for (const NChange& c : changes) ApplyNChange(c);
-  ApplyStructural(mod, old_values, new_tuple);
+  ApplyStructural(mod, table, new_tuple);
+  // Free the ids of pairs whose counts both fell to zero (their lists
+  // are empty too), so ids track the live pairs, not every pair seen.
+  for (const NChange& c : changes) {
+    SpecState& st = state_[static_cast<size_t>(c.spec)];
+    const int64_t slot = FindPair(st, c.u, c.v);
+    if (slot >= 0 && st.n[static_cast<size_t>(slot)] == 0 &&
+        st.n[static_cast<size_t>(slot ^ 1)] == 0 &&
+        st.responses.size(slot) == 0 && st.responses.size(slot ^ 1) == 0) {
+      st.pairs.Release(PairKey(c.u, c.v));
+    }
+  }
+}
+
+PairwisePropertyTool::StateSnapshot PairwisePropertyTool::Snapshot(
+    int s) const {
+  StateSnapshot snap;
+  if (db_ == nullptr) return snap;
+  const SpecState& st = state_[static_cast<size_t>(s)];
+  for (int32_t id = 0; id < st.pairs.bound(); ++id) {
+    if (!st.pairs.held(id)) continue;
+    const TupleId a = PackedFirst(st.pairs.key(id));
+    const TupleId b = PackedSecond(st.pairs.key(id));
+    for (int dir = 0; dir < (a == b ? 1 : 2); ++dir) {
+      const UserPair uv = dir == 0 ? UserPair{a, b} : UserPair{b, a};
+      const int64_t slot = int64_t{id} * 2 + dir;
+      if (st.n[static_cast<size_t>(slot)] != 0) {
+        snap.n[uv] = st.n[static_cast<size_t>(slot)];
+      }
+      for (const TupleId rid : st.responses.list(slot)) {
+        snap.responses[uv].insert(rid);
+      }
+    }
+  }
+  for (size_t p = 0; p < st.resp_post.size(); ++p) {
+    for (const TupleId rid : st.responses_by_post.list(static_cast<int64_t>(p))) {
+      snap.responses_by_post[static_cast<TupleId>(p)].insert(rid);
+    }
+  }
+  for (size_t p = 0; p < st.post_author.size(); ++p) {
+    const TupleId a = st.post_author[p];
+    if (a == kInvalidTuple) continue;
+    for (const TupleId pid : st.posts_by_user.list(a)) {
+      snap.posts_by_user[a].insert(pid);
+    }
+  }
+  for (size_t u = 0; u < st.incoming.size(); ++u) {
+    if (st.incoming[u] != 0) {
+      snap.incoming[static_cast<TupleId>(u)] = st.incoming[u];
+    }
+  }
+  for (size_t id = 0; id < st.buckets.size(); ++id) {
+    const auto key = st.rho.key(static_cast<int32_t>(id));
+    st.buckets[id].ForEach([&](uint64_t pair) {
+      snap.buckets[Key(key.begin(), key.end())].insert(
+          {PackedFirst(pair), PackedSecond(pair)});
+    });
+  }
+  for (size_t id = 0; id < st.self_buckets.size(); ++id) {
+    const int64_t x = st.self.key(static_cast<int32_t>(id))[0];
+    st.self_buckets[id].ForEach([&](uint64_t u) {
+      snap.self_buckets[x].insert(static_cast<TupleId>(u));
+    });
+  }
+  return snap;
 }
 
 void PairwisePropertyTool::SetSpaces(int s) {
@@ -553,20 +675,23 @@ double PairwisePropertyTool::Error() const {
 double PairwisePropertyTool::ValidationPenalty(
     const Modification& mod) const {
   if (db_ == nullptr) return 0.0;
-  return PenaltyOfChanges(
-      CollectNChanges(mod, kInvalidTuple, /*pre_apply=*/true));
+  PricingScratch& scratch = ThreadScratch();
+  scratch.changes.clear();
+  CollectNChanges(mod, db_->schema().TableIndex(mod.table),
+                  /*pre_apply=*/true, &scratch.changes);
+  return PenaltyOfChanges(&scratch);
 }
 
 double PairwisePropertyTool::ValidationPenaltyBatch(
     std::span<const Modification> mods, double veto_cap) const {
   if (db_ == nullptr) return 0.0;
-  std::vector<NChange> changes;
+  PricingScratch& scratch = ThreadScratch();
+  scratch.changes.clear();
   for (const Modification& mod : mods) {
-    const std::vector<NChange> one =
-        CollectNChanges(mod, kInvalidTuple, /*pre_apply=*/true);
-    changes.insert(changes.end(), one.begin(), one.end());
+    CollectNChanges(mod, db_->schema().TableIndex(mod.table),
+                    /*pre_apply=*/true, &scratch.changes);
   }
-  return PenaltyOfChanges(changes, veto_cap);
+  return PenaltyOfChanges(&scratch, veto_cap);
 }
 
 AccessScope PairwisePropertyTool::DeclaredScope() const {
@@ -583,41 +708,68 @@ AccessScope PairwisePropertyTool::DeclaredScope() const {
   return scope;
 }
 
-double PairwisePropertyTool::PenaltyOfChanges(
-    const std::vector<NChange>& changes, double veto_cap) const {
+double PairwisePropertyTool::PenaltyOfChanges(PricingScratch* scratch,
+                                              double veto_cap) const {
+  const std::vector<NChange>& changes = scratch->changes;
   if (changes.empty()) return 0.0;
   const bool capped = veto_cap != kNoPenaltyCap;
-  // Simulate: n-values overlay, rho and rho_S deltas keyed by (is
-  // rho_S, spec, key), so every rho term sorts before every rho_S one.
-  std::map<std::tuple<int, TupleId, TupleId>, int64_t> sim_n;
-  using DeltaKey = std::tuple<bool, int, Key>;
-  std::map<DeltaKey, int64_t> deltas;
+  // Simulate: an n-value overlay, and one rho / rho_S delta entry per
+  // touched (is rho_S, spec, key).
+  std::vector<PricingScratch::Sim>& sims = scratch->sims;
+  std::vector<PricingScratch::Delta>& deltas = scratch->deltas;
+  std::vector<std::pair<int, int64_t>>& spec_num = scratch->spec_num;
+  sims.clear();
+  deltas.clear();
+  spec_num.clear();
+  auto sim_of = [&](int s, TupleId a, TupleId b) -> PricingScratch::Sim* {
+    for (PricingScratch::Sim& e : sims) {
+      if (e.spec == s && e.u == a && e.v == b) return &e;
+    }
+    return nullptr;
+  };
   auto count = [&](int s, TupleId a, TupleId b) -> int64_t {
-    const auto& n = state_[static_cast<size_t>(s)].n;
-    const auto it = n.find({a, b});
-    int64_t base = it == n.end() ? 0 : it->second;
-    const auto sit = sim_n.find({s, a, b});
-    if (sit != sim_n.end()) base += sit->second;
-    return base;
+    const PricingScratch::Sim* sim = sim_of(s, a, b);
+    return Count(state_[static_cast<size_t>(s)], a, b) +
+           (sim == nullptr ? 0 : sim->delta);
+  };
+  auto table_of = [&](const PricingScratch::Delta& e) -> const CountGapTable& {
+    const SpecState& st = state_[static_cast<size_t>(e.spec)];
+    return e.self ? st.self : st.rho;
   };
   // Capped pricing keeps each spec's partial penalty numerator exact
-  // (in integers): the final loops' |cur+delta-tgt| - |cur-tgt| term,
-  // summed over this spec's rho/self delta keys, re-adjusted on every
-  // delta change. The early-exit test then sums a handful of exact
-  // integer numerators instead of accumulating a drifting float.
-  std::map<int, int64_t> spec_num;
-  auto term = [&](const DeltaKey& k, int64_t delta) {
-    const auto& [self, s, key] = k;
-    const SpecState& st = state_[static_cast<size_t>(s)];
-    const CountGapTable& t = self ? st.self : st.rho;
-    return t.Term(t.Find(key), delta);
+  // (in integers): the final loop's |cur+delta-tgt| - |cur-tgt| term,
+  // summed over this spec's rho/self delta entries, re-adjusted on
+  // every delta change. The early-exit test then sums a handful of
+  // exact integer numerators instead of accumulating a drifting float.
+  auto num_of = [&](int s) -> int64_t& {
+    auto it = std::lower_bound(
+        spec_num.begin(), spec_num.end(), s,
+        [](const std::pair<int, int64_t>& e, int x) { return e.first < x; });
+    if (it == spec_num.end() || it->first != s) {
+      it = spec_num.insert(it, {s, 0});
+    }
+    return it->second;
   };
-  auto bump = [&](bool self, int s, const Key& key, int64_t d) {
-    const DeltaKey k{self, s, key};
-    int64_t& slot = deltas[k];
-    if (capped) spec_num[s] -= term(k, slot);
-    slot += d;
-    if (capped) spec_num[s] += term(k, slot);
+  auto bump = [&](bool self, int s, int64_t k0, int64_t k1, int64_t d) {
+    PricingScratch::Delta* entry = nullptr;
+    for (PricingScratch::Delta& e : deltas) {
+      if (e.self == self && e.spec == s && e.key[0] == k0 && e.key[1] == k1) {
+        entry = &e;
+        break;
+      }
+    }
+    if (entry == nullptr) {
+      const SpecState& st = state_[static_cast<size_t>(s)];
+      const std::array<int64_t, 2> key{k0, k1};
+      const int32_t id = self ? st.self.Find(std::span(key).first(1))
+                              : st.rho.Find(key);
+      deltas.push_back({self, s, key, id, 0});
+      entry = &deltas.back();
+    }
+    const CountGapTable& t = table_of(*entry);
+    if (capped) num_of(s) -= t.Term(entry->id, entry->delta);
+    entry->delta += d;
+    if (capped) num_of(s) += t.Term(entry->id, entry->delta);
   };
   // suffix[i] bounds how much the numerators can still move pricing
   // changes[i..): a pair change touches four rho entries by +-1, a
@@ -625,7 +777,7 @@ double PairwisePropertyTool::PenaltyOfChanges(
   // term by at most 1 — so 4/denom (2/denom for self) per change.
   // (Changes that land on the excluded zero key touch fewer entries;
   // the bound still covers them.)
-  std::vector<double> suffix;
+  std::vector<double>& suffix = scratch->suffix;
   if (capped) {
     suffix.assign(changes.size() + 1, 0.0);
     for (size_t i = changes.size(); i-- > 0;) {
@@ -638,23 +790,27 @@ double PairwisePropertyTool::PenaltyOfChanges(
     if (c.u == c.v) {
       const int64_t x = count(c.spec, c.u, c.u);
       // The zero key is excluded from the measure, as in Error().
-      if (x > 0) bump(true, c.spec, {x}, -1);
+      if (x > 0) bump(true, c.spec, x, 0, -1);
       const int64_t nx = x + c.delta;
-      if (nx > 0) bump(true, c.spec, {nx}, +1);
+      if (nx > 0) bump(true, c.spec, nx, 0, +1);
     } else {
       const int64_t x = count(c.spec, c.u, c.v);
       const int64_t y = count(c.spec, c.v, c.u);
       if (x != 0 || y != 0) {
-        bump(false, c.spec, {x, y}, -1);
-        bump(false, c.spec, {y, x}, -1);
+        bump(false, c.spec, x, y, -1);
+        bump(false, c.spec, y, x, -1);
       }
       const int64_t nx = x + c.delta;
       if (nx != 0 || y != 0) {
-        bump(false, c.spec, {nx, y}, +1);
-        bump(false, c.spec, {y, nx}, +1);
+        bump(false, c.spec, nx, y, +1);
+        bump(false, c.spec, y, nx, +1);
       }
     }
-    sim_n[{c.spec, c.u, c.v}] += c.delta;
+    if (PricingScratch::Sim* sim = sim_of(c.spec, c.u, c.v)) {
+      sim->delta += c.delta;
+    } else {
+      sims.push_back({c.spec, c.u, c.v, c.delta});
+    }
     if (capped) {
       double running = 0;
       for (const auto& [s, num] : spec_num) {
@@ -668,11 +824,23 @@ double PairwisePropertyTool::PenaltyOfChanges(
       }
     }
   }
+  // Sum in (is rho_S, spec, key) order: floating-point addition is not
+  // associative, and votes compare the sum against a cap.
+  std::vector<size_t>& order = scratch->order;
+  order.clear();
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    if (deltas[i].delta != 0) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const PricingScratch::Delta& x = deltas[a];
+    const PricingScratch::Delta& y = deltas[b];
+    return std::tie(x.self, x.spec, x.key) < std::tie(y.self, y.spec, y.key);
+  });
   double penalty = 0;
-  for (const auto& [k, delta] : deltas) {
-    if (delta == 0) continue;
-    penalty += static_cast<double>(term(k, delta)) /
-               Denominator(std::get<1>(k));
+  for (const size_t i : order) {
+    const PricingScratch::Delta& e = deltas[i];
+    penalty += static_cast<double>(table_of(e).Term(e.id, e.delta)) /
+               Denominator(e.spec);
   }
   return penalty / static_cast<double>(specs_.size());
 }
@@ -793,9 +961,7 @@ TupleId PairwisePropertyTool::EnsurePost(TweakContext* ctx, int s,
                                          TupleId v) {
   const ResponseSpec& spec = specs_[static_cast<size_t>(s)];
   SpecState& st = state_[static_cast<size_t>(s)];
-  const auto pit = st.posts_by_user.find(v);
-  if (pit != st.posts_by_user.end() && !pit->second.empty()) {
-    const auto& posts = pit->second;
+  if (const auto posts = st.posts_by_user.list(v); !posts.empty()) {
     return posts[static_cast<size_t>(ctx->rng()->UniformInt(
         0, static_cast<int64_t>(posts.size()) - 1))];
   }
@@ -807,24 +973,21 @@ TupleId PairwisePropertyTool::EnsurePost(TweakContext* ctx, int s,
     if (!post->IsLive(cand)) continue;
     const TupleId w = st.post_author[static_cast<size_t>(cand)];
     if (w == kInvalidTuple || w == v) continue;
-    const auto wit = st.posts_by_user.find(w);
-    if (wit == st.posts_by_user.end() || wit->second.size() < 2) continue;
+    const auto w_posts = st.posts_by_user.list(w);
+    if (w_posts.size() < 2) continue;
     // Pick w's post with the fewest responses and a sibling to absorb
     // its responses.
     TupleId victim = kInvalidTuple;
     size_t fewest = SIZE_MAX;
-    for (const TupleId p : wit->second) {
-      const auto lit = st.responses_by_post.find(p);
-      const size_t nr = lit == st.responses_by_post.end()
-                            ? 0
-                            : lit->second.size();
+    for (const TupleId p : w_posts) {
+      const size_t nr = st.responses_by_post.size(p);
       if (nr < fewest) {
         fewest = nr;
         victim = p;
       }
     }
     TupleId sibling = kInvalidTuple;
-    for (const TupleId p : wit->second) {
+    for (const TupleId p : w_posts) {
       if (p != victim) {
         sibling = p;
         break;
@@ -832,11 +995,9 @@ TupleId PairwisePropertyTool::EnsurePost(TweakContext* ctx, int s,
     }
     if (victim == kInvalidTuple || sibling == kInvalidTuple) continue;
     // Shift the victim's responses to the sibling (pairs unchanged:
-    // both posts belong to w).
-    const auto lit = st.responses_by_post.find(victim);
-    const std::vector<TupleId> rids =
-        lit == st.responses_by_post.end() ? std::vector<TupleId>{}
-                                          : lit->second;
+    // both posts belong to w). A copy: the shift edits the list.
+    const auto listed = st.responses_by_post.list(victim);
+    const std::vector<TupleId> rids(listed.begin(), listed.end());
     if (ctx->batch_hint() > 1 && rids.size() > 1) {
       // One broadcast modification re-homes every response at once.
       Modification shift = Modification::ReplaceValues(
@@ -876,9 +1037,9 @@ bool PairwisePropertyTool::AdjustResponses(TweakContext* ctx, int s,
   SpecState& st = state_[static_cast<size_t>(s)];
   int veto_budget = max_attempts_;
   while (delta < 0) {
-    const auto lit = st.responses.find({u, v});
-    if (lit == st.responses.end() || lit->second.empty()) return false;
-    const auto& list = lit->second;
+    // Re-read after every modification: applying one edits the list.
+    auto list = st.responses.list(FindPair(st, u, v));
+    if (list.empty()) return false;
     // Batched deletion: propose a span of victims as one composite
     // vote; fall back to the per-victim escalation path on veto.
     if (ctx->batch_hint() > 1 && delta < -1 && list.size() > 1) {
@@ -896,6 +1057,7 @@ bool PairwisePropertyTool::AdjustResponses(TweakContext* ctx, int s,
         delta += static_cast<int64_t>(batch.size());
         continue;
       }
+      list = st.responses.list(FindPair(st, u, v));
     }
     const TupleId victim = list[static_cast<size_t>(ctx->rng()->UniformInt(
         0, static_cast<int64_t>(list.size()) - 1))];
@@ -975,13 +1137,13 @@ bool PairwisePropertyTool::ConvertPair(TweakContext* ctx, int s,
       const TupleId a = ctx->rng()->UniformInt(0, users->NumSlots() - 1);
       const TupleId b = ctx->rng()->UniformInt(0, users->NumSlots() - 1);
       if (a == b || !users->IsLive(a) || !users->IsLive(b)) continue;
-      if (st.n.count({a, b}) != 0 || st.n.count({b, a}) != 0) continue;
+      if (Count(st, a, b) != 0 || Count(st, b, a) != 0) continue;
       // Early tries insist on receivers that already get responses
       // (keeps the user-level linear reachability intact); late tries
       // accept anyone.
       if (tries < 64) {
-        if (to[0] > 0 && st.incoming.count(b) == 0) continue;
-        if (to[1] > 0 && st.incoming.count(a) == 0) continue;
+        if (to[0] > 0 && Incoming(st, b) == 0) continue;
+        if (to[1] > 0 && Incoming(st, a) == 0) continue;
       }
       u = a;
       v = b;
@@ -990,28 +1152,26 @@ bool PairwisePropertyTool::ConvertPair(TweakContext* ctx, int s,
   } else {
     const int32_t id = st.rho.Find(from);
     if (id < 0 || st.buckets[static_cast<size_t>(id)].empty()) return false;
-    const std::set<UserPair>& bucket = st.buckets[static_cast<size_t>(id)];
-    auto incoming_of = [&](TupleId w) {
-      const auto it = st.incoming.find(w);
-      return it == st.incoming.end() ? int64_t{0} : it->second;
-    };
+    // The pick reads ranks <= 15 + 12 of the bucket, ascending (u, v).
+    const OrderedKeySet& bucket = st.buckets[static_cast<size_t>(id)];
+    std::array<uint64_t, 28> front;
+    bucket.Front(front.size(), front.data());
     // Probe a few pairs; prefer ones whose receivers keep other
     // incoming responses after the conversion (no reachability flip).
-    auto it = bucket.begin();
-    std::advance(it, ctx->rng()->UniformInt(
-                         0, std::min<int64_t>(
-                                static_cast<int64_t>(bucket.size()) - 1, 15)));
-    for (int probes = 0; probes < 12 && std::next(it) != bucket.end();
-         ++probes) {
+    size_t at = static_cast<size_t>(ctx->rng()->UniformInt(
+        0, std::min<int64_t>(static_cast<int64_t>(bucket.size()) - 1, 15)));
+    for (int probes = 0; probes < 12 && at + 1 < bucket.size(); ++probes) {
+      const TupleId pu = PackedFirst(front[at]);
+      const TupleId pv = PackedSecond(front[at]);
       const bool v_safe =
-          !(to[0] == 0 && from[0] > 0) || incoming_of(it->second) > from[0];
+          !(to[0] == 0 && from[0] > 0) || Incoming(st, pv) > from[0];
       const bool u_safe =
-          !(to[1] == 0 && from[1] > 0) || incoming_of(it->first) > from[1];
+          !(to[1] == 0 && from[1] > 0) || Incoming(st, pu) > from[1];
       if (v_safe && u_safe) break;
-      ++it;
+      ++at;
     }
-    u = it->first;
-    v = it->second;
+    u = PackedFirst(front[at]);
+    v = PackedSecond(front[at]);
   }
   if (u == kInvalidTuple || v == kInvalidTuple) return false;
   if (!AdjustResponses(ctx, s, u, v, to[0] - from[0])) return false;
@@ -1026,7 +1186,7 @@ bool PairwisePropertyTool::ConvertSelf(TweakContext* ctx, int s,
     const Table* users = db_->FindTable(schema_.user_table);
     for (int tries = 0; tries < 64; ++tries) {
       const TupleId a = ctx->rng()->UniformInt(0, users->NumSlots() - 1);
-      if (users->IsLive(a) && st.n.count({a, a}) == 0) {
+      if (users->IsLive(a) && Count(st, a, a) == 0) {
         u = a;
         break;
       }
@@ -1036,12 +1196,11 @@ bool PairwisePropertyTool::ConvertSelf(TweakContext* ctx, int s,
     if (id < 0 || st.self_buckets[static_cast<size_t>(id)].empty()) {
       return false;
     }
-    const std::set<TupleId>& bucket = st.self_buckets[static_cast<size_t>(id)];
-    auto it = bucket.begin();
-    std::advance(it, ctx->rng()->UniformInt(
-                         0, std::min<int64_t>(
-                                static_cast<int64_t>(bucket.size()) - 1, 15)));
-    u = *it;
+    const OrderedKeySet& bucket = st.self_buckets[static_cast<size_t>(id)];
+    std::array<uint64_t, 16> front;
+    bucket.Front(front.size(), front.data());
+    u = static_cast<TupleId>(front[static_cast<size_t>(ctx->rng()->UniformInt(
+        0, std::min<int64_t>(static_cast<int64_t>(bucket.size()) - 1, 15)))]);
   }
   if (u == kInvalidTuple) return false;
   return AdjustResponses(ctx, s, u, u, to - from);

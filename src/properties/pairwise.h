@@ -24,6 +24,7 @@
 
 #include "aspect/property_tool.h"
 #include "aspect/tweak_context.h"
+#include "properties/pairwise_index.h"
 #include "stats/count_gap.h"
 #include "stats/freq_dist.h"
 
@@ -85,35 +86,60 @@ class PairwisePropertyTool : public PropertyTool {
     return target_rho_[static_cast<size_t>(s)];
   }
 
- private:
+  using Key = FrequencyDistribution::Key;
   using UserPair = std::pair<TupleId, TupleId>;
+  /// Layout-free view of spec s's bound statistics, for comparing
+  /// incrementally maintained state with a fresh Bind. Lists are sets
+  /// because swap-removal leaves them in an order a fresh Bind does not
+  /// reproduce; empty lists and zero counts are left out.
+  struct StateSnapshot {
+    std::map<UserPair, int64_t> n;                    // n(u, v) > 0
+    std::map<UserPair, std::set<TupleId>> responses;  // counted ones
+    std::map<TupleId, std::set<TupleId>> responses_by_post;
+    std::map<TupleId, std::set<TupleId>> posts_by_user;
+    std::map<TupleId, int64_t> incoming;
+    std::map<Key, std::set<UserPair>> buckets;          // rho key -> pairs
+    std::map<int64_t, std::set<TupleId>> self_buckets;  // x -> users
+    bool operator==(const StateSnapshot&) const = default;
+  };
+  StateSnapshot Snapshot(int s) const;
 
+ private:
+  /// Bound statistics of one spec (DESIGN.md §15), all flat arrays
+  /// indexed by a dense id or a tuple slot. A response counts iff its
+  /// responder and its post's author are both non-NULL; it then counts
+  /// into n(responder, author).
   struct SpecState {
-    // Ordered response counts n(u, v); only non-zero entries stored.
-    std::map<UserPair, int64_t> n;
-    // Response tuple ids per ordered (responder, author) pair.
-    std::map<UserPair, std::vector<TupleId>> responses;
+    // Unordered user pairs {a, b}, a <= b, as dense ids (packed
+    // a << 32 | b), held while n(a, b) or n(b, a) is non-zero. The
+    // ordered pair (u, v) is slot 2 * id + (u > v); n(u, v) and its
+    // counted responses are indexed by that slot.
+    PairIndex pairs;
+    std::vector<int64_t> n;
+    SwapLists responses;
     // rho: (x, y) -> ordered pairs (u, v) with x = n(u,v), y = n(v,u);
     // rho_S: x -> users with x self-responses. Current and target
     // counts; the zero key's are implicit.
     CountGapTable rho{2};
     CountGapTable self{1};
-    // Per rho / rho_S id: the pairs / users currently realizing it.
-    std::vector<std::set<UserPair>> buckets;
-    std::vector<std::set<TupleId>> self_buckets;
+    // Per rho / rho_S id: the pairs (packed u << 32 | v) / users
+    // currently realizing it, ascending.
+    std::vector<OrderedKeySet> buckets;
+    std::vector<OrderedKeySet> self_buckets;
     // Response tuple caches (by slot): responder / post; -1 unknown.
     std::vector<TupleId> resp_user;
     std::vector<TupleId> resp_post;
-    // Post caches: author by slot; posts per user; responses per post.
+    // Post caches: author by slot; posts per user; responses (with a
+    // non-NULL responder) per post.
     std::vector<TupleId> post_author;
-    std::map<TupleId, std::vector<TupleId>> posts_by_user;
-    std::map<TupleId, std::vector<TupleId>> responses_by_post;
+    SwapLists posts_by_user;
+    SwapLists responses_by_post;
     // Posts created by the tweaking algorithm (Theorem 5 bound).
     int64_t created_posts = 0;
     // Total responses received per user (for pair selection: giving a
     // user with existing incoming responses more of them leaves the
     // linear reachability of the user level untouched).
-    std::map<TupleId, int64_t> incoming;
+    std::vector<int64_t> incoming;
   };
 
   /// One counted-response change: user `u` responds to `v` delta more
@@ -124,22 +150,42 @@ class PairwisePropertyTool : public PropertyTool {
     TupleId v;
     int64_t delta;
   };
+  /// Per-thread working memory of pricing and of OnApplied (defined in
+  /// pairwise.cc). Validators may be priced from concurrent
+  /// parallel-pass members, so pricing keeps no scratch in the tool.
+  struct PricingScratch;
+  static PricingScratch& ThreadScratch();
 
-  std::vector<NChange> CollectNChanges(const Modification& mod,
-                                       TupleId new_tuple,
-                                       bool pre_apply) const;
+  /// Appends the counted-response changes `mod` (on schema table
+  /// `table`) causes to `out`.
+  void CollectNChanges(const Modification& mod, int table, bool pre_apply,
+                       std::vector<NChange>* out) const;
   void ApplyNChange(const NChange& c);
-  /// Simulated error change of applying `changes` (shared across the
-  /// single and batch validation paths). A finite `veto_cap` allows
-  /// stopping as soon as the final penalty is provably above the cap,
-  /// returning a conservative lower bound that is itself above it.
-  double PenaltyOfChanges(const std::vector<NChange>& changes,
+  /// Simulated error change of applying the scratch's changes (shared
+  /// across the single and batch validation paths). A finite
+  /// `veto_cap` allows stopping as soon as the final penalty is
+  /// provably above the cap, returning a conservative lower bound that
+  /// is itself above it.
+  double PenaltyOfChanges(PricingScratch* scratch,
                           double veto_cap = kNoPenaltyCap) const;
   /// Maintains the structural caches (authors, posts lists, response
   /// lists) for an applied modification.
-  void ApplyStructural(const Modification& mod,
-                       const std::vector<Value>& old_values,
+  void ApplyStructural(const Modification& mod, int table,
                        TupleId new_tuple);
+  /// Moves every counted response of post `pid` to the pair lists of
+  /// its new author `a` (kInvalidTuple: none) and records `a`.
+  void Reauthor(SpecState* st, TupleId pid, TupleId a);
+
+  /// Author of post `p` of spec s: the cache, or the database for a
+  /// post past it; kInvalidTuple when NULL or not a post.
+  TupleId AuthorOf(int s, TupleId p) const;
+  /// Slot of the ordered pair (u, v) in spec state `st`, or -1 if it
+  /// was never interned.
+  static int64_t FindPair(const SpecState& st, TupleId u, TupleId v);
+  static int64_t InternPair(SpecState* st, TupleId u, TupleId v);
+  /// n(u, v), zero for a pair never interned.
+  static int64_t Count(const SpecState& st, TupleId u, TupleId v);
+  static int64_t Incoming(const SpecState& st, TupleId u);
 
   /// Loads every spec's targets into its bound tables; every target
   /// setter calls it.
@@ -168,9 +214,9 @@ class PairwisePropertyTool : public PropertyTool {
 
   Schema schema_;
   std::vector<ResponseSpec> specs_;
-  // table -> spec ids where it is the response / post table.
-  std::map<int, std::vector<int>> response_index_;
-  std::map<int, std::vector<int>> post_index_;
+  // table index -> spec ids where it is the response / post table.
+  std::vector<std::vector<int>> response_index_;
+  std::vector<std::vector<int>> post_index_;
 
   Database* db_ = nullptr;
   std::vector<SpecState> state_;

@@ -1,6 +1,7 @@
 #include "stats/count_gap.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -58,6 +59,8 @@ int32_t CountGapTable::Intern(Keys key) {
   if (static_cast<size_t>(id) == count_.size()) {
     count_.push_back(0);
     target_.push_back(0);
+    key_pos_.push_back(-1);
+    surplus_pos_.push_back(-1);
   }
   return id;
 }
@@ -66,6 +69,29 @@ void CountGapTable::Add(int32_t id, int64_t d) {
   gap_ += Term(id, d);
   mass_ += d;
   count_[static_cast<size_t>(id)] += d;
+  Track(id);
+}
+
+void CountGapTable::Track(int32_t id) {
+  const auto i = static_cast<size_t>(id);
+  const int32_t k = key_pos_[i];
+  if (k >= 0) {
+    const uint64_t bit = uint64_t{1} << (k % 64);
+    uint64_t& word = deficit_[static_cast<size_t>(k / 64)];
+    word = count_[i] < target_[i] ? word | bit : word & ~bit;
+  }
+  const bool surplus = count_[i] > std::max<int64_t>(0, target_[i]);
+  const int32_t pos = surplus_pos_[i];
+  if (surplus && pos < 0) {
+    surplus_pos_[i] = static_cast<int32_t>(surplus_.size());
+    surplus_.push_back(id);
+  } else if (!surplus && pos >= 0) {
+    const int32_t last = surplus_.back();
+    surplus_[static_cast<size_t>(pos)] = last;
+    surplus_pos_[static_cast<size_t>(last)] = pos;
+    surplus_.pop_back();
+    surplus_pos_[i] = -1;
+  }
 }
 
 void CountGapTable::SetTarget(const FrequencyDistribution& target,
@@ -89,6 +115,14 @@ void CountGapTable::SetTarget(const FrequencyDistribution& target,
   for (size_t id = 0; id < count_.size(); ++id) {
     gap_ += std::llabs(count_[id] - target_[id]);
   }
+  std::fill(key_pos_.begin(), key_pos_.end(), -1);
+  for (size_t k = 0; k < by_key_.size(); ++k) {
+    key_pos_[static_cast<size_t>(by_key_[k])] = static_cast<int32_t>(k);
+  }
+  deficit_.assign((by_key_.size() + 63) / 64, 0);
+  surplus_.clear();
+  std::fill(surplus_pos_.begin(), surplus_pos_.end(), -1);
+  for (int32_t id = 0; id < size(); ++id) Track(id);
 }
 
 FrequencyDistribution CountGapTable::Current() const {
@@ -107,52 +141,58 @@ void CountGapTable::ConvertDeficits(int64_t guard, const Convert& convert) {
   auto key_of = [&](int32_t id) -> Keys {
     return id < 0 ? Keys(zero) : key(id);
   };
-  std::vector<char> stuck(static_cast<size_t>(size()) + 1, 0);  // id + 1
+  // Stuck deficits: bits over by_key_ positions, and the zero key.
+  std::vector<uint64_t> stuck(deficit_.size(), 0);
+  bool zero_stuck = false;
   std::vector<int64_t> deficit(width), surplus(width);
-  std::vector<std::pair<int64_t, int32_t>> surpluses;  // (distance, id)
-  auto before = [&](const std::pair<int64_t, int32_t>& a,
-                    const std::pair<int64_t, int32_t>& b) {
-    if (a.first != b.first) return a.first < b.first;
+  std::vector<std::pair<int64_t, int32_t>> heap;  // (distance, id)
+  // Heap order: the front is the surplus that sorts first by
+  // (distance, key). Keys are distinct, so the order is total.
+  auto after = [&](const std::pair<int64_t, int32_t>& a,
+                   const std::pair<int64_t, int32_t>& b) {
+    if (a.first != b.first) return a.first > b.first;
     const Keys ka = key_of(a.second), kb = key_of(b.second);
-    return std::lexicographical_compare(ka.begin(), ka.end(), kb.begin(),
-                                        kb.end());
+    return std::lexicographical_compare(kb.begin(), kb.end(), ka.begin(),
+                                        ka.end());
   };
   while (guard-- > 0) {
-    int32_t d = -2;  // none
-    for (const int32_t id : by_key_) {
-      if (stuck[static_cast<size_t>(id) + 1] == 0 && count(id) < target(id)) {
-        d = id;
+    int64_t pos = -1;  // by_key_ position of the deficit
+    for (size_t w = 0; w < deficit_.size(); ++w) {
+      const uint64_t open = deficit_[w] & ~stuck[w];
+      if (open != 0) {
+        pos = static_cast<int64_t>(w * 64) + std::countr_zero(open);
         break;
       }
     }
-    if (d == -2 && stuck[0] == 0 && zero_count() < zero_target()) d = -1;
-    if (d == -2) break;
+    if (pos < 0 && (zero_stuck || zero_count() >= zero_target())) break;
+    const int32_t d = pos < 0 ? -1 : by_key_[static_cast<size_t>(pos)];
     const Keys dk = key_of(d);
     std::copy(dk.begin(), dk.end(), deficit.begin());
 
-    surpluses.clear();
     auto distance = [&](Keys k) {
       int64_t sum = 0;
       for (size_t i = 0; i < width; ++i) sum += std::llabs(k[i] - deficit[i]);
       return sum;
     };
-    for (int32_t id = 0; id < size(); ++id) {
-      if (count(id) > std::max<int64_t>(0, target(id))) {
-        surpluses.emplace_back(distance(key(id)), id);
-      }
-    }
-    if (zero_count() > zero_target()) {
-      surpluses.emplace_back(distance(zero), -1);
-    }
-    std::sort(surpluses.begin(), surpluses.end(), before);
+    heap.clear();
+    for (const int32_t id : surplus_) heap.emplace_back(distance(key(id)), id);
+    if (zero_count() > zero_target()) heap.emplace_back(distance(zero), -1);
+    std::make_heap(heap.begin(), heap.end(), after);
     bool converted = false;
-    for (size_t i = 0; !converted && i < surpluses.size(); ++i) {
+    while (!converted && !heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), after);
       // A copy: a conversion may intern keys and move the interner's.
-      const Keys sk = key_of(surpluses[i].second);
+      const Keys sk = key_of(heap.back().second);
+      heap.pop_back();
       std::copy(sk.begin(), sk.end(), surplus.begin());
       converted = convert(surplus, deficit);
     }
-    if (!converted) stuck[static_cast<size_t>(d + 1)] = 1;
+    if (converted) continue;
+    if (pos < 0) {
+      zero_stuck = true;
+    } else {
+      stuck[static_cast<size_t>(pos / 64)] |= uint64_t{1} << (pos % 64);
+    }
   }
 }
 

@@ -110,17 +110,27 @@ class CountGapTable {
   /// (count > target, zero key included) by (Manhattan distance to the
   /// deficit, key) and call `convert` on each until one succeeds. A
   /// deficit none converts into is stuck for the rest of the loop.
-  /// Surpluses are ordered once per deficit, before any conversion.
+  /// The surplus set is taken once per deficit, before any conversion,
+  /// and visited lazily through a heap in that order.
   void ConvertDeficits(int64_t guard, const Convert& convert);
 
  private:
   int64_t zero_count() const { return space_ - mass_; }
   int64_t zero_target() const { return target_space_ - target_mass_; }
+  /// Brings id's deficit bit and surplus-list membership in line with
+  /// its current and target counts.
+  void Track(int32_t id);
 
   KeyInterner keys_;
   std::vector<int64_t> count_;
   std::vector<int64_t> target_;
   std::vector<int32_t> by_key_;  // ids with a positive target, key order
+  std::vector<int32_t> key_pos_;   // id -> index in by_key_, -1: none
+  std::vector<uint64_t> deficit_;  // bit i: by_key_[i] has count < target
+  // Ids with count > max(0, target) in no particular order, and each
+  // id's index in it (-1: not a surplus).
+  std::vector<int32_t> surplus_;
+  std::vector<int32_t> surplus_pos_;
   int64_t mass_ = 0;
   int64_t target_mass_ = 0;
   int64_t space_ = 0;

@@ -75,7 +75,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   int64_t applied = 0;
   int64_t batches = 0;
   for (int step = 0; step < 400; ++step) {
-    const int kind = static_cast<int>(rng.UniformInt(0, 7));
+    const int kind = static_cast<int>(rng.UniformInt(0, 8));
     switch (kind) {
       case 0:
       case 1: {  // ReplaceValues on a random FK cell
@@ -204,6 +204,32 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         applied += 2;
         break;
       }
+      case 8: {  // Empty a post's author cell, respond to it, refill it
+        const ResponseSpec& spec = db->schema().responses[0];
+        Table* post = db->FindTable(spec.post_table);
+        Table* resp = db->FindTable(spec.response_table);
+        const Table* users = db->FindTable("User");
+        const TupleId pid = rng.UniformInt(0, post->NumSlots() - 1);
+        const TupleId na = rng.UniformInt(0, users->NumSlots() - 1);
+        const auto row = random_row(*resp);
+        if (!post->IsLive(pid) || !post->column(spec.author_col).IsValue(pid) ||
+            !users->IsLive(na) || !row) {
+          break;
+        }
+        ASSERT_TRUE(db->Apply(Modification::DeleteValues(
+                                  spec.post_table, {pid}, {spec.author_col}))
+                        .ok());
+        std::vector<Value> r = *row;
+        r[static_cast<size_t>(spec.post_col)] = Value(pid);
+        ASSERT_TRUE(
+            db->Apply(Modification::InsertTuple(spec.response_table, r)).ok());
+        ASSERT_TRUE(db->Apply(Modification::InsertValues(
+                                  spec.post_table, {pid}, {spec.author_col},
+                                  {Value(static_cast<int64_t>(na))}))
+                        .ok());
+        applied += 3;
+        break;
+      }
     }
   }
   EXPECT_GT(applied, 100);
@@ -240,6 +266,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   for (int s = 0; s < pairwise.num_specs(); ++s) {
     EXPECT_EQ(pairwise.CurrentRho(s), pairwise2.CurrentRho(s)) << s;
     EXPECT_EQ(pairwise.CurrentRhoSelf(s), pairwise2.CurrentRhoSelf(s)) << s;
+    EXPECT_TRUE(pairwise.Snapshot(s) == pairwise2.Snapshot(s)) << s;
   }
   DegreeDistributionTool degree2(db->schema());
   ASSERT_TRUE(degree2.SetTargetFromDataset(*db).ok());
