@@ -1,95 +1,85 @@
 #include "aspect/access_monitor.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <utility>
 
 namespace aspect {
 
-AccessMonitor::AccessMonitor(int num_tools)
-    : num_tools_(num_tools),
-      touched_(static_cast<size_t>(num_tools)),
-      atoms_(static_cast<size_t>(num_tools)) {}
-
-uint64_t AccessMonitor::CellKey(int table, TupleId tuple, int col) {
-  // 12 bits table | 40 bits tuple | 12 bits column.
-  return (static_cast<uint64_t>(table) << 52) |
-         ((static_cast<uint64_t>(tuple) & 0xFFFFFFFFFFull) << 12) |
-         (static_cast<uint64_t>(col) & 0xFFFull);
+void AccessMonitor::Slots::Mark(TupleId t) {
+  if (t < 0) return;
+  const size_t w = static_cast<size_t>(t) >> 6;
+  if (w >= words.size()) words.resize(w + 1);
+  words[w] |= uint64_t{1} << (static_cast<uint64_t>(t) & 63);
 }
 
-void AccessMonitor::Record(int tool_id, int table_index,
-                           const Modification& mod) {
-  if (tool_id < 0 || tool_id >= num_tools()) return;
+bool AccessMonitor::Slots::Meets(const Slots& other) const {
+  const size_t n = std::min(words.size(), other.words.size());
+  for (size_t w = 0; w < n; ++w) {
+    if ((words[w] & other.words[w]) != 0) return true;
+  }
+  return false;
+}
+
+AccessMonitor::AccessMonitor(int num_tools, const Schema& schema)
+    : num_tools_(num_tools), schema_(schema) {
+  ToolWrites shape;
+  for (const TableSpec& table : schema.tables) {
+    shape.emplace_back(table.columns.size() + 1);
+  }
+  writes_.assign(static_cast<size_t>(num_tools), shape);
+}
+
+void AccessMonitor::Record(int tool_id, const Modification& mod,
+                           TupleId inserted) {
+  const int table_index = schema_.TableIndex(mod.table);
+  if (tool_id < 0 || tool_id >= num_tools() || table_index < 0) return;
   MutexLock lock(mu_);
-  auto& set = touched_[static_cast<size_t>(tool_id)];
-  auto& atoms = atoms_[static_cast<size_t>(tool_id)];
+  TableWrites& table = writes_[static_cast<size_t>(tool_id)]
+                              [static_cast<size_t>(table_index)];
+  Slots& rows = table[0];
   switch (mod.kind) {
     case OpKind::kDeleteValues:
     case OpKind::kInsertValues:
     case OpKind::kReplaceValues:
       for (const int c : mod.cols) {
-        atoms.insert({table_index, c});
-      }
-      for (const TupleId t : mod.tuples) {
-        for (const int c : mod.cols) {
-          set.insert(CellKey(table_index, t, c));
-        }
+        if (c < 0 || c + 1 >= static_cast<int>(table.size())) continue;
+        Slots& slots = table[static_cast<size_t>(c) + 1];
+        slots.written = true;
+        for (const TupleId t : mod.tuples) slots.Mark(t);
       }
       break;
     case OpKind::kInsertTuple:
       // New tuples cannot overlap with cells other tools wrote before,
-      // but later writes to them can; record the whole row under a
-      // synthetic column fan-out once the id is known via the tuples
-      // vector (the coordinator records post-apply with the new id).
-      atoms.insert({table_index, AccessScope::kWholeTable});
-      for (const TupleId t : mod.tuples) {
-        for (size_t c = 0; c < mod.values.size(); ++c) {
-          set.insert(CellKey(table_index, t, static_cast<int>(c)));
-        }
-      }
+      // but later writes to them can.
+      rows.written = true;
+      rows.Mark(inserted);
       break;
     case OpKind::kDeleteTuple:
-      atoms.insert({table_index, AccessScope::kWholeTable});
-      for (const TupleId t : mod.tuples) {
-        // A row deletion touches every column; 64 columns is far above
-        // any schema in this repo.
-        for (int c = 0; c < 64; ++c) {
-          set.insert(CellKey(table_index, t, c));
-        }
-      }
+      rows.written = true;
+      for (const TupleId t : mod.tuples) rows.Mark(t);
       break;
-  }
-}
-
-void AccessMonitor::MergeFrom(const AccessMonitor& other) {
-  MutexLock lock(mu_);
-  MutexLock other_lock(other.mu_);
-  const size_t n =
-      std::min(touched_.size(), other.touched_.size());
-  for (size_t i = 0; i < n; ++i) {
-    touched_[i].insert(other.touched_[i].begin(), other.touched_[i].end());
-    atoms_[i].insert(other.atoms_[i].begin(), other.atoms_[i].end());
   }
 }
 
 void AccessMonitor::MergeFrom(AccessMonitor&& other) {
   MutexLock lock(mu_);
   MutexLock other_lock(other.mu_);
-  const size_t n =
-      std::min(touched_.size(), other.touched_.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (touched_[i].empty()) {
-      touched_[i] = std::move(other.touched_[i]);
-    } else {
-      touched_[i].insert(other.touched_[i].begin(), other.touched_[i].end());
+  for (size_t i = 0; i < writes_.size(); ++i) {
+    for (size_t t = 0; t < writes_[i].size(); ++t) {
+      for (size_t c = 0; c < writes_[i][t].size(); ++c) {
+        // Keep the longer word vector and OR the shorter into it, so a
+        // side with no records adopts the other's words wholesale.
+        Slots& into = writes_[i][t][c];
+        Slots& from = other.writes_[i][t][c];
+        if (into.words.size() < from.words.size()) std::swap(into, from);
+        into.written = into.written || from.written;
+        for (size_t w = 0; w < from.words.size(); ++w) {
+          into.words[w] |= from.words[w];
+        }
+        from = Slots();
+      }
     }
-    other.touched_[i].clear();
-    if (atoms_[i].empty()) {
-      atoms_[i] = std::move(other.atoms_[i]);
-    } else {
-      atoms_[i].insert(other.atoms_[i].begin(), other.atoms_[i].end());
-    }
-    other.atoms_[i].clear();
   }
 }
 
@@ -98,31 +88,61 @@ bool AccessMonitor::Overlaps(int a, int b) const {
   return OverlapsLocked(a, b);
 }
 
+// Two cell bits meet on the same column (index 0 included: two row
+// bits); a row bit meets any bit of the other tool at that slot.
 bool AccessMonitor::OverlapsLocked(int a, int b) const {
-  const auto& sa = touched_[static_cast<size_t>(a)];
-  const auto& sb = touched_[static_cast<size_t>(b)];
-  const auto& small = sa.size() <= sb.size() ? sa : sb;
-  const auto& large = sa.size() <= sb.size() ? sb : sa;
-  for (const uint64_t key : small) {
-    if (large.count(key) > 0) return true;
+  const ToolWrites& wa = writes_[static_cast<size_t>(a)];
+  const ToolWrites& wb = writes_[static_cast<size_t>(b)];
+  for (size_t t = 0; t < wa.size(); ++t) {
+    const TableWrites& x = wa[t];
+    const TableWrites& y = wb[t];
+    for (size_t c = 0; c < x.size(); ++c) {
+      if (x[c].Meets(y[c]) || x[0].Meets(y[c]) || x[c].Meets(y[0])) {
+        return true;
+      }
+    }
   }
   return false;
+}
+
+int64_t AccessMonitor::CellsTouched(int tool_id) const {
+  MutexLock lock(mu_);
+  const ToolWrites& tables = writes_[static_cast<size_t>(tool_id)];
+  int64_t cells = 0;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const Slots& rows = tables[t][0];
+    for (const uint64_t w : rows.words) {
+      cells += std::popcount(w) * static_cast<int64_t>(tables[t].size() - 1);
+    }
+    for (size_t c = 1; c < tables[t].size(); ++c) {
+      const std::vector<uint64_t>& words = tables[t][c].words;
+      for (size_t w = 0; w < words.size(); ++w) {
+        cells += std::popcount(words[w] & ~rows.Word(w));
+      }
+    }
+  }
+  return cells;
 }
 
 AccessScope AccessMonitor::ObservedScope(int tool_id) const {
   AccessScope scope;
   if (tool_id < 0 || tool_id >= num_tools()) return scope;
   MutexLock lock(mu_);
-  const auto& atoms = atoms_[static_cast<size_t>(tool_id)];
-  if (atoms.empty()) return scope;  // never ran: unknown
+  const ToolWrites& tables = writes_[static_cast<size_t>(tool_id)];
+  for (size_t t = 0; t < tables.size(); ++t) {
+    for (size_t c = 0; c < tables[t].size(); ++c) {
+      if (tables[t][c].written) {
+        scope.AddWrite(static_cast<int>(t),
+                       AccessScope::kWholeTable + static_cast<int>(c));
+      }
+    }
+  }
+  if (scope.writes.empty()) return scope;  // never ran: unknown
   scope.known = true;
   // The monitor records modifications, i.e. writes; the tool may well
   // read cells it never wrote, so the reconstructed read set is only a
   // lower bound and must not be trusted for read-side checks.
   scope.reads_complete = false;
-  for (const AccessScope::Atom& a : atoms) {
-    scope.AddWrite(a.first, a.second);
-  }
   return scope;
 }
 

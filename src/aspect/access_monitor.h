@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "aspect/access_scope.h"
@@ -24,37 +22,29 @@ namespace aspect {
 /// time by Clang's -Wthread-safety analysis.
 class AccessMonitor {
  public:
-  explicit AccessMonitor(int num_tools);
+  AccessMonitor(int num_tools, const Schema& schema);
 
   int num_tools() const { return num_tools_; }
 
-  /// Records the cells written by `mod` on behalf of tool `tool_id`.
-  /// `table_index` is the table's index in the schema.
-  void Record(int tool_id, int table_index, const Modification& mod)
-      ASPECT_EXCLUDES(mu_);
+  /// Records the cells written by `mod` on behalf of tool `tool_id`;
+  /// `inserted` is the id a kInsertTuple produced. Writes outside the
+  /// schema's tables and columns are ignored.
+  void Record(int tool_id, const Modification& mod,
+              TupleId inserted = kInvalidTuple) ASPECT_EXCLUDES(mu_);
 
-  /// Unions another monitor's records into this one (same num_tools).
-  /// The parallel pass records each task into a private monitor and
-  /// merges the successful ones, so a discarded attempt leaves no
-  /// phantom cells behind.
-  void MergeFrom(const AccessMonitor& other) ASPECT_EXCLUDES(mu_);
-
-  /// Move-merge: same union, but a tool whose records are empty on this
-  /// side adopts the other side's sets wholesale instead of re-inserting
-  /// tens of thousands of cell keys one by one. This is the common case
-  /// when merging a parallel task's monitor (the main monitor is reset
-  /// per Run and each tool runs once per pass). `other` is left empty.
+  /// Unions another monitor's records into this one (same shape) and
+  /// leaves `other` empty. The parallel pass records each task into a
+  /// private monitor and merges the successful ones, so a discarded
+  /// attempt leaves no phantom cells behind.
   void MergeFrom(AccessMonitor&& other) ASPECT_EXCLUDES(mu_);
 
   /// True if the two tools wrote at least one common cell. Row
   /// insert/delete counts as touching every column of that tuple.
   bool Overlaps(int a, int b) const ASPECT_EXCLUDES(mu_);
 
-  /// Number of distinct cells tool `tool_id` wrote.
-  int64_t CellsTouched(int tool_id) const ASPECT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return static_cast<int64_t>(touched_[static_cast<size_t>(tool_id)].size());
-  }
+  /// Number of distinct cells tool `tool_id` wrote; a row insert or
+  /// delete counts every column of its table.
+  int64_t CellsTouched(int tool_id) const ASPECT_EXCLUDES(mu_);
 
   /// Adjacency matrix of the overlap graph (see overlap.h).
   std::vector<std::vector<bool>> OverlapGraph() const ASPECT_EXCLUDES(mu_);
@@ -69,17 +59,27 @@ class AccessMonitor {
   AccessScope ObservedScope(int tool_id) const ASPECT_EXCLUDES(mu_);
 
  private:
-  // Cell key: (table, tuple, column) packed into 64 bits; column -1
-  // (whole row) is recorded as a per-column fan-out.
-  static uint64_t CellKey(int table, TupleId tuple, int col);
+  /// The tuple slots one tool wrote in one column, or as whole rows:
+  /// bit t is tuple id t. `written` is set by any record naming the
+  /// column, even one with no tuples, and feeds ObservedScope.
+  struct Slots {
+    bool written = false;
+    std::vector<uint64_t> words;
+    void Mark(TupleId t);
+    bool Meets(const Slots& other) const;
+    uint64_t Word(size_t w) const { return w < words.size() ? words[w] : 0; }
+  };
+  /// One tool's writes to one table, indexed by column + 1: index 0
+  /// (column kWholeTable) holds row inserts and deletes.
+  using TableWrites = std::vector<Slots>;
+  using ToolWrites = std::vector<TableWrites>;  // one per schema table
 
   bool OverlapsLocked(int a, int b) const ASPECT_REQUIRES(mu_);
 
   const int num_tools_;
+  const Schema schema_;
   mutable Mutex mu_;
-  std::vector<std::unordered_set<uint64_t>> touched_ ASPECT_GUARDED_BY(mu_);
-  // Coarse (table, column) write atoms per tool, for ObservedScope.
-  std::vector<std::set<AccessScope::Atom>> atoms_ ASPECT_GUARDED_BY(mu_);
+  std::vector<ToolWrites> writes_ ASPECT_GUARDED_BY(mu_);
 };
 
 }  // namespace aspect

@@ -661,7 +661,7 @@ std::vector<GroupTask> TweakLoop::SetUpGroup(
     // landed in the shared database.
     task.recorder = std::make_unique<WriteRecorder>(&db_->schema());
     task.monitor = std::make_unique<AccessMonitor>(
-        static_cast<int>(tools_.size()));
+        static_cast<int>(tools_.size()), db_->schema());
     if (checker_ != nullptr) {
       task.footprint =
           std::make_unique<analysis::FootprintRecorder>(columns_per_table_);
@@ -1020,7 +1020,7 @@ Result<RunReport> Coordinator::Run(Database* db,
   }
   RunReport report;
   const double run_start = Now();
-  monitor_ = std::make_unique<AccessMonitor>(num_tools());
+  monitor_ = std::make_unique<AccessMonitor>(num_tools(), db->schema());
   checker_.reset();
   // kSampled deliberately creates no checker: it selects the lease-
   // canary-only path (what release builds do at kOff), with no

@@ -230,17 +230,7 @@ Status TweakContext::Apply(const Modification& mod, TupleId* new_tuple) {
   ASPECT_RETURN_NOT_OK(db_->Apply(mod, &inserted));
   ++applied_;
   if (new_tuple != nullptr) *new_tuple = inserted;
-  if (monitor_ != nullptr) {
-    const int table_index = db_->schema().TableIndex(mod.table);
-    if (mod.kind == OpKind::kInsertTuple) {
-      // Record under the id the insert actually produced.
-      Modification with_id = mod;
-      with_id.tuples = {inserted};
-      monitor_->Record(tool_id_, table_index, with_id);
-    } else {
-      monitor_->Record(tool_id_, table_index, mod);
-    }
-  }
+  if (monitor_ != nullptr) monitor_->Record(tool_id_, mod, inserted);
   return Status::OK();
 }
 
@@ -307,18 +297,8 @@ Status TweakContext::ApplyBatch(std::span<const Modification> mods,
   std::vector<TupleId> inserted;
   ASPECT_RETURN_NOT_OK(db_->ApplyBatch(mods, &inserted));
   applied_ += static_cast<int64_t>(mods.size());
-  if (monitor_ != nullptr) {
-    for (size_t i = 0; i < mods.size(); ++i) {
-      const Modification& mod = mods[i];
-      const int table_index = db_->schema().TableIndex(mod.table);
-      if (mod.kind == OpKind::kInsertTuple) {
-        Modification with_id = mod;
-        with_id.tuples = {inserted[i]};
-        monitor_->Record(tool_id_, table_index, with_id);
-      } else {
-        monitor_->Record(tool_id_, table_index, mod);
-      }
-    }
+  for (size_t i = 0; monitor_ != nullptr && i < mods.size(); ++i) {
+    monitor_->Record(tool_id_, mods[i], inserted[i]);
   }
   if (new_tuples != nullptr) *new_tuples = std::move(inserted);
   return Status::OK();

@@ -207,8 +207,10 @@ TEST(ScopeCheckerTest, ObservedScopesAreNeverConformant) {
   EXPECT_TRUE(checker.ok());  // no violation either: nothing checkable
 
   // The real AccessMonitor output goes through the same gate.
-  AccessMonitor monitor(1);
-  monitor.Record(0, 0, Modification::DeleteTuple("T", 0));
+  Schema schema;
+  schema.tables.push_back({"T", {{"a", ColumnType::kInt64, ""}}});
+  AccessMonitor monitor(1, schema);
+  monitor.Record(0, Modification::DeleteTuple("T", 0));
   EXPECT_FALSE(ScopeChecker::CanCertify(monitor.ObservedScope(0)));
 }
 
