@@ -8,8 +8,9 @@
 // a growth exponent. BENCH_scalability.json carries each scale's
 // tuples, tweak_s and tuples_per_s as metrics "<prefix>scale_<s>_
 // <field>", prefix "" for XiamiLike and "douban_" for DoubanMovieLike,
-// and the least-squares exponent of tweak_s against tuples as
-// "<prefix>tweak_exponent".
+// the median run's ToolReport::seconds summed per tool as "<prefix>scale_
+// <s>_<tool>_s", and the least-squares exponent of tweak_s against
+// tuples as "<prefix>tweak_exponent".
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -47,6 +48,7 @@ const Sweep kSweeps[] = {
 };
 
 constexpr int kRuns = 3;
+const char* const kTools[] = {"linear", "coappear", "pairwise"};
 
 /// Slope of log(y) against log(x) by least squares.
 double LogLogSlope(const std::vector<double>& x, const std::vector<double>& y) {
@@ -69,8 +71,8 @@ int main() {
   BenchReport report("scalability");
   for (const Sweep& sweep : kSweeps) {
     Banner(sweep.banner);
-    Header({"scale", "tuples", "tweak-s", "tuples/s", "err-L", "err-C",
-            "err-P"});
+    Header({"scale", "tuples", "tweak-s", "tuples/s", "L-s", "C-s", "P-s",
+            "err-L", "err-C", "err-P"});
     std::vector<double> sizes;
     std::vector<double> times;
     for (const int scale : {1, 2, 4, 8, 16}) {
@@ -81,13 +83,13 @@ int main() {
       c.target_snapshot = sweep.target_snapshot;
       c.scaler = sweep.scaler;
       c.order = OrderFromLabel(sweep.order).ValueOrAbort();
-      const ExperimentResult r = RunExperiment(c).ValueOrAbort();
-      std::vector<double> runs = {r.tweak_seconds};
+      std::vector<ExperimentResult> runs;
       while (static_cast<int>(runs.size()) < kRuns) {
-        runs.push_back(RunExperiment(c).ValueOrAbort().tweak_seconds);
+        runs.push_back(RunExperiment(c).ValueOrAbort());
       }
-      std::sort(runs.begin(), runs.end());
-      const double tweak_s = runs[runs.size() / 2];
+      std::ranges::sort(runs, {}, &ExperimentResult::tweak_seconds);
+      const ExperimentResult& r = runs[runs.size() / 2];
+      const double tweak_s = r.tweak_seconds;
       // Tuple count of the tweaked dataset.
       auto gen = GenerateDataset(c.blueprint, c.seed).ValueOrAbort();
       int64_t tuples = 0;
@@ -108,6 +110,14 @@ int main() {
       Cell(std::to_string(tuples));
       Cell(tweak_s);
       Cell(tuples_per_s);
+      for (const char* tool : kTools) {
+        double seconds = 0;
+        for (const ToolReport& step : r.report.steps) {
+          if (step.tool == tool) seconds += step.seconds;
+        }
+        report.Metric(key + tool + "_s", seconds);
+        Cell(seconds);
+      }
       Cell(r.after.linear);
       Cell(r.after.coappear);
       Cell(r.after.pairwise);

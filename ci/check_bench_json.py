@@ -8,11 +8,12 @@ a git checkout, every one in the root directory). Each must parse as JSON
 and carry "name", "hardware_threads" and "tuples_per_s": a throughput
 figure only compares across runs on the same hardware width. The
 scalability record must also hold one row per pipeline scale of each
-sweep, i.e. the metrics <p>scale_<s>_tuples, <p>scale_<s>_tweak_s and
-<p>scale_<s>_tuples_per_s for every s in SCALES and every sweep prefix
-p in SWEEPS ("" for Rand-XiamiLike C-L-P, "douban_" for
-Dscaler-DoubanMovieLike L-P-C). Exits non-zero with one line per
-problem.
+sweep, i.e. the metrics <p>scale_<s>_<f> for every field f in
+SCALE_FIELDS (tuples, tweak_s, tuples_per_s, and each tool's seconds in
+the median run, which name the layer behind a throughput change), every
+s in SCALES and every sweep prefix p in SWEEPS ("" for Rand-XiamiLike
+C-L-P, "douban_" for Dscaler-DoubanMovieLike L-P-C). Exits non-zero with
+one line per problem.
 """
 import glob
 import json
@@ -24,7 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REQUIRED = ("name", "hardware_threads", "tuples_per_s")
 SCALES = (1, 2, 4, 8, 16)
 SWEEPS = ("", "douban_")
-SCALE_FIELDS = ("tuples", "tweak_s", "tuples_per_s")
+SCALE_FIELDS = ("tuples", "tweak_s", "tuples_per_s", "linear_s",
+                "coappear_s", "pairwise_s")
 
 
 def committed_records():

@@ -37,6 +37,11 @@ class GenderRatioTool : public PropertyTool {
 
   std::string name() const override { return "gender-ratio"; }
 
+  // Lets Coordinator::CompareOrders run candidate orders side by side.
+  std::unique_ptr<PropertyTool> Clone() const override {
+    return bound() ? nullptr : std::make_unique<GenderRatioTool>(*this);
+  }
+
   // ---- Target Generator ----
   void SetTargetFraction(double males) { target_fraction_ = males; }
   Status SetTargetFromDataset(const Database& truth) override {

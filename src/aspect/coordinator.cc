@@ -1077,84 +1077,55 @@ Result<std::vector<Coordinator::OrderOutcome>> Coordinator::CompareOrders(
   // Candidates are independent given their own tool set: Run seeds its
   // RNG from options.seed, so a worker Coordinator with cloned tools
   // and a database snapshot produces exactly the serial result.
-  const auto clone_tools = [this]() {
-    std::vector<std::unique_ptr<PropertyTool>> clones;
-    clones.reserve(tools_.size());
+  std::vector<Status> statuses(n, Status::OK());
+  std::unique_ptr<AccessMonitor> final_monitor;
+  const auto run_one = [&](size_t i) {
+    Coordinator worker;
     for (const auto& t : tools_) {
       std::unique_ptr<PropertyTool> c = t->Clone();
-      if (c == nullptr) return std::vector<std::unique_ptr<PropertyTool>>();
-      clones.push_back(std::move(c));
-    }
-    return clones;
-  };
-  bool cloneable = !tools_.empty();
-  if (cloneable) {
-    cloneable = clone_tools().size() == tools_.size();
-  }
-
-  if (!cloneable) {
-    // Legacy path for tools without Clone(): candidates share this
-    // coordinator's tools and must run one at a time.
-    for (size_t i = 0; i < n; ++i) {
-      std::unique_ptr<Database> scratch = db.Clone();
-      OrderOutcome& outcome = outcomes[i];
-      outcome.order = orders[i];
-      const double t0 = Now();
-      ASPECT_ASSIGN_OR_RETURN(outcome.report,
-                              Run(scratch.get(), orders[i], options));
-      outcome.seconds = Now() - t0;
-      for (const int id : orders[i]) {
-        outcome.total_error +=
-            outcome.report.final_errors[static_cast<size_t>(id)];
-      }
-    }
-  } else {
-    std::vector<Status> statuses(n, Status::OK());
-    std::vector<std::unique_ptr<AccessMonitor>> monitors(n);
-    const auto run_one = [&](size_t i) {
-      Coordinator worker;
-      for (auto& c : clone_tools()) worker.AddTool(std::move(c));
-      std::unique_ptr<Database> scratch = db.Clone();
-      OrderOutcome& outcome = outcomes[i];
-      outcome.order = orders[i];
-      const double t0 = Now();
-      Result<RunReport> r = worker.Run(scratch.get(), orders[i], options);
-      outcome.seconds = Now() - t0;
-      if (!r.ok()) {
-        statuses[i] = r.status();
+      if (c == nullptr) {
+        statuses[i] = Status::Invalid(
+            "order search needs Clone() but tool '" + t->name() +
+            "' returns nullptr");
         return;
       }
-      outcome.report = std::move(r).ValueOrDie();
-      for (const int id : orders[i]) {
-        outcome.total_error +=
-            outcome.report.final_errors[static_cast<size_t>(id)];
-      }
-      monitors[i] = std::move(worker.monitor_);
-    };
-    int threads = options.order_search_threads;
-    if (threads <= 0) threads = ThreadPool::HardwareThreads();
-    threads = std::min<int>(threads, static_cast<int>(n));
-    ThreadPool* pool = threads > 1 ? ThreadPool::Shared(threads) : nullptr;
-    if (pool != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        pool->Submit([&run_one, i]() { run_one(i); });
-      }
-      pool->Wait();
-    } else {
-      for (size_t i = 0; i < n; ++i) run_one(i);
+      worker.AddTool(std::move(c));
     }
-    for (const Status& st : statuses) {
-      if (!st.ok()) return st;
+    std::unique_ptr<Database> scratch = db.Clone();
+    OrderOutcome& outcome = outcomes[i];
+    outcome.order = orders[i];
+    const double t0 = Now();
+    Result<RunReport> r = worker.Run(scratch.get(), orders[i], options);
+    outcome.seconds = Now() - t0;
+    if (!r.ok()) {
+      statuses[i] = r.status();
+      return;
     }
-    // Keep last_monitor() meaningful: adopt the final candidate's
-    // monitor, matching what a serial sequence of Runs would leave.
-    for (size_t i = n; i-- > 0;) {
-      if (monitors[i] != nullptr) {
-        monitor_ = std::move(monitors[i]);
-        break;
-      }
+    outcome.report = std::move(r).ValueOrDie();
+    for (const int id : orders[i]) {
+      outcome.total_error +=
+          outcome.report.final_errors[static_cast<size_t>(id)];
     }
+    if (i + 1 == n) final_monitor = std::move(worker.monitor_);
+  };
+  int threads = options.order_search_threads;
+  if (threads <= 0) threads = ThreadPool::HardwareThreads();
+  threads = std::min<int>(threads, static_cast<int>(n));
+  ThreadPool* pool = threads > 1 ? ThreadPool::Shared(threads) : nullptr;
+  if (pool != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      pool->Submit([&run_one, i]() { run_one(i); });
+    }
+    pool->Wait();
+  } else {
+    for (size_t i = 0; i < n; ++i) run_one(i);
   }
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  // Keep last_monitor() meaningful: adopt the final candidate's
+  // monitor, matching what a serial sequence of Runs would leave.
+  if (n > 0) monitor_ = std::move(final_monitor);
 
   std::stable_sort(outcomes.begin(), outcomes.end(),
                    [](const OrderOutcome& a, const OrderOutcome& b) {

@@ -252,11 +252,11 @@ class Coordinator {
   /// (leaving `db` untouched) and reports the outcomes sorted by total
   /// final error, best first.
   ///
-  /// Candidates are independent, so when every tool supports Clone()
-  /// they run concurrently on options.order_search_threads workers,
-  /// each on its own snapshot with its own tool set. Rankings and
-  /// errors are byte-identical for every thread count. If any tool
-  /// cannot be cloned, candidates run serially on the shared tools.
+  /// Candidates are independent: they run concurrently on
+  /// options.order_search_threads workers, each on its own snapshot
+  /// with its own Clone() of every tool. Rankings and errors are
+  /// byte-identical for every thread count. A tool whose Clone()
+  /// returns nullptr makes the search fail with kInvalidArgument naming it.
   Result<std::vector<OrderOutcome>> CompareOrders(
       const Database& db, const std::vector<std::vector<int>>& orders,
       const CoordinatorOptions& options);

@@ -40,9 +40,9 @@ class PropertyTool : public ModificationListener {
   /// Deep-copies this tool's configuration and targets so several
   /// copies can run on different databases concurrently (the parallel
   /// order search of Coordinator::CompareOrders). Only meaningful for
-  /// an unbound tool; bound state is rebuilt by Bind. Tools that do
-  /// not support cloning return nullptr, and the order search falls
-  /// back to running candidates serially on the shared tool set.
+  /// an unbound tool; bound state is rebuilt by Bind. The order search
+  /// requires it: a tool that returns nullptr (the default) makes
+  /// CompareOrders fail with kInvalidArgument naming the tool.
   virtual std::unique_ptr<PropertyTool> Clone() const { return nullptr; }
 
   // --- Target Generator ------------------------------------------------

@@ -127,33 +127,25 @@ void TweakContext::LatchRouteViolation(size_t i, double penalty) {
       {static_cast<int>(i), validators_[i]->name(), penalty});
 }
 
-double TweakContext::RoutedSingleVote(size_t i, const Modification& mod) {
-  if (Consulted(i)) return validators_[i]->ValidationPenalty(mod);
+double TweakContext::Price(size_t i, std::span<const Modification> mods,
+                           double veto_cap) const {
+  return mods.size() == 1
+             ? validators_[i]->ValidationPenalty(mods[0])
+             : validators_[i]->ValidationPenaltyBatch(mods, veto_cap);
+}
+
+double TweakContext::RoutedVote(size_t i,
+                                std::span<const Modification> mods) {
+  if (Consulted(i)) return Price(i, mods, kVetoCap);
   ++votes_skipped_;
   if (!ShouldAuditPrune()) return 0.0;
-  const double p = validators_[i]->ValidationPenalty(mod);
+  // The audit must see the exact composite penalty: uncapped.
+  const double p = Price(i, mods, PropertyTool::kNoPenaltyCap);
   if (p != 0.0) {
     // The routing index proved this vote zero; a nonzero return means
     // the validator reads outside its certified scope. Latch, keep the
     // validator on the full-voting path, and let the real penalty
     // decide the proposal.
-    LatchRouteViolation(i, p);
-    return p;
-  }
-  return 0.0;
-}
-
-double TweakContext::RoutedBatchVote(size_t i,
-                                     std::span<const Modification> mods,
-                                     double veto_cap) {
-  if (Consulted(i)) {
-    return validators_[i]->ValidationPenaltyBatch(mods, veto_cap);
-  }
-  ++votes_skipped_;
-  if (!ShouldAuditPrune()) return 0.0;
-  // The audit must see the exact composite penalty: uncapped.
-  const double p = validators_[i]->ValidationPenaltyBatch(mods);
-  if (p != 0.0) {
     LatchRouteViolation(i, p);
     return p;
   }
@@ -176,39 +168,51 @@ bool TweakContext::AuditDueWithin(int64_t pruned) const {
 #endif
 }
 
-int TweakContext::RoutedObjector(std::span<const Modification> mods,
-                                 double veto_cap) {
+int TweakContext::RoutedObjector(std::span<const Modification> mods) {
   const int64_t pruned_expected = RouteConsult(mods);
-  const bool single = mods.size() == 1;
   if (!AuditDueWithin(pruned_expected)) {
     // Fast path: no pruned vote of this proposal is an audit sample,
     // so skipping costs one counter update — the vote loop is
     // O(consulted validators), not O(all validators' penalty calls).
     int64_t pruned = 0;
-    for (size_t i = 0; i < validators_.size(); ++i) {
+    int bad = -1;
+    for (size_t i = 0; i < validators_.size() && bad < 0; ++i) {
       if (!Consulted(i)) {
         ++pruned;
-        continue;
-      }
-      const double p =
-          single ? validators_[i]->ValidationPenalty(mods[0])
-                 : validators_[i]->ValidationPenaltyBatch(mods, veto_cap);
-      if (p > 0) {
-        votes_skipped_ += pruned;
-        pruned_seen_ += pruned;
-        return static_cast<int>(i);
+      } else if (Price(i, mods, kVetoCap) > 0) {
+        bad = static_cast<int>(i);
       }
     }
     votes_skipped_ += pruned;
     pruned_seen_ += pruned;
-    return -1;
+    return bad;
   }
   for (size_t i = 0; i < validators_.size(); ++i) {
-    const double p = single ? RoutedSingleVote(i, mods[0])
-                            : RoutedBatchVote(i, mods, veto_cap);
-    if (p > 0) return static_cast<int>(i);
+    if (RoutedVote(i, mods) > 0) return static_cast<int>(i);
   }
   return -1;
+}
+
+int TweakContext::Objector(std::span<const Modification> mods) {
+  // Validator voting reads the *validators'* statistics, not the
+  // proposing tool's cells; keep it out of the tool's observed
+  // footprint (scope-conformance probes, analysis/probe.h).
+  analysis::ScopedProbeSuppress suppress;
+  votes_total_ += static_cast<int64_t>(validators_.size());
+  int bad = -1;
+  if (Routed()) {
+    bad = RoutedObjector(mods);
+  } else {
+    for (size_t i = 0; i < validators_.size() && bad < 0; ++i) {
+      if (Price(i, mods, kVetoCap) > 0) bad = static_cast<int>(i);
+    }
+  }
+  if (bad >= 0) {
+    OnObjection();
+  } else {
+    OnClean();
+  }
+  return bad;
 }
 
 void TweakContext::OnObjection() {
@@ -235,60 +239,17 @@ Status TweakContext::Apply(const Modification& mod, TupleId* new_tuple) {
 }
 
 Status TweakContext::TryApply(const Modification& mod, TupleId* new_tuple) {
-  {
-    // Validator voting reads the *validators'* statistics, not the
-    // proposing tool's cells; keep it out of the tool's observed
-    // footprint (scope-conformance probes, analysis/probe.h).
-    analysis::ScopedProbeSuppress suppress;
-    votes_total_ += static_cast<int64_t>(validators_.size());
-    if (Routed()) {
-      const int bad = RoutedObjector({&mod, 1}, kVetoCap);
-      if (bad >= 0) {
-        ++vetoed_;
-        OnObjection();
-        return Status::ValidationFailed("vetoed by " +
-                                        validators_[bad]->name());
-      }
-    } else {
-      for (PropertyTool* v : validators_) {
-        if (v->ValidationPenalty(mod) > 0) {
-          ++vetoed_;
-          OnObjection();
-          return Status::ValidationFailed("vetoed by " + v->name());
-        }
-      }
-    }
+  const int bad = Objector({&mod, 1});
+  if (bad >= 0) {
+    ++vetoed_;
+    return Status::ValidationFailed("vetoed by " + validators_[bad]->name());
   }
-  OnClean();
   return Apply(mod, new_tuple);
 }
 
 Status TweakContext::ForceApply(const Modification& mod,
                                 TupleId* new_tuple) {
-  {
-    analysis::ScopedProbeSuppress suppress;
-    votes_total_ += static_cast<int64_t>(validators_.size());
-    bool objected = false;
-    if (Routed()) {
-      if (RoutedObjector({&mod, 1}, kVetoCap) >= 0) {
-        ++forced_;
-        objected = true;
-      }
-    } else {
-      for (PropertyTool* v : validators_) {
-        if (v->ValidationPenalty(mod) > 0) {
-          ++forced_;
-          objected = true;
-          break;
-        }
-      }
-    }
-    if (objected) {
-      OnObjection();
-    } else {
-      OnClean();
-    }
-  }
+  if (Objector({&mod, 1}) >= 0) ++forced_;
   return Apply(mod, new_tuple);
 }
 
@@ -310,28 +271,12 @@ Status TweakContext::TryApplyBatch(std::span<const Modification> mods,
     if (new_tuples != nullptr) new_tuples->clear();
     return Status::OK();
   }
-  {
-    analysis::ScopedProbeSuppress suppress;
-    votes_total_ += static_cast<int64_t>(validators_.size());
-    if (Routed()) {
-      const int bad = RoutedObjector(mods, kVetoCap);
-      if (bad >= 0) {
-        ++vetoed_;
-        OnObjection();
-        return Status::ValidationFailed("batch vetoed by " +
-                                        validators_[bad]->name());
-      }
-    } else {
-      for (PropertyTool* v : validators_) {
-        if (v->ValidationPenaltyBatch(mods, kVetoCap) > 0) {
-          ++vetoed_;
-          OnObjection();
-          return Status::ValidationFailed("batch vetoed by " + v->name());
-        }
-      }
-    }
+  const int bad = Objector(mods);
+  if (bad >= 0) {
+    ++vetoed_;
+    return Status::ValidationFailed("batch vetoed by " +
+                                    validators_[bad]->name());
   }
-  OnClean();
   return ApplyBatch(mods, new_tuples);
 }
 
@@ -341,30 +286,7 @@ Status TweakContext::ForceApplyBatch(std::span<const Modification> mods,
     if (new_tuples != nullptr) new_tuples->clear();
     return Status::OK();
   }
-  {
-    analysis::ScopedProbeSuppress suppress;
-    votes_total_ += static_cast<int64_t>(validators_.size());
-    bool objected = false;
-    if (Routed()) {
-      if (RoutedObjector(mods, kVetoCap) >= 0) {
-        ++forced_;
-        objected = true;
-      }
-    } else {
-      for (PropertyTool* v : validators_) {
-        if (v->ValidationPenaltyBatch(mods, kVetoCap) > 0) {
-          ++forced_;
-          objected = true;
-          break;
-        }
-      }
-    }
-    if (objected) {
-      OnObjection();
-    } else {
-      OnClean();
-    }
-  }
+  if (Objector(mods) >= 0) ++forced_;
   return ApplyBatch(mods, new_tuples);
 }
 

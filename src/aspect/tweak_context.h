@@ -50,7 +50,8 @@ class TweakContext {
   Status TryOrForce(const Modification& mod, TupleId* new_tuple = nullptr);
 
   /// Puts the whole batch to the vote as ONE composite proposal
-  /// (PropertyTool::ValidationPenaltyBatch): if any validator's batch
+  /// (PropertyTool::ValidationPenaltyBatch; a batch of one is priced
+  /// with ValidationPenalty, as TryApply does): if any validator's batch
   /// penalty is positive, nothing is applied, vetoed() grows by one,
   /// and ValidationFailed is returned. Otherwise all modifications are
   /// applied atomically (Database::ApplyBatch) with a single listener
@@ -171,12 +172,14 @@ class TweakContext {
   int64_t RouteConsult(std::span<const Modification> mods);
   /// Sampling decision for one pruned vote; advances the counter.
   bool ShouldAuditPrune();
+  /// Validator `i`'s ValidationPenalty of one modification, else its
+  /// ValidationPenaltyBatch under `veto_cap`.
+  double Price(size_t i, std::span<const Modification> mods,
+               double veto_cap) const;
   /// The vote of validator `i` on `mods` under routing: skipped when
   /// pruned (0 unless a sampled audit catches a lie, in which case the
   /// actual penalty is returned and the violation latched).
-  double RoutedBatchVote(size_t i, std::span<const Modification> mods,
-                        double veto_cap);
-  double RoutedSingleVote(size_t i, const Modification& mod);
+  double RoutedVote(size_t i, std::span<const Modification> mods);
   /// True when one of the next `pruned` pruned-vote ordinals is an
   /// audit sample. The vote loops use it to pick between the fast
   /// path — skip every pruned validator with one batched counter
@@ -187,7 +190,11 @@ class TweakContext {
   /// none). Handles skipped-vote accounting and sampled audits; veto
   /// attribution matches full voting because pruned votes are provably
   /// (and, when audited, verifiably) zero.
-  int RoutedObjector(std::span<const Modification> mods, double veto_cap);
+  int RoutedObjector(std::span<const Modification> mods);
+  /// Puts `mods` to the vote as one proposal, routed or to every
+  /// validator, counts votes_total() and feeds the batch autotuning.
+  /// Returns the first objecting validator, or -1; callers veto or force.
+  int Objector(std::span<const Modification> mods);
   void LatchRouteViolation(size_t i, double penalty);
   /// Autotuning hooks (no-ops unless batch_auto): an objection shrinks
   /// the hint and resets the streak; an objection-free proposal grows

@@ -1,6 +1,6 @@
 // Snapshot generator: grows a blueprint dataset over a simulated
-// timeline and materializes the chronological snapshots
-// D1 < D2 < ... < D6 used throughout the paper's evaluation (Sec. VI-A).
+// timeline and materializes its prefix snapshots D1 < D2 < ... < D6,
+// which the paper's evaluation takes from the growing dataset (Sec. VI-A).
 //
 // Growth is append-only and FK values always point at tuples that
 // already exist in the same snapshot band, so every snapshot is a

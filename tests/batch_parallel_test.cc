@@ -158,6 +158,12 @@ void CheckBatchMatchesSingles(PropertyTool* tool_a, PropertyTool* tool_b,
         const std::vector<Modification> batch =
             RandomBatch(*a, ti, kind, &rng_mods);
         if (batch.empty()) continue;
+        for (const Modification& m : batch) {
+          // TweakContext prices a batch of one with ValidationPenalty:
+          // both prices of one modification must agree on the veto.
+          EXPECT_EQ(tool_a->ValidationPenaltyBatch({&m, 1}, 0.0) > 0.0,
+                    tool_a->ValidationPenalty(m) > 0.0);
+        }
         ASSERT_TRUE(ctx_a.TryApplyBatch(batch).ok());
         for (const Modification& m : batch) {
           ASSERT_TRUE(ctx_b.TryApply(m).ok());

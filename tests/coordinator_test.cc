@@ -10,6 +10,7 @@
 #include "properties/linear.h"
 #include "properties/pairwise.h"
 #include "properties/simple.h"
+#include "relational/fingerprint.h"
 #include "relational/integrity.h"
 #include "scaler/size_scaler.h"
 #include "workload/generator.h"
@@ -380,6 +381,29 @@ TEST(CoordinatorTest, CompareOrdersDeterministicAcrossThreadCounts) {
                 serial[i].report.final_errors)
           << threads << " rank " << i;
     }
+  }
+}
+
+TEST(CoordinatorTest, CompareOrdersRejectsToolWithoutClone) {
+  // ScriptedTool keeps the default Clone(), which returns nullptr.
+  RandScaler rand;
+  Pipeline p = MakePipeline(137, rand);
+  const int scripted = p.coordinator->AddTool(
+      std::make_unique<ScriptedTool>("uncloneable", std::vector<double>{1}));
+  const uint64_t hash_before = ContentHash(*p.scaled);
+  const std::vector<std::vector<int>> orders = {{p.linear, scripted},
+                                                {scripted, p.linear}};
+  for (const int threads : {1, 2}) {
+    CoordinatorOptions opts;
+    opts.order_search_threads = threads;
+    const auto outcomes =
+        p.coordinator->CompareOrders(*p.scaled, orders, opts);
+    ASSERT_FALSE(outcomes.ok()) << threads;
+    EXPECT_EQ(outcomes.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(outcomes.status().message().find("uncloneable"),
+              std::string::npos)
+        << outcomes.status();
+    EXPECT_EQ(ContentHash(*p.scaled), hash_before) << threads;
   }
 }
 

@@ -1,70 +1,14 @@
-// Tests for the extension modules: chronological snapshot extraction,
-// the sampling scaler, and the schema text format.
+// Tests for the extension modules: the sampling scaler and the schema
+// text format.
 #include <gtest/gtest.h>
 
 #include "relational/integrity.h"
 #include "relational/schema_text.h"
 #include "scaler/sampling_scaler.h"
-#include "workload/chronological.h"
 #include "workload/generator.h"
 
 namespace aspect {
 namespace {
-
-class ChronologicalTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto gen = GenerateDataset(DoubanMusicLike(0.4), 47);
-    ASSERT_TRUE(gen.ok());
-    set_ = std::make_unique<SnapshotSet>(std::move(gen).ValueOrDie());
-    full_ = set_->Materialize(6).ValueOrAbort();
-  }
-  std::unique_ptr<SnapshotSet> set_;
-  std::unique_ptr<Database> full_;
-};
-
-TEST_F(ChronologicalTest, CutsProduceGrowingFkClosedSnapshots) {
-  // Activity tables carry a "ts" column holding the snapshot index.
-  const auto snaps =
-      ChronologicalSnapshots(*full_, "ts", {2, 4, 6}).ValueOrAbort();
-  ASSERT_EQ(snaps.size(), 3u);
-  int64_t prev = 0;
-  for (const auto& s : snaps) {
-    EXPECT_TRUE(CheckIntegrity(*s).ok());
-    EXPECT_GE(s->TotalTuples(), prev);
-    prev = s->TotalTuples();
-  }
-  // The largest cut keeps every tuple.
-  EXPECT_EQ(snaps[2]->TotalTuples(), full_->TotalTuples());
-}
-
-TEST_F(ChronologicalTest, TimestampFilterIsExact) {
-  const auto snaps =
-      ChronologicalSnapshots(*full_, "ts", {3}).ValueOrAbort();
-  const Table* heard = snaps[0]->FindTable("Album_Heard");
-  const int ts = heard->ColumnIndex("ts");
-  heard->ForEachLive([&](TupleId t) {
-    EXPECT_LE(heard->column(ts).GetInt(t), 3);
-  });
-  // Tables without a ts column (User) are copied whole.
-  EXPECT_EQ(snaps[0]->FindTable("User")->NumTuples(),
-            full_->FindTable("User")->NumTuples());
-}
-
-TEST_F(ChronologicalTest, UnknownColumnKeepsEverything) {
-  const auto snaps =
-      ChronologicalSnapshots(*full_, "no_such_col", {1}).ValueOrAbort();
-  EXPECT_EQ(snaps[0]->TotalTuples(), full_->TotalTuples());
-}
-
-
-TEST_F(ChronologicalTest, UnsortedCutsHonoured) {
-  const auto snaps =
-      ChronologicalSnapshots(*full_, "ts", {5, 1, 3}).ValueOrAbort();
-  ASSERT_EQ(snaps.size(), 3u);
-  EXPECT_GT(snaps[0]->TotalTuples(), snaps[2]->TotalTuples());
-  EXPECT_GT(snaps[2]->TotalTuples(), snaps[1]->TotalTuples());
-}
 
 class SamplingScalerTest : public ::testing::Test {
  protected:
