@@ -193,31 +193,99 @@ void ChainStats::EnsureCapacity(const Database& db) {
   }
 }
 
+namespace {
+
+/// Deepest level each slot of each level of `chain` reaches in `db`:
+/// reach[L][t] = max(L, reach of t's children at L+1), where a child is
+/// a live tuple whose FK cell holds t. One pass per level, bottom up.
+std::vector<std::vector<int8_t>> ReachArrays(const Database& db,
+                                             const ReferenceChain& chain) {
+  const int kk = static_cast<int>(chain.tables.size());
+  assert(kk <= INT8_MAX);
+  std::vector<std::vector<int8_t>> reach(static_cast<size_t>(kk));
+  for (int l = kk - 1; l >= 0; --l) {
+    const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
+    reach[static_cast<size_t>(l)].assign(static_cast<size_t>(t.NumSlots()),
+                                         static_cast<int8_t>(l));
+    if (l == kk - 1) continue;
+    const Table& child = db.table(chain.tables[static_cast<size_t>(l + 1)]);
+    const Column& fk = child.column(chain.fk_cols[static_cast<size_t>(l)]);
+    std::vector<int8_t>& up = reach[static_cast<size_t>(l)];
+    const std::vector<int8_t>& down = reach[static_cast<size_t>(l + 1)];
+    child.ForEachLive([&](TupleId c) {
+      if (!fk.IsValue(c)) return;
+      int8_t& r = up[static_cast<size_t>(fk.GetInt(c))];
+      r = std::max(r, down[static_cast<size_t>(c)]);
+    });
+  }
+  return reach;
+}
+
+/// h(j, i) = number of level-i slots whose reach is at least j.
+JoinMatrix MatrixOfReach(const std::vector<std::vector<int8_t>>& reach) {
+  const int kk = static_cast<int>(reach.size());
+  JoinMatrix h(kk);
+  std::vector<int64_t> at_least(static_cast<size_t>(kk) + 1);
+  for (int i = 0; i < kk; ++i) {
+    std::fill(at_least.begin(), at_least.end(), 0);
+    for (const int8_t r : reach[static_cast<size_t>(i)]) {
+      ++at_least[static_cast<size_t>(r)];
+    }
+    for (int j = kk - 1; j > i; --j) {
+      at_least[static_cast<size_t>(j)] += at_least[static_cast<size_t>(j) + 1];
+      h.set(j, i, at_least[static_cast<size_t>(j)]);
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
 void ChainStats::Build(const Database& db) {
   const int kk = k();
-  h_ = JoinMatrix(kk);
+  const std::vector<std::vector<int8_t>> reach = ReachArrays(db, chain_);
+  h_ = MatrixOfReach(reach);
   parent_.assign(static_cast<size_t>(kk), {});
   children_.assign(static_cast<size_t>(kk), {});
   child_pos_.assign(static_cast<size_t>(kk), {});
   cnt_.assign(static_cast<size_t>(kk), {});
   EnsureCapacity(db);
-  // Attach top-down so a child's reach set is complete before it is
-  // attached to its parent.
-  for (int l = kk - 1; l >= 1; --l) {
-    const Table& t = db.table(chain_.tables[static_cast<size_t>(l)]);
-    const Column& fk = t.column(chain_.fk_cols[static_cast<size_t>(l - 1)]);
-    t.ForEachLive([&](TupleId tid) {
-      if (!fk.IsValue(tid)) return;
-      Attach(l, tid, fk.GetInt(tid));
+  // Every live child with an FK value is attached to its parent, in
+  // slot order (the order Attach one tuple at a time would leave), and
+  // counted at every level it reaches: cnt(L-1, p, j)++ for j in
+  // [L, reach(t)].
+  for (int l = 1; l < kk; ++l) {
+    const auto ls = static_cast<size_t>(l);
+    const Table& t = db.table(chain_.tables[ls]);
+    const Column& fk = t.column(chain_.fk_cols[ls - 1]);
+    std::vector<std::vector<TupleId>>& kids = children_[ls - 1];
+    std::vector<int32_t> fanout(kids.size(), 0);
+    t.ForEachLive([&](TupleId c) {
+      if (fk.IsValue(c)) ++fanout[static_cast<size_t>(fk.GetInt(c))];
+    });
+    for (size_t p = 0; p < kids.size(); ++p) {
+      kids[p].reserve(static_cast<size_t>(fanout[p]));
+    }
+    const auto width = static_cast<size_t>(kk - l);
+    t.ForEachLive([&](TupleId c) {
+      if (!fk.IsValue(c)) return;
+      const TupleId p = fk.GetInt(c);
+      auto& list = kids[static_cast<size_t>(p)];
+      parent_[ls][static_cast<size_t>(c)] = p;
+      child_pos_[ls][static_cast<size_t>(c)] =
+          static_cast<int32_t>(list.size());
+      list.push_back(c);
+      int32_t* counts = cnt_[ls - 1].data() + static_cast<size_t>(p) * width;
+      for (int j = l; j <= reach[ls][static_cast<size_t>(c)]; ++j) {
+        ++counts[j - l];
+      }
     });
   }
 }
 
 JoinMatrix ComputeJoinMatrix(const Database& db,
                              const ReferenceChain& chain) {
-  ChainStats stats(chain);
-  stats.Build(db);
-  return stats.matrix();
+  return MatrixOfReach(ReachArrays(db, chain));
 }
 
 }  // namespace aspect

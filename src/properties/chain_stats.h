@@ -65,7 +65,10 @@ class ChainStats {
   const ReferenceChain& chain() const { return chain_; }
   int k() const { return static_cast<int>(chain_.tables.size()); }
 
-  /// (Re)builds all statistics from the database.
+  /// (Re)builds all statistics from the database in one reach pass and
+  /// one fill pass per level. The result equals attaching every live
+  /// child with an FK value one at a time in slot order, children lists
+  /// included.
   void Build(const Database& db);
 
   /// Grows per-tuple arrays to cover new appends in `db`.
@@ -134,7 +137,8 @@ class ChainStats {
 };
 
 /// Extracts the linear join matrix of a chain directly from a database
-/// (one-shot, no incremental state). Used for targets and tests.
+/// (one reach pass per level, no incremental state). Used for targets
+/// and as the tests' oracle for ChainStats.
 JoinMatrix ComputeJoinMatrix(const Database& db, const ReferenceChain& chain);
 
 }  // namespace aspect

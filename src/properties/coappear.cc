@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <istream>
-#include <numeric>
 #include <ostream>
 
 #include "common/logging.h"
@@ -20,30 +19,98 @@ bool AllZero(std::span<const int64_t> v) {
   return true;
 }
 
-// Interns the combo of every counted live tuple of `grp`'s members in
-// `db` (members in order, tuples in ForEachLive order), counts
-// (*appearances)[c * k + mi] and calls visit(mi, tuple, c).
-template <typename Visit>
-void CountCombos(const Database& db, const CoappearGroup& grp,
-                 KeyInterner* combos, std::vector<int64_t>* appearances,
-                 Visit&& visit) {
+// Calls fn(first, last) for every run order[first..last) of equal
+// keys, where `order` lists the width-wide keys in `keys` in key order.
+template <typename Fn>
+void ForEachRun(std::span<const int64_t> keys, size_t width,
+                const std::vector<int32_t>& order, Fn&& fn) {
+  auto key = [&](size_t i) {
+    return keys.subspan(static_cast<size_t>(order[i]) * width, width);
+  };
+  for (size_t first = 0, last = 0; first < order.size(); first = last) {
+    for (last = first + 1; last < order.size() &&
+                           std::ranges::equal(key(last), key(first));
+         ++last) {
+    }
+    fn(first, last);
+  }
+}
+
+// The combos of a group's members, counted with one sort instead of a
+// hash lookup per tuple. A row is a counted live member tuple (all FK
+// cells values), members in order and tuples in slot order. Combos are
+// numbered in ascending key order.
+struct ComboCounts {
+  size_t parents = 0;
+  size_t members = 0;
+  int32_t n = 0;                     // distinct combos
+  std::vector<int64_t> row_keys;     // row r's combo at [r * parents]
+  std::vector<size_t> member_rows;   // member mi's rows: [mi], [mi + 1])
+  std::vector<TupleId> row_tuple;
+  std::vector<int32_t> row_combo;
+  std::vector<int32_t> combo_row;    // a row of each combo
+  std::vector<int64_t> appearances;  // combo c's vector at [c * members]
+
+  std::span<const int64_t> key(int32_t c) const {
+    return std::span<const int64_t>(row_keys).subspan(
+        static_cast<size_t>(combo_row[static_cast<size_t>(c)]) * parents,
+        parents);
+  }
+  // Calls fn(v, combos) for every distinct appearance vector v in
+  // ascending order, with the combos realizing it in ascending order.
+  template <typename Fn>
+  void ForEachVector(Fn&& fn) const {
+    const std::span<const int64_t> vectors(appearances);
+    const std::vector<int32_t> order =
+        KeyOrder(vectors, static_cast<int>(members));
+    ForEachRun(vectors, members, order, [&](size_t first, size_t last) {
+      const auto c = static_cast<size_t>(order[first]);
+      fn(vectors.subspan(c * members, members),
+         std::span<const int32_t>(order).subspan(first, last - first));
+    });
+  }
+};
+
+ComboCounts CountCombos(const Database& db, const CoappearGroup& grp) {
   const size_t k = grp.member_tables.size();
-  std::vector<int64_t> b(grp.parent_tables.size());
+  const size_t m = grp.parent_tables.size();
+  ComboCounts cc;
+  cc.parents = m;
+  cc.members = k;
+  std::vector<int64_t>& row_keys = cc.row_keys;
+  int64_t live = 0;
+  for (const int t : grp.member_tables) live += db.table(t).NumTuples();
+  row_keys.reserve(static_cast<size_t>(live) * m);
+  cc.row_tuple.reserve(static_cast<size_t>(live));
+  cc.member_rows.push_back(0);
   for (size_t mi = 0; mi < k; ++mi) {
     const Table& t = db.table(grp.member_tables[mi]);
     const std::vector<int>& cols = grp.member_fk_cols[mi];
     t.ForEachLive([&](TupleId tid) {
-      for (size_t p = 0; p < cols.size(); ++p) {
-        const Column& col = t.column(cols[p]);
-        if (!col.IsValue(tid)) return;
-        b[p] = col.GetInt(tid);
+      for (const int col : cols) {
+        if (!t.column(col).IsValue(tid)) return;
       }
-      const int32_t c = combos->Intern(b);
-      appearances->resize(static_cast<size_t>(combos->size()) * k, 0);
-      ++(*appearances)[static_cast<size_t>(c) * k + mi];
-      visit(mi, tid, c);
+      for (const int col : cols) row_keys.push_back(t.column(col).GetInt(tid));
+      cc.row_tuple.push_back(tid);
     });
+    cc.member_rows.push_back(cc.row_tuple.size());
   }
+  cc.row_combo.resize(cc.row_tuple.size());
+  const std::vector<int32_t> order = KeyOrder(row_keys, static_cast<int>(m));
+  ForEachRun(row_keys, m, order, [&](size_t first, size_t last) {
+    cc.combo_row.push_back(order[first]);
+    for (size_t i = first; i < last; ++i) {
+      cc.row_combo[static_cast<size_t>(order[i])] = cc.n;
+    }
+    ++cc.n;
+  });
+  cc.appearances.assign(static_cast<size_t>(cc.n) * k, 0);
+  for (size_t mi = 0; mi < k; ++mi) {
+    for (size_t r = cc.member_rows[mi]; r < cc.member_rows[mi + 1]; ++r) {
+      ++cc.appearances[static_cast<size_t>(cc.row_combo[r]) * k + mi];
+    }
+  }
+  return cc;
 }
 
 }  // namespace
@@ -100,17 +167,14 @@ Status CoappearPropertyTool::SetTargetFromDataset(
   for (size_t g = 0; g < groups_.size(); ++g) {
     const CoappearGroup& grp = groups_[g];
     const size_t k = grp.member_tables.size();
-    KeyInterner combos(static_cast<int>(grp.parent_tables.size()));
-    std::vector<int64_t> appearances;
-    CountCombos(ground_truth, grp, &combos, &appearances,
-                [](size_t, TupleId, int32_t) {});
+    const ComboCounts cc = CountCombos(ground_truth, grp);
     // xi(v) = number of combos whose appearance vector is v.
-    CountGapTable xi(static_cast<int>(k));
-    for (size_t c = 0; c < static_cast<size_t>(combos.size()); ++c) {
-      const std::span<const int64_t> v(appearances.data() + c * k, k);
-      xi.Add(xi.Intern(v), 1);
-    }
-    target_xi_[g] = xi.Current();
+    FrequencyDistribution& xi = target_xi_[g];
+    xi = FrequencyDistribution(static_cast<int>(k));
+    cc.ForEachVector(
+        [&](std::span<const int64_t> v, std::span<const int32_t> combos) {
+          xi.Add(Key(v.begin(), v.end()), static_cast<int64_t>(combos.size()));
+        });
     target_parent_sizes_[g].clear();
     for (const int p : grp.parent_tables) {
       target_parent_sizes_[g].push_back(ground_truth.table(p).NumTuples());
@@ -190,46 +254,51 @@ Status CoappearPropertyTool::Bind(Database* db) {
     const CoappearGroup& grp = groups_[g];
     GroupState& st = state_[g];
     const size_t k = grp.member_tables.size();
-    st.combos = KeyInterner(static_cast<int>(grp.parent_tables.size()));
-    st.xi = CountGapTable(static_cast<int>(k));
+    const size_t m = grp.parent_tables.size();
+    const ComboCounts cc = CountCombos(*db_, grp);
+    const auto n = static_cast<size_t>(cc.n);
+    // Combo ids are ranks in key order.
+    st.combos = KeyInterner(static_cast<int>(m));
+    st.combos.Reserve(cc.n);
+    for (int32_t c = 0; c < cc.n; ++c) {
+      const int32_t id = st.combos.Intern(cc.key(c));
+      assert(id == c);
+      (void)id;
+    }
+    // Tuple lists in slot order, as pushing the tuples one by one
+    // leaves them.
     st.tuples_by_combo.resize(k);
     st.tuple_combo.resize(k);
     for (size_t mi = 0; mi < k; ++mi) {
       const auto slots =
           static_cast<size_t>(db_->table(grp.member_tables[mi]).NumSlots());
-      st.tuple_combo[mi].assign(slots, kNoCombo);
-      st.tuples_by_combo[mi].Reset(0, slots);
+      std::vector<int32_t>& combo_of = st.tuple_combo[mi];
+      SlotLists& lists = st.tuples_by_combo[mi];
+      combo_of.assign(slots, kNoCombo);
+      lists.Reset(n, slots);
+      for (size_t r = cc.member_rows[mi]; r < cc.member_rows[mi + 1]; ++r) {
+        lists.PushBack(cc.row_combo[r], cc.row_tuple[r]);
+        combo_of[static_cast<size_t>(cc.row_tuple[r])] = cc.row_combo[r];
+      }
     }
-    std::vector<int64_t> appearances;
-    CountCombos(*db_, grp, &st.combos, &appearances,
-                [&](size_t mi, TupleId tid, int32_t c) {
-                  SlotLists& lists = st.tuples_by_combo[mi];
-                  lists.EnsureLists(static_cast<size_t>(c) + 1);
-                  lists.PushBack(c, tid);
-                  st.tuple_combo[mi][static_cast<size_t>(tid)] = c;
-                });
-    const auto n = static_cast<size_t>(st.combos.size());
+    st.xi = CountGapTable(static_cast<int>(k));
     st.combo_vec.assign(n, -1);
-    st.combo_slot.assign(n, -1);
-    for (SlotLists& lists : st.tuples_by_combo) lists.EnsureLists(n);
+    cc.ForEachVector(
+        [&](std::span<const int64_t> v, std::span<const int32_t> combos) {
+          const int32_t vid = st.xi.Intern(v);
+          st.xi.Add(vid, static_cast<int64_t>(combos.size()));
+          for (const int32_t c : combos) {
+            st.combo_vec[static_cast<size_t>(c)] = vid;
+          }
+        });
     // Buckets start in combo-key order (the order a std::map keyed by
     // combo visits them); ConvertOne's rank draws depend on it.
-    std::vector<int32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
-      const auto kx = st.combos.key(x);
-      const auto ky = st.combos.key(y);
-      return std::lexicographical_compare(kx.begin(), kx.end(), ky.begin(),
-                                          ky.end());
-    });
-    for (const int32_t c : order) {
-      const int32_t vid = st.xi.Intern(std::span<const int64_t>(
-          appearances.data() + static_cast<size_t>(c) * k, k));
-      st.buckets.resize(static_cast<size_t>(st.xi.size()));
-      st.combo_vec[static_cast<size_t>(c)] = vid;
-      st.combo_slot[static_cast<size_t>(c)] =
-          st.buckets[static_cast<size_t>(vid)].PushBack(c);
-      st.xi.Add(vid, 1);
+    st.buckets.resize(static_cast<size_t>(st.xi.size()));
+    st.combo_slot.assign(n, -1);
+    for (size_t c = 0; c < n; ++c) {
+      st.combo_slot[c] =
+          st.buckets[static_cast<size_t>(st.combo_vec[c])].PushBack(
+              static_cast<int32_t>(c));
     }
   }
   IndexTargets();
@@ -474,6 +543,35 @@ CoappearPropertyTool::StateSnapshot CoappearPropertyTool::Snapshot(
     }
   }
   return snap;
+}
+
+std::vector<CoappearPropertyTool::Key> CoappearPropertyTool::BucketOrder(
+    int g, const Key& v) const {
+  std::vector<Key> out;
+  const GroupState& st = state_[static_cast<size_t>(g)];
+  const int32_t vid = st.xi.Find(v);
+  if (vid < 0) return out;
+  const TombstoneBucket& bucket = st.buckets[static_cast<size_t>(vid)];
+  for (int32_t slot = 0; slot < bucket.slots(); ++slot) {
+    if (bucket.id(slot) < 0) continue;
+    const auto key = st.combos.key(bucket.id(slot));
+    out.emplace_back(key.begin(), key.end());
+  }
+  return out;
+}
+
+std::vector<TupleId> CoappearPropertyTool::TupleOrder(int g, int mi,
+                                                      const Key& b) const {
+  std::vector<TupleId> out;
+  const GroupState& st = state_[static_cast<size_t>(g)];
+  const int32_t c = st.combos.Find(b);
+  if (c < 0) return out;
+  const SlotLists& lists = st.tuples_by_combo[static_cast<size_t>(mi)];
+  int64_t t = lists.size(c) > 0 ? lists.AtRank(c, 0) : -1;
+  for (int32_t i = 0; i < lists.size(c); ++i, t = lists.NextWrapped(c, t)) {
+    out.push_back(t);
+  }
+  return out;
 }
 
 int64_t CoappearPropertyTool::CurrentComboSpace(int g) const {

@@ -111,6 +111,11 @@ class CoappearPropertyTool : public PropertyTool {
     bool operator==(const StateSnapshot&) const = default;
   };
   StateSnapshot Snapshot(int g) const;
+  /// The orders ConvertOne's rank draws read: the live combos realizing
+  /// vector `v` of group g, in bucket order, and the tuples of member
+  /// `mi` carrying combo `b`, in list order (empty if none).
+  std::vector<Key> BucketOrder(int g, const Key& v) const;
+  std::vector<TupleId> TupleOrder(int g, int mi, const Key& b) const;
 
  private:
   /// Bound statistics of one group (DESIGN.md §15). FK combos b and

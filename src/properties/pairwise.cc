@@ -49,6 +49,28 @@ void Move(CountGapTable* table, std::vector<OrderedKeySet>* buckets,
   }
 }
 
+// Bulk form of Move(+1) for a fresh table, in two steps: Collect notes
+// `who` under key `key`, and Load counts each key's members into the
+// table and fills its bucket with them, sorted once (the set one-by-one
+// Moves would leave).
+void Collect(CountGapTable* table, std::vector<std::vector<uint64_t>>* members,
+             std::span<const int64_t> key, uint64_t who) {
+  const auto id = static_cast<size_t>(table->Intern(key));
+  if (id == members->size()) members->emplace_back();
+  (*members)[id].push_back(who);
+}
+void Load(CountGapTable* table, std::vector<OrderedKeySet>* buckets,
+          std::vector<std::vector<uint64_t>>* members) {
+  buckets->resize(static_cast<size_t>(table->size()));
+  for (int32_t id = 0; id < table->size(); ++id) {
+    std::vector<uint64_t>& keys = (*members)[static_cast<size_t>(id)];
+    std::sort(keys.begin(), keys.end());
+    table->Add(id, static_cast<int64_t>(keys.size()));
+    (*buckets)[static_cast<size_t>(id)].Assign(keys);
+    keys = {};
+  }
+}
+
 // An FK cell as a tuple id: kInvalidTuple for NULL and for values
 // that are no tuple slot (outside [0, 2^31)), which count as NULL.
 TupleId IdOf(int64_t v) {
@@ -256,15 +278,18 @@ Status PairwisePropertyTool::Bind(Database* db) {
         });
     st.n.resize(static_cast<size_t>(st.pairs.bound()) * 2, 0);
     // Every pair enters rho / rho_S once, with its final counts.
+    std::vector<std::vector<uint64_t>> rho_members, self_members;
     ForEachPairCount(st.pairs, st.n, [&](int64_t x, int64_t y, TupleId u,
                                          TupleId v) {
       if (u == v) {
-        Move(&st.self, &st.self_buckets, std::array{x},
-             static_cast<uint64_t>(u), +1);
+        Collect(&st.self, &self_members, std::array{x},
+                static_cast<uint64_t>(u));
       } else {
-        Move(&st.rho, &st.buckets, std::array{x, y}, Pack(u, v), +1);
+        Collect(&st.rho, &rho_members, std::array{x, y}, Pack(u, v));
       }
     });
+    Load(&st.self, &st.self_buckets, &self_members);
+    Load(&st.rho, &st.buckets, &rho_members);
   }
   IndexTargets();
   db_->AddListener(this);

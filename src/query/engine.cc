@@ -28,32 +28,6 @@ Result<ColRef> Resolve(const Database& db, const std::string& table,
 
 }  // namespace
 
-Result<int64_t> CountDistinctFk(const Database& db,
-                                const std::string& table,
-                                const std::string& fk_col) {
-  ASPECT_ASSIGN_OR_RETURN(ColRef ref, Resolve(db, table, fk_col));
-  std::set<int64_t> seen;
-  ref.table->ForEachLive([&](TupleId t) {
-    if (ref.table->column(ref.col).IsValue(t)) {
-      seen.insert(ref.table->column(ref.col).GetInt(t));
-    }
-  });
-  return static_cast<int64_t>(seen.size());
-}
-
-Result<std::map<TupleId, int64_t>> FanOut(const Database& db,
-                                          const std::string& table,
-                                          const std::string& fk_col) {
-  ASPECT_ASSIGN_OR_RETURN(ColRef ref, Resolve(db, table, fk_col));
-  std::map<TupleId, int64_t> counts;
-  ref.table->ForEachLive([&](TupleId t) {
-    if (ref.table->column(ref.col).IsValue(t)) {
-      ++counts[ref.table->column(ref.col).GetInt(t)];
-    }
-  });
-  return counts;
-}
-
 Result<std::map<TupleId, int64_t>> DistinctPerGroup(
     const Database& db, const std::string& table,
     const std::string& group_col, const std::string& distinct_col) {

@@ -13,17 +13,6 @@
 
 namespace aspect {
 
-/// Number of distinct values in a FK column (live tuples only).
-Result<int64_t> CountDistinctFk(const Database& db,
-                                const std::string& table,
-                                const std::string& fk_col);
-
-/// Per-parent fan-out: parent tuple id -> number of live child tuples
-/// referencing it through `fk_col`.
-Result<std::map<TupleId, int64_t>> FanOut(const Database& db,
-                                          const std::string& table,
-                                          const std::string& fk_col);
-
 /// Per-parent distinct-secondary counts: for each value of `group_col`
 /// the number of distinct values of `distinct_col` among its tuples.
 Result<std::map<TupleId, int64_t>> DistinctPerGroup(

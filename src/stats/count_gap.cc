@@ -4,10 +4,79 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <numeric>
 
 namespace aspect {
 
+std::vector<int32_t> KeyOrder(std::span<const int64_t> keys, int width) {
+  const auto w = static_cast<size_t>(width);
+  const size_t n = w == 0 ? 0 : keys.size() / w;
+  std::vector<int32_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  if (n == 0) return order;
+  // Each column as an offset from its minimum, in as few bits as its
+  // range needs.
+  std::vector<int64_t> lo(keys.begin(), keys.begin() + std::ptrdiff_t(w));
+  std::vector<int64_t> hi = lo;
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t c = 0; c < w; ++c) {
+      lo[c] = std::min(lo[c], keys[i * w + c]);
+      hi[c] = std::max(hi[c], keys[i * w + c]);
+    }
+  }
+  std::vector<int> bits(w);
+  for (size_t c = 0; c < w; ++c) {
+    bits[c] = std::bit_width(static_cast<uint64_t>(hi[c]) -
+                             static_cast<uint64_t>(lo[c]));
+  }
+  // Adjacent columns are packed into words of at most 64 bits, the
+  // first column most significant, so a word compares as its columns
+  // do. Words are sorted last first.
+  std::vector<uint64_t> word(n);
+  std::vector<int32_t> next(n), count;
+  for (size_t last = w; last > 0;) {
+    size_t first = last - 1;
+    int total = bits[first];
+    while (first > 0 && total + bits[first - 1] <= 64) total += bits[--first];
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t v = 0;
+      for (size_t c = first; c < last; ++c) {
+        const uint64_t x = static_cast<uint64_t>(keys[i * w + c]) -
+                           static_cast<uint64_t>(lo[c]);
+        v = bits[c] < 64 ? v << bits[c] | x : x;
+      }
+      word[i] = v;
+    }
+    last = first;
+    const int passes = (total + 15) / 16;
+    if (passes == 0) continue;  // one value: already in order
+    const int digit_bits = (total + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * digit_bits;
+      auto digit = [&](int32_t i) {
+        return static_cast<size_t>((word[static_cast<size_t>(i)] >> shift) &
+                                   mask);
+      };
+      count.assign(static_cast<size_t>(mask) + 2, 0);
+      for (const int32_t i : order) ++count[digit(i) + 1];
+      for (size_t d = 1; d < count.size(); ++d) count[d] += count[d - 1];
+      for (const int32_t i : order) {
+        next[static_cast<size_t>(count[digit(i)]++)] = i;
+      }
+      order.swap(next);
+    }
+  }
+  return order;
+}
+
 KeyInterner::KeyInterner(int width) : width_(width) { Rehash(16); }
+
+void KeyInterner::Reserve(int32_t n) {
+  keys_.reserve(static_cast<size_t>(n) * static_cast<size_t>(width_));
+  const size_t capacity = std::bit_ceil(static_cast<size_t>(n) * 2);
+  if (capacity > index_.size()) Rehash(capacity);
+}
 
 uint64_t KeyInterner::Hash(std::span<const int64_t> key) const {
   uint64_t h = 0x9e3779b97f4a7c15ULL;

@@ -1,5 +1,7 @@
 // Flat distributions of fixed-width integer keys held against a target
 // (DESIGN.md §15):
+//   - KeyOrder: a counting sort of fixed-width int64 keys, for bulk
+//     builds that need keys in lexicographic order,
 //   - KeyInterner: fixed-width int64 keys interned as dense int32 ids,
 //   - CountGapTable: the current and target count of every interned
 //     key, the implicit all-zero key, the L1 gap between the two, and
@@ -17,6 +19,15 @@
 
 namespace aspect {
 
+/// Indices 0..n-1 of the n keys in `keys` (key i is keys[i * width ..
+/// (i + 1) * width)) in lexicographic key order, equal keys in index
+/// order. A stable LSD radix sort: columns are taken relative to their
+/// minimum and packed into as few 64-bit words as their value ranges
+/// allow, and each word takes one counting pass per digit of up to 16
+/// bits. Keys of dense ids or small counts fit one word: two tuple ids
+/// below 2^16 take two passes, a vector of six counts below 4 one.
+std::vector<int32_t> KeyOrder(std::span<const int64_t> keys, int width);
+
 /// Interns fixed-width keys of int64 values as dense ids 0, 1, 2, ...
 /// Ids are never freed: a key keeps its id for the table's lifetime.
 class KeyInterner {
@@ -25,6 +36,10 @@ class KeyInterner {
 
   int width() const { return width_; }
   int32_t size() const { return size_; }
+
+  /// Sizes the table for `n` keys in all, so interning up to `n` keys
+  /// neither rehashes nor reallocates.
+  void Reserve(int32_t n);
 
   /// Id of `key` (width() values), or -1 if it was never interned.
   int32_t Find(std::span<const int64_t> key) const;

@@ -102,6 +102,45 @@ void ExpectMatchesFreshBind(const CoappearPropertyTool& tool, Database* db,
   fresh.Unbind();
 }
 
+TEST(CoappearTest, FreshBindKeepsKeyAndSlotOrders) {
+  auto gen = GenerateDataset(DoubanMusicLike(0.3), 31).ValueOrAbort();
+  auto db = gen.Materialize(3).ValueOrAbort();
+  // Holes in the slot ranges, so slot order is not insertion order of
+  // a dense range.
+  Rng rng(4);
+  for (const TableSpec& spec : db->schema().tables) {
+    Table& t = *db->FindTable(spec.name);
+    for (const TupleId tid : t.LiveTuples()) {
+      if (rng.Bernoulli(0.1)) t.Delete(tid).Check();
+    }
+  }
+  CoappearPropertyTool tool(db->schema());
+  ASSERT_TRUE(tool.SetTargetFromDataset(*db).ok());
+  ASSERT_TRUE(tool.Bind(db.get()).ok());
+  using Key = CoappearPropertyTool::Key;
+  int64_t long_buckets = 0, long_lists = 0;
+  for (int g = 0; g < static_cast<int>(tool.groups().size()); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    // The snapshot's sets hold the same members in ascending order.
+    const auto snap = tool.Snapshot(g);
+    for (const auto& [v, combos] : snap.buckets) {
+      EXPECT_EQ(tool.BucketOrder(g, v),
+                std::vector<Key>(combos.begin(), combos.end()));
+      long_buckets += combos.size() > 1 ? 1 : 0;
+    }
+    for (size_t mi = 0; mi < snap.tuples_by_combo.size(); ++mi) {
+      for (const auto& [b, tuples] : snap.tuples_by_combo[mi]) {
+        EXPECT_EQ(tool.TupleOrder(g, static_cast<int>(mi), b),
+                  std::vector<TupleId>(tuples.begin(), tuples.end()));
+        long_lists += tuples.size() > 1 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(long_buckets, 0);
+  EXPECT_GT(long_lists, 0);
+  tool.Unbind();
+}
+
 // Row `tmpl` of `t` with the given columns replaced (column -> value).
 std::vector<Value> RowWith(const Table& t, TupleId tmpl,
                            const std::vector<std::pair<int, int64_t>>& fks) {

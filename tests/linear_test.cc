@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "aspect/tweak_context.h"
+#include "common/rng.h"
 #include "properties/chain_stats.h"
 #include "properties/linear.h"
 #include "relational/integrity.h"
@@ -112,6 +113,115 @@ TEST(ChainStatsTest, IncrementalMatchesRebuildUnderRandomMoves) {
     }
   }
   EXPECT_EQ(s.matrix(), ComputeJoinMatrix(*db, *chain));
+}
+
+// A ChainStats filled the way the incremental path fills it: every
+// live child with an FK value attached one at a time, deepest level
+// first, in slot order.
+ChainStats AttachOneByOne(const Database& db, const ReferenceChain& chain) {
+  ChainStats s(chain);
+  s.EnsureCapacity(db);
+  for (int l = chain.length() - 1; l >= 1; --l) {
+    const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
+    const Column& fk = t.column(chain.fk_cols[static_cast<size_t>(l - 1)]);
+    t.ForEachLive([&](TupleId c) {
+      if (fk.IsValue(c)) s.Attach(l, c, fk.GetInt(c));
+    });
+  }
+  return s;
+}
+
+// `blueprint`'s first snapshot with ~10% of every table's tuples
+// deleted (their referrers keep dangling references) and ~10% of the
+// FK cells of the survivors NULLed.
+std::unique_ptr<Database> DamagedDb(const DatasetBlueprint& blueprint,
+                                    uint64_t seed) {
+  auto db = GenerateDataset(blueprint, seed)
+                .ValueOrAbort()
+                .Materialize(1)
+                .ValueOrAbort();
+  Rng rng(seed);
+  for (const TableSpec& spec : db->schema().tables) {
+    Table& t = *db->FindTable(spec.name);
+    for (const TupleId tid : t.LiveTuples()) {
+      if (rng.Bernoulli(0.1)) {
+        t.Delete(tid).Check();
+        continue;
+      }
+      for (int c = 0; c < t.num_columns(); ++c) {
+        if (t.column(c).is_foreign_key() && rng.Bernoulli(0.1)) {
+          t.column(c).Set(tid, Value()).Check();
+        }
+      }
+    }
+  }
+  return db;
+}
+
+std::vector<std::unique_ptr<Database>> DamagedDbs() {
+  std::vector<std::unique_ptr<Database>> dbs;
+  dbs.push_back(DamagedDb(XiamiLike(0.3), 11));
+  dbs.push_back(DamagedDb(DoubanMovieLike(0.3), 12));
+  return dbs;
+}
+
+TEST(ChainStatsTest, JoinMatrixMatchesAttachOracle) {
+  for (const auto& db : DamagedDbs()) {
+    SCOPED_TRACE(db->schema().name);
+    const auto chains = ReferenceGraph(db->schema()).MaximalChains();
+    ASSERT_FALSE(chains.empty());
+    for (const ReferenceChain& chain : chains) {
+      EXPECT_EQ(ComputeJoinMatrix(*db, chain),
+                AttachOneByOne(*db, chain).matrix());
+    }
+  }
+}
+
+// Number of tuples whose parent, children list or counters differ.
+int64_t StatsMismatches(const ChainStats& a, const ChainStats& b,
+                        const Database& db) {
+  int64_t bad = 0;
+  const int k = a.k();
+  for (int l = 0; l < k; ++l) {
+    const Table& t = db.table(a.chain().tables[static_cast<size_t>(l)]);
+    for (TupleId tid = 0; tid < t.NumSlots(); ++tid) {
+      bool same = l == 0 || a.Parent(l, tid) == b.Parent(l, tid);
+      if (l < k - 1) same = same && a.Children(l, tid) == b.Children(l, tid);
+      for (int j = l + 1; j < k; ++j) {
+        same = same && a.Cnt(l, tid, j) == b.Cnt(l, tid, j);
+      }
+      bad += same ? 0 : 1;
+    }
+  }
+  return bad;
+}
+
+TEST(ChainStatsTest, BulkBuildEqualsAttachOneByOne) {
+  for (const auto& db : DamagedDbs()) {
+    SCOPED_TRACE(db->schema().name);
+    for (const ReferenceChain& chain :
+         ReferenceGraph(db->schema()).MaximalChains()) {
+      ChainStats bulk(chain);
+      bulk.Build(*db);
+      ChainStats one = AttachOneByOne(*db, chain);
+      EXPECT_EQ(bulk.matrix(), one.matrix());
+      EXPECT_EQ(StatsMismatches(bulk, one, *db), 0);
+      // Detach swap-removes through each child's stored position, so
+      // the children lists agree afterwards only if the positions do.
+      Rng rng(3);
+      for (int l = 1; l < chain.length(); ++l) {
+        const Table& t = db->table(chain.tables[static_cast<size_t>(l)]);
+        t.ForEachLive([&](TupleId c) {
+          if (rng.Bernoulli(0.3)) {
+            bulk.Detach(l, c);
+            one.Detach(l, c);
+          }
+        });
+      }
+      EXPECT_EQ(bulk.matrix(), one.matrix());
+      EXPECT_EQ(StatsMismatches(bulk, one, *db), 0);
+    }
+  }
 }
 
 TEST(JoinMatrixTest, ErrorAgainstPaperExample) {

@@ -381,12 +381,46 @@ TEST(PairwiseTest, OrderedKeySetMatchesStdSet) {
     ASSERT_EQ(got, std::min<size_t>(28, model.size()));
     ASSERT_TRUE(std::equal(front.begin(), front.begin() + got, all.begin()));
   }
+  // A bulk load (Bind's path) equals inserting the same keys one by
+  // one, and stays equal under further edits.
   std::vector<uint64_t> sorted(model.begin(), model.end());
-  OrderedKeySet loaded;
+  std::vector<uint64_t> shuffled = sorted;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[static_cast<size_t>(rng.UniformInt(
+                                   0, static_cast<int64_t>(i) - 1))]);
+  }
+  OrderedKeySet loaded, inserted;
   loaded.Assign(sorted);
-  std::vector<uint64_t> all;
-  loaded.ForEach([&](uint64_t x) { all.push_back(x); });
-  EXPECT_EQ(all, sorted);
+  for (const uint64_t k : shuffled) inserted.Insert(k);
+  auto contents = [](const OrderedKeySet& set) {
+    std::vector<uint64_t> all;
+    set.ForEach([&](uint64_t x) { all.push_back(x); });
+    return all;
+  };
+  ASSERT_EQ(contents(loaded), sorted);
+  ASSERT_EQ(contents(inserted), sorted);
+  for (int op = 0; op < 20000; ++op) {
+    const auto k = static_cast<uint64_t>(rng.UniformInt(0, 1499));
+    if (model.count(k) == 0) {
+      loaded.Insert(k);
+      inserted.Insert(k);
+      model.insert(k);
+    } else {
+      loaded.Remove(k);
+      inserted.Remove(k);
+      model.erase(k);
+    }
+    if (op % 97 != 0) continue;
+    ASSERT_EQ(loaded.size(), model.size());
+    ASSERT_EQ(inserted.size(), model.size());
+    const std::vector<uint64_t> all = contents(loaded);
+    ASSERT_EQ(all, std::vector<uint64_t>(model.begin(), model.end()));
+    ASSERT_EQ(contents(inserted), all);
+    std::array<uint64_t, 28> a, b;
+    const size_t got = loaded.Front(a.size(), a.data());
+    ASSERT_EQ(inserted.Front(b.size(), b.data()), got);
+    ASSERT_TRUE(std::equal(a.begin(), a.begin() + got, b.begin()));
+  }
 }
 
 class PairwiseTweakTest : public ::testing::TestWithParam<uint64_t> {};

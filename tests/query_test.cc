@@ -53,23 +53,6 @@ std::unique_ptr<Database> QDb() {
   return db;
 }
 
-TEST(EngineTest, CountDistinctFk) {
-  auto db = QDb();
-  EXPECT_EQ(CountDistinctFk(*db, "Comment", "post").ValueOrAbort(), 3);
-  EXPECT_EQ(CountDistinctFk(*db, "Comment", "user").ValueOrAbort(), 4);
-  EXPECT_FALSE(CountDistinctFk(*db, "Nope", "x").ok());
-  EXPECT_FALSE(CountDistinctFk(*db, "Comment", "nope").ok());
-}
-
-TEST(EngineTest, FanOut) {
-  auto db = QDb();
-  const auto fan = FanOut(*db, "Comment", "post").ValueOrAbort();
-  EXPECT_EQ(fan.at(0), 2);
-  EXPECT_EQ(fan.at(2), 2);
-  EXPECT_EQ(fan.at(3), 1);
-  EXPECT_EQ(fan.count(1), 0u);
-}
-
 TEST(EngineTest, DistinctPerGroup) {
   auto db = QDb();
   const auto d =

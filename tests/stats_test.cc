@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -250,6 +252,72 @@ TEST(CountGapTableTest, ConvertDeficitsMatchesReferenceLoop) {
   EXPECT_GT(failures, 500);
   EXPECT_GT(zero_deficits, 20);
   EXPECT_GT(zero_surpluses, 20);
+}
+
+TEST(KeyInternerTest, ReserveKeepsIdsDenseAndGrowsPastIt) {
+  constexpr int32_t kReserved = 3000;
+  KeyInterner interner(2);
+  interner.Reserve(kReserved);
+  std::map<std::vector<int64_t>, int32_t> ref;
+  Rng rng(9);
+  // Past the reservation the table must still grow.
+  while (ref.size() < static_cast<size_t>(kReserved) * 3) {
+    const std::vector<int64_t> key = {rng.UniformInt(-5, 5),
+                                      rng.UniformInt(0, int64_t{1} << 40)};
+    const auto it = ref.find(key);
+    const int32_t expect =
+        it == ref.end() ? static_cast<int32_t>(ref.size()) : it->second;
+    ASSERT_EQ(interner.Find(key), it == ref.end() ? -1 : expect);
+    ASSERT_EQ(interner.Intern(key), expect);
+    ref.emplace(key, expect);
+    if (ref.size() == static_cast<size_t>(kReserved)) {
+      interner.Reserve(kReserved / 2);  // smaller than held: a no-op
+    }
+  }
+  ASSERT_EQ(interner.size(), static_cast<int32_t>(ref.size()));
+  for (const auto& [key, id] : ref) {
+    const auto k = interner.key(id);
+    ASSERT_TRUE(std::equal(k.begin(), k.end(), key.begin(), key.end()));
+    ASSERT_EQ(interner.Find(key), id);
+  }
+  EXPECT_EQ(interner.Find(std::vector<int64_t>{6, 0}), -1);
+}
+
+TEST(KeyOrderTest, MatchesStableLexicographicSort) {
+  Rng rng(10);
+  // Column value ranges by bit width; 64 is the full int64 span.
+  const std::vector<std::vector<int>> layouts = {
+      {2},                    // one small column with duplicates
+      {17, 64},               // two words
+      {64, 0, 2},             // a constant column
+      {17, 64, 0, 2, 17, 64}, // a 0+2+17-bit word between 64-bit ones
+      {32, 32},               // exactly one full word
+      {33, 32, 2},            // 33 + 32 bits do not share a word
+      {1, 64},                // nor do 1 + 64
+      {2, 2, 2, 2, 2, 2},     // an appearance vector
+  };
+  auto draw = [&](int bits) -> int64_t {
+    if (bits == 64) return static_cast<int64_t>(rng.Next());
+    return rng.UniformInt(-5, (int64_t{1} << bits) - 6);
+  };
+  for (const std::vector<int>& layout : layouts) {
+    const auto w = layout.size();
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{3000}}) {
+      std::vector<int64_t> keys;
+      for (size_t i = 0; i < n * w; ++i) keys.push_back(draw(layout[i % w]));
+      std::vector<int32_t> expect(n);
+      std::iota(expect.begin(), expect.end(), 0);
+      std::stable_sort(expect.begin(), expect.end(), [&](int32_t a, int32_t b) {
+        return std::lexicographical_compare(
+            keys.begin() + a * std::ptrdiff_t(w),
+            keys.begin() + (a + 1) * std::ptrdiff_t(w),
+            keys.begin() + b * std::ptrdiff_t(w),
+            keys.begin() + (b + 1) * std::ptrdiff_t(w));
+      });
+      EXPECT_EQ(KeyOrder(keys, static_cast<int>(w)), expect)
+          << "layout " << ::testing::PrintToString(layout) << ", n " << n;
+    }
+  }
 }
 
 TEST(CountGapTableTest, GapMassAndTermsTrackAdds) {
