@@ -223,7 +223,6 @@ bool ValidationPhase(const Database& base, const Database& truth,
   Banner("Vote routing: 48 row-range slices per column, routed vs full");
   struct VoteOutcome {
     double seconds = 0;
-    double build_seconds = 0;
     int64_t votes_total = 0;
     int64_t votes_skipped = 0;
     int64_t violations = 0;
@@ -265,7 +264,6 @@ bool ValidationPhase(const Database& base, const Database& truth,
     out.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    out.build_seconds = rep.route_index_build_seconds;
     out.votes_total = rep.votes_total;
     out.votes_skipped = rep.votes_skipped;
     out.violations = rep.route_audit_violations;
@@ -285,12 +283,10 @@ bool ValidationPhase(const Database& base, const Database& truth,
   const VoteOutcome full = best(RouteVotes::kOff);
   const VoteOutcome routed = best(RouteVotes::kOn);
   const VoteOutcome audit = best(RouteVotes::kAudit);
-  Header({"config", "seconds", "index_build_s", "votes_total",
-          "votes_skipped"});
+  Header({"config", "seconds", "votes_total", "votes_skipped"});
   const auto row = [](const char* label, const VoteOutcome& o) {
     Cell(label);
     Cell(o.seconds);
-    Cell(o.build_seconds);
     Cell(std::to_string(o.votes_total));
     Cell(std::to_string(o.votes_skipped));
     EndRow();
@@ -322,18 +318,16 @@ bool ValidationPhase(const Database& base, const Database& truth,
   }
   const double route_speedup = full.seconds / std::max(1e-9, routed.seconds);
   std::printf("identical final errors; %lld/%lld votes skipped; "
-              "route speedup %.2fx (audit %.2fx); index build %.4fs\n",
+              "route speedup %.2fx (audit %.2fx)\n",
               static_cast<long long>(routed.votes_skipped),
               static_cast<long long>(routed.votes_total), route_speedup,
-              full.seconds / std::max(1e-9, audit.seconds),
-              routed.build_seconds);
+              full.seconds / std::max(1e-9, audit.seconds));
   report->Metric("votes_total", static_cast<double>(routed.votes_total));
   report->Metric("votes_skipped", static_cast<double>(routed.votes_skipped));
   report->Metric("route_full_s", full.seconds);
   report->Metric("route_routed_s", routed.seconds);
   report->Metric("route_audit_s", audit.seconds);
   report->Metric("route_speedup", route_speedup);
-  report->Metric("route_index_build_s", routed.build_seconds);
   return true;
 }
 

@@ -159,23 +159,15 @@ using ToolList = std::vector<std::unique_ptr<PropertyTool>>;
 /// it plans with its observed (write-only) scope, runs serially and
 /// votes on every proposal.
 ///
-/// With vote routing on, the ledger keeps the VoteIndex over the
-/// enforced validators (slot j <-> enforced()[j]; the list only grows
-/// and never reorders) in step with exactly the two events that change
-/// what a from-scratch Build over Scope() would produce: a validator
-/// joining appends its slot, a distrust event degrades its slot. An
-/// observed scope evolves as the monitor records writes, but every
-/// unknown or observed scope indexes identically (always votes, no
-/// buckets), and declarations are stable for the duration of a run, so
-/// maintenance is O(change) per event (debug builds cross-check it
-/// against a rebuild on every routed step).
+/// For vote routing the ledger keeps each validator's certified scope,
+/// captured when the tool is first enforced (declarations are stable
+/// for the duration of a run). A distrusted validator's entry becomes
+/// the unknown scope, which — like an observed-only scope — always
+/// votes.
 class ValidatorLedger {
  public:
-  ValidatorLedger(const ToolList& tools, const AccessMonitor* monitor,
-                  const Schema* schema, bool routing)
-      : tools_(tools), monitor_(monitor), schema_(schema), routing_(routing) {
-    index_.Reset(schema_);
-  }
+  ValidatorLedger(const ToolList& tools, const AccessMonitor* monitor)
+      : tools_(tools), monitor_(monitor) {}
 
   /// The scope the planner assumes for tool `id`: declared if the tool
   /// knows it and is trusted, else what the AccessMonitor has observed
@@ -190,59 +182,30 @@ class ValidatorLedger {
 
   /// Adds `id` to the validators unless it already is one.
   void Enforce(int id) {
-    if (SlotOf(id) != TweakContext::kNoSelfSlot) return;
+    if (std::find(enforced_.begin(), enforced_.end(), id) != enforced_.end()) {
+      return;
+    }
     enforced_.push_back(id);
-    if (!routing_) return;
-    const double t0 = Now();
-    index_.AddValidator(Scope(id));
-    index_seconds_ += Now() - t0;
+    certified_.push_back(Scope(id));
   }
 
   void Distrust(int id) {
-    if (!distrusted_.insert(id).second || !routing_) return;
-    const size_t slot = SlotOf(id);
-    if (slot == TweakContext::kNoSelfSlot) return;
-    const double t0 = Now();
-    index_.Distrust(static_cast<int>(slot));
-    index_seconds_ += Now() - t0;
-  }
-
-  /// The position of `id` in enforced(), or kNoSelfSlot.
-  size_t SlotOf(int id) const {
-    const auto it = std::find(enforced_.begin(), enforced_.end(), id);
-    return it == enforced_.end()
-               ? TweakContext::kNoSelfSlot
-               : static_cast<size_t>(it - enforced_.begin());
+    if (!distrusted_.insert(id).second) return;
+    for (size_t j = 0; j < enforced_.size(); ++j) {
+      if (enforced_[j] == id) certified_[j] = AccessScope();
+    }
   }
 
   const std::vector<int>& enforced() const { return enforced_; }
-
-  /// The routing index (meaningful with routing on). Debug builds
-  /// assert it equals a from-scratch rebuild over the resolved scopes.
-  const VoteIndex& index() const {
-#ifndef NDEBUG
-    std::vector<AccessScope> scopes;
-    scopes.reserve(enforced_.size());
-    for (const int e : enforced_) scopes.push_back(Scope(e));
-    VoteIndex fresh;
-    fresh.Build(schema_, scopes);
-    assert(index_.DebugEquals(fresh));
-#endif
-    return index_;
-  }
-
-  /// Seconds spent maintaining the routing index.
-  double index_seconds() const { return index_seconds_; }
+  /// The certified scope of enforced()[j], which vote routing tests.
+  const AccessScope& certified(size_t j) const { return certified_[j]; }
 
  private:
   const ToolList& tools_;
   const AccessMonitor* monitor_;
-  const Schema* schema_;
-  const bool routing_;
   std::set<int> distrusted_;
   std::vector<int> enforced_;
-  VoteIndex index_;
-  double index_seconds_ = 0;
+  std::vector<AccessScope> certified_;
 };
 
 /// One member of a parallel group. The tool tweaks the shared main
@@ -296,8 +259,7 @@ class TweakLoop {
         order_(order),
         options_(options),
         report_(report),
-        ledger_(tools, monitor, &db->schema(),
-                options.route_votes != RouteVotes::kOff),
+        ledger_(tools, monitor),
         batch_hint_(tools.size(), options.batch_size),
         try_parallel_(options.parallel_pass &&
                       !options.rollback_on_regression && order.size() > 1) {
@@ -433,23 +395,20 @@ Status TweakLoop::SerialStep(size_t pos) {
   PropertyTool* t = tool(id);
   std::vector<PropertyTool*> validators;
   std::vector<int> validator_ids;
+  std::vector<const AccessScope*> validator_scopes;
   if (options_.validate) {
-    for (const int e : ledger_.enforced()) {
-      if (e != id) {
-        validators.push_back(tool(e));
-        validator_ids.push_back(e);
-      }
+    const std::vector<int>& enforced = ledger_.enforced();
+    for (size_t j = 0; j < enforced.size(); ++j) {
+      if (enforced[j] == id) continue;
+      validators.push_back(tool(enforced[j]));
+      validator_ids.push_back(enforced[j]);
+      validator_scopes.push_back(&ledger_.certified(j));
     }
   }
   TweakContext ctx(db_, std::move(validators), &children_[pos], monitor_, id);
   ctx.set_batch_hint(BatchHint(id));
   ctx.set_batch_auto(options_.batch_auto);
-  if (options_.route_votes != RouteVotes::kOff && !validator_ids.empty()) {
-    // The stepping tool's own slot (when already enforced) is handed to
-    // the context so its vote loops skip it.
-    ctx.set_vote_routing(&ledger_.index(), options_.route_votes,
-                         ledger_.SlotOf(id));
-  }
+  ctx.set_vote_routing(options_.route_votes, std::move(validator_scopes));
   ToolReport step;
   step.tool = t->name();
   step.error_before = t->Error();
@@ -903,7 +862,6 @@ Status TweakLoop::Finish() {
     report_->route_audit_violations += s.route_audit_violations;
     report_->route_fallbacks += s.route_fallbacks;
   }
-  report_->route_index_build_seconds = ledger_.index_seconds();
   if (checker_ == nullptr) return Status::OK();
   report_->scope_violations = checker_->violations();
   if (options_.check_scopes == analysis::ScopeCheckMode::kStrict &&

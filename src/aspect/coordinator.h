@@ -12,7 +12,7 @@
 #include "analysis/scope_checker.h"
 #include "aspect/access_monitor.h"
 #include "aspect/property_tool.h"
-#include "aspect/vote_index.h"
+#include "aspect/tweak_context.h"
 #include "common/result.h"
 #include "common/rng.h"
 
@@ -87,21 +87,17 @@ struct CoordinatorOptions {
   /// installs no footprint probes; release builds still arm the
   /// sampled canary.
   analysis::ScopeCheckMode check_scopes = analysis::ScopeCheckMode::kOff;
-  /// Scope-indexed validator routing (the CLI's --route-votes): serial
-  /// steps consult a VoteIndex over the enforced validators' certified
-  /// scopes — the same certification the lease partitioner trusts —
-  /// and proposals consult only the validators their write footprint
-  /// could disturb. Every skipped vote is provably zero, so
-  /// results are bitwise identical to full voting; the sampled pruning
-  /// audit (kOn: debug always / release 1-in-64; kAudit: always)
-  /// enforces that claim at runtime and a caught validator is
+  /// Scope-routed validator voting (the CLI's --route-votes): on a
+  /// serial step, each enforced validator is first tested against the
+  /// proposal (ProposalDisturbsStats) with the certified scope captured
+  /// when it was first enforced — the same certification the lease
+  /// partitioner trusts — and votes only when the proposal's writes
+  /// could disturb its statistics. Every skipped vote is provably zero,
+  /// so results are bitwise identical to full voting; the sampled
+  /// pruning audit (kOn: debug always / release 1-in-64; kAudit:
+  /// always) enforces that claim at runtime and a caught validator is
   /// distrusted — full voting and the serial path — for the rest of
-  /// the run. kOff (the default) keeps the legacy everyone-votes loop.
-  /// The index is maintained *incrementally* across the run: built
-  /// once, grown by one validator when a tool is first enforced, and
-  /// degraded in place when a distrust event latches — per-step setup
-  /// is O(change), not O(fleet) (debug builds cross-check against a
-  /// from-scratch rebuild every step).
+  /// the run. kOff (the default) keeps the everyone-votes loop.
   RouteVotes route_votes = RouteVotes::kOff;
 };
 
@@ -131,7 +127,7 @@ struct ToolReport {
   /// Validator votes a full-voting run would have cast during this
   /// step (validators per proposal, summed over proposals).
   int64_t votes_total = 0;
-  /// The subset of votes_total proven zero by the routing index and
+  /// The subset of votes_total proven zero by the scope test and
   /// skipped (options.route_votes != kOff; always 0 otherwise).
   int64_t votes_skipped = 0;
   /// Pruned votes the sampled audit invoked anyway and found nonzero —
@@ -188,10 +184,6 @@ struct RunReport {
   int64_t route_audit_violations = 0;
   /// Unknown-table conservative routing fallbacks over all steps.
   int64_t route_fallbacks = 0;
-  /// Seconds spent maintaining the routing index
-  /// (options.route_votes != kOff): one append per newly enforced
-  /// validator and one degrade per distrust event.
-  double route_index_build_seconds = 0;
   /// Phase breakdown of the parallel groups. Setup: lease partition,
   /// recorders and listener routes. Merge: splicing the members'
   /// recorded notifications into the database's other listeners (the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "analysis/probe.h"
 #include "aspect/access_monitor.h"
@@ -58,53 +59,74 @@ std::vector<Value> TweakContext::TemplateRow(const Table& table) {
   return row;
 }
 
-void TweakContext::set_vote_routing(const VoteIndex* index, RouteVotes mode,
-                                    size_t self_slot) {
-  // Precondition: `index` describes the coordinator's enforced list —
-  // this context's validator list with the stepping tool spliced in at
-  // `self_slot` (kNoSelfSlot when absent).
-  vote_index_ = mode == RouteVotes::kOff ? nullptr : index;
-  route_mode_ = mode;
-  self_slot_ = self_slot;
-  assert(vote_index_ == nullptr ||
-         vote_index_->num_validators() ==
-             validators_.size() + (self_slot_ != kNoSelfSlot ? 1 : 0));
-  route_local_distrust_.assign(validators_.size(), 0);
-  route_any_distrust_ = false;
+bool ProposalDisturbsStats(std::span<const Modification> mods,
+                           std::span<const int> tables,
+                           const AccessScope& validator) {
+  assert(tables.size() == mods.size());
+  if (!validator.known || !validator.reads_complete) return true;
+  for (size_t i = 0; i < mods.size(); ++i) {
+    const Modification& mod = mods[i];
+    const int t = tables[i];
+    if (t < 0) return true;
+    const bool row_write = mod.kind == OpKind::kInsertTuple ||
+                           mod.kind == OpKind::kDeleteTuple;
+    // Atoms order by table first, and no write reaches another table's
+    // reads: visit table t's atoms only.
+    for (auto it = validator.stats_reads.lower_bound(
+             {t, std::numeric_limits<int>::min()});
+         it != validator.stats_reads.end() && it->first == t; ++it) {
+      const AccessScope::Atom& r = *it;
+      if (row_write) {
+        if (WriteAtomDisturbsRead({t, AccessScope::kRowStructure}, r)) {
+          return true;
+        }
+        continue;
+      }
+      for (const int c : mod.cols) {
+        if (!WriteAtomDisturbsRead({t, c}, r)) continue;
+        const auto* range = r.second == c ? validator.RangeOf(r) : nullptr;
+        if (range == nullptr) return true;
+        for (const TupleId tid : mod.tuples) {
+          if (tid >= range->first && tid <= range->second) return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
-int64_t TweakContext::RouteConsult(std::span<const Modification> mods) {
-  const int64_t fallbacks_before = route_metrics_.fallbacks;
-  vote_index_->Route(mods, &consult_, &route_metrics_);
-  if (route_mode_ == RouteVotes::kAudit && !route_fallback_warned_ &&
-      route_metrics_.fallbacks != fallbacks_before) {
+void TweakContext::set_vote_routing(RouteVotes mode,
+                                    std::vector<const AccessScope*> scopes) {
+  assert(mode == RouteVotes::kOff || scopes.size() == validators_.size());
+  route_mode_ = mode;
+  route_scopes_ = std::move(scopes);
+}
+
+void TweakContext::ResolveRouteTables(std::span<const Modification> mods) {
+  route_tables_.clear();
+  // Batches overwhelmingly target one table; cache the last name
+  // lookup so routing does not redo the string search per mod.
+  const std::string* last_name = nullptr;
+  const std::string* unknown = nullptr;
+  int t = -1;
+  for (const Modification& mod : mods) {
+    if (last_name == nullptr || mod.table != *last_name) {
+      last_name = &mod.table;
+      t = db_->schema().TableIndex(mod.table);
+      if (t < 0 && unknown == nullptr) unknown = &mod.table;
+    }
+    route_tables_.push_back(t);
+  }
+  if (unknown == nullptr) return;
+  ++route_fallbacks_;
+  if (route_mode_ == RouteVotes::kAudit && !route_fallback_warned_) {
     // Rare conservative bail: without this latch the proposal would be
     // indistinguishable from a legitimately routed one.
     route_fallback_warned_ = true;
-    const std::string* unknown = nullptr;
-    for (const Modification& mod : mods) {
-      if (db_->schema().TableIndex(mod.table) < 0) {
-        unknown = &mod.table;
-        break;
-      }
-    }
     ASPECT_LOG(Warning)
         << "vote routing fell back to consulting every validator: "
-        << "proposal names unknown table '"
-        << (unknown != nullptr ? *unknown : std::string("?")) << "'";
+        << "proposal names unknown table '" << *unknown << "'";
   }
-  if (route_any_distrust_) {
-    for (size_t i = 0; i < validators_.size(); ++i) {
-      if (route_local_distrust_[i]) consult_.SetBit(SlotOf(i));
-    }
-  }
-  // Pruned validators = the validator list minus the set bits at
-  // validator slots (the stepping tool's own slot, when present, is
-  // not a validator and is excluded from the count).
-  size_t consulted = consult_.CountSet();
-  if (self_slot_ != kNoSelfSlot && consult_.Test(self_slot_)) --consulted;
-  return static_cast<int64_t>(validators_.size()) -
-         static_cast<int64_t>(consulted);
 }
 
 bool TweakContext::ShouldAuditPrune() {
@@ -120,13 +142,6 @@ bool TweakContext::ShouldAuditPrune() {
 #endif
 }
 
-void TweakContext::LatchRouteViolation(size_t i, double penalty) {
-  route_local_distrust_[i] = 1;
-  route_any_distrust_ = true;
-  route_violations_.push_back(
-      {static_cast<int>(i), validators_[i]->name(), penalty});
-}
-
 double TweakContext::Price(size_t i, std::span<const Modification> mods,
                            double veto_cap) const {
   return mods.size() == 1
@@ -134,61 +149,28 @@ double TweakContext::Price(size_t i, std::span<const Modification> mods,
              : validators_[i]->ValidationPenaltyBatch(mods, veto_cap);
 }
 
-double TweakContext::RoutedVote(size_t i,
-                                std::span<const Modification> mods) {
-  if (Consulted(i)) return Price(i, mods, kVetoCap);
-  ++votes_skipped_;
-  if (!ShouldAuditPrune()) return 0.0;
-  // The audit must see the exact composite penalty: uncapped.
-  const double p = Price(i, mods, PropertyTool::kNoPenaltyCap);
-  if (p != 0.0) {
-    // The routing index proved this vote zero; a nonzero return means
-    // the validator reads outside its certified scope. Latch, keep the
+int TweakContext::RoutedObjector(std::span<const Modification> mods) {
+  ResolveRouteTables(mods);
+  for (size_t i = 0; i < validators_.size(); ++i) {
+    const AccessScope* scope = route_scopes_[i];
+    if (scope == nullptr ||
+        ProposalDisturbsStats(mods, route_tables_, *scope)) {
+      if (Price(i, mods, kVetoCap) > 0) return static_cast<int>(i);
+      continue;
+    }
+    ++votes_skipped_;
+    if (!ShouldAuditPrune()) continue;
+    // The audit must see the exact composite penalty: uncapped.
+    const double p = Price(i, mods, PropertyTool::kNoPenaltyCap);
+    if (p == 0.0) continue;
+    // The scope test proved this vote zero; a nonzero return means the
+    // validator reads outside its certified scope. Latch, keep the
     // validator on the full-voting path, and let the real penalty
     // decide the proposal.
-    LatchRouteViolation(i, p);
-    return p;
-  }
-  return 0.0;
-}
-
-bool TweakContext::AuditDueWithin(int64_t pruned) const {
-  if (pruned <= 0) return false;
-  if (route_mode_ == RouteVotes::kAudit) return true;
-#ifndef NDEBUG
-  return true;  // debug builds audit every pruned vote
-#else
-  // First audit ordinal at or after pruned_seen_ — due iff it falls
-  // before the window ends. A veto may cut the window short, but a
-  // shorter window can only make a due audit undue, and the per-vote
-  // path re-checks each ordinal, so the cadence stays exact.
-  const int64_t next = (pruned_seen_ + kRouteAuditStride - 1) /
-                       kRouteAuditStride * kRouteAuditStride;
-  return next < pruned_seen_ + pruned;
-#endif
-}
-
-int TweakContext::RoutedObjector(std::span<const Modification> mods) {
-  const int64_t pruned_expected = RouteConsult(mods);
-  if (!AuditDueWithin(pruned_expected)) {
-    // Fast path: no pruned vote of this proposal is an audit sample,
-    // so skipping costs one counter update — the vote loop is
-    // O(consulted validators), not O(all validators' penalty calls).
-    int64_t pruned = 0;
-    int bad = -1;
-    for (size_t i = 0; i < validators_.size() && bad < 0; ++i) {
-      if (!Consulted(i)) {
-        ++pruned;
-      } else if (Price(i, mods, kVetoCap) > 0) {
-        bad = static_cast<int>(i);
-      }
-    }
-    votes_skipped_ += pruned;
-    pruned_seen_ += pruned;
-    return bad;
-  }
-  for (size_t i = 0; i < validators_.size(); ++i) {
-    if (RoutedVote(i, mods) > 0) return static_cast<int>(i);
+    route_scopes_[i] = nullptr;
+    route_violations_.push_back(
+        {static_cast<int>(i), validators_[i]->name(), p});
+    if (p > 0) return static_cast<int>(i);
   }
   return -1;
 }

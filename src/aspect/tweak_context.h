@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "aspect/vote_index.h"
+#include "analysis/access_scope.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "relational/database.h"
@@ -22,6 +22,35 @@
 namespace aspect {
 
 class PropertyTool;
+
+/// Validator-routing mode (CoordinatorOptions.route_votes and the
+/// CLI's --route-votes).
+enum class RouteVotes : int {
+  /// Full voting: every enforced validator votes on every proposal.
+  kOff = 0,
+  /// Scope-routed voting with the sampled pruning audit (debug builds
+  /// audit every pruned vote, release builds the first then 1/64).
+  kOn = 1,
+  /// Scope-routed voting with every pruned vote audited, in every
+  /// build configuration. The CI conformance mode.
+  kAudit = 2,
+};
+
+/// True when applying `mods` could change what a validator whose
+/// certified scope is `validator` reads through its stats_reads — so
+/// its vote on the proposal may be nonzero and must be cast.
+/// `tables[i]` is the schema index of mods[i].table, or -1 when the
+/// schema does not know the table. The write side is exact per
+/// modification: a tuple insert or delete is a row-structure write (no
+/// row-interval exemption: an insert's id is not assigned yet), and a
+/// cell write reaches a reader of the same cell atom certified to
+/// [lo, hi] only through a touched tuple id in that range. Atom
+/// granularity follows WriteAtomDisturbsRead. An unknown scope, an
+/// observed one (reads_complete = false) and an unknown table disturb
+/// everything.
+bool ProposalDisturbsStats(std::span<const Modification> mods,
+                           std::span<const int> tables,
+                           const AccessScope& validator);
 
 /// Records which cells each tool wrote, for overlap detection (O2).
 class AccessMonitor;
@@ -99,25 +128,15 @@ class TweakContext {
   /// Number of modifications applied (accepted + forced).
   int64_t applied() const { return applied_; }
 
-  /// Slot sentinel for set_vote_routing: the stepping tool is not in
-  /// the index's validator list.
-  static constexpr size_t kNoSelfSlot = static_cast<size_t>(-1);
-
-  /// Enables scope-routed voting: proposals consult only the
-  /// validators `index` maps to their write footprint (plus the
-  /// always-vote fallback set); every skipped vote is provably zero.
-  /// `index` must outlive the context and describe the coordinator's
-  /// *enforced* list — this context's validator list with the stepping
-  /// tool itself spliced in at `self_slot` (kNoSelfSlot when the tool
-  /// is not yet enforced, i.e. the lists coincide). Indexing the
-  /// enforced list is what lets the coordinator maintain ONE index
-  /// incrementally across steps instead of rebuilding a per-step
-  /// permutation; the context maps validator i to index slot
-  /// i + (i >= self_slot). Routed loops walk the validators in their
-  /// original order, so veto decisions, veto attribution and the
+  /// Enables scope-routed voting: a proposal consults validator i only
+  /// when ProposalDisturbsStats holds for `scopes[i]`, the certified
+  /// scope of this context's i-th validator (one entry per validator,
+  /// in validator order; each must outlive the context). Every skipped
+  /// vote is provably zero, and the routed loop walks the validators in
+  /// their original order, so veto decisions, veto attribution and the
   /// autotuning trajectory are bitwise identical to full voting.
-  void set_vote_routing(const VoteIndex* index, RouteVotes mode,
-                        size_t self_slot = kNoSelfSlot);
+  void set_vote_routing(RouteVotes mode,
+                        std::vector<const AccessScope*> scopes);
 
   /// One audit catch: a routed-away validator that, when invoked
   /// anyway by the sampled pruning audit, returned a nonzero penalty —
@@ -140,7 +159,7 @@ class TweakContext {
   /// table the schema does not know (everyone voted; nothing was
   /// pruned). Surfaced as RunReport::route_fallbacks; audit mode also
   /// latches a one-time warning naming the table.
-  int64_t route_fallbacks() const { return route_metrics_.fallbacks; }
+  int64_t route_fallbacks() const { return route_fallbacks_; }
   const std::vector<RouteViolation>& route_violations() const {
     return route_violations_;
   }
@@ -155,47 +174,33 @@ class TweakContext {
   Status Apply(const Modification& mod, TupleId* new_tuple);
   Status ApplyBatch(std::span<const Modification> mods,
                     std::vector<TupleId>* new_tuples);
-  /// True when vote routing is active for this context.
+  /// True when vote routing is active for this context: a proposal
+  /// with no validator to route is neither routed nor a fallback.
   bool Routed() const {
-    return vote_index_ != nullptr && route_mode_ != RouteVotes::kOff;
+    return route_mode_ != RouteVotes::kOff && !validators_.empty();
   }
-  /// The index slot of validator `i`: identical until self_slot_,
-  /// shifted past the stepping tool's own slot after it.
-  size_t SlotOf(size_t i) const {
-    return self_slot_ != kNoSelfSlot && i >= self_slot_ ? i + 1 : i;
-  }
-  /// True when the routed consult mask says validator `i` must vote.
-  bool Consulted(size_t i) const { return consult_.Test(SlotOf(i)); }
-  /// Fills consult_ for `mods` (index routing plus the local distrust
-  /// overlay from earlier audit catches) and returns the number of
-  /// validators the mask prunes.
-  int64_t RouteConsult(std::span<const Modification> mods);
+  /// Fills route_tables_ with the schema index of each modification's
+  /// table, and counts `mods` in route_fallbacks() when one names a
+  /// table the schema does not know (ProposalDisturbsStats then holds
+  /// for every validator).
+  void ResolveRouteTables(std::span<const Modification> mods);
   /// Sampling decision for one pruned vote; advances the counter.
   bool ShouldAuditPrune();
   /// Validator `i`'s ValidationPenalty of one modification, else its
   /// ValidationPenaltyBatch under `veto_cap`.
   double Price(size_t i, std::span<const Modification> mods,
                double veto_cap) const;
-  /// The vote of validator `i` on `mods` under routing: skipped when
-  /// pruned (0 unless a sampled audit catches a lie, in which case the
-  /// actual penalty is returned and the violation latched).
-  double RoutedVote(size_t i, std::span<const Modification> mods);
-  /// True when one of the next `pruned` pruned-vote ordinals is an
-  /// audit sample. The vote loops use it to pick between the fast
-  /// path — skip every pruned validator with one batched counter
-  /// update — and the per-vote path that performs the sampled audits.
-  bool AuditDueWithin(int64_t pruned) const;
-  /// Routes `mods`, casts the consulted votes in validator-list order,
-  /// and returns the index of the first objecting validator (-1 when
-  /// none). Handles skipped-vote accounting and sampled audits; veto
-  /// attribution matches full voting because pruned votes are provably
-  /// (and, when audited, verifiably) zero.
+  /// Casts the votes in validator-list order, testing each validator's
+  /// certified scope first: a disturbed validator is priced, any other
+  /// is skipped (provably zero) and counted, and a sampled skip is
+  /// audited — a nonzero audited penalty latches a violation and counts
+  /// as the vote. Returns the index of the first objecting validator
+  /// (-1 when none); veto attribution matches full voting.
   int RoutedObjector(std::span<const Modification> mods);
   /// Puts `mods` to the vote as one proposal, routed or to every
   /// validator, counts votes_total() and feeds the batch autotuning.
   /// Returns the first objecting validator, or -1; callers veto or force.
   int Objector(std::span<const Modification> mods);
-  void LatchRouteViolation(size_t i, double penalty);
   /// Autotuning hooks (no-ops unless batch_auto): an objection shrinks
   /// the hint and resets the streak; an objection-free proposal grows
   /// it after a sustained streak.
@@ -213,23 +218,15 @@ class TweakContext {
   int64_t vetoed_ = 0;
   int64_t forced_ = 0;
   int64_t applied_ = 0;
-  const VoteIndex* vote_index_ = nullptr;
   RouteVotes route_mode_ = RouteVotes::kOff;
-  /// Position of the stepping tool itself in the index's enforced
-  /// list, or kNoSelfSlot when absent (first pass of the tool).
-  size_t self_slot_ = kNoSelfSlot;
-  /// Scratch consult mask for the current proposal, indexed by
-  /// *enforced-list slot* (set = must vote). Reused across proposals.
-  ConsultMask consult_;
-  /// Fallback / aggregation counters from every Route call.
-  RouteMetrics route_metrics_;
+  /// Certified scope per validator; null once the audit caught the
+  /// validator, which then votes on every later proposal.
+  std::vector<const AccessScope*> route_scopes_;
+  /// The current proposal's table indices, reused across proposals.
+  std::vector<int> route_tables_;
+  int64_t route_fallbacks_ = 0;
   /// One-time latch for the audit-mode unknown-table warning.
   bool route_fallback_warned_ = false;
-  /// Validators caught by the audit: consulted on every later
-  /// proposal regardless of what the index says. The flag saves the
-  /// per-proposal overlay scan on the (overwhelming) clean path.
-  std::vector<uint8_t> route_local_distrust_;
-  bool route_any_distrust_ = false;
   int64_t votes_total_ = 0;
   int64_t votes_skipped_ = 0;
   int64_t pruned_seen_ = 0;

@@ -49,7 +49,7 @@ struct ExperimentConfig {
   /// (0 = hardware concurrency, 1 = inline). Results are bitwise
   /// identical at every setting (DESIGN.md §12).
   int gen_threads = 1;
-  /// Scope-indexed validator routing for the tweak vote loops
+  /// Scope-routed validator voting for the tweak vote loops
   /// (bitwise identical to full voting; DESIGN.md §14).
   RouteVotes route_votes = RouteVotes::kOff;
 };

@@ -2,7 +2,10 @@
 // The constants were captured from the coordinator as it stood before
 // its parallel-group and rollback paths were restructured; a refactor of
 // Coordinator::Run must reproduce them exactly — the output database
-// bit for bit (ContentHash) and every step's vote counters.
+// bit for bit (ContentHash) and every step's vote counters. The routed
+// config's votes_skipped pins were captured from the inverted vote
+// index that the per-validator scope test replaced; configs without
+// routing skip nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +27,7 @@ struct GoldenStep {
   int64_t vetoed;
   int64_t forced;
   int64_t votes_total;
+  int64_t votes_skipped = 0;
 };
 
 struct Outcome {
@@ -73,6 +77,8 @@ void ExpectGolden(const Outcome& got, uint64_t hash,
     EXPECT_EQ(s.forced, steps[i].forced) << "step " << i << " " << s.tool;
     EXPECT_EQ(s.votes_total, steps[i].votes_total)
         << "step " << i << " " << s.tool;
+    EXPECT_EQ(s.votes_skipped, steps[i].votes_skipped)
+        << "step " << i << " " << s.tool;
   }
 }
 
@@ -104,15 +110,15 @@ TEST(GoldenTest, XiamiClpBatchedRoutedParallel) {
   const Outcome got =
       RunPipeline(XiamiLike(0.5), 7, 4, ScalerKind::kRand, kClp, opts);
   ExpectGolden(got, 0xc3bd115f5aed4e5aULL,
-               {{3458, 0, 0, 0},
-                {6949, 13821, 838, 20770},
-                {364, 3890, 233, 8506},
-                {1336, 770, 309, 4096},
-                {2299, 3525, 335, 11648},
-                {161, 1792, 101, 3906},
-                {510, 338, 97, 1656},
-                {946, 1660, 165, 5212},
-                {137, 1139, 68, 2552}});
+               {{3458, 0, 0, 0, 0},
+                {6949, 13821, 838, 20770, 0},
+                {364, 3890, 233, 8506, 0},
+                {1336, 770, 309, 4096, 957},
+                {2299, 3525, 335, 11648, 1544},
+                {161, 1792, 101, 3906, 0},
+                {510, 338, 97, 1656, 383},
+                {946, 1660, 165, 5212, 618},
+                {137, 1139, 68, 2552, 0}});
 }
 
 TEST(GoldenTest, DoubanDscalerLpcRollback) {
