@@ -18,6 +18,7 @@
 // group's coordinator-side overhead down: setup (lease partition +
 // route assembly), merge (modlog splice) and rebase (rebinds of
 // disturbed non-members).
+#include <algorithm>
 #include <chrono>
 
 #include "aspect/coordinator.h"
@@ -270,31 +271,56 @@ bool ValidationPhase(const Database& base, const Database& truth,
     out.errors = rep.final_errors;
     return out;
   };
-  const auto best = [&](RouteVotes route) {
-    constexpr int kReps = 3;
-    VoteOutcome best_out;
-    for (int r = 0; r < kReps; ++r) {
-      VoteOutcome o = run_once(route);
-      if (r == 0 || o.seconds < best_out.seconds) best_out = std::move(o);
-    }
-    return best_out;
+  // One run takes 0.1-0.3 s and best-of-3 ratios swung 1.3-2.2x on an
+  // unchanged build, so full and routed voting alternate for kPairs
+  // pairs (machine drift lands on both sides) and the speedup is the
+  // ratio of the two medians; each side's quartiles show its spread.
+  constexpr int kPairs = 7;
+  std::vector<VoteOutcome> fulls, routeds;
+  for (int r = 0; r < kPairs; ++r) {
+    fulls.push_back(run_once(RouteVotes::kOff));
+    routeds.push_back(run_once(RouteVotes::kOn));
+  }
+  const VoteOutcome audit = run_once(RouteVotes::kAudit);
+  struct Spread {
+    double q1, median, q3;
   };
-
-  const VoteOutcome full = best(RouteVotes::kOff);
-  const VoteOutcome routed = best(RouteVotes::kOn);
-  const VoteOutcome audit = best(RouteVotes::kAudit);
-  Header({"config", "seconds", "votes_total", "votes_skipped"});
-  const auto row = [](const char* label, const VoteOutcome& o) {
+  const auto spread = [](const std::vector<VoteOutcome>& runs) {
+    std::vector<double> s;
+    for (const VoteOutcome& o : runs) s.push_back(o.seconds);
+    std::sort(s.begin(), s.end());
+    // Linear interpolation between order statistics.
+    const auto at = [&](double q) {
+      const double pos = q * static_cast<double>(s.size() - 1);
+      const size_t i = static_cast<size_t>(pos);
+      const size_t j = std::min(i + 1, s.size() - 1);
+      return s[i] + (pos - static_cast<double>(i)) * (s[j] - s[i]);
+    };
+    return Spread{at(0.25), at(0.5), at(0.75)};
+  };
+  const Spread full_s = spread(fulls);
+  const Spread routed_s = spread(routeds);
+  const VoteOutcome& full = fulls.front();
+  const VoteOutcome& routed = routeds.front();
+  Header({"config", "median_s", "q1_s", "q3_s", "votes_total",
+          "votes_skipped"});
+  const auto row = [](const char* label, const Spread& t,
+                      const VoteOutcome& o) {
     Cell(label);
-    Cell(o.seconds);
+    Cell(t.median);
+    Cell(t.q1);
+    Cell(t.q3);
     Cell(std::to_string(o.votes_total));
     Cell(std::to_string(o.votes_skipped));
     EndRow();
   };
-  row("full", full);
-  row("routed", routed);
-  row("audit", audit);
-  for (const VoteOutcome* o : {&routed, &audit}) {
+  row("full", full_s, full);
+  row("routed", routed_s, routed);
+  row("audit", Spread{audit.seconds, audit.seconds, audit.seconds}, audit);
+  std::vector<const VoteOutcome*> checked = {&audit};
+  for (size_t r = 0; r < routeds.size(); ++r) checked.push_back(&routeds[r]);
+  for (size_t r = 1; r < fulls.size(); ++r) checked.push_back(&fulls[r]);
+  for (const VoteOutcome* o : checked) {
     for (size_t i = 0; i < full.errors.size(); ++i) {
       if (full.errors[i] != o->errors[i]) {
         std::fprintf(stderr,
@@ -316,16 +342,20 @@ bool ValidationPhase(const Database& base, const Database& truth,
     std::fprintf(stderr, "FAIL: routed run pruned no votes\n");
     return false;
   }
-  const double route_speedup = full.seconds / std::max(1e-9, routed.seconds);
+  const double route_speedup =
+      full_s.median / std::max(1e-9, routed_s.median);
   std::printf("identical final errors; %lld/%lld votes skipped; "
-              "route speedup %.2fx (audit %.2fx)\n",
+              "route speedup %.2fx, median of %d alternating pairs "
+              "(audit %.2fx, one run)\n",
               static_cast<long long>(routed.votes_skipped),
               static_cast<long long>(routed.votes_total), route_speedup,
-              full.seconds / std::max(1e-9, audit.seconds));
+              kPairs, full_s.median / std::max(1e-9, audit.seconds));
   report->Metric("votes_total", static_cast<double>(routed.votes_total));
   report->Metric("votes_skipped", static_cast<double>(routed.votes_skipped));
-  report->Metric("route_full_s", full.seconds);
-  report->Metric("route_routed_s", routed.seconds);
+  report->Metric("route_full_s", full_s.median);
+  report->Metric("route_full_iqr_s", full_s.q3 - full_s.q1);
+  report->Metric("route_routed_s", routed_s.median);
+  report->Metric("route_routed_iqr_s", routed_s.q3 - routed_s.q1);
   report->Metric("route_audit_s", audit.seconds);
   report->Metric("route_speedup", route_speedup);
   return true;

@@ -625,8 +625,8 @@ std::vector<GroupTask> TweakLoop::SetUpGroup(
       task.footprint =
           std::make_unique<analysis::FootprintRecorder>(columns_per_table_);
     }
-    // The member's own listener set — the tool plus its auxiliary
-    // listeners (e.g. coappear's RefCounter), via AppendListeners.
+    // The member's own listener set — the tool plus any auxiliary
+    // listeners it registered, via AppendListeners.
     tool(task.id)->AppendListeners(&task.route);
     task.route.push_back(task.recorder.get());
   }

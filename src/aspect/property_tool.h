@@ -92,11 +92,12 @@ class PropertyTool : public ModificationListener {
 
   /// Appends every ModificationListener a bound tool has registered on
   /// its database: the tool itself plus any auxiliary listeners its
-  /// Bind installed (e.g. coappear's RefCounter). The parallel pass
-  /// routes exactly this set (plus the task's write recorder) to the
-  /// task's thread, and excludes it from the post-group notification
-  /// replay, so a tool's statistics see each of its own writes exactly
-  /// once. Only meaningful while bound.
+  /// Bind installed (no built-in tool installs any; a wrapping tool
+  /// forwards to the tool it wraps). The parallel pass routes exactly
+  /// this set (plus the task's write recorder) to the task's thread,
+  /// and excludes it from the post-group notification replay, so a
+  /// tool's statistics see each of its own writes exactly once. Only
+  /// meaningful while bound.
   virtual void AppendListeners(std::vector<ModificationListener*>* out) {
     out->push_back(this);
   }

@@ -144,9 +144,8 @@ CoappearPropertyTool::PricingScratch& CoappearPropertyTool::ThreadScratch() {
 }
 
 CoappearPropertyTool::CoappearPropertyTool(const Schema& schema)
-    : schema_(schema) {
-  ReferenceGraph graph(schema_);
-  groups_ = graph.CoappearGroups();
+    : schema_(schema), graph_(schema) {
+  groups_ = graph_.CoappearGroups();
   for (size_t g = 0; g < groups_.size(); ++g) {
     const CoappearGroup& grp = groups_[g];
     target_xi_.emplace_back(static_cast<int>(grp.member_tables.size()));
@@ -157,9 +156,6 @@ CoappearPropertyTool::CoappearPropertyTool(const Schema& schema)
   }
   target_parent_sizes_.resize(groups_.size());
   target_member_sizes_.resize(groups_.size());
-  for (const FkEdge& e : graph.edges()) {
-    inbound_[e.parent_table].push_back(e);
-  }
 }
 
 Status CoappearPropertyTool::SetTargetFromDataset(
@@ -208,18 +204,6 @@ Status CoappearPropertyTool::SetTargetDistributions(
   target_member_sizes_ = std::move(target_member_sizes);
   IndexTargets();
   return Status::OK();
-}
-
-std::unique_ptr<PropertyTool> CoappearPropertyTool::Clone() const {
-  if (bound()) return nullptr;
-  // The constructor rebuilds groups_ and the index maps from the
-  // schema; only the targets need copying.
-  auto copy = std::make_unique<CoappearPropertyTool>(schema_);
-  copy->target_xi_ = target_xi_;
-  copy->target_parent_sizes_ = target_parent_sizes_;
-  copy->target_member_sizes_ = target_member_sizes_;
-  copy->max_attempts_ = max_attempts_;
-  return copy;
 }
 
 int32_t CoappearPropertyTool::InternCombo(GroupState* st,
@@ -302,24 +286,19 @@ Status CoappearPropertyTool::Bind(Database* db) {
     }
   }
   IndexTargets();
-  refcount_ = std::make_unique<RefCounter>(db_);
+  // Deletion victims must be unreferenced (members can be post tables
+  // that response tables reference, e.g. Review in the Douban schemas).
+  db_->BuildReferrerIndex();
   db_->AddListener(this);
   return Status::OK();
 }
 
 void CoappearPropertyTool::Unbind() {
-  refcount_.reset();
   if (db_ != nullptr) {
     db_->RemoveListener(this);
     db_ = nullptr;
   }
   state_.clear();
-}
-
-void CoappearPropertyTool::AppendListeners(
-    std::vector<ModificationListener*>* out) {
-  out->push_back(this);
-  if (refcount_ != nullptr) out->push_back(refcount_.get());
 }
 
 bool CoappearPropertyTool::ReadCombo(int g, int member, TupleId t,
@@ -634,12 +613,11 @@ AccessScope CoappearPropertyTool::DeclaredScope() const {
   for (const CoappearGroup& grp : groups_) {
     for (const int m : grp.member_tables) {
       scope.AddWrite(m, AccessScope::kWholeTable);
-      const auto iit = inbound_.find(m);
-      if (iit == inbound_.end()) continue;
-      for (const FkEdge& e : iit->second) {
+      for (const FkEdge& e : graph_.InEdges(m)) {
         scope.AddWrite(e.child_table, e.fk_col);
-        // Rewiring scans the child table's live-tuple set, and the
-        // combo vectors count one entry per live child row.
+        // Rewiring reads referrer lists that follow the child table's
+        // live rows, and the combo vectors count one entry per live
+        // child row.
         scope.AddRead(e.child_table, AccessScope::kRowStructure);
       }
     }
@@ -987,7 +965,7 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
         int64_t cand = lists.AtRank(combo, boff);
         for (int32_t j = 0; j < size && batch.size() < cap;
              ++j, cand = lists.NextWrapped(combo, cand)) {
-          if (refcount_->Unreferenced(table_index, cand)) {
+          if (db_->Unreferenced(table_index, cand)) {
             batch.push_back(Modification::DeleteTuple(table.name(), cand));
           }
         }
@@ -1009,7 +987,7 @@ bool CoappearPropertyTool::ConvertOne(TweakContext* ctx, int g,
         int64_t cand = first;
         for (int32_t j = 0; j < size;
              ++j, cand = lists.NextWrapped(combo, cand)) {
-          if (refcount_->Unreferenced(table_index, cand)) {
+          if (db_->Unreferenced(table_index, cand)) {
             victim = cand;
             break;
           }
@@ -1071,15 +1049,11 @@ bool CoappearPropertyTool::EvacuateReferences(TweakContext* ctx,
     });
   }
   if (survivor == kInvalidTuple) return false;
-  const auto iit = inbound_.find(table_index);
-  if (iit == inbound_.end()) return true;
-  for (const FkEdge& e : iit->second) {
+  for (const FkEdge& e : graph_.InEdges(table_index)) {
     const Table& child = db_->table(e.child_table);
-    const Column& col = child.column(e.fk_col);
-    std::vector<TupleId> referrers;
-    child.ForEachLive([&](TupleId t) {
-      if (col.IsValue(t) && col.GetInt(t) == victim) referrers.push_back(t);
-    });
+    // A copy in ascending id order: the re-points below edit the list.
+    const std::vector<TupleId> referrers =
+        db_->Referrers(e.child_table, e.fk_col, victim);
     if (referrers.empty()) continue;
     if (ctx->batch_hint() > 1 && referrers.size() > 1) {
       // One broadcast modification re-points every referrer at once
@@ -1097,7 +1071,7 @@ bool CoappearPropertyTool::EvacuateReferences(TweakContext* ctx,
       if (!ctx->TryOrForce(mod).ok()) return false;
     }
   }
-  return refcount_->Unreferenced(table_index, victim);
+  return db_->Unreferenced(table_index, victim);
 }
 
 Status CoappearPropertyTool::Tweak(TweakContext* ctx) {

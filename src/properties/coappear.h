@@ -23,7 +23,6 @@
 #include "aspect/property_tool.h"
 #include "aspect/tweak_context.h"
 #include "properties/coappear_index.h"
-#include "relational/refcount.h"
 #include "relational/refgraph.h"
 #include "stats/count_gap.h"
 #include "stats/freq_dist.h"
@@ -36,8 +35,9 @@ class CoappearPropertyTool : public PropertyTool {
 
   std::string name() const override { return "coappear"; }
 
-  /// Custom clone: the refcount cache is non-copyable bound state.
-  std::unique_ptr<PropertyTool> Clone() const override;
+  std::unique_ptr<PropertyTool> Clone() const override {
+    return bound() ? nullptr : std::make_unique<CoappearPropertyTool>(*this);
+  }
 
   Status SetTargetFromDataset(const Database& ground_truth) override;
   /// User-input mode: explicit target distributions, one per group (in
@@ -55,12 +55,6 @@ class CoappearPropertyTool : public PropertyTool {
   Status Bind(Database* db) override;
   void Unbind() override;
   bool bound() const override { return db_ != nullptr; }
-  /// The tool plus its RefCounter (the auxiliary listener Bind
-  /// installs). Inside a parallel group the counter sees only this
-  /// tool's writes, so counts of tables outside the declared scope may
-  /// go stale; Tweak only queries member tables, whose inbound FK
-  /// columns the declared scope names, so those counts stay exact.
-  void AppendListeners(std::vector<ModificationListener*>* out) override;
 
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
@@ -224,17 +218,13 @@ class CoappearPropertyTool : public PropertyTool {
                           TupleId victim);
 
   Schema schema_;
+  ReferenceGraph graph_;  // InEdges: the FK edges evacuation re-points
   std::vector<CoappearGroup> groups_;
   // table -> (group, member) memberships.
   std::map<int, std::vector<std::pair<int, int>>> member_index_;
-  // table -> FK edges referencing it (for reference evacuation).
-  std::map<int, std::vector<FkEdge>> inbound_;
 
   Database* db_ = nullptr;
   std::vector<GroupState> state_;
-  // Deletion victims must be unreferenced (members can be post tables
-  // that response tables reference, e.g. Review in the Douban schemas).
-  std::unique_ptr<RefCounter> refcount_;
 
   std::vector<FrequencyDistribution> target_xi_;
   std::vector<std::vector<int64_t>> target_parent_sizes_;

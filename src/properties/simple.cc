@@ -1022,7 +1022,7 @@ AccessScope TupleCountTool::DeclaredScope() const {
     // ValidationPenalty() never look at cell values.
     scope.AddTweakOnlyRead(ti, AccessScope::kWholeTable);
   }
-  // Shrinking deletes only unreferenced tuples: the RefCounter's
+  // Shrinking deletes only unreferenced tuples: the referrer index's
   // victim test depends on every inbound foreign-key column.
   for (size_t t = 0; t < schema_.tables.size(); ++t) {
     const TableSpec& ts = schema_.tables[t];
@@ -1068,22 +1068,14 @@ Status TupleCountTool::CheckTargetFeasible() const {
   return Status::OK();
 }
 
-std::unique_ptr<PropertyTool> TupleCountTool::Clone() const {
-  if (bound()) return nullptr;
-  auto copy = std::make_unique<TupleCountTool>(schema_);
-  copy->targets_ = targets_;
-  return copy;
-}
-
 Status TupleCountTool::Bind(Database* db) {
   db_ = db;
-  refcount_ = std::make_unique<RefCounter>(db_);
+  db_->BuildReferrerIndex();
   db_->AddListener(this);
   return Status::OK();
 }
 
 void TupleCountTool::Unbind() {
-  refcount_.reset();
   if (db_ != nullptr) {
     db_->RemoveListener(this);
     db_ = nullptr;
@@ -1100,15 +1092,6 @@ double TupleCountTool::Error() const {
            tgt;
   }
   return sum / static_cast<double>(db_->num_tables());
-}
-
-void TupleCountTool::OnApplied(const Modification& mod,
-                               const std::vector<Value>& old_values,
-                               TupleId new_tuple) {
-  // Sizes are read live from the database; nothing cached here.
-  (void)mod;
-  (void)old_values;
-  (void)new_tuple;
 }
 
 double TupleCountTool::ValidationPenalty(const Modification& mod) const {
@@ -1145,7 +1128,7 @@ Status TupleCountTool::Tweak(TweakContext* ctx) {
     int64_t scan = t.NumSlots();
     while (t.NumTuples() > want && scan-- > 0) {
       const TupleId cand = ctx->rng()->UniformInt(0, t.NumSlots() - 1);
-      if (!t.IsLive(cand) || !refcount_->Unreferenced(ti, cand)) continue;
+      if (!t.IsLive(cand) || !db_->Unreferenced(ti, cand)) continue;
       Modification mod = Modification::DeleteTuple(t.name(), cand);
       ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
     }

@@ -14,7 +14,6 @@
 
 #include "aspect/property_tool.h"
 #include "aspect/tweak_context.h"
-#include "relational/refcount.h"
 #include "stats/freq_dist.h"
 
 namespace aspect {
@@ -238,8 +237,9 @@ class TupleCountTool : public PropertyTool {
 
   std::string name() const override { return "tuple-count"; }
 
-  /// Custom clone: the refcount cache is non-copyable bound state.
-  std::unique_ptr<PropertyTool> Clone() const override;
+  std::unique_ptr<PropertyTool> Clone() const override {
+    return bound() ? nullptr : std::make_unique<TupleCountTool>(*this);
+  }
 
   Status SetTargetFromDataset(const Database& ground_truth) override;
   Status SetTargetSizes(std::vector<int64_t> sizes);
@@ -253,19 +253,19 @@ class TupleCountTool : public PropertyTool {
   double Error() const override;
   double ValidationPenalty(const Modification& mod) const override;
   /// Whole-table row structure everywhere: the tweak inserts and
-  /// deletes tuples in every table and its refcounts read all FKs.
+  /// deletes tuples in every table, and its unreferenced-victim test
+  /// reads every FK column through the database's referrer index.
   AccessScope DeclaredScope() const override;
   Status Tweak(TweakContext* ctx) override;
 
-  void OnApplied(const Modification& mod,
-                 const std::vector<Value>& old_values,
-                 TupleId new_tuple) override;
+  /// Sizes are read live from the database; nothing is cached.
+  void OnApplied(const Modification&, const std::vector<Value>&,
+                 TupleId) override {}
 
  private:
   Schema schema_;
   Database* db_ = nullptr;
   std::vector<int64_t> targets_;
-  std::unique_ptr<RefCounter> refcount_;
 };
 
 }  // namespace aspect

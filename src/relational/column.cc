@@ -199,20 +199,6 @@ void Column::PopBack() {
   state_.pop_back();
 }
 
-void Column::SetInt(int64_t row, int64_t v) {
-  analysis::ProbeWrite(probe_table_, probe_col_, row);
-  assert(type_ == ColumnType::kInt64 || type_ == ColumnType::kForeignKey);
-  ints_[static_cast<size_t>(row)] = v;
-  state_[static_cast<size_t>(row)] = CellState::kValue;
-}
-
-void Column::SetDouble(int64_t row, double v) {
-  analysis::ProbeWrite(probe_table_, probe_col_, row);
-  assert(type_ == ColumnType::kDouble);
-  doubles_[static_cast<size_t>(row)] = v;
-  state_[static_cast<size_t>(row)] = CellState::kValue;
-}
-
 Status Column::AppendBatch(Column&& src) {
   if (type_ != src.type_) {
     return Status::Invalid(StrFormat(

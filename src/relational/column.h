@@ -98,10 +98,6 @@ class Column {
   /// Removes the last row (undo of Append; requires size() > 0).
   void PopBack();
 
-  /// Fast typed setters.
-  void SetInt(int64_t row, int64_t v);
-  void SetDouble(int64_t row, double v);
-
   /// Splices the entirety of `src` onto the end of this column — one
   /// vector concatenation per storage array instead of a per-cell
   /// dispatch. `src` is consumed (strings are moved). Returns Invalid

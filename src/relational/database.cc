@@ -1,6 +1,8 @@
 #include "relational/database.h"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 #include "analysis/probe.h"
 #include "common/string_util.h"
@@ -251,35 +253,38 @@ Status Database::ApplyCellOp(const Modification& mod, Table* t,
 Status Database::ApplyOne(const Modification& mod,
                           std::vector<Value>* old_values,
                           TupleId* inserted) {
-  Table* t = FindTable(mod.table);
-  if (t == nullptr) {
+  const int ti = schema_.TableIndex(mod.table);
+  if (ti < 0) {
     return Status::KeyError(StrFormat("no table '%s'", mod.table.c_str()));
   }
-  switch (mod.kind) {
-    case OpKind::kDeleteValues:
-    case OpKind::kInsertValues:
-    case OpKind::kReplaceValues:
-      ASPECT_RETURN_NOT_OK(ApplyCellOp(mod, t, old_values));
-      break;
-    case OpKind::kInsertTuple: {
-      ASPECT_ASSIGN_OR_RETURN(*inserted, t->Append(mod.values));
-      break;
-    }
-    case OpKind::kDeleteTuple: {
-      if (mod.tuples.size() != 1) {
-        return Status::Invalid("deleteTuple expects exactly one tuple id");
+  Table* t = tables_[static_cast<size_t>(ti)].get();
+  Reindex(ti, mod, kInvalidTuple, /*link=*/false);
+  const Status st = [&]() -> Status {
+    switch (mod.kind) {
+      case OpKind::kDeleteValues:
+      case OpKind::kInsertValues:
+      case OpKind::kReplaceValues:
+        return ApplyCellOp(mod, t, old_values);
+      case OpKind::kInsertTuple: {
+        ASPECT_ASSIGN_OR_RETURN(*inserted, t->Append(mod.values));
+        return Status::OK();
       }
-      if (!t->IsLive(mod.tuples[0])) {
-        return Status::KeyError(
-            StrFormat("table '%s': tuple %lld not live", mod.table.c_str(),
-                      static_cast<long long>(mod.tuples[0])));
-      }
-      *old_values = t->GetRow(mod.tuples[0]);
-      ASPECT_RETURN_NOT_OK(t->Delete(mod.tuples[0]));
-      break;
+      case OpKind::kDeleteTuple:
+        if (mod.tuples.size() != 1) {
+          return Status::Invalid("deleteTuple expects exactly one tuple id");
+        }
+        if (!t->IsLive(mod.tuples[0])) {
+          return Status::KeyError(
+              StrFormat("table '%s': tuple %lld not live", mod.table.c_str(),
+                        static_cast<long long>(mod.tuples[0])));
+        }
+        *old_values = t->GetRow(mod.tuples[0]);
+        return t->Delete(mod.tuples[0]);
     }
-  }
-  return Status::OK();
+    return Status::Internal("unknown modification kind");
+  }();
+  Reindex(ti, mod, *inserted, /*link=*/true);
+  return st;
 }
 
 Status Database::Apply(const Modification& mod, TupleId* new_tuple) {
@@ -360,52 +365,58 @@ Status Database::Undo(const Modification& mod,
   // Reverting is framework machinery (rollback, batch-failure repair):
   // it must not be attributed to whatever tool's probe is installed.
   analysis::ScopedProbeSuppress suppress;
-  Table* t = FindTable(mod.table);
-  if (t == nullptr) {
+  const int ti = schema_.TableIndex(mod.table);
+  if (ti < 0) {
     return Status::KeyError(StrFormat("no table '%s'", mod.table.c_str()));
   }
-  switch (mod.kind) {
-    case OpKind::kInsertValues:
-      // The cells were kEmpty before the insert: erase them again.
-      for (const TupleId tid : mod.tuples) {
-        for (const int c : mod.cols) {
-          t->column(c).Erase(tid);
+  Table* t = tables_[static_cast<size_t>(ti)].get();
+  Reindex(ti, mod, new_tuple, /*link=*/false);
+  const Status st = [&]() -> Status {
+    switch (mod.kind) {
+      case OpKind::kInsertValues:
+        // The cells were kEmpty before the insert: erase them again.
+        for (const TupleId tid : mod.tuples) {
+          for (const int c : mod.cols) {
+            t->column(c).Erase(tid);
+          }
         }
-      }
-      return Status::OK();
-    case OpKind::kDeleteValues:
-    case OpKind::kReplaceValues: {
-      // Restore the captured pre-images (row-major tuples x cols). The
-      // cells were non-empty before, so a null pre-image means kNull.
-      if (old_values.size() != mod.tuples.size() * mod.cols.size()) {
-        return Status::Internal(StrFormat(
-            "undo %s on '%s': %zu pre-images for %zu cells",
-            OpKindToString(mod.kind), mod.table.c_str(), old_values.size(),
-            mod.tuples.size() * mod.cols.size()));
-      }
-      size_t k = 0;
-      for (const TupleId tid : mod.tuples) {
-        for (const int c : mod.cols) {
-          ASPECT_RETURN_NOT_OK(t->column(c).Set(tid, old_values[k]));
-          ++k;
+        return Status::OK();
+      case OpKind::kDeleteValues:
+      case OpKind::kReplaceValues: {
+        // Restore the captured pre-images (row-major tuples x cols). The
+        // cells were non-empty before, so a null pre-image means kNull.
+        if (old_values.size() != mod.tuples.size() * mod.cols.size()) {
+          return Status::Internal(StrFormat(
+              "undo %s on '%s': %zu pre-images for %zu cells",
+              OpKindToString(mod.kind), mod.table.c_str(), old_values.size(),
+              mod.tuples.size() * mod.cols.size()));
         }
+        size_t k = 0;
+        for (const TupleId tid : mod.tuples) {
+          for (const int c : mod.cols) {
+            ASPECT_RETURN_NOT_OK(t->column(c).Set(tid, old_values[k]));
+            ++k;
+          }
+        }
+        return Status::OK();
       }
-      return Status::OK();
+      case OpKind::kInsertTuple:
+        if (new_tuple != t->NumSlots() - 1) {
+          return Status::Internal(StrFormat(
+              "undo insertTuple on '%s': tuple %lld is not the last slot "
+              "%lld (entries must be undone in reverse order)",
+              mod.table.c_str(), static_cast<long long>(new_tuple),
+              static_cast<long long>(t->NumSlots() - 1)));
+        }
+        return t->PopBack();
+      case OpKind::kDeleteTuple:
+        // Delete only tombstones; the slot's values are still in place.
+        return t->Undelete(mod.tuples[0]);
     }
-    case OpKind::kInsertTuple:
-      if (new_tuple != t->NumSlots() - 1) {
-        return Status::Internal(StrFormat(
-            "undo insertTuple on '%s': tuple %lld is not the last slot "
-            "%lld (entries must be undone in reverse order)",
-            mod.table.c_str(), static_cast<long long>(new_tuple),
-            static_cast<long long>(t->NumSlots() - 1)));
-      }
-      return t->PopBack();
-    case OpKind::kDeleteTuple:
-      // Delete only tombstones; the slot's values are still in place.
-      return t->Undelete(mod.tuples[0]);
-  }
-  return Status::Internal("unknown modification kind");
+    return Status::Internal("unknown modification kind");
+  }();
+  Reindex(ti, mod, new_tuple, /*link=*/true);
+  return st;
 }
 
 std::unique_ptr<Database> Database::Clone() const {
@@ -414,6 +425,140 @@ std::unique_ptr<Database> Database::Clone() const {
     *copy->tables_[i] = *tables_[i];
   }
   return copy;
+}
+
+namespace {
+
+constexpr int32_t kUnlinked = -2;  // RefEdge::prev of a row in no list
+
+/// Grows `v` to `n` entries of `fill`; tables grow while tweaking, and
+/// 1/8 spare capacity wastes less memory than doubling.
+void GrowTo(std::vector<int32_t>& v, size_t n, int32_t fill) {
+  if (n > v.capacity()) v.reserve(std::max(n, v.size() + v.size() / 8));
+  v.resize(n, fill);
+}
+
+/// Lists child row `r` under the parent slot its cell holds, unless it
+/// is listed already or is not a live row holding a value.
+template <typename Edge>
+void Link(Edge& e, const Table& t, int col, TupleId r) {
+  const Column& c = t.column(col);
+  if (!t.IsLive(r) || !c.IsValue(r)) return;
+  const int64_t v = c.GetInt(r);
+  if (v < 0 || v >= std::numeric_limits<int32_t>::max()) return;
+  const auto slot = static_cast<size_t>(r);
+  if (slot >= e.prev.size()) {
+    GrowTo(e.next, slot + 1, -1);
+    GrowTo(e.prev, slot + 1, kUnlinked);
+  }
+  if (e.prev[slot] != kUnlinked) return;
+  if (static_cast<size_t>(v) >= e.head.size()) GrowTo(e.head, v + 1, -1);
+  int32_t& first = e.head[static_cast<size_t>(v)];
+  if (first >= 0) e.prev[static_cast<size_t>(first)] = static_cast<int32_t>(r);
+  e.next[slot] = first;
+  e.prev[slot] = -1;
+  first = static_cast<int32_t>(r);
+}
+
+/// Takes child row `r` out of its list, if listed. Its cell still holds
+/// the slot it was listed under, because every write is bracketed.
+template <typename Edge>
+void Unlink(Edge& e, const Table& t, int col, TupleId r) {
+  const auto slot = static_cast<size_t>(r);
+  if (r < 0 || slot >= e.prev.size() || e.prev[slot] == kUnlinked) return;
+  const int32_t before = e.prev[slot];
+  const int32_t after = e.next[slot];
+  if (before >= 0) {
+    e.next[static_cast<size_t>(before)] = after;
+  } else {
+    e.head[static_cast<size_t>(t.column(col).GetInt(r))] = after;
+  }
+  if (after >= 0) e.prev[static_cast<size_t>(after)] = before;
+  e.prev[slot] = kUnlinked;
+}
+
+}  // namespace
+
+void Database::BuildReferrerIndex() {
+  if (ref_built_) return;
+  // Index upkeep is framework machinery, like the rest of Apply.
+  analysis::ScopedProbeSuppress suppress;
+  ref_col_edge_.resize(tables_.size());
+  ref_inbound_.resize(tables_.size());
+  int edges = 0;
+  for (size_t ti = 0; ti < tables_.size(); ++ti) {
+    for (int c = 0; c < tables_[ti]->num_columns(); ++c) {
+      const Column& col = tables_[ti]->column(c);
+      ref_col_edge_[ti].push_back(col.is_foreign_key() ? edges : -1);
+      if (!col.is_foreign_key()) continue;
+      const int parent = schema_.TableIndex(col.ref_table());
+      ref_inbound_[static_cast<size_t>(parent)].push_back(edges++);
+    }
+  }
+  ref_edges_ = std::vector<RefEdge>(static_cast<size_t>(edges));
+  for (size_t ti = 0; ti < tables_.size(); ++ti) {
+    const Table& t = *tables_[ti];
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const int id = ref_col_edge_[ti][static_cast<size_t>(c)];
+      if (id < 0) continue;
+      RefEdge& e = ref_edges_[static_cast<size_t>(id)];
+      e.next.assign(static_cast<size_t>(t.NumSlots()), -1);
+      e.prev.assign(static_cast<size_t>(t.NumSlots()), kUnlinked);
+      t.ForEachLive([&](TupleId r) { Link(e, t, c, r); });
+    }
+  }
+  ref_built_ = true;
+}
+
+void Database::Reindex(int table, const Modification& mod, TupleId row,
+                       bool link) {
+  if (!ref_built_) return;
+  const Table& t = *tables_[static_cast<size_t>(table)];
+  const bool tuple_op = mod.kind == OpKind::kInsertTuple ||
+                        mod.kind == OpKind::kDeleteTuple;
+  const auto rows = mod.kind == OpKind::kInsertTuple
+                        ? std::span<const TupleId>(&row, 1)
+                        : std::span<const TupleId>(mod.tuples);
+  const size_t n = tuple_op ? static_cast<size_t>(t.num_columns())
+                            : mod.cols.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int c = tuple_op ? static_cast<int>(i) : mod.cols[i];
+    if (c < 0 || c >= t.num_columns()) continue;
+    const int id = ref_col_edge_[static_cast<size_t>(table)]
+                                [static_cast<size_t>(c)];
+    if (id < 0) continue;
+    RefEdge& e = ref_edges_[static_cast<size_t>(id)];
+    MutexLock lock(e.mu);
+    for (const TupleId r : rows) link ? Link(e, t, c, r) : Unlink(e, t, c, r);
+  }
+}
+
+bool Database::Unreferenced(int table, TupleId t) const {
+  assert(ref_built_);
+  for (const int id : ref_inbound_[static_cast<size_t>(table)]) {
+    const std::vector<int32_t>& head = ref_edges_[static_cast<size_t>(id)].head;
+    if (t >= 0 && t < static_cast<TupleId>(head.size()) &&
+        head[static_cast<size_t>(t)] >= 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<TupleId> Database::Referrers(int child_table, int fk_col,
+                                         TupleId parent) const {
+  assert(ref_built_);
+  const RefEdge& e = ref_edges_[static_cast<size_t>(
+      ref_col_edge_[static_cast<size_t>(child_table)]
+                   [static_cast<size_t>(fk_col)])];
+  std::vector<TupleId> out;
+  if (parent < 0 || parent >= static_cast<TupleId>(e.head.size())) return out;
+  for (int32_t r = e.head[static_cast<size_t>(parent)]; r >= 0;
+       r = e.next[static_cast<size_t>(r)]) {
+    out.push_back(r);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace aspect

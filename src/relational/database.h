@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "relational/schema.h"
@@ -167,11 +168,44 @@ class Database {
   Status Undo(const Modification& mod, const std::vector<Value>& old_values,
               TupleId new_tuple);
 
-  /// Deep copy (listeners are not copied).
+  /// Deep copy (listeners and the referrer index are not copied).
   std::unique_ptr<Database> Clone() const;
+
+  /// The referrer index (DESIGN.md §17): for each FK edge (child
+  /// table, FK column), the live child rows whose cell holds parent
+  /// slot v, for every v. Built by the first call (tools call it from
+  /// Bind, which the coordinator runs serially), then kept current by
+  /// Apply, ApplyBatch and Undo before any listener runs. Writes made
+  /// directly through Table or Column bypass it.
+  void BuildReferrerIndex();
+  bool has_referrer_index() const { return ref_built_; }
+
+  /// True if no live row's FK cell refers to tuple `t` of `table`.
+  bool Unreferenced(int table, TupleId t) const;
+
+  /// The referrers of `parent` over one edge, in ascending id order.
+  std::vector<TupleId> Referrers(int child_table, int fk_col,
+                                 TupleId parent) const;
 
  private:
   explicit Database(Schema schema);
+
+  /// One edge of the referrer index: per parent slot, an intrusive
+  /// doubly-linked list of child rows. Only writes to the child's FK
+  /// column or row structure touch it (`head` grows from the child
+  /// side), so the write leases that own those atoms own the edge.
+  struct RefEdge {
+    std::vector<int32_t> head;        // parent slot -> first row or -1
+    std::vector<int32_t> next, prev;  // child row -> neighbours or -1
+    Mutex mu;  // row-ranged leases let two tasks write one FK column
+  };
+
+  /// Unlinks (link = false) or links the FK cells `mod` writes: its
+  /// columns for a cell operation, the whole row for a tuple operation
+  /// (`row` is the id a kInsertTuple produced). ApplyOne and Undo
+  /// unlink before writing, while the cells hold their old values, and
+  /// link after, also when the write failed.
+  void Reindex(int table, const Modification& mod, TupleId row, bool link);
 
   Status ApplyCellOp(const Modification& mod, Table* t,
                      std::vector<Value>* old_values);
@@ -184,6 +218,12 @@ class Database {
   Schema schema_;
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<ModificationListener*> listeners_;
+  // Referrer index: edges, table -> column -> edge id (-1: not an FK)
+  // and parent table -> ids of the edges referring to it.
+  std::vector<RefEdge> ref_edges_;
+  std::vector<std::vector<int>> ref_col_edge_;
+  std::vector<std::vector<int>> ref_inbound_;
+  bool ref_built_ = false;
 };
 
 }  // namespace aspect

@@ -10,14 +10,20 @@
 namespace aspect {
 namespace {
 
-/// Serial check of one table; returns the first violation in
-/// (column, tuple) order.
-Status CheckTable(const Database& db, const Table& t,
+/// Serial check of table `ti`; returns the first violation in
+/// (column, tuple) order, then any referrer-index slot whose list
+/// differs from the references its FK column's pass counted.
+Status CheckTable(const Database& db, int ti,
                   const IntegrityOptions& options) {
+  const Table& t = db.table(ti);
   for (int ci = 0; ci < t.num_columns(); ++ci) {
     const Column& col = t.column(ci);
     const Table* parent =
         col.is_foreign_key() ? db.FindTable(col.ref_table()) : nullptr;
+    std::vector<int32_t> seen(
+        parent != nullptr && db.has_referrer_index()
+            ? static_cast<size_t>(parent->NumSlots())
+            : 0);
     Status failure = Status::OK();
     t.ForEachLive([&](TupleId tid) {
       if (!failure.ok()) return;
@@ -46,9 +52,26 @@ Status CheckTable(const Database& db, const Table& t,
             t.name().c_str(), static_cast<long long>(tid),
             col.name().c_str(), col.ref_table().c_str(),
             static_cast<long long>(ref)));
+      } else if (!seen.empty()) {
+        ++seen[static_cast<size_t>(ref)];
       }
     });
     ASPECT_RETURN_NOT_OK(failure);
+    for (size_t p = 0; p < seen.size(); ++p) {
+      const auto slot = static_cast<TupleId>(p);
+      const std::vector<TupleId> listed = db.Referrers(ti, ci, slot);
+      const auto held =
+          std::count_if(listed.begin(), listed.end(), [&](TupleId r) {
+            return t.IsLive(r) && col.IsValue(r) && col.GetInt(r) == slot;
+          });
+      if (static_cast<int64_t>(listed.size()) != seen[p] || held != seen[p]) {
+        return Status::Invalid(StrFormat(
+            "referrer index of %s.%s -> %s[%zu]: lists %zu rows, %lld "
+            "holding it, of the %d the column holds",
+            t.name().c_str(), col.name().c_str(), col.ref_table().c_str(), p,
+            listed.size(), static_cast<long long>(held), seen[p]));
+      }
+    }
   }
   return Status::OK();
 }
@@ -61,7 +84,7 @@ Status CheckIntegrity(const Database& db, const IntegrityOptions& options) {
       std::min(ResolveGenThreads(options.threads), std::max(1, num_tables));
   if (threads <= 1 || num_tables <= 1) {
     for (int ti = 0; ti < num_tables; ++ti) {
-      ASPECT_RETURN_NOT_OK(CheckTable(db, db.table(ti), options));
+      ASPECT_RETURN_NOT_OK(CheckTable(db, ti, options));
     }
     return Status::OK();
   }
@@ -75,14 +98,12 @@ Status CheckIntegrity(const Database& db, const IntegrityOptions& options) {
   if (pool == nullptr) {
     // Called from a pool worker (nested phase): run inline.
     for (int ti = 0; ti < num_tables; ++ti) {
-      statuses[static_cast<size_t>(ti)] =
-          CheckTable(db, db.table(ti), options);
+      statuses[static_cast<size_t>(ti)] = CheckTable(db, ti, options);
     }
   } else {
     for (int ti = 0; ti < num_tables; ++ti) {
       pool->Submit([&db, &options, &statuses, ti] {
-        statuses[static_cast<size_t>(ti)] =
-            CheckTable(db, db.table(ti), options);
+        statuses[static_cast<size_t>(ti)] = CheckTable(db, ti, options);
       });
     }
     pool->Wait();

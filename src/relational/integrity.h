@@ -26,7 +26,9 @@ struct IntegrityOptions {
 };
 
 /// Returns OK iff every FK value in every live tuple refers to a live
-/// tuple of the referenced table, subject to `options`.
+/// tuple of the referenced table, subject to `options`, and, once the
+/// database's referrer index is built, the index lists exactly those
+/// references (a mismatch names the edge and the parent slot).
 Status CheckIntegrity(const Database& db,
                       const IntegrityOptions& options = {});
 

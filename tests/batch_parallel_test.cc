@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "aspect/coordinator.h"
 #include "aspect/tweak_context.h"
@@ -14,6 +15,7 @@
 #include "properties/linear.h"
 #include "properties/pairwise.h"
 #include "properties/simple.h"
+#include "referrer_index_check.h"
 #include "relational/modlog.h"
 #include "scaler/size_scaler.h"
 #include "workload/generator.h"
@@ -423,8 +425,8 @@ Schema TinySchema() {
   return s;
 }
 
-std::unique_ptr<Database> TinyDb() {
-  auto db = Database::Create(TinySchema()).ValueOrAbort();
+std::unique_ptr<Database> TinyDb(const Schema& schema = TinySchema()) {
+  auto db = Database::Create(schema).ValueOrAbort();
   for (const char* name : {"A", "B"}) {
     Table* t = db->FindTable(name);
     t->Append({Value(int64_t{1})}).status().Check();
@@ -808,6 +810,171 @@ TEST_F(SharedModeTest, RowRangeSplitToolsGroupAndMatchSerial) {
   }
 }
 
+// Moves every referrer of parent slot 0 over one FK edge to random
+// live parents: half one write at a time, the rest in one broadcast
+// write. Its Error and Tweak read that edge of the referrer index,
+// which its Bind builds.
+class RepointTool : public PropertyTool {
+ public:
+  RepointTool(const Schema& schema, const std::string& child)
+      : child_(child),
+        child_index_(schema.TableIndex(child)),
+        parent_(schema.tables[static_cast<size_t>(child_index_)]
+                    .columns[0]
+                    .ref_table),
+        parent_index_(schema.TableIndex(parent_)) {}
+
+  std::string name() const override { return "repoint:" + child_; }
+  Status SetTargetFromDataset(const Database&) override {
+    return Status::OK();
+  }
+  Status RepairTarget() override { return Status::OK(); }
+  Status CheckTargetFeasible() const override { return Status::OK(); }
+  Status Bind(Database* db) override {
+    db_ = db;
+    db_->BuildReferrerIndex();
+    return Status::OK();
+  }
+  void Unbind() override { db_ = nullptr; }
+  bool bound() const override { return db_ != nullptr; }
+  double Error() const override {
+    return static_cast<double>(db_->Referrers(child_index_, 0, 0).size());
+  }
+  double ValidationPenalty(const Modification&) const override { return 0; }
+  void OnApplied(const Modification&, const std::vector<Value>&,
+                 TupleId) override {}
+  AccessScope DeclaredScope() const override {
+    AccessScope scope;
+    scope.known = true;
+    scope.AddWrite(child_index_, 0);
+    scope.AddRead(child_index_, 0);
+    scope.AddRead(child_index_, AccessScope::kRowStructure);
+    scope.AddRead(parent_index_, AccessScope::kRowStructure);
+    return scope;
+  }
+  Status Tweak(TweakContext* ctx) override {
+    const Table* parent = db_->FindTable(parent_);
+    const auto live_parent = [&]() {
+      TupleId p = 0;
+      while (p == 0 || !parent->IsLive(p)) {
+        p = ctx->rng()->UniformInt(1, parent->NumSlots() - 1);
+      }
+      return Value(p);
+    };
+    const std::vector<TupleId> refs = db_->Referrers(child_index_, 0, 0);
+    const size_t half = refs.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      ASPECT_RETURN_NOT_OK(ctx->TryApply(Modification::ReplaceValues(
+          child_, {refs[i]}, {0}, {live_parent()})));
+    }
+    const std::vector<TupleId> rest(refs.begin() + static_cast<long>(half),
+                                    refs.end());
+    if (rest.empty()) return Status::OK();
+    return ctx->TryApply(
+        Modification::ReplaceValues(child_, rest, {0}, {live_parent()}));
+  }
+
+ private:
+  std::string child_;
+  int child_index_;
+  std::string parent_;
+  int parent_index_;
+  Database* db_ = nullptr;
+};
+
+// Runs the tools `make_tools` builds on clones of `base`, with the
+// referrer index built: serially, then as one parallel group at 1, 2
+// and 4 threads. Every parallel run must be bitwise the serial one and
+// leave an index equal to a rebuild.
+void ExpectIndexedGroupMatchesSerial(
+    const Database& base,
+    const std::function<std::vector<std::unique_ptr<PropertyTool>>()>&
+        make_tools) {
+  const auto run_with = [&](bool parallel, int threads) {
+    std::pair<std::unique_ptr<Database>, RunReport> out;
+    out.first = base.Clone();
+    out.first->BuildReferrerIndex();
+    Coordinator coordinator;
+    std::vector<int> order;
+    for (auto& tool : make_tools()) {
+      order.push_back(coordinator.AddTool(std::move(tool)));
+    }
+    CoordinatorOptions opts;
+    opts.seed = 9;
+    opts.parallel_pass = parallel;
+    opts.pass_threads = threads;
+    out.second = coordinator.Run(out.first.get(), order, opts).ValueOrAbort();
+    return out;
+  };
+  const auto serial = run_with(false, 1);
+  ExpectReferrerIndexMatchesRebuild(*serial.first);
+  for (const ToolReport& step : serial.second.steps) {
+    EXPECT_GT(step.applied, 0) << step.tool;
+  }
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    const auto run = run_with(true, threads);
+    EXPECT_GT(run.second.parallel_groups, 0);
+    ASSERT_EQ(run.second.steps.size(), serial.second.steps.size());
+    for (size_t i = 0; i < run.second.steps.size(); ++i) {
+      EXPECT_TRUE(run.second.steps[i].parallel) << run.second.steps[i].tool;
+      EXPECT_EQ(run.second.steps[i].applied, serial.second.steps[i].applied);
+    }
+    EXPECT_EQ(run.second.final_errors, serial.second.final_errors);
+    ExpectDatabasesIdentical(*run.first, *serial.first);
+    ExpectReferrerIndexMatchesRebuild(*run.first);
+  }
+}
+
+// Two group members re-point FK cells of two different child tables of
+// one parent table (Album_Heard and Album_Wish -> Album): each writes
+// only its own edge of the index, so the group runs without a race.
+TEST(SharedIndexTest, SiblingFkRepointsShareOneParentIndex) {
+  auto base = MusicDataset(23);
+  for (const char* child : {"Album_Heard", "Album_Wish"}) {
+    std::vector<TupleId> rows = base->FindTable(child)->LiveTuples();
+    ASSERT_GE(rows.size(), 40u) << child;
+    rows.resize(40);
+    ASSERT_TRUE(base->Apply(Modification::ReplaceValues(
+                                child, rows, {0}, {Value(int64_t{0})}))
+                    .ok());
+  }
+  ExpectIndexedGroupMatchesSerial(*base, [&]() {
+    std::vector<std::unique_ptr<PropertyTool>> tools;
+    for (const char* child : {"Album_Heard", "Album_Wish"}) {
+      tools.push_back(std::make_unique<RepointTool>(base->schema(), child));
+    }
+    return tools;
+  });
+}
+
+// Two ColumnFreq tools split one FK column (Album_Heard -> Album) into
+// row-range halves, so both tasks write the same edge of the index at
+// once; the edge's mutex serialises them.
+TEST(SharedIndexTest, RowRangeHalvesOfOneFkColumnShareItsEdge) {
+  const auto truth = MusicDataset(23);
+  auto base = MusicDataset(23);
+  Table* heard = base->FindTable("Album_Heard");
+  ASSERT_TRUE(base->Apply(Modification::ReplaceValues(
+                              "Album_Heard", heard->LiveTuples(), {0},
+                              {Value(int64_t{0})}))
+                  .ok());
+  const std::string col = heard->column(0).name();
+  const int64_t mid = heard->NumSlots() / 2;
+  ExpectIndexedGroupMatchesSerial(*base, [&]() {
+    std::vector<std::unique_ptr<PropertyTool>> tools;
+    for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{0, mid - 1},
+                                 {mid, heard->NumSlots() - 1}}) {
+      auto tool = std::make_unique<ColumnFreqTool>(base->schema(),
+                                                   "Album_Heard", col);
+      tool->SetRowRange(lo, hi);
+      tool->SetTargetFromDataset(*truth).Check();
+      tools.push_back(std::move(tool));
+    }
+    return tools;
+  });
+}
+
 // Declares writing only T.b but also writes T.a — an under-declared
 // write scope that shared mode must catch (the write lands in the main
 // database, outside the task's lease).
@@ -857,9 +1024,13 @@ class LeaseLiarTool : public PropertyTool {
 // serial run. With the conformance checker on, the liar is distrusted
 // and stays off the parallel fast path in later passes.
 TEST(SharedModeLeaseTest, UnderDeclaredWriteIsUndoneAndRedoneSerially) {
-  const Schema schema = TinySchema();
+  // T.a refers to A here, so the discarded write and its undo also
+  // pass through the referrer index.
+  Schema schema = TinySchema();
+  schema.tables[2].columns[0] = {"a", ColumnType::kForeignKey, "A"};
   const auto run_with = [&](bool parallel) {
-    auto db = TinyDb();
+    auto db = TinyDb(schema);
+    db->BuildReferrerIndex();
     Coordinator coordinator;
     std::vector<int> order = {
         coordinator.AddTool(std::make_unique<LeaseLiarTool>(schema)),
@@ -889,8 +1060,9 @@ TEST(SharedModeLeaseTest, UnderDeclaredWriteIsUndoneAndRedoneSerially) {
     EXPECT_FALSE(step.parallel) << step.tool;
   }
   // The undo restored the pre-group bytes exactly, so the serial redo
-  // reproduced the serial run bit for bit.
+  // reproduced the serial run bit for bit, referrer index included.
   ExpectDatabasesIdentical(*parallel.first, *serial.first);
+  ExpectReferrerIndexMatchesRebuild(*parallel.first);
   ASSERT_EQ(parallel.second.steps.size(), serial.second.steps.size());
   for (size_t i = 0; i < serial.second.steps.size(); ++i) {
     EXPECT_EQ(parallel.second.steps[i].tool, serial.second.steps[i].tool);

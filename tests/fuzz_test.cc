@@ -13,8 +13,10 @@
 #include "properties/degree.h"
 #include "properties/linear.h"
 #include "properties/pairwise.h"
+#include "referrer_index_check.h"
+#include "relational/fingerprint.h"
 #include "relational/integrity.h"
-#include "relational/refcount.h"
+#include "relational/modlog.h"
 #include "workload/generator.h"
 
 namespace aspect {
@@ -44,7 +46,9 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
     ASSERT_TRUE(t->SetTargetFromDataset(*db).ok());
     ASSERT_TRUE(t->Bind(db.get()).ok());
   }
-  RefCounter refcount(db.get());
+  // Coappear's Bind built the referrer index; victims are picked
+  // through it.
+  ASSERT_TRUE(db->has_referrer_index());
 
   Rng rng(seed * 31 + 7);
   // Tables whose tuples nothing references (safe to delete).
@@ -113,7 +117,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         if (t->NumTuples() <= 1) break;
         const TupleId victim = rng.UniformInt(0, t->NumSlots() - 1);
         const int ti = db->schema().TableIndex(name);
-        if (!t->IsLive(victim) || !refcount.Unreferenced(ti, victim)) break;
+        if (!t->IsLive(victim) || !db->Unreferenced(ti, victim)) break;
         applied +=
             db->Apply(Modification::DeleteTuple(name, victim)).ok();
         break;
@@ -173,7 +177,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
                   t->name(), {tid}, {0}, {(*row)[0]}));
               break;
             case 1:
-              if (t->NumTuples() > 4 && refcount.Unreferenced(ti, tid)) {
+              if (t->NumTuples() > 4 && db->Unreferenced(ti, tid)) {
                 batch.push_back(Modification::DeleteTuple(t->name(), tid));
               }
               break;
@@ -193,7 +197,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
         if (t->NumTuples() <= 1) break;
         const TupleId victim = rng.UniformInt(0, t->NumSlots() - 1);
         const int ti = db->schema().TableIndex(t->name());
-        if (!t->IsLive(victim) || !refcount.Unreferenced(ti, victim)) break;
+        if (!t->IsLive(victim) || !db->Unreferenced(ti, victim)) break;
         std::vector<Value> row;
         for (int c = 0; c < t->num_columns(); ++c) {
           row.push_back(t->column(c).Get(victim));
@@ -235,6 +239,7 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   EXPECT_GT(applied, 100);
   EXPECT_GT(batches, 10);
   EXPECT_TRUE(CheckIntegrity(*db).ok());
+  ExpectReferrerIndexMatchesRebuild(*db);
 
   // Fresh rebuilds must agree with the incrementally maintained state.
   LinearPropertyTool linear2(db->schema());
@@ -353,41 +358,127 @@ TEST(FuzzXiamiTest, HeavySchemaConsistency) {
   }
 }
 
+// The database's referrer index stays equal to a from-scratch rebuild
+// through every kind of write: tuple insert and delete, FK replace,
+// delete and insert of values (NULL included), a batch that applies, a
+// batch that fails midway and rolls back, an undo-log rollback, and on
+// a clone, which builds its own index.
 TEST(RefCounterTest, TracksAllOperations) {
   auto gen = GenerateDataset(DoubanMusicLike(0.2), 6).ValueOrAbort();
   auto db = gen.Materialize(2).ValueOrAbort();
-  RefCounter rc(db.get());
+  db->BuildReferrerIndex();
+  ExpectReferrerIndexMatchesRebuild(*db);
+  IntegrityOptions loose;  // NULL and empty FK cells are steps here
+  loose.forbid_empty_cells = false;
+  loose.forbid_null_foreign_keys = false;
+  const auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    ExpectReferrerIndexMatchesRebuild(*db);
+    const Status st = CheckIntegrity(*db, loose);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  };
   const int album = db->schema().TableIndex("Album");
+  const int heard_ti = db->schema().TableIndex("Album_Heard");
   const Table* heard = db->FindTable("Album_Heard");
-  // Count references to album 0 by hand.
-  int64_t expected = 0;
-  for (int ti = 0; ti < db->num_tables(); ++ti) {
-    const Table& t = db->table(ti);
-    for (int c = 0; c < t.num_columns(); ++c) {
-      const Column& col = t.column(c);
-      if (!col.is_foreign_key() || col.ref_table() != "Album") continue;
-      t.ForEachLive([&](TupleId tid) {
-        expected += col.IsValue(tid) && col.GetInt(tid) == 0;
-      });
-    }
-  }
-  EXPECT_EQ(rc.Count(album, 0), expected);
-  // Point one more tuple at album 0.
-  TupleId victim = kInvalidTuple;
-  heard->ForEachLive([&](TupleId t) {
-    if (victim == kInvalidTuple && heard->column(0).GetInt(t) != 0) {
-      victim = t;
-    }
-  });
-  ASSERT_NE(victim, kInvalidTuple);
+  const std::vector<TupleId> live = heard->LiveTuples();
+  ASSERT_GE(live.size(), 8u);
+  const std::vector<Value> row = heard->GetRow(live[0]);
+
+  TupleId added = kInvalidTuple;
+  ASSERT_TRUE(
+      db->Apply(Modification::InsertTuple("Album_Heard", row), &added).ok());
+  check("insert tuple");
+  ASSERT_TRUE(db->Apply(Modification::DeleteTuple("Album_Heard", live[1]))
+                  .ok());
+  check("delete tuple");
+  // Broadcast re-point onto album 0, which then has referrers.
   ASSERT_TRUE(db->Apply(Modification::ReplaceValues(
-                            "Album_Heard", {victim}, {0},
+                            "Album_Heard", {live[2], live[3], added}, {0},
                             {Value(int64_t{0})}))
                   .ok());
-  EXPECT_EQ(rc.Count(album, 0), expected + 1);
-  ASSERT_TRUE(
-      db->Apply(Modification::DeleteTuple("Album_Heard", victim)).ok());
-  EXPECT_EQ(rc.Count(album, 0), expected);
+  check("replaceValues");
+  EXPECT_FALSE(db->Unreferenced(album, 0));
+  const std::vector<TupleId> refs = db->Referrers(heard_ti, 0, 0);
+  EXPECT_TRUE(std::is_sorted(refs.begin(), refs.end()));
+  ASSERT_TRUE(db->Apply(Modification::ReplaceValues("Album_Heard", {live[4]},
+                                                    {0}, {Value::Null()}))
+                  .ok());
+  check("replaceValues to NULL");
+  ASSERT_TRUE(db->Apply(Modification::DeleteValues("Album_Heard",
+                                                   {live[4], live[5]}, {0}))
+                  .ok());
+  check("deleteValues");
+  ASSERT_TRUE(db->Apply(Modification::InsertValues(
+                            "Album_Heard", {live[5]}, {0}, {Value::Null()}))
+                  .ok());
+  ASSERT_TRUE(db->Apply(Modification::InsertValues(
+                            "Album_Heard", {live[4]}, {0}, {Value(int64_t{0})}))
+                  .ok());
+  check("insertValues");
+
+  const std::vector<Modification> good = {
+      Modification::ReplaceValues("Album_Heard", {live[6]}, {0},
+                                  {Value(int64_t{1})}),
+      Modification::DeleteTuple("Album_Heard", live[7]),
+      Modification::InsertTuple("Album_Heard", row)};
+  ASSERT_TRUE(db->ApplyBatch(good).ok());
+  check("batch");
+  const uint64_t before = ContentHash(*db);
+  // The last modification addresses a deleted tuple: the applied
+  // prefix (including a re-point and an insert) rolls back.
+  const std::vector<Modification> bad = {
+      Modification::ReplaceValues("Album_Heard", {live[6], live[2]}, {0},
+                                  {Value(int64_t{2})}),
+      Modification::InsertTuple("Album_Heard", row),
+      Modification::DeleteTuple("Album_Heard", live[3]),
+      Modification::ReplaceValues("Album_Heard", {live[1]}, {0},
+                                  {Value(int64_t{0})})};
+  ASSERT_FALSE(db->ApplyBatch(bad).ok());
+  EXPECT_EQ(ContentHash(*db), before);
+  check("failed batch");
+
+  {
+    ModificationLog log(db.get());
+    ASSERT_TRUE(db->Apply(Modification::ReplaceValues(
+                              "Album_Heard", {live[2]}, {0},
+                              {Value(int64_t{3})}))
+                    .ok());
+    ASSERT_TRUE(db->Apply(Modification::InsertTuple("Album_Heard", row)).ok());
+    ASSERT_TRUE(
+        db->Apply(Modification::DeleteTuple("Album_Heard", live[3])).ok());
+    ASSERT_TRUE(db->Apply(Modification::DeleteValues("Album_Heard",
+                                                     {live[6]}, {0}))
+                    .ok());
+    check("before undo");
+    ASSERT_TRUE(log.UndoOnto(db.get()).ok());
+    EXPECT_EQ(ContentHash(*db), before);
+    check("undo");
+  }
+
+  auto copy = db->Clone();
+  EXPECT_FALSE(copy->has_referrer_index());
+  copy->BuildReferrerIndex();
+  ASSERT_TRUE(copy->Apply(Modification::ReplaceValues(
+                              "Album_Heard", {live[2]}, {0},
+                              {Value(int64_t{4})}))
+                  .ok());
+  ExpectReferrerIndexMatchesRebuild(*copy);
+  check("original after clone");
+
+  // A write that bypasses Apply leaves the index stale, and the
+  // integrity check names the edge and the parent slot.
+  Column& fk = db->table(heard_ti).column(0);
+  const Value held = fk.Get(live[6]);
+  const int64_t other = held.int64() == 0 ? 1 : 0;
+  ASSERT_TRUE(fk.Set(live[6], Value(other)).ok());
+  const Status stale = CheckIntegrity(*db, loose);
+  EXPECT_FALSE(stale.ok());
+  EXPECT_NE(stale.ToString().find("referrer index of Album_Heard." +
+                                  fk.name() + " -> Album["),
+            std::string::npos)
+      << stale.ToString();
+  ASSERT_TRUE(fk.Set(live[6], held).ok());
+  check("restored");
 }
 
 }  // namespace

@@ -140,5 +140,25 @@ TEST(GoldenTest, DoubanDscalerLpcRollback) {
   EXPECT_TRUE(rolled_back) << "no step of the scenario rolled back";
 }
 
+// The same pipeline with auto-tuned batches instead of rollback: it is
+// the config that pins coappear's broadcast reference evacuation (one
+// ReplaceValues re-pointing several referrers at once). Its constants
+// were captured while evacuation still scanned the child tables.
+TEST(GoldenTest, DoubanDscalerLpcBatched) {
+  CoordinatorOptions opts;
+  opts.seed = 12;
+  opts.iterations = 2;
+  opts.batch_auto = true;
+  const Outcome got = RunPipeline(DoubanMovieLike(0.5), 11, 6,
+                                  ScalerKind::kDscaler, kLpc, opts);
+  ExpectGolden(got, 0x38571d1330978d9cULL,
+               {{886, 0, 0, 0},
+                {571, 2087, 115, 2614},
+                {3454, 1141, 502, 7884},
+                {2065, 4471, 361, 13072},
+                {331, 4271, 212, 9204},
+                {636, 769, 165, 2790}});
+}
+
 }  // namespace
 }  // namespace aspect

@@ -104,7 +104,7 @@ TEST(ChainStatsTest, IncrementalMatchesRebuildUnderRandomMoves) {
     const TupleId parent = rng.UniformInt(0, p.NumTuples() - 1);
     const int col = chain->fk_cols[static_cast<size_t>(level - 1)];
     const TupleId old_parent = t.column(col).GetInt(child);
-    t.column(col).SetInt(child, parent);
+    ASSERT_TRUE(t.column(col).Set(child, Value(parent)).ok());
     if (old_parent != kInvalidTuple) s.Detach(level, child);
     s.Attach(level, child, parent);
     if (step % 50 == 0) {
