@@ -64,9 +64,10 @@ void BM_ChainStatsMove(benchmark::State& state) {
   for (const auto& c : chains) {
     if (c.length() > chain->length()) chain = &c;
   }
-  ChainStats stats(*chain);
+  LinearStats stats({*chain});
   stats.Build(*db);
   const int level = chain->length() - 1;
+  const int edge = stats.EdgeAt(0, level);
   const Table& top =
       db->table(chain->tables[static_cast<size_t>(level)]);
   const Table& parent =
@@ -75,8 +76,8 @@ void BM_ChainStatsMove(benchmark::State& state) {
   for (auto _ : state) {
     const TupleId child = rng.UniformInt(0, top.NumTuples() - 1);
     const TupleId new_parent = rng.UniformInt(0, parent.NumTuples() - 1);
-    stats.Detach(level, child);
-    stats.Attach(level, child, new_parent);
+    stats.Detach(edge, child);
+    stats.Attach(edge, child, new_parent);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -36,22 +36,134 @@ std::string JoinMatrix::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// Block room for `n` children after a build or a compaction.
+int32_t Slack(int32_t n) { return n + n / 4 + 1; }
+
+}  // namespace
+
+void EdgeLists::Reset(int64_t child_slots, int64_t parent_slots) {
+  parent_.assign(static_cast<size_t>(child_slots), -1);
+  pos_.assign(static_cast<size_t>(child_slots), -1);
+  block_.assign(static_cast<size_t>(parent_slots), Block{});
+  arena_.clear();
+  dead_ = 0;
+}
+
+void EdgeLists::Fill(const Table& child, const Column& fk) {
+  child.ForEachLive([&](TupleId c) {
+    if (!fk.IsValue(c)) return;
+    const TupleId p = fk.GetInt(c);
+    parent_[static_cast<size_t>(c)] = static_cast<int32_t>(p);
+    ++block_[static_cast<size_t>(p)].size;
+  });
+  uint32_t begin = 0;
+  for (Block& b : block_) {
+    b.begin = begin;
+    b.cap = Slack(b.size);
+    begin += static_cast<uint32_t>(b.cap);
+    b.size = 0;
+  }
+  arena_.resize(begin);
+  for (size_t c = 0; c < parent_.size(); ++c) {
+    if (parent_[c] < 0) continue;
+    Block& b = block_[static_cast<size_t>(parent_[c])];
+    arena_[b.begin + static_cast<uint32_t>(b.size)] = static_cast<int32_t>(c);
+    pos_[c] = b.size++;
+  }
+}
+
+void EdgeLists::EnsureChildSlots(int64_t n) {
+  if (parent_.size() < static_cast<size_t>(n)) {
+    parent_.resize(static_cast<size_t>(n), -1);
+    pos_.resize(static_cast<size_t>(n), -1);
+  }
+}
+
+void EdgeLists::EnsureParentSlots(int64_t n) {
+  if (block_.size() < static_cast<size_t>(n)) {
+    block_.resize(static_cast<size_t>(n), Block{});
+  }
+}
+
+void EdgeLists::Link(TupleId c, TupleId p) {
+  assert(Parent(c) == kInvalidTuple);
+  if (block_[static_cast<size_t>(p)].size ==
+      block_[static_cast<size_t>(p)].cap) {
+    Grow(p);
+  }
+  Block& b = block_[static_cast<size_t>(p)];
+  arena_[b.begin + static_cast<uint32_t>(b.size)] = static_cast<int32_t>(c);
+  pos_[static_cast<size_t>(c)] = b.size++;
+  parent_[static_cast<size_t>(c)] = static_cast<int32_t>(p);
+}
+
+void EdgeLists::Unlink(TupleId c) {
+  const int32_t p = parent_[static_cast<size_t>(c)];
+  if (p < 0) return;
+  Block& b = block_[static_cast<size_t>(p)];
+  const int32_t pos = pos_[static_cast<size_t>(c)];
+  const int32_t last = arena_[b.begin + static_cast<uint32_t>(b.size) - 1];
+  arena_[b.begin + static_cast<uint32_t>(pos)] = last;
+  pos_[static_cast<size_t>(last)] = pos;
+  --b.size;
+  parent_[static_cast<size_t>(c)] = -1;
+}
+
+int64_t EdgeLists::LiveCells() const {
+  int64_t n = 0;
+  for (const Block& b : block_) n += b.cap;
+  return n;
+}
+
+void EdgeLists::Grow(TupleId p) {
+  if (dead_ * 2 > arena_.size()) {
+    Compact();  // leaves every block with room for one more
+    return;
+  }
+  Block& b = block_[static_cast<size_t>(p)];
+  const int32_t cap = std::max(2 * b.cap, 2);
+  if (b.begin + static_cast<uint32_t>(b.cap) == arena_.size()) {
+    arena_.resize(b.begin + static_cast<uint32_t>(cap));  // last block
+  } else {
+    const auto begin = static_cast<uint32_t>(arena_.size());
+    arena_.resize(arena_.size() + static_cast<size_t>(cap));
+    std::copy_n(arena_.begin() + b.begin, b.size, arena_.begin() + begin);
+    dead_ += static_cast<size_t>(b.cap);
+    b.begin = begin;
+  }
+  b.cap = cap;
+}
+
+void EdgeLists::Compact() {
+  std::vector<int32_t> arena;
+  size_t cells = 0;
+  for (const Block& b : block_) cells += static_cast<size_t>(Slack(b.size));
+  arena.resize(cells);
+  uint32_t begin = 0;
+  for (Block& b : block_) {
+    std::copy_n(arena_.begin() + b.begin, b.size, arena.begin() + begin);
+    b.begin = begin;
+    b.cap = Slack(b.size);
+    begin += static_cast<uint32_t>(b.cap);
+  }
+  arena_.swap(arena);
+  dead_ = 0;
+}
+
 ChainStats::ChainStats(ReferenceChain chain)
-    : chain_(std::move(chain)), h_(static_cast<int>(chain_.tables.size())) {}
+    : chain_(std::move(chain)),
+      h_(static_cast<int>(chain_.tables.size())),
+      edge_id_(chain_.tables.size(), -1),
+      edge_(chain_.tables.size(), nullptr),
+      cnt_(chain_.tables.size()) {}
 
 int ChainStats::LevelOfTable(int table_index) const {
   for (size_t l = 0; l < chain_.tables.size(); ++l) {
     if (chain_.tables[l] == table_index) return static_cast<int>(l);
   }
   return -1;
-}
-
-int32_t ChainStats::Cnt(int level, TupleId t, int j) const {
-  assert(j > level && j < k());
-  const int width = k() - 1 - level;
-  return cnt_[static_cast<size_t>(level)]
-             [static_cast<size_t>(t) * static_cast<size_t>(width) +
-              static_cast<size_t>(j - level - 1)];
 }
 
 int ChainStats::MaxReach(int level, TupleId t) const {
@@ -81,9 +193,8 @@ TupleId ChainStats::DescendantAt(int level, TupleId t,
   assert(target_level >= level);
   TupleId cur = t;
   for (int l = level; l < target_level; ++l) {
-    const auto& kids = Children(l, cur);
     TupleId next = kInvalidTuple;
-    for (const TupleId c : kids) {
+    for (const TupleId c : Children(l, cur)) {
       if (Reaches(l + 1, c, target_level)) {
         next = c;
         break;
@@ -95,22 +206,20 @@ TupleId ChainStats::DescendantAt(int level, TupleId t,
   return cur;
 }
 
-void ChainStats::Propagate(int level, TupleId t, int j, int delta) {
-  // Adjusts cnt(level, t, j) by delta and, when the tuple's reach to j
-  // flips, updates h(j, level) and recurses to the parent.
+void ChainStats::Propagate(int level, TupleId t, int j, int delta,
+                           int64_t* h, int stride) {
   int l = level;
   TupleId cur = t;
   while (true) {
-    const int width = k() - 1 - l;
+    const auto width = static_cast<size_t>(k() - 1 - l);
     int32_t& c = cnt_[static_cast<size_t>(l)]
-                     [static_cast<size_t>(cur) * static_cast<size_t>(width) +
+                     [static_cast<size_t>(cur) * width +
                       static_cast<size_t>(j - l - 1)];
     c += static_cast<int32_t>(delta);
     assert(c >= 0);
-    const bool flipped =
-        (delta > 0 && c == 1) || (delta < 0 && c == 0);
+    const bool flipped = (delta > 0 && c == 1) || (delta < 0 && c == 0);
     if (!flipped) return;
-    h_.add(j, l, delta);
+    if (h != nullptr) h[j * stride + l] += delta;
     if (l == 0) return;
     const TupleId p = Parent(l, cur);
     if (p == kInvalidTuple) return;
@@ -119,77 +228,188 @@ void ChainStats::Propagate(int level, TupleId t, int j, int delta) {
   }
 }
 
-void ChainStats::Attach(int level, TupleId child, TupleId parent) {
-  assert(level >= 1 && level < k());
-  assert(Parent(level, child) == kInvalidTuple);
-  parent_[static_cast<size_t>(level)][static_cast<size_t>(child)] = parent;
-  auto& kids = children_[static_cast<size_t>(level - 1)]
-                        [static_cast<size_t>(parent)];
-  child_pos_[static_cast<size_t>(level)][static_cast<size_t>(child)] =
-      static_cast<int32_t>(kids.size());
-  kids.push_back(child);
+void ChainStats::AddReach(int level, TupleId child, TupleId parent,
+                          int delta, int64_t* h, int stride) {
+  EnsureRows(level, child + 1);
+  EnsureRows(level - 1, parent + 1);
   // The child contributes its whole (contiguous) reach set upward.
   const int max_reach = MaxReach(level, child);
   for (int j = level; j <= max_reach; ++j) {
-    Propagate(level - 1, parent, j, +1);
+    Propagate(level - 1, parent, j, delta, h, stride);
   }
 }
 
-void ChainStats::Detach(int level, TupleId child) {
-  assert(level >= 1 && level < k());
-  const TupleId parent =
-      parent_[static_cast<size_t>(level)][static_cast<size_t>(child)];
+LinearStats::LinearStats(std::vector<ReferenceChain> chains) {
+  for (ReferenceChain& c : chains) {
+    max_k_ = std::max(max_k_, c.length());
+    chains_.push_back(ChainStats(std::move(c)));
+  }
+  // Edges in order of first use; each edge's uses in chain order.
+  std::vector<std::vector<Use>> uses;
+  for (size_t ci = 0; ci < chains_.size(); ++ci) {
+    ChainStats& s = chains_[ci];
+    for (int l = 1; l < s.k(); ++l) {
+      const int table = s.chain_.tables[static_cast<size_t>(l)];
+      const int col = s.chain_.fk_cols[static_cast<size_t>(l) - 1];
+      int e = EdgeOf(table, col);
+      if (e < 0) {
+        e = static_cast<int>(edge_table_.size());
+        edge_table_.push_back(table);
+        edge_col_.push_back(col);
+        edge_parent_.push_back(s.chain_.tables[static_cast<size_t>(l) - 1]);
+        uses.emplace_back();
+        if (col_edge_.size() <= static_cast<size_t>(table)) {
+          col_edge_.resize(static_cast<size_t>(table) + 1);
+        }
+        std::vector<int>& cols = col_edge_[static_cast<size_t>(table)];
+        if (cols.size() <= static_cast<size_t>(col)) {
+          cols.resize(static_cast<size_t>(col) + 1, -1);
+        }
+        cols[static_cast<size_t>(col)] = e;
+      }
+      s.edge_id_[static_cast<size_t>(l)] = e;
+      uses[static_cast<size_t>(e)].push_back({static_cast<int>(ci), l});
+    }
+  }
+  use_begin_.push_back(0);
+  for (const std::vector<Use>& u : uses) {
+    uses_.insert(uses_.end(), u.begin(), u.end());
+    use_begin_.push_back(static_cast<int>(uses_.size()));
+  }
+  edges_.resize(edge_table_.size());
+  WireEdges();
+}
+
+LinearStats::LinearStats(const LinearStats& other)
+    : chains_(other.chains_),
+      edges_(other.edges_),
+      edge_table_(other.edge_table_),
+      edge_col_(other.edge_col_),
+      edge_parent_(other.edge_parent_),
+      col_edge_(other.col_edge_),
+      uses_(other.uses_),
+      use_begin_(other.use_begin_),
+      max_k_(other.max_k_) {
+  WireEdges();
+}
+
+LinearStats& LinearStats::operator=(const LinearStats& other) {
+  if (this != &other) {
+    *this = LinearStats(other);
+  }
+  return *this;
+}
+
+void LinearStats::WireEdges() {
+  for (ChainStats& s : chains_) {
+    for (int l = 1; l < s.k(); ++l) {
+      s.edge_[static_cast<size_t>(l)] =
+          &edges_[static_cast<size_t>(s.edge_id_[static_cast<size_t>(l)])];
+    }
+  }
+}
+
+int LinearStats::EdgeOf(int table, int col) const {
+  if (table < 0 || static_cast<size_t>(table) >= col_edge_.size()) return -1;
+  const std::vector<int>& cols = col_edge_[static_cast<size_t>(table)];
+  return col >= 0 && static_cast<size_t>(col) < cols.size()
+             ? cols[static_cast<size_t>(col)]
+             : -1;
+}
+
+void LinearStats::Reset(const Database& db) {
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    edges_[e].Reset(db.table(edge_table_[e]).NumSlots(),
+                    db.table(edge_parent_[e]).NumSlots());
+  }
+  for (ChainStats& s : chains_) {
+    s.h_ = JoinMatrix(s.k());
+    for (int l = 0; l < s.k(); ++l) {
+      const auto slots = static_cast<size_t>(
+          db.table(s.chain_.tables[static_cast<size_t>(l)]).NumSlots());
+      s.cnt_[static_cast<size_t>(l)].assign(
+          slots * static_cast<size_t>(s.k() - 1 - l), 0);
+    }
+  }
+}
+
+void LinearStats::EnsureTableSlots(int table, int64_t slots) {
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    if (edge_table_[e] == table) edges_[e].EnsureChildSlots(slots);
+    if (edge_parent_[e] == table) edges_[e].EnsureParentSlots(slots);
+  }
+  for (ChainStats& s : chains_) {
+    const int l = s.LevelOfTable(table);
+    if (l >= 0) s.EnsureRows(l, slots);
+  }
+}
+
+void LinearStats::Relink(int e, TupleId child, TupleId parent) {
+  EdgeLists& edge = edges_[static_cast<size_t>(e)];
+  edge.EnsureChildSlots(child + 1);
+  edge.Unlink(child);
   if (parent == kInvalidTuple) return;
-  const int max_reach = MaxReach(level, child);
-  for (int j = level; j <= max_reach; ++j) {
-    Propagate(level - 1, parent, j, -1);
-  }
-  // Swap-remove from the parent's children list.
-  auto& kids = children_[static_cast<size_t>(level - 1)]
-                        [static_cast<size_t>(parent)];
-  const int32_t pos =
-      child_pos_[static_cast<size_t>(level)][static_cast<size_t>(child)];
-  const TupleId last = kids.back();
-  kids[static_cast<size_t>(pos)] = last;
-  child_pos_[static_cast<size_t>(level)][static_cast<size_t>(last)] = pos;
-  kids.pop_back();
-  parent_[static_cast<size_t>(level)][static_cast<size_t>(child)] =
-      kInvalidTuple;
+  edge.EnsureParentSlots(parent + 1);
+  edge.Link(child, parent);
 }
 
-void ChainStats::EnsureSlotCount(int level, int64_t slots) {
-  const int kk = k();
-  const size_t n = static_cast<size_t>(slots);
-  const size_t l = static_cast<size_t>(level);
-  if (level >= 1) {
-    if (parent_[l].size() < n) parent_[l].resize(n, kInvalidTuple);
-    if (child_pos_[l].size() < n) child_pos_[l].resize(n, -1);
-  }
-  if (level <= kk - 2 && children_[l].size() < n) {
-    children_[l].resize(n);
-  }
-  const size_t width = static_cast<size_t>(kk - 1 - level);
-  if (cnt_[l].size() < n * width) cnt_[l].resize(n * width, 0);
+void LinearStats::AddReach(int c, int level, TupleId child, TupleId parent,
+                           int delta) {
+  ChainStats& s = chains_[static_cast<size_t>(c)];
+  s.AddReach(level, child, parent, delta, s.h_.data(), s.k());
 }
 
-void ChainStats::EnsureCapacity(const Database& db) {
-  const int kk = k();
-  parent_.resize(static_cast<size_t>(kk));
-  children_.resize(static_cast<size_t>(kk));
-  child_pos_.resize(static_cast<size_t>(kk));
-  cnt_.resize(static_cast<size_t>(kk));
-  for (int l = 0; l < kk; ++l) {
-    const Table& t = db.table(chain_.tables[static_cast<size_t>(l)]);
-    const size_t slots = static_cast<size_t>(t.NumSlots());
-    if (l >= 1) {
-      parent_[static_cast<size_t>(l)].resize(slots, kInvalidTuple);
-      child_pos_[static_cast<size_t>(l)].resize(slots, -1);
+void LinearStats::Attach(int e, TupleId child, TupleId parent) {
+  Relink(e, child, parent);
+  for (const Use& u : Uses(e)) AddReach(u.chain, u.level, child, parent, +1);
+}
+
+void LinearStats::Detach(int e, TupleId child) {
+  EdgeLists& edge = edges_[static_cast<size_t>(e)];
+  edge.EnsureChildSlots(child + 1);
+  const TupleId parent = edge.Parent(child);
+  if (parent == kInvalidTuple) return;
+  for (const Use& u : Uses(e)) AddReach(u.chain, u.level, child, parent, -1);
+  Relink(e, child, kInvalidTuple);
+}
+
+void LinearStats::EvaluateMove(int e, std::span<const TupleId> children,
+                               TupleId parent, MoveDelta* out) {
+  EdgeLists& edge = edges_[static_cast<size_t>(e)];
+  const std::span<const Use> uses = Uses(e);
+  out->stride = max_k_;
+  const size_t block = static_cast<size_t>(max_k_ * max_k_);
+  out->h.assign(uses.size() * block, 0);
+  out->moved.clear();
+  for (const TupleId c : children) {
+    const TupleId old = edge.Parent(c);
+    if (old != parent) out->moved.emplace_back(c, old);
+  }
+  // Counters: apply every move, recording the matrix flips, then
+  // revert them without recording. Flips only depend on the final
+  // counts, so the record is the net change.
+  for (size_t u = 0; u < uses.size(); ++u) {
+    ChainStats& s = chains_[static_cast<size_t>(uses[u].chain)];
+    const int level = uses[u].level;
+    int64_t* h = out->h.data() + u * block;
+    for (const auto& [c, old] : out->moved) {
+      if (old != kInvalidTuple) s.AddReach(level, c, old, -1, h, max_k_);
+      s.AddReach(level, c, parent, +1, h, max_k_);
     }
-    if (l <= kk - 2) {
-      children_[static_cast<size_t>(l)].resize(slots);
+    for (auto it = out->moved.rbegin(); it != out->moved.rend(); ++it) {
+      s.AddReach(level, it->first, parent, -1, nullptr, 0);
+      if (it->second != kInvalidTuple) {
+        s.AddReach(level, it->first, it->second, +1, nullptr, 0);
+      }
     }
-    const size_t width = static_cast<size_t>(kk - 1 - l);
-    cnt_[static_cast<size_t>(l)].resize(slots * width, 0);
+  }
+  // Lists: the new parent's list would grow and shrink back; each old
+  // parent's list sees the swap-remove and the re-append.
+  for (const auto& [c, old] : out->moved) {
+    if (old != kInvalidTuple) edge.Unlink(c);
+  }
+  for (auto it = out->moved.rbegin(); it != out->moved.rend(); ++it) {
+    if (it->second != kInvalidTuple) edge.Link(it->first, it->second);
   }
 }
 
@@ -241,45 +461,30 @@ JoinMatrix MatrixOfReach(const std::vector<std::vector<int8_t>>& reach) {
 
 }  // namespace
 
-void ChainStats::Build(const Database& db) {
-  const int kk = k();
-  const std::vector<std::vector<int8_t>> reach = ReachArrays(db, chain_);
-  h_ = MatrixOfReach(reach);
-  parent_.assign(static_cast<size_t>(kk), {});
-  children_.assign(static_cast<size_t>(kk), {});
-  child_pos_.assign(static_cast<size_t>(kk), {});
-  cnt_.assign(static_cast<size_t>(kk), {});
-  EnsureCapacity(db);
-  // Every live child with an FK value is attached to its parent, in
-  // slot order (the order Attach one tuple at a time would leave), and
-  // counted at every level it reaches: cnt(L-1, p, j)++ for j in
-  // [L, reach(t)].
-  for (int l = 1; l < kk; ++l) {
-    const auto ls = static_cast<size_t>(l);
-    const Table& t = db.table(chain_.tables[ls]);
-    const Column& fk = t.column(chain_.fk_cols[ls - 1]);
-    std::vector<std::vector<TupleId>>& kids = children_[ls - 1];
-    std::vector<int32_t> fanout(kids.size(), 0);
-    t.ForEachLive([&](TupleId c) {
-      if (fk.IsValue(c)) ++fanout[static_cast<size_t>(fk.GetInt(c))];
-    });
-    for (size_t p = 0; p < kids.size(); ++p) {
-      kids[p].reserve(static_cast<size_t>(fanout[p]));
-    }
-    const auto width = static_cast<size_t>(kk - l);
-    t.ForEachLive([&](TupleId c) {
-      if (!fk.IsValue(c)) return;
-      const TupleId p = fk.GetInt(c);
-      auto& list = kids[static_cast<size_t>(p)];
-      parent_[ls][static_cast<size_t>(c)] = p;
-      child_pos_[ls][static_cast<size_t>(c)] =
-          static_cast<int32_t>(list.size());
-      list.push_back(c);
-      int32_t* counts = cnt_[ls - 1].data() + static_cast<size_t>(p) * width;
-      for (int j = l; j <= reach[ls][static_cast<size_t>(c)]; ++j) {
-        ++counts[j - l];
+void LinearStats::Build(const Database& db) {
+  Reset(db);
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    const Table& child = db.table(edge_table_[e]);
+    edges_[e].Fill(child, child.column(edge_col_[e]));
+  }
+  // Every attached child is counted at every level it reaches:
+  // cnt(L-1, p, j)++ for j in [L, reach(c)].
+  for (ChainStats& s : chains_) {
+    const int kk = s.k();
+    const std::vector<std::vector<int8_t>> reach = ReachArrays(db, s.chain_);
+    s.h_ = MatrixOfReach(reach);
+    for (int l = 1; l < kk; ++l) {
+      const auto ls = static_cast<size_t>(l);
+      const std::vector<int32_t>& parent = s.edge_[ls]->parent_;
+      const std::vector<int8_t>& r = reach[ls];
+      std::vector<int32_t>& rows = s.cnt_[ls - 1];
+      const auto width = static_cast<size_t>(kk - l);
+      for (size_t c = 0; c < parent.size(); ++c) {
+        if (parent[c] < 0) continue;
+        int32_t* counts = rows.data() + static_cast<size_t>(parent[c]) * width;
+        for (int j = l; j <= r[c]; ++j) ++counts[j - l];
       }
-    });
+    }
   }
 }
 

@@ -241,14 +241,15 @@ Status CoappearPropertyTool::Bind(Database* db) {
     const size_t m = grp.parent_tables.size();
     const ComboCounts cc = CountCombos(*db_, grp);
     const auto n = static_cast<size_t>(cc.n);
-    // Combo ids are ranks in key order.
-    st.combos = KeyInterner(static_cast<int>(m));
-    st.combos.Reserve(cc.n);
+    // Combo ids are ranks in key order; the keys are distinct.
+    std::vector<int64_t> keys;
+    keys.reserve(n * m);
     for (int32_t c = 0; c < cc.n; ++c) {
-      const int32_t id = st.combos.Intern(cc.key(c));
-      assert(id == c);
-      (void)id;
+      const std::span<const int64_t> key = cc.key(c);
+      keys.insert(keys.end(), key.begin(), key.end());
     }
+    st.combos = KeyInterner(static_cast<int>(m));
+    st.combos.AssignDistinct(std::move(keys));
     // Tuple lists in slot order, as pushing the tuples one by one
     // leaves them.
     st.tuples_by_combo.resize(k);

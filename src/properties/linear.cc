@@ -23,21 +23,26 @@ int64_t WindowMin(const std::vector<int64_t>& sizes, int i, int j) {
 
 }  // namespace
 
+struct LinearPropertyTool::Scratch {
+  std::vector<EdgeChange> changes;
+  std::vector<int> affected;  // ascending chain ids
+  std::vector<double> chain_move;
+  std::vector<double> suffix;
+  std::vector<std::pair<int, TupleId>> inserts;  // (table, seen so far)
+  MoveDelta delta;
+};
+
+LinearPropertyTool::Scratch& LinearPropertyTool::ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
 LinearPropertyTool::LinearPropertyTool(const Schema& schema)
     : schema_(schema) {
   ReferenceGraph graph(schema_);
   chains_ = graph.MaximalChains();
-  for (const ReferenceChain& c : chains_) {
-    stats_.emplace_back(c);
-    targets_.emplace_back(c.length());
-  }
-  for (size_t ci = 0; ci < chains_.size(); ++ci) {
-    const ReferenceChain& c = chains_[ci];
-    for (size_t l = 1; l < c.tables.size(); ++l) {
-      edges_[{c.tables[l], c.fk_cols[l - 1]}].emplace_back(
-          static_cast<int>(ci), static_cast<int>(l));
-    }
-  }
+  stats_ = LinearStats(chains_);
+  for (const ReferenceChain& c : chains_) targets_.emplace_back(c.length());
 }
 
 Status LinearPropertyTool::SetTargetFromDataset(
@@ -198,7 +203,7 @@ Status LinearPropertyTool::Bind(Database* db) {
     return Status::Invalid("linear: schema mismatch");
   }
   db_ = db;
-  for (ChainStats& s : stats_) s.Build(*db_);
+  stats_.Build(*db_);
   db_->AddListener(this);
   return Status::OK();
 }
@@ -214,21 +219,30 @@ double LinearPropertyTool::Error() const {
   if (chains_.empty()) return 0.0;
   double sum = 0;
   for (size_t ci = 0; ci < chains_.size(); ++ci) {
-    sum += stats_[ci].matrix().ErrorAgainst(targets_[ci]);
+    sum += stats_.chain(static_cast<int>(ci)).matrix().ErrorAgainst(
+        targets_[ci]);
   }
   return sum / static_cast<double>(chains_.size());
 }
 
-std::vector<LinearPropertyTool::EdgeChange>
-LinearPropertyTool::CollectEdgeChanges(const Modification& mod,
-                                       const std::vector<Value>* old_values,
-                                       TupleId new_tuple) const {
-  std::vector<EdgeChange> out;
+void LinearPropertyTool::CollectEdgeChanges(
+    const Modification& mod, const std::vector<Value>* old_values,
+    TupleId new_tuple, std::vector<EdgeChange>* out) const {
   const int table = db_->schema().TableIndex(mod.table);
-  if (table < 0) return out;
+  if (table < 0) return;
 
   auto parent_of = [](const Value& v) {
     return v.is_null() ? kInvalidTuple : v.int64();
+  };
+  // One share per chain through the edge, in chain order.
+  auto push = [&](int edge, TupleId child, TupleId old_parent,
+                  TupleId new_parent) {
+    bool first = true;
+    for (const LinearStats::Use& u : stats_.Uses(edge)) {
+      out->push_back({edge, u.chain, u.level, first, child, old_parent,
+                      new_parent});
+      first = false;
+    }
   };
 
   switch (mod.kind) {
@@ -236,27 +250,18 @@ LinearPropertyTool::CollectEdgeChanges(const Modification& mod,
     case OpKind::kInsertValues:
     case OpKind::kReplaceValues: {
       for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
-        const auto it = edges_.find({table, mod.cols[cj]});
-        if (it == edges_.end()) continue;
+        const int edge = stats_.EdgeOf(table, mod.cols[cj]);
+        if (edge < 0) continue;
+        const TupleId new_parent = mod.kind == OpKind::kDeleteValues
+                                       ? kInvalidTuple
+                                       : parent_of(mod.values[cj]);
         for (size_t tj = 0; tj < mod.tuples.size(); ++tj) {
           const TupleId t = mod.tuples[tj];
-          Value old_v;
-          if (old_values != nullptr) {
-            old_v = (*old_values)[tj * mod.cols.size() + cj];
-          } else {
-            old_v = db_->table(table).column(mod.cols[cj]).Get(t);
-          }
-          Value new_v;
-          if (mod.kind != OpKind::kDeleteValues) new_v = mod.values[cj];
-          for (const auto& [chain, level] : it->second) {
-            EdgeChange c;
-            c.chain = chain;
-            c.level = level;
-            c.child = t;
-            c.old_parent = parent_of(old_v);
-            c.new_parent = parent_of(new_v);
-            out.push_back(c);
-          }
+          const TupleId old_parent =
+              old_values != nullptr
+                  ? parent_of((*old_values)[tj * mod.cols.size() + cj])
+                  : parent_of(db_->table(table).column(mod.cols[cj]).Get(t));
+          push(edge, t, old_parent, new_parent);
         }
       }
       break;
@@ -266,16 +271,9 @@ LinearPropertyTool::CollectEdgeChanges(const Modification& mod,
                             ? new_tuple
                             : db_->table(table).NumSlots();
       for (size_t col = 0; col < mod.values.size(); ++col) {
-        const auto it = edges_.find({table, static_cast<int>(col)});
-        if (it == edges_.end()) continue;
-        for (const auto& [chain, level] : it->second) {
-          EdgeChange c;
-          c.chain = chain;
-          c.level = level;
-          c.child = t;
-          c.new_parent = parent_of(mod.values[col]);
-          out.push_back(c);
-        }
+        const int edge = stats_.EdgeOf(table, static_cast<int>(col));
+        if (edge < 0) continue;
+        push(edge, t, kInvalidTuple, parent_of(mod.values[col]));
       }
       break;
     }
@@ -283,38 +281,28 @@ LinearPropertyTool::CollectEdgeChanges(const Modification& mod,
       const TupleId t = mod.tuples[0];
       const Table& tbl = db_->table(table);
       for (int col = 0; col < tbl.num_columns(); ++col) {
-        const auto it = edges_.find({table, col});
-        if (it == edges_.end()) continue;
-        Value old_v;
-        if (old_values != nullptr && !old_values->empty()) {
-          old_v = (*old_values)[static_cast<size_t>(col)];
-        } else {
-          old_v = tbl.column(col).Get(t);
-        }
-        for (const auto& [chain, level] : it->second) {
-          EdgeChange c;
-          c.chain = chain;
-          c.level = level;
-          c.child = t;
-          c.old_parent = parent_of(old_v);
-          out.push_back(c);
-        }
+        const int edge = stats_.EdgeOf(table, col);
+        if (edge < 0) continue;
+        const TupleId old_parent =
+            old_values != nullptr && !old_values->empty()
+                ? parent_of((*old_values)[static_cast<size_t>(col)])
+                : parent_of(tbl.column(col).Get(t));
+        push(edge, t, old_parent, kInvalidTuple);
       }
       break;
     }
   }
-  return out;
 }
 
 void LinearPropertyTool::ApplyEdgeChanges(
     std::span<const EdgeChange> changes) {
   for (const EdgeChange& c : changes) {
-    ChainStats& s = stats_[static_cast<size_t>(c.chain)];
-    if (c.old_parent != kInvalidTuple) s.Detach(c.level, c.child);
+    if (c.first) stats_.Relink(c.edge, c.child, c.new_parent);
+    if (c.old_parent != kInvalidTuple) {
+      stats_.AddReach(c.chain, c.level, c.child, c.old_parent, -1);
+    }
     if (c.new_parent != kInvalidTuple) {
-      s.EnsureSlotCount(c.level, c.child + 1);
-      s.EnsureSlotCount(c.level - 1, c.new_parent + 1);
-      s.Attach(c.level, c.child, c.new_parent);
+      stats_.AddReach(c.chain, c.level, c.child, c.new_parent, +1);
     }
   }
 }
@@ -322,11 +310,13 @@ void LinearPropertyTool::ApplyEdgeChanges(
 void LinearPropertyTool::RevertEdgeChanges(
     std::span<const EdgeChange> changes) {
   for (auto it = changes.rbegin(); it != changes.rend(); ++it) {
-    ChainStats& s = stats_[static_cast<size_t>(it->chain)];
-    if (it->new_parent != kInvalidTuple) s.Detach(it->level, it->child);
-    if (it->old_parent != kInvalidTuple) {
-      s.Attach(it->level, it->child, it->old_parent);
+    if (it->new_parent != kInvalidTuple) {
+      stats_.AddReach(it->chain, it->level, it->child, it->new_parent, -1);
     }
+    if (it->old_parent != kInvalidTuple) {
+      stats_.AddReach(it->chain, it->level, it->child, it->old_parent, +1);
+    }
+    if (it->first) stats_.Relink(it->edge, it->child, it->old_parent);
   }
 }
 
@@ -334,71 +324,76 @@ void LinearPropertyTool::OnApplied(const Modification& mod,
                                    const std::vector<Value>& old_values,
                                    TupleId new_tuple) {
   if (db_ == nullptr) return;
-  const std::vector<EdgeChange> changes =
-      CollectEdgeChanges(mod, &old_values, new_tuple);
+  if (mod.kind == OpKind::kInsertTuple && new_tuple != kInvalidTuple) {
+    // Every level of the new row's table gets its rows, also where no
+    // edge of this row attaches it (the search samples any live slot).
+    stats_.EnsureTableSlots(db_->schema().TableIndex(mod.table),
+                            new_tuple + 1);
+  }
+  std::vector<EdgeChange>& changes = ThreadScratch().changes;
+  changes.clear();
+  CollectEdgeChanges(mod, &old_values, new_tuple, &changes);
   ApplyEdgeChanges(changes);
 }
 
 double LinearPropertyTool::ValidationPenalty(const Modification& mod) const {
   if (db_ == nullptr) return 0.0;
-  const std::vector<EdgeChange> changes =
-      CollectEdgeChanges(mod, nullptr, kInvalidTuple);
-  if (changes.empty()) return 0.0;
-  std::vector<int> affected;
-  for (const EdgeChange& c : changes) affected.push_back(c.chain);
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  double before = 0;
-  for (const int ci : affected) {
-    before += stats_[static_cast<size_t>(ci)].matrix().ErrorAgainst(
-        targets_[static_cast<size_t>(ci)]);
-  }
-  auto* self = const_cast<LinearPropertyTool*>(this);
-  self->ApplyEdgeChanges(changes);
-  double after = 0;
-  for (const int ci : affected) {
-    after += stats_[static_cast<size_t>(ci)].matrix().ErrorAgainst(
-        targets_[static_cast<size_t>(ci)]);
-  }
-  self->RevertEdgeChanges(changes);
-  return (after - before) / static_cast<double>(chains_.size());
+  Scratch& s = ThreadScratch();
+  s.changes.clear();
+  CollectEdgeChanges(mod, nullptr, kInvalidTuple, &s.changes);
+  return PenaltyOfChanges(&s, kNoPenaltyCap);
 }
 
 double LinearPropertyTool::ValidationPenaltyBatch(
     std::span<const Modification> mods, double veto_cap) const {
   if (db_ == nullptr) return 0.0;
-  std::vector<EdgeChange> changes;
+  Scratch& s = ThreadScratch();
+  s.changes.clear();
   // ApplyBatch appends inserts in order, so the k-th insert into a
   // table lands at NumSlots() + k. Each insert must be simulated at
   // its own predicted id: letting CollectEdgeChanges default them all
   // to NumSlots() would attach several children at one slot, and the
-  // second Attach corrupts ChainStats.
-  std::map<int, TupleId> inserts_seen;
+  // second attach corrupts the statistics.
+  s.inserts.clear();
   for (const Modification& mod : mods) {
     TupleId predicted = kInvalidTuple;
     if (mod.kind == OpKind::kInsertTuple) {
       const int table = db_->schema().TableIndex(mod.table);
       if (table >= 0) {
-        TupleId& k = inserts_seen[table];
-        predicted = db_->table(table).NumSlots() + k;
-        ++k;
+        auto it = std::find_if(s.inserts.begin(), s.inserts.end(),
+                               [&](const auto& e) { return e.first == table; });
+        if (it == s.inserts.end()) {
+          s.inserts.emplace_back(table, 0);
+          it = s.inserts.end() - 1;
+        }
+        predicted = db_->table(table).NumSlots() + it->second;
+        ++it->second;
       }
     }
-    std::vector<EdgeChange> one = CollectEdgeChanges(mod, nullptr, predicted);
-    changes.insert(changes.end(), one.begin(), one.end());
+    CollectEdgeChanges(mod, nullptr, predicted, &s.changes);
   }
+  return PenaltyOfChanges(&s, veto_cap);
+}
+
+double LinearPropertyTool::PenaltyOfChanges(Scratch* s,
+                                            double veto_cap) const {
+  const std::vector<EdgeChange>& changes = s->changes;
   if (changes.empty()) return 0.0;
-  std::vector<int> affected;
+  std::vector<int>& affected = s->affected;
+  affected.clear();
   for (const EdgeChange& c : changes) affected.push_back(c.chain);
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
-  double before = 0;
-  for (const int ci : affected) {
-    before += stats_[static_cast<size_t>(ci)].matrix().ErrorAgainst(
-        targets_[static_cast<size_t>(ci)]);
-  }
+  auto measure = [&] {
+    double sum = 0;
+    for (const int ci : affected) {
+      sum += stats_.chain(ci).matrix().ErrorAgainst(
+          targets_[static_cast<size_t>(ci)]);
+    }
+    return sum;
+  };
+  const double before = measure();
   auto* self = const_cast<LinearPropertyTool*>(this);
   const std::span<const EdgeChange> all(changes);
   if (veto_cap != kNoPenaltyCap && changes.size() > 1) {
@@ -408,7 +403,8 @@ double LinearPropertyTool::ValidationPenaltyBatch(
     // level can flip its reach to a deeper level, once for the detach
     // and once for the attach), so the mean over entries moves by at
     // most (sum over entries of 2/max(t,1)) / n_entries.
-    std::map<int, double> chain_move;
+    std::vector<double>& chain_move = s->chain_move;
+    chain_move.assign(chains_.size(), 0.0);
     for (const int ci : affected) {
       const JoinMatrix& t = targets_[static_cast<size_t>(ci)];
       double sum = 0;
@@ -419,12 +415,15 @@ double LinearPropertyTool::ValidationPenaltyBatch(
           ++n;
         }
       }
-      chain_move[ci] = n == 0 ? 0.0 : sum / static_cast<double>(n);
+      chain_move[static_cast<size_t>(ci)] =
+          n == 0 ? 0.0 : sum / static_cast<double>(n);
     }
     // suffix[i] bounds the error movement of changes[i..).
-    std::vector<double> suffix(changes.size() + 1, 0.0);
+    std::vector<double>& suffix = s->suffix;
+    suffix.assign(changes.size() + 1, 0.0);
     for (size_t i = changes.size(); i-- > 0;) {
-      suffix[i] = suffix[i + 1] + chain_move[changes[i].chain];
+      suffix[i] =
+          suffix[i + 1] + chain_move[static_cast<size_t>(changes[i].chain)];
     }
     const double exit_cap =
         veto_cap + kPenaltyCapSlack * (1.0 + std::fabs(veto_cap));
@@ -433,12 +432,7 @@ double LinearPropertyTool::ValidationPenaltyBatch(
     while (applied + kChunk < changes.size()) {
       self->ApplyEdgeChanges(all.subspan(applied, kChunk));
       applied += kChunk;
-      double current = 0;
-      for (const int ci : affected) {
-        current += stats_[static_cast<size_t>(ci)].matrix().ErrorAgainst(
-            targets_[static_cast<size_t>(ci)]);
-      }
-      const double floor_penalty = (current - suffix[applied] - before) /
+      const double floor_penalty = (measure() - suffix[applied] - before) /
                                    static_cast<double>(chains_.size());
       if (floor_penalty > exit_cap) {
         self->RevertEdgeChanges(all.first(applied));
@@ -451,11 +445,7 @@ double LinearPropertyTool::ValidationPenaltyBatch(
   } else {
     self->ApplyEdgeChanges(all);
   }
-  double after = 0;
-  for (const int ci : affected) {
-    after += stats_[static_cast<size_t>(ci)].matrix().ErrorAgainst(
-        targets_[static_cast<size_t>(ci)]);
-  }
+  const double after = measure();
   self->RevertEdgeChanges(all);
   return (after - before) / static_cast<double>(chains_.size());
 }
@@ -479,108 +469,54 @@ AccessScope LinearPropertyTool::DeclaredScope() const {
   return scope;
 }
 
-std::vector<LinearPropertyTool::ChainDelta>
-LinearPropertyTool::EvaluateEdgeMove(int table, int col, TupleId child,
-                                     TupleId new_parent) const {
-  std::vector<ChainDelta> out;
-  const auto it = edges_.find({table, col});
-  if (it == edges_.end()) return out;
-  auto* self = const_cast<LinearPropertyTool*>(this);
-  for (const auto& [chain, level] : it->second) {
-    ChainStats& s = self->stats_[static_cast<size_t>(chain)];
-    const JoinMatrix before = s.matrix();
-    const TupleId old_parent = s.Parent(level, child);
-    if (old_parent == new_parent) continue;
-    if (old_parent != kInvalidTuple) s.Detach(level, child);
-    s.EnsureSlotCount(level - 1, new_parent + 1);
-    s.Attach(level, child, new_parent);
-    const JoinMatrix after = s.matrix();
-    // Revert.
-    s.Detach(level, child);
-    if (old_parent != kInvalidTuple) s.Attach(level, child, old_parent);
-    ChainDelta d;
-    d.chain = chain;
-    const int k = before.k();
-    for (int j = 1; j < k; ++j) {
-      for (int i = 0; i < j; ++i) {
-        const int64_t delta = after.at(j, i) - before.at(j, i);
-        if (delta != 0) d.entries.emplace_back(j, i, delta);
-      }
-    }
-    if (!d.entries.empty()) out.push_back(std::move(d));
-  }
-  return out;
+const MoveDelta& LinearPropertyTool::EvaluateMove(
+    int edge, std::span<const TupleId> children, TupleId new_parent) const {
+  MoveDelta& delta = ThreadScratch().delta;
+  stats_.EvaluateMove(edge, children, new_parent, &delta);
+  return delta;
 }
 
-std::vector<LinearPropertyTool::ChainDelta>
-LinearPropertyTool::EvaluateGroupMove(int table, int col,
-                                      const std::vector<TupleId>& children,
-                                      TupleId new_parent) const {
-  std::vector<ChainDelta> out;
-  const auto it = edges_.find({table, col});
-  if (it == edges_.end()) return out;
-  auto* self = const_cast<LinearPropertyTool*>(this);
-  for (const auto& [chain, level] : it->second) {
-    ChainStats& s = self->stats_[static_cast<size_t>(chain)];
-    const JoinMatrix before = s.matrix();
-    // Apply every move, remembering old parents for the revert; moves
-    // that are no-ops on this chain are skipped.
-    std::vector<std::pair<TupleId, TupleId>> applied;  // (child, old)
-    for (const TupleId child : children) {
-      const TupleId old_parent = s.Parent(level, child);
-      if (old_parent == new_parent) continue;
-      if (old_parent != kInvalidTuple) s.Detach(level, child);
-      s.EnsureSlotCount(level - 1, new_parent + 1);
-      s.Attach(level, child, new_parent);
-      applied.emplace_back(child, old_parent);
-    }
-    const JoinMatrix after = s.matrix();
-    for (auto rit = applied.rbegin(); rit != applied.rend(); ++rit) {
-      s.Detach(level, rit->first);
-      if (rit->second != kInvalidTuple) {
-        s.Attach(level, rit->first, rit->second);
-      }
-    }
-    ChainDelta d;
-    d.chain = chain;
-    const int k = before.k();
+bool LinearPropertyTool::MoveDamagesProtected(const MoveDelta& delta,
+                                              int edge, int current,
+                                              int protected_upto,
+                                              int row_limit,
+                                              int entry_limit) const {
+  const std::span<const LinearStats::Use> uses = stats_.Uses(edge);
+  for (size_t u = 0; u < uses.size(); ++u) {
+    const int chain = uses[u].chain;
+    if (chain != current && chain >= protected_upto) continue;
+    const int k = chains_[static_cast<size_t>(chain)].length();
     for (int j = 1; j < k; ++j) {
       for (int i = 0; i < j; ++i) {
-        const int64_t delta = after.at(j, i) - before.at(j, i);
-        if (delta != 0) d.entries.emplace_back(j, i, delta);
-      }
-    }
-    if (!d.entries.empty()) out.push_back(std::move(d));
-  }
-  return out;
-}
-
-bool LinearPropertyTool::MoveDamagesProtected(
-    const std::vector<ChainDelta>& deltas, int current, int protected_upto,
-    int row_limit, int entry_limit) const {
-  for (const ChainDelta& d : deltas) {
-    if (d.chain == current) {
-      for (const auto& [j, i, delta] : d.entries) {
-        if (j < row_limit || (j == row_limit && i < entry_limit)) {
+        if (delta.at(static_cast<int>(u), j, i) == 0) continue;
+        if (chain != current || j < row_limit ||
+            (j == row_limit && i < entry_limit)) {
           return true;
         }
       }
-    } else if (d.chain < protected_upto) {
-      if (!d.entries.empty()) return true;
     }
   }
   return false;
 }
 
+const Modification& LinearPropertyTool::Proposal(
+    int ci, int level, std::span<const TupleId> children,
+    TupleId new_parent) {
+  const ReferenceChain& chain = chains_[static_cast<size_t>(ci)];
+  Modification& mod = proposal_;
+  mod.kind = OpKind::kReplaceValues;
+  mod.table = db_->table(chain.tables[static_cast<size_t>(level)]).name();
+  mod.tuples.assign(children.begin(), children.end());
+  mod.cols.assign(1, chain.fk_cols[static_cast<size_t>(level - 1)]);
+  mod.values.assign(1, Value(static_cast<int64_t>(new_parent)));
+  return mod;
+}
+
 Status LinearPropertyTool::ProposeMove(TweakContext* ctx, int ci, int level,
                                        TupleId child, TupleId new_parent,
                                        int* veto_budget) {
-  const ReferenceChain& chain = chains_[static_cast<size_t>(ci)];
-  const int table = chain.tables[static_cast<size_t>(level)];
-  const int col = chain.fk_cols[static_cast<size_t>(level - 1)];
-  const Modification mod = Modification::ReplaceValues(
-      db_->table(table).name(), {child}, {col},
-      {Value(static_cast<int64_t>(new_parent))});
+  const Modification& mod =
+      Proposal(ci, level, std::span<const TupleId>(&child, 1), new_parent);
   Status st = ctx->TryApply(mod);
   if (st.IsValidationFailed()) {
     if (*veto_budget > 0) {
@@ -613,8 +549,7 @@ TupleId LinearPropertyTool::FindTuple(TweakContext* ctx, int ci, int level,
 
 bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
                                     int protected_upto) {
-  ChainStats& s = stats_[static_cast<size_t>(ci)];
-  const ReferenceChain& chain = chains_[static_cast<size_t>(ci)];
+  const ChainStats& s = stats_.chain(ci);
   // Pick a level-i tuple x reaching J whose removal from S_{J,i} does
   // not disturb earlier entries: its parent must keep reach to J
   // through another child (Lemma 3's R_y representatives stay put).
@@ -627,19 +562,18 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
   if (x == kInvalidTuple) return false;
 
   // Collect x's descendants at level J (Leaf Tuple Plucking).
-  std::vector<TupleId> q_set;
-  {
-    std::vector<std::pair<int, TupleId>> stack = {{i, x}};
-    while (!stack.empty()) {
-      const auto [lev, t] = stack.back();
-      stack.pop_back();
-      if (lev == J) {
-        q_set.push_back(t);
-        continue;
-      }
-      for (const TupleId c : s.Children(lev, t)) {
-        if (s.Reaches(lev + 1, c, J)) stack.emplace_back(lev + 1, c);
-      }
+  std::vector<TupleId>& q_set = leaves_;
+  q_set.clear();
+  dfs_.assign(1, {i, x});
+  while (!dfs_.empty()) {
+    const auto [lev, t] = dfs_.back();
+    dfs_.pop_back();
+    if (lev == J) {
+      q_set.push_back(t);
+      continue;
+    }
+    for (const TupleId c : s.Children(lev, t)) {
+      if (s.Reaches(lev + 1, c, J)) dfs_.emplace_back(lev + 1, c);
     }
   }
   if (q_set.empty()) return false;
@@ -650,8 +584,7 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
   // tuple - the latter lets one move net-compensate flips in chains
   // that share this edge (flip r_old off, flip dest on). The exact
   // per-move evaluation decides which candidates are safe.
-  const int table = chain.tables[static_cast<size_t>(J)];
-  const int col = chain.fk_cols[static_cast<size_t>(J - 1)];
+  const int edge = stats_.EdgeAt(ci, J);
   int veto_budget = max_attempts_;
 
   auto find_dest = [&](int attempt, TupleId q) {
@@ -673,14 +606,15 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
   };
   // The move must not damage protected entries nor push the entry being
   // reduced upward.
-  auto move_ok = [&](const std::vector<ChainDelta>& deltas) {
-    if (MoveDamagesProtected(deltas, ci, protected_upto, J, i)) {
+  auto move_ok = [&](std::span<const TupleId> moved, TupleId dest) {
+    const MoveDelta& delta = EvaluateMove(edge, moved, dest);
+    if (MoveDamagesProtected(delta, edge, ci, protected_upto, J, i)) {
       return false;
     }
-    for (const ChainDelta& d : deltas) {
-      if (d.chain != ci) continue;
-      for (const auto& [dj, di, delta] : d.entries) {
-        if (dj == J && di == i && delta > 0) return false;
+    const std::span<const LinearStats::Use> uses = stats_.Uses(edge);
+    for (size_t u = 0; u < uses.size(); ++u) {
+      if (uses[u].chain == ci && delta.at(static_cast<int>(u), J, i) > 0) {
+        return false;
       }
     }
     return true;
@@ -701,22 +635,19 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
       for (int attempt = 0; attempt < 64 && !moved; ++attempt) {
         const TupleId dest = find_dest(attempt, q);
         if (dest == kInvalidTuple || dest == s.Parent(J, q)) continue;
-        std::vector<TupleId> group = {q};
-        if (!move_ok(EvaluateGroupMove(table, col, group, dest))) {
-          continue;
-        }
+        std::vector<TupleId>& group = group_;
+        group.assign(1, q);
+        if (!move_ok(group, dest)) continue;
         while (group.size() < hint && qi + group.size() < q_set.size()) {
           const TupleId qn = q_set[qi + group.size()];
           if (dest == s.Parent(J, qn)) break;
           group.push_back(qn);
-          if (!move_ok(EvaluateGroupMove(table, col, group, dest))) {
+          if (!move_ok(group, dest)) {
             group.pop_back();
             break;
           }
         }
-        const Modification mod = Modification::ReplaceValues(
-            db_->table(table).name(), group, {col},
-            {Value(static_cast<int64_t>(dest))});
+        const Modification& mod = Proposal(ci, J, group, dest);
         Status st = ctx->TryApply(mod);
         if (st.IsValidationFailed() && group.size() > 1) {
           // The grouped proposal was vetoed; retry the leading leaf
@@ -748,7 +679,7 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
     for (int attempt = 0; attempt < 64 && !moved; ++attempt) {
       const TupleId dest = find_dest(attempt, q);
       if (dest == kInvalidTuple || dest == s.Parent(J, q)) continue;
-      if (!move_ok(EvaluateEdgeMove(table, col, q, dest))) continue;
+      if (!move_ok(std::span<const TupleId>(&q, 1), dest)) continue;
       const Status st = ProposeMove(ctx, ci, J, q, dest, &veto_budget);
       if (st.ok()) moved = true;
     }
@@ -759,8 +690,7 @@ bool LinearPropertyTool::ReduceOnce(TweakContext* ctx, int ci, int J, int i,
 
 bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
                                       int i, int protected_upto) {
-  ChainStats& s = stats_[static_cast<size_t>(ci)];
-  const ReferenceChain& chain = chains_[static_cast<size_t>(ci)];
+  const ChainStats& s = stats_.chain(ci);
 
   auto ancestors_reach_J = [&](TupleId y) {
     TupleId cur = y;
@@ -793,8 +723,7 @@ bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
              s.Cnt(i - 1, p, s.MaxReach(i, cand)) >= 2;
     });
     if (y0 == kInvalidTuple) return false;
-    const int tbl = chain.tables[static_cast<size_t>(i)];
-    const int col = chain.fk_cols[static_cast<size_t>(i - 1)];
+    const int edge = stats_.EdgeAt(ci, i);
     bool adjusted = false;
     for (int attempt = 0; attempt < 96 && !adjusted; ++attempt) {
       const TupleId p_new = FindTuple(ctx, ci, i - 1, [&](TupleId cand) {
@@ -804,10 +733,12 @@ bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
       });
       if (p_new == kInvalidTuple) break;
       // The adjustment must be isomorphic for every chain.
-      const auto deltas = EvaluateEdgeMove(tbl, col, y0, p_new);
-      bool iso = true;
-      for (const ChainDelta& d : deltas) iso &= d.entries.empty();
-      if (!iso) continue;
+      const MoveDelta& delta =
+          EvaluateMove(edge, std::span<const TupleId>(&y0, 1), p_new);
+      if (std::any_of(delta.h.begin(), delta.h.end(),
+                      [](int64_t d) { return d != 0; })) {
+        continue;
+      }
       if (ProposeMove(ctx, ci, i, y0, p_new, &veto_budget).ok()) {
         adjusted = true;
       }
@@ -825,8 +756,7 @@ bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
   // Spare leaf at level J whose removal flips no level <= i (so fixed
   // entries of row J stay put; earlier rows are untouched by J-level
   // edges by construction).
-  const int table = chain.tables[static_cast<size_t>(J)];
-  const int col = chain.fk_cols[static_cast<size_t>(J - 1)];
+  const int edge = stats_.EdgeAt(ci, J);
   for (int attempt = 0; attempt < 64; ++attempt) {
     const TupleId q = FindTuple(ctx, ci, J, [&](TupleId cand) {
       TupleId cur = s.Parent(J, cand);
@@ -840,8 +770,9 @@ bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
       return false;
     });
     if (q == kInvalidTuple) return false;
-    if (MoveDamagesProtected(EvaluateEdgeMove(table, col, q, d), ci,
-                             protected_upto, J, i)) {
+    if (MoveDamagesProtected(
+            EvaluateMove(edge, std::span<const TupleId>(&q, 1), d), edge, ci,
+            protected_upto, J, i)) {
       continue;
     }
     if (ProposeMove(ctx, ci, J, q, d, &veto_budget).ok()) return true;
@@ -855,7 +786,7 @@ Status LinearPropertyTool::Tweak(TweakContext* ctx) {
   for (int sweep = 0; sweep < 4; ++sweep) {
     bool any_moves = false;
     for (int ci = 0; ci < num_chains; ++ci) {
-      ChainStats& s = stats_[static_cast<size_t>(ci)];
+      const ChainStats& s = stats_.chain(ci);
       const JoinMatrix& target = targets_[static_cast<size_t>(ci)];
       const int protected_upto = sweep == 0 ? ci : num_chains;
       const int k = s.k();

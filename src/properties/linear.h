@@ -5,14 +5,13 @@
 // Algorithm 1 / Appendix X-A: matrices are fixed row by row, each row
 // leading-entry first, by plucking tuples from one parent and
 // attaching them to another. Every candidate move is evaluated
-// exactly against the incrementally maintained ChainStats (including
+// exactly against the incrementally maintained LinearStats (including
 // chains that share the moved edge), so moves that would damage
 // already-fixed entries or already-tweaked chains are rejected and
 // alternatives tried - the in-tool analogue of the framework-level
 // validator voting.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -82,8 +81,10 @@ class LinearPropertyTool : public PropertyTool {
   const std::vector<JoinMatrix>& targets() const { return targets_; }
   /// Current matrix of chain `c` (requires bound).
   const JoinMatrix& CurrentMatrix(int c) const {
-    return stats_[static_cast<size_t>(c)].matrix();
+    return stats_.chain(c).matrix();
   }
+  /// The bound statistics. Exposed for tests.
+  const LinearStats& stats() const { return stats_; }
 
   /// Projects `m` onto the feasible set of Theorem 1 for the given
   /// chain table sizes (L1-L4 plus h >= 1). Exposed for tests.
@@ -94,49 +95,65 @@ class LinearPropertyTool : public PropertyTool {
                                     const std::vector<int64_t>& sizes);
 
  private:
+  /// One chain's share of one FK cell change. The first share of a
+  /// change relinks the edge's lists; every share updates its chain's
+  /// counters.
   struct EdgeChange {
+    int edge = -1;
     int chain = -1;
     int level = -1;
+    bool first = false;
     TupleId child = kInvalidTuple;
     TupleId old_parent = kInvalidTuple;
     TupleId new_parent = kInvalidTuple;
   };
 
-  /// Expands a modification into per-chain edge changes. Old parents
+  /// Buffers that pricing and move evaluation reuse from call to call.
+  /// They are per thread, as coappear's and pairwise's are, so const
+  /// pricing needs no mutable member and tools priced on different
+  /// threads never share one.
+  struct Scratch;
+  static Scratch& ThreadScratch();
+
+  /// Appends the edge changes of a modification to `out`. Old parents
   /// are taken from `old_values` when given (post-apply notification)
   /// or read from the live database (pre-apply simulation).
-  std::vector<EdgeChange> CollectEdgeChanges(
-      const Modification& mod, const std::vector<Value>* old_values,
-      TupleId new_tuple) const;
+  void CollectEdgeChanges(const Modification& mod,
+                          const std::vector<Value>* old_values,
+                          TupleId new_tuple,
+                          std::vector<EdgeChange>* out) const;
 
   /// Span-based so the capped batch vote can apply changes in chunks
   /// and revert just the applied prefix on an early exit.
   void ApplyEdgeChanges(std::span<const EdgeChange> changes);
   void RevertEdgeChanges(std::span<const EdgeChange> changes);
 
-  /// Per-chain entry deltas caused by re-parenting one edge
-  /// (simulated: stats are restored before returning).
-  struct ChainDelta {
-    int chain;
-    std::vector<std::tuple<int, int, int64_t>> entries;  // (j, i, delta)
-  };
-  std::vector<ChainDelta> EvaluateEdgeMove(int table, int col,
-                                           TupleId child,
-                                           TupleId new_parent) const;
+  /// Penalty of the changes in `s->changes` (ValidationPenaltyBatch's
+  /// contract): apply, measure the affected chains, revert.
+  double PenaltyOfChanges(Scratch* s, double veto_cap) const;
 
-  /// Combined per-chain deltas of re-parenting every child in
-  /// `children` (distinct tuples) to the same `new_parent` - the exact
-  /// evaluation behind grouped leaf attaching (batch_hint > 1).
-  std::vector<ChainDelta> EvaluateGroupMove(
-      int table, int col, const std::vector<TupleId>& children,
-      TupleId new_parent) const;
+  /// Net matrix change, per chain through `edge`, of re-parenting
+  /// every child in `children` (distinct tuples) to `new_parent`;
+  /// simulated, counters and matrices are restored before returning
+  /// (lists as LinearStats::EvaluateMove says). Grouped
+  /// leaf attaching (batch_hint > 1) evaluates several children at
+  /// once. The result lives in this thread's scratch until the next
+  /// call.
+  const MoveDelta& EvaluateMove(int edge, std::span<const TupleId> children,
+                                TupleId new_parent) const;
 
   /// True if the move damages any chain in `protected_upto` (chain
   /// index < protected_upto), or touches rows < row_limit / entries
   /// <= entry_limit of chain `current`.
-  bool MoveDamagesProtected(const std::vector<ChainDelta>& deltas,
-                            int current, int protected_upto, int row_limit,
+  bool MoveDamagesProtected(const MoveDelta& delta, int edge, int current,
+                            int protected_upto, int row_limit,
                             int entry_limit) const;
+
+  /// The single-cell (or, for a group, single-column) re-parenting
+  /// proposal, built in a reused Modification.
+  const Modification& Proposal(int ci, int level,
+                               std::span<const TupleId> children,
+                               TupleId new_parent);
 
   // One-unit adjustments for entry (J, i) of chain `ci` (0-based
   // levels). Return true if a unit of progress was made.
@@ -158,12 +175,16 @@ class LinearPropertyTool : public PropertyTool {
 
   Schema schema_;
   std::vector<ReferenceChain> chains_;
-  mutable std::vector<ChainStats> stats_;
+  mutable LinearStats stats_;
   std::vector<JoinMatrix> targets_;
   Database* db_ = nullptr;
-  // (table, col) -> [(chain, level)] for every chain edge.
-  std::map<std::pair<int, int>, std::vector<std::pair<int, int>>> edges_;
   int max_attempts_ = 24;
+  // Tweak's reused buffers: leaf plucking's DFS stack and leaves, the
+  // grouped leaves, and the proposal.
+  std::vector<std::pair<int, TupleId>> dfs_;
+  std::vector<TupleId> leaves_;
+  std::vector<TupleId> group_;
+  Modification proposal_;
 };
 
 }  // namespace aspect

@@ -28,21 +28,38 @@ Result<ColRef> Resolve(const Database& db, const std::string& table,
 
 }  // namespace
 
-Result<std::map<TupleId, int64_t>> DistinctPerGroup(
+std::vector<uint8_t> ReferencedSlots(const Table& child, int fk_col,
+                                     int64_t slots) {
+  std::vector<uint8_t> marked(static_cast<size_t>(slots), 0);
+  const Column& fk = child.column(fk_col);
+  child.ForEachLive([&](TupleId t) {
+    if (!fk.IsValue(t)) return;
+    const int64_t v = fk.GetInt(t);
+    if (v >= 0 && v < slots) marked[static_cast<size_t>(v)] = 1;
+  });
+  return marked;
+}
+
+Result<std::vector<std::pair<TupleId, int64_t>>> DistinctPerGroup(
     const Database& db, const std::string& table,
     const std::string& group_col, const std::string& distinct_col) {
   ASPECT_ASSIGN_OR_RETURN(ColRef group, Resolve(db, table, group_col));
   ASPECT_ASSIGN_OR_RETURN(ColRef dist, Resolve(db, table, distinct_col));
-  std::map<TupleId, std::set<int64_t>> sets;
+  const Column& g = group.table->column(group.col);
+  const Column& d = dist.table->column(dist.col);
+  std::vector<std::pair<int64_t, int64_t>> rows;
+  rows.reserve(static_cast<size_t>(group.table->NumTuples()));
   group.table->ForEachLive([&](TupleId t) {
-    if (group.table->column(group.col).IsValue(t) &&
-        dist.table->column(dist.col).IsValue(t)) {
-      sets[group.table->column(group.col).GetInt(t)].insert(
-          dist.table->column(dist.col).GetInt(t));
+    if (g.IsValue(t) && d.IsValue(t)) {
+      rows.emplace_back(g.GetInt(t), d.GetInt(t));
     }
   });
-  std::map<TupleId, int64_t> out;
-  for (const auto& [g, s] : sets) out[g] = static_cast<int64_t>(s.size());
+  SortUnique(&rows);
+  std::vector<std::pair<TupleId, int64_t>> out;
+  for (const auto& [grp, value] : rows) {
+    if (out.empty() || out.back().first != grp) out.emplace_back(grp, 0);
+    ++out.back().second;
+  }
   return out;
 }
 
@@ -53,18 +70,16 @@ Result<int64_t> CountUsersWithRespondedPost(const Database& db,
   if (resp == nullptr || post == nullptr) {
     return Status::KeyError("response/post table missing");
   }
-  std::set<TupleId> responded_posts;
-  resp->ForEachLive([&](TupleId t) {
-    if (resp->column(spec.post_col).IsValue(t)) {
-      responded_posts.insert(resp->column(spec.post_col).GetInt(t));
-    }
-  });
-  std::set<TupleId> users;
-  for (const TupleId p : responded_posts) {
-    if (post->IsLive(p) && post->column(spec.author_col).IsValue(p)) {
-      users.insert(post->column(spec.author_col).GetInt(p));
+  const std::vector<uint8_t> responded =
+      ReferencedSlots(*resp, spec.post_col, post->NumSlots());
+  std::vector<int64_t> users;
+  for (TupleId p = 0; p < static_cast<TupleId>(responded.size()); ++p) {
+    if (responded[static_cast<size_t>(p)] && post->IsLive(p) &&
+        post->column(spec.author_col).IsValue(p)) {
+      users.push_back(post->column(spec.author_col).GetInt(p));
     }
   }
+  SortUnique(&users);
   return static_cast<int64_t>(users.size());
 }
 
@@ -110,7 +125,7 @@ Result<int64_t> CountInteractingUserPairs(const Database& db,
   if (resp == nullptr || post == nullptr) {
     return Status::KeyError("response/post table missing");
   }
-  std::set<std::pair<TupleId, TupleId>> pairs;
+  std::vector<std::pair<TupleId, TupleId>> pairs;
   resp->ForEachLive([&](TupleId t) {
     if (!resp->column(spec.responder_col).IsValue(t) ||
         !resp->column(spec.post_col).IsValue(t)) {
@@ -123,8 +138,9 @@ Result<int64_t> CountInteractingUserPairs(const Database& db,
     }
     const TupleId v = post->column(spec.author_col).GetInt(p);
     if (u == v) return;
-    pairs.insert({std::min(u, v), std::max(u, v)});
+    pairs.emplace_back(std::min(u, v), std::max(u, v));
   });
+  SortUnique(&pairs);
   return static_cast<int64_t>(pairs.size());
 }
 

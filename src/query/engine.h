@@ -4,18 +4,32 @@
 // group-by-having and averages over FK fan-outs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "relational/database.h"
 
 namespace aspect {
 
+/// Sorts `v` and drops repeated elements.
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+/// marked[s] = 1 for each slot s in [0, slots) that the FK column
+/// `fk_col` of some live row of `child` holds.
+std::vector<uint8_t> ReferencedSlots(const Table& child, int fk_col,
+                                     int64_t slots);
+
 /// Per-parent distinct-secondary counts: for each value of `group_col`
-/// the number of distinct values of `distinct_col` among its tuples.
-Result<std::map<TupleId, int64_t>> DistinctPerGroup(
+/// (ascending) the number of distinct values of `distinct_col` among
+/// its tuples.
+Result<std::vector<std::pair<TupleId, int64_t>>> DistinctPerGroup(
     const Database& db, const std::string& table,
     const std::string& group_col, const std::string& distinct_col);
 

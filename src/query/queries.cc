@@ -1,7 +1,6 @@
 #include "query/queries.h"
 
 #include <cmath>
-#include <set>
 
 #include "common/string_util.h"
 #include "query/engine.h"
@@ -33,16 +32,15 @@ Result<double> CountGrandparentsWithRespondedChild(
   if (cfk < 0 || pfk < 0) {
     return Status::KeyError("missing column for grandparent query");
   }
-  std::set<TupleId> parents;
-  c->ForEachLive([&](TupleId t) {
-    if (c->column(cfk).IsValue(t)) parents.insert(c->column(cfk).GetInt(t));
-  });
-  std::set<TupleId> grandparents;
-  for (const TupleId pid : parents) {
-    if (p->IsLive(pid) && p->column(pfk).IsValue(pid)) {
-      grandparents.insert(p->column(pfk).GetInt(pid));
+  const std::vector<uint8_t> parents = ReferencedSlots(*c, cfk, p->NumSlots());
+  std::vector<int64_t> grandparents;
+  for (TupleId pid = 0; pid < static_cast<TupleId>(parents.size()); ++pid) {
+    if (parents[static_cast<size_t>(pid)] && p->IsLive(pid) &&
+        p->column(pfk).IsValue(pid)) {
+      grandparents.push_back(p->column(pfk).GetInt(pid));
     }
   }
+  SortUnique(&grandparents);
   return static_cast<double>(grandparents.size());
 }
 

@@ -547,16 +547,9 @@ bool Database::Unreferenced(int table, TupleId t) const {
 
 std::vector<TupleId> Database::Referrers(int child_table, int fk_col,
                                          TupleId parent) const {
-  assert(ref_built_);
-  const RefEdge& e = ref_edges_[static_cast<size_t>(
-      ref_col_edge_[static_cast<size_t>(child_table)]
-                   [static_cast<size_t>(fk_col)])];
   std::vector<TupleId> out;
-  if (parent < 0 || parent >= static_cast<TupleId>(e.head.size())) return out;
-  for (int32_t r = e.head[static_cast<size_t>(parent)]; r >= 0;
-       r = e.next[static_cast<size_t>(r)]) {
-    out.push_back(r);
-  }
+  ForEachReferrer(child_table, fk_col, parent,
+                  [&](TupleId r) { out.push_back(r); });
   std::sort(out.begin(), out.end());
   return out;
 }

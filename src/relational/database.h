@@ -8,6 +8,7 @@
 // its property statistics incrementally (Fig. 5 of the paper).
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <span>
 #include <string>
@@ -186,6 +187,22 @@ class Database {
   /// The referrers of `parent` over one edge, in ascending id order.
   std::vector<TupleId> Referrers(int child_table, int fk_col,
                                  TupleId parent) const;
+
+  /// Calls fn(row) for every referrer of `parent` over one edge, in
+  /// list order (unsorted), without allocating.
+  template <typename Fn>
+  void ForEachReferrer(int child_table, int fk_col, TupleId parent,
+                       Fn&& fn) const {
+    assert(ref_built_);
+    const RefEdge& e = ref_edges_[static_cast<size_t>(
+        ref_col_edge_[static_cast<size_t>(child_table)]
+                     [static_cast<size_t>(fk_col)])];
+    if (parent < 0 || parent >= static_cast<TupleId>(e.head.size())) return;
+    for (int32_t r = e.head[static_cast<size_t>(parent)]; r >= 0;
+         r = e.next[static_cast<size_t>(r)]) {
+      fn(static_cast<TupleId>(r));
+    }
+  }
 
  private:
   explicit Database(Schema schema);

@@ -59,17 +59,19 @@ Status CheckTable(const Database& db, int ti,
     ASPECT_RETURN_NOT_OK(failure);
     for (size_t p = 0; p < seen.size(); ++p) {
       const auto slot = static_cast<TupleId>(p);
-      const std::vector<TupleId> listed = db.Referrers(ti, ci, slot);
-      const auto held =
-          std::count_if(listed.begin(), listed.end(), [&](TupleId r) {
-            return t.IsLive(r) && col.IsValue(r) && col.GetInt(r) == slot;
-          });
-      if (static_cast<int64_t>(listed.size()) != seen[p] || held != seen[p]) {
+      int64_t listed = 0;
+      int64_t held = 0;
+      db.ForEachReferrer(ti, ci, slot, [&](TupleId r) {
+        ++listed;
+        if (t.IsLive(r) && col.IsValue(r) && col.GetInt(r) == slot) ++held;
+      });
+      if (listed != seen[p] || held != seen[p]) {
         return Status::Invalid(StrFormat(
-            "referrer index of %s.%s -> %s[%zu]: lists %zu rows, %lld "
+            "referrer index of %s.%s -> %s[%zu]: lists %lld rows, %lld "
             "holding it, of the %d the column holds",
             t.name().c_str(), col.name().c_str(), col.ref_table().c_str(), p,
-            listed.size(), static_cast<long long>(held), seen[p]));
+            static_cast<long long>(listed), static_cast<long long>(held),
+            seen[p]));
       }
     }
   }

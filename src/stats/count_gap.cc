@@ -113,6 +113,13 @@ int32_t KeyInterner::Intern(std::span<const int64_t> key) {
   return size_++;
 }
 
+void KeyInterner::AssignDistinct(std::vector<int64_t> keys) {
+  assert(keys.size() % static_cast<size_t>(width_) == 0);
+  keys_ = std::move(keys);
+  size_ = static_cast<int32_t>(keys_.size() / static_cast<size_t>(width_));
+  Rehash(std::max<size_t>(16, std::bit_ceil(static_cast<size_t>(size_) * 2)));
+}
+
 void KeyInterner::Rehash(size_t capacity) {
   index_.assign(capacity, -1);
   const size_t mask = capacity - 1;

@@ -45,6 +45,11 @@ class KeyInterner {
   int32_t Find(std::span<const int64_t> key) const;
   /// Id of `key`, interning it first if needed.
   int32_t Intern(std::span<const int64_t> key);
+  /// Replaces the contents with the distinct keys laid out flat in
+  /// `keys` (key i at [i * width(), (i + 1) * width()) gets id i) and
+  /// builds the index in one pass, without Intern's lookups. The ids
+  /// equal interning the keys one by one after Reserve.
+  void AssignDistinct(std::vector<int64_t> keys);
   std::span<const int64_t> key(int32_t id) const {
     return {keys_.data() + static_cast<size_t>(id) * width_,
             static_cast<size_t>(width_)};

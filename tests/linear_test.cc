@@ -2,6 +2,8 @@
 // maintenance), Theorem 1 feasibility/repair, and Algorithm 1 tweaking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aspect/tweak_context.h"
 #include "common/rng.h"
 #include "properties/chain_stats.h"
@@ -64,8 +66,9 @@ TEST(ChainStatsTest, HandComputedMatrix) {
 
 TEST(ChainStatsTest, ReachAndNavigation) {
   auto db = ChainDb();
-  ChainStats s(TheChain(db->schema()));
-  s.Build(*db);
+  LinearStats stats({TheChain(db->schema())});
+  stats.Build(*db);
+  const ChainStats& s = stats.chain(0);
   EXPECT_TRUE(s.Reaches(0, 1, 3));   // a1 reaches D level
   EXPECT_FALSE(s.Reaches(0, 0, 2));  // a0 has no C descendant
   EXPECT_EQ(s.MaxReach(0, 1), 3);
@@ -87,7 +90,7 @@ TEST(ChainStatsTest, IncrementalMatchesRebuildUnderRandomMoves) {
     if (c.length() > chain->length()) chain = &c;
   }
   ASSERT_GE(chain->length(), 3);
-  ChainStats s(*chain);
+  LinearStats s({*chain});
   s.Build(*db);
   Rng rng(5);
   for (int step = 0; step < 300; ++step) {
@@ -105,27 +108,27 @@ TEST(ChainStatsTest, IncrementalMatchesRebuildUnderRandomMoves) {
     const int col = chain->fk_cols[static_cast<size_t>(level - 1)];
     const TupleId old_parent = t.column(col).GetInt(child);
     ASSERT_TRUE(t.column(col).Set(child, Value(parent)).ok());
-    if (old_parent != kInvalidTuple) s.Detach(level, child);
-    s.Attach(level, child, parent);
+    if (old_parent != kInvalidTuple) s.Detach(s.EdgeAt(0, level), child);
+    s.Attach(s.EdgeAt(0, level), child, parent);
     if (step % 50 == 0) {
-      EXPECT_EQ(s.matrix(), ComputeJoinMatrix(*db, *chain))
+      EXPECT_EQ(s.chain(0).matrix(), ComputeJoinMatrix(*db, *chain))
           << "step " << step;
     }
   }
-  EXPECT_EQ(s.matrix(), ComputeJoinMatrix(*db, *chain));
+  EXPECT_EQ(s.chain(0).matrix(), ComputeJoinMatrix(*db, *chain));
 }
 
-// A ChainStats filled the way the incremental path fills it: every
+// Statistics filled the way the incremental path fills them: every
 // live child with an FK value attached one at a time, deepest level
 // first, in slot order.
-ChainStats AttachOneByOne(const Database& db, const ReferenceChain& chain) {
-  ChainStats s(chain);
-  s.EnsureCapacity(db);
+LinearStats AttachOneByOne(const Database& db, const ReferenceChain& chain) {
+  LinearStats s({chain});
+  s.Reset(db);
   for (int l = chain.length() - 1; l >= 1; --l) {
     const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
     const Column& fk = t.column(chain.fk_cols[static_cast<size_t>(l - 1)]);
     t.ForEachLive([&](TupleId c) {
-      if (fk.IsValue(c)) s.Attach(l, c, fk.GetInt(c));
+      if (fk.IsValue(c)) s.Attach(s.EdgeAt(0, l), c, fk.GetInt(c));
     });
   }
   return s;
@@ -172,7 +175,7 @@ TEST(ChainStatsTest, JoinMatrixMatchesAttachOracle) {
     ASSERT_FALSE(chains.empty());
     for (const ReferenceChain& chain : chains) {
       EXPECT_EQ(ComputeJoinMatrix(*db, chain),
-                AttachOneByOne(*db, chain).matrix());
+                AttachOneByOne(*db, chain).chain(0).matrix());
     }
   }
 }
@@ -186,7 +189,10 @@ int64_t StatsMismatches(const ChainStats& a, const ChainStats& b,
     const Table& t = db.table(a.chain().tables[static_cast<size_t>(l)]);
     for (TupleId tid = 0; tid < t.NumSlots(); ++tid) {
       bool same = l == 0 || a.Parent(l, tid) == b.Parent(l, tid);
-      if (l < k - 1) same = same && a.Children(l, tid) == b.Children(l, tid);
+      if (l < k - 1) {
+        same = same && std::ranges::equal(a.Children(l, tid),
+                                          b.Children(l, tid));
+      }
       for (int j = l + 1; j < k; ++j) {
         same = same && a.Cnt(l, tid, j) == b.Cnt(l, tid, j);
       }
@@ -201,11 +207,11 @@ TEST(ChainStatsTest, BulkBuildEqualsAttachOneByOne) {
     SCOPED_TRACE(db->schema().name);
     for (const ReferenceChain& chain :
          ReferenceGraph(db->schema()).MaximalChains()) {
-      ChainStats bulk(chain);
+      LinearStats bulk({chain});
       bulk.Build(*db);
-      ChainStats one = AttachOneByOne(*db, chain);
-      EXPECT_EQ(bulk.matrix(), one.matrix());
-      EXPECT_EQ(StatsMismatches(bulk, one, *db), 0);
+      LinearStats one = AttachOneByOne(*db, chain);
+      EXPECT_EQ(bulk.chain(0).matrix(), one.chain(0).matrix());
+      EXPECT_EQ(StatsMismatches(bulk.chain(0), one.chain(0), *db), 0);
       // Detach swap-removes through each child's stored position, so
       // the children lists agree afterwards only if the positions do.
       Rng rng(3);
@@ -213,15 +219,345 @@ TEST(ChainStatsTest, BulkBuildEqualsAttachOneByOne) {
         const Table& t = db->table(chain.tables[static_cast<size_t>(l)]);
         t.ForEachLive([&](TupleId c) {
           if (rng.Bernoulli(0.3)) {
-            bulk.Detach(l, c);
-            one.Detach(l, c);
+            bulk.Detach(bulk.EdgeAt(0, l), c);
+            one.Detach(one.EdgeAt(0, l), c);
           }
         });
       }
-      EXPECT_EQ(bulk.matrix(), one.matrix());
-      EXPECT_EQ(StatsMismatches(bulk, one, *db), 0);
+      EXPECT_EQ(bulk.chain(0).matrix(), one.chain(0).matrix());
+      EXPECT_EQ(StatsMismatches(bulk.chain(0), one.chain(0), *db), 0);
     }
   }
+}
+
+// Reference model of the statistics as they were kept before lists
+// were shared: every chain holds its own vector-of-vector children
+// lists, appends on attach and swap-removes on detach, and pricing
+// applies each FK change and then reverts it (so a moved child ends
+// last in its old parent's list). Counters and matrices are derived
+// from the lists.
+class ListModel {
+ public:
+  ListModel(const Database& db, const std::vector<ReferenceChain>& chains) {
+    for (const ReferenceChain& chain : chains) {
+      Chain m;
+      m.chain = chain;
+      const int k = chain.length();
+      m.parent.resize(static_cast<size_t>(k));
+      m.kids.resize(static_cast<size_t>(k));
+      for (int l = 0; l < k; ++l) {
+        const auto slots = static_cast<size_t>(
+            db.table(chain.tables[static_cast<size_t>(l)]).NumSlots());
+        m.parent[static_cast<size_t>(l)].assign(slots, kInvalidTuple);
+        m.kids[static_cast<size_t>(l)].resize(slots);
+      }
+      for (int l = 1; l < k; ++l) {
+        const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
+        const Column& fk = t.column(chain.fk_cols[static_cast<size_t>(l - 1)]);
+        t.ForEachLive([&](TupleId c) {
+          if (fk.IsValue(c)) m.Attach(l, c, fk.GetInt(c));
+        });
+      }
+      chains_.push_back(std::move(m));
+    }
+  }
+
+  /// The FK changes of cell modifications `mods` against `db` (before
+  /// they apply): applied, and with `revert` reverted in reverse.
+  void Run(const Database& db, std::span<const Modification> mods,
+           bool revert) {
+    struct Change {
+      size_t chain;
+      int level;
+      TupleId child, old_parent, new_parent;
+    };
+    std::vector<Change> changes;
+    for (const Modification& mod : mods) {
+      const int table = db.schema().TableIndex(mod.table);
+      for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
+        for (const TupleId t : mod.tuples) {
+          for (size_t ci = 0; ci < chains_.size(); ++ci) {
+            const ReferenceChain& chain = chains_[ci].chain;
+            for (int l = 1; l < chain.length(); ++l) {
+              if (chain.tables[static_cast<size_t>(l)] != table ||
+                  chain.fk_cols[static_cast<size_t>(l - 1)] != mod.cols[cj]) {
+                continue;
+              }
+              changes.push_back(
+                  {ci, l, t, db.table(table).column(mod.cols[cj]).GetInt(t),
+                   mod.values[cj].int64()});
+            }
+          }
+        }
+      }
+    }
+    for (const Change& c : changes) {
+      chains_[c.chain].Detach(c.level, c.child);
+      chains_[c.chain].Attach(c.level, c.child, c.new_parent);
+    }
+    if (!revert) return;
+    for (auto it = changes.rbegin(); it != changes.rend(); ++it) {
+      chains_[it->chain].Detach(it->level, it->child);
+      chains_[it->chain].Attach(it->level, it->child, it->old_parent);
+    }
+  }
+
+  /// Number of (chain, tuple) pairs whose parent, children list (order
+  /// included) or counters differ from `stats`, plus chains whose
+  /// matrix differs from a rebuild.
+  int64_t Mismatches(const LinearStats& stats, const Database& db) const {
+    int64_t bad = 0;
+    for (size_t ci = 0; ci < chains_.size(); ++ci) {
+      const Chain& m = chains_[ci];
+      const ChainStats& s = stats.chain(static_cast<int>(ci));
+      const int k = m.chain.length();
+      if (s.matrix() != ComputeJoinMatrix(db, m.chain)) ++bad;
+      const std::vector<std::vector<int>> reach = m.Reach();
+      for (int l = 0; l < k; ++l) {
+        const auto& parents = m.parent[static_cast<size_t>(l)];
+        for (TupleId t = 0; t < static_cast<TupleId>(parents.size()); ++t) {
+          bool same =
+              l == 0 || s.Parent(l, t) == parents[static_cast<size_t>(t)];
+          if (l < k - 1) {
+            const auto& kids =
+                m.kids[static_cast<size_t>(l)][static_cast<size_t>(t)];
+            same = same && std::ranges::equal(s.Children(l, t), kids);
+            for (int j = l + 1; j < k; ++j) {
+              const auto cnt = std::count_if(
+                  kids.begin(), kids.end(), [&](TupleId c) {
+                    return reach[static_cast<size_t>(l + 1)]
+                                [static_cast<size_t>(c)] >= j;
+                  });
+              same = same && s.Cnt(l, t, j) == cnt;
+            }
+          }
+          bad += same ? 0 : 1;
+        }
+      }
+    }
+    return bad;
+  }
+
+ private:
+  struct Chain {
+    ReferenceChain chain;
+    std::vector<std::vector<TupleId>> parent;             // [L][t]
+    std::vector<std::vector<std::vector<TupleId>>> kids;  // [L][t]
+
+    void Attach(int l, TupleId c, TupleId p) {
+      parent[static_cast<size_t>(l)][static_cast<size_t>(c)] = p;
+      kids[static_cast<size_t>(l - 1)][static_cast<size_t>(p)].push_back(c);
+    }
+    void Detach(int l, TupleId c) {
+      TupleId& p = parent[static_cast<size_t>(l)][static_cast<size_t>(c)];
+      if (p == kInvalidTuple) return;
+      auto& v = kids[static_cast<size_t>(l - 1)][static_cast<size_t>(p)];
+      *std::find(v.begin(), v.end(), c) = v.back();
+      v.pop_back();
+      p = kInvalidTuple;
+    }
+    // reach[L][t]: deepest level t's subtree reaches.
+    std::vector<std::vector<int>> Reach() const {
+      const int k = chain.length();
+      std::vector<std::vector<int>> r(static_cast<size_t>(k));
+      for (int l = k - 1; l >= 0; --l) {
+        const auto n = kids[static_cast<size_t>(l)].size();
+        r[static_cast<size_t>(l)].assign(n, l);
+        if (l == k - 1) continue;
+        for (size_t t = 0; t < n; ++t) {
+          for (const TupleId c : kids[static_cast<size_t>(l)][t]) {
+            r[static_cast<size_t>(l)][t] =
+                std::max(r[static_cast<size_t>(l)][t],
+                         r[static_cast<size_t>(l + 1)][static_cast<size_t>(c)]);
+          }
+        }
+      }
+      return r;
+    }
+  };
+
+  std::vector<Chain> chains_;
+};
+
+// A random re-parenting of up to `width` children on a random chain
+// edge: distinct live children holding a value, one live new parent.
+Modification RandomMove(const Database& db, const ReferenceChain& chain,
+                        int width, Rng* rng) {
+  const int l = static_cast<int>(rng->UniformInt(1, chain.length() - 1));
+  const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
+  const Table& p = db.table(chain.tables[static_cast<size_t>(l - 1)]);
+  const int col = chain.fk_cols[static_cast<size_t>(l - 1)];
+  std::vector<TupleId> kids;
+  for (int tries = 0; tries < 64 && static_cast<int>(kids.size()) < width;
+       ++tries) {
+    const TupleId c = rng->UniformInt(0, t.NumSlots() - 1);
+    if (t.IsLive(c) && t.column(col).IsValue(c) &&
+        std::find(kids.begin(), kids.end(), c) == kids.end()) {
+      kids.push_back(c);
+    }
+  }
+  TupleId parent = rng->UniformInt(0, p.NumSlots() - 1);
+  while (!p.IsLive(parent)) parent = rng->UniformInt(0, p.NumSlots() - 1);
+  return Modification::ReplaceValues(t.name(), kids, {col}, {Value(parent)});
+}
+
+TEST(LinearStatsTest, MatchesPerChainListModelUnderMovesAndPricing) {
+  for (const auto factory : {&XiamiLike, &DoubanMovieLike}) {
+    auto db = GenerateDataset(factory(0.3), 21)
+                  .ValueOrAbort()
+                  .Materialize(2)
+                  .ValueOrAbort();
+    SCOPED_TRACE(db->schema().name);
+    LinearPropertyTool tool(db->schema());
+    ASSERT_TRUE(tool.SetTargetFromDataset(*db).ok());
+    ASSERT_TRUE(tool.Bind(db.get()).ok());
+    const std::vector<ReferenceChain>& chains = tool.chains();
+    ListModel model(*db, chains);
+    ASSERT_EQ(model.Mismatches(tool.stats(), *db), 0);
+    Rng rng(8);
+    for (int step = 0; step < 400; ++step) {
+      const ReferenceChain& chain =
+          chains[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(chains.size()) - 1))];
+      const double roll = rng.UniformDouble();
+      if (roll < 0.4) {
+        const Modification mod =
+            RandomMove(*db, chain, step % 4 == 0 ? 3 : 1, &rng);
+        model.Run(*db, std::span<const Modification>(&mod, 1), false);
+        ASSERT_TRUE(db->Apply(mod).ok());
+      } else if (roll < 0.7) {
+        const Modification mod =
+            RandomMove(*db, chain, step % 3 == 0 ? 2 : 1, &rng);
+        model.Run(*db, std::span<const Modification>(&mod, 1), true);
+        tool.ValidationPenalty(mod);
+      } else {
+        // Moves of distinct tables, so the batch's tuples are disjoint.
+        std::vector<Modification> mods;
+        for (const ReferenceChain& c : chains) {
+          if (mods.size() == 3) break;
+          if (!rng.Bernoulli(0.2)) continue;
+          Modification mod = RandomMove(*db, c, 2, &rng);
+          const bool taken = std::any_of(
+              mods.begin(), mods.end(),
+              [&](const Modification& m) { return m.table == mod.table; });
+          if (!taken) mods.push_back(std::move(mod));
+        }
+        model.Run(*db, mods, true);
+        tool.ValidationPenaltyBatch(mods);
+      }
+      if (step % 100 == 99) {
+        ASSERT_EQ(model.Mismatches(tool.stats(), *db), 0) << "step " << step;
+      }
+    }
+    // Chains through one edge read one list.
+    const LinearStats& stats = tool.stats();
+    int pairs = 0;
+    for (int c = 0; c < stats.num_chains(); ++c) {
+      for (int l = 1; l < stats.chain(c).k(); ++l) {
+        ++pairs;
+        const EdgeLists& edge = stats.edge(stats.EdgeAt(c, l));
+        const ReferenceChain& chain = chains[static_cast<size_t>(c)];
+        const int64_t parents =
+            db->table(chain.tables[static_cast<size_t>(l - 1)]).NumSlots();
+        for (TupleId p = 0; p < parents; ++p) {
+          ASSERT_EQ(stats.chain(c).Children(l - 1, p).data(),
+                    edge.Children(p).data());
+        }
+      }
+    }
+    EXPECT_LT(stats.num_edges(), pairs);
+    tool.Unbind();
+  }
+}
+
+TEST(LinearStatsTest, EvaluateMoveEqualsApplyAndRevert) {
+  auto db = GenerateDataset(XiamiLike(0.3), 5)
+                .ValueOrAbort()
+                .Materialize(2)
+                .ValueOrAbort();
+  const auto chains = ReferenceGraph(db->schema()).MaximalChains();
+  LinearStats evaluated(chains);
+  evaluated.Build(*db);
+  LinearStats applied = evaluated;  // a copy reads its own lists
+  MoveDelta delta;
+  Rng rng(6);
+  for (int step = 0; step < 300; ++step) {
+    const ReferenceChain& chain = chains[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(chains.size()) - 1))];
+    const Modification mod =
+        RandomMove(*db, chain, step % 2 == 0 ? 1 : 4, &rng);
+    const int table = db->schema().TableIndex(mod.table);
+    const int e = evaluated.EdgeOf(table, mod.cols[0]);
+    const TupleId parent = mod.values[0].int64();
+    evaluated.EvaluateMove(e, mod.tuples, parent, &delta);
+
+    std::vector<JoinMatrix> before;
+    for (const LinearStats::Use& u : applied.Uses(e)) {
+      before.push_back(applied.chain(u.chain).matrix());
+    }
+    std::vector<std::pair<TupleId, TupleId>> moved;
+    for (const TupleId c : mod.tuples) {
+      const TupleId old = applied.edge(e).Parent(c);
+      if (old == parent) continue;
+      moved.emplace_back(c, old);
+      applied.Detach(e, c);
+      applied.Attach(e, c, parent);
+    }
+    const std::span<const LinearStats::Use> uses = applied.Uses(e);
+    for (size_t u = 0; u < uses.size(); ++u) {
+      const JoinMatrix& after = applied.chain(uses[u].chain).matrix();
+      for (int j = 1; j < after.k(); ++j) {
+        for (int i = 0; i < j; ++i) {
+          ASSERT_EQ(delta.at(static_cast<int>(u), j, i),
+                    after.at(j, i) - before[u].at(j, i))
+              << "step " << step;
+        }
+      }
+    }
+    for (auto it = moved.rbegin(); it != moved.rend(); ++it) {
+      applied.Detach(e, it->first);
+      if (it->second != kInvalidTuple) {
+        applied.Attach(e, it->first, it->second);
+      }
+    }
+  }
+  for (int c = 0; c < evaluated.num_chains(); ++c) {
+    EXPECT_EQ(evaluated.chain(c).matrix(), applied.chain(c).matrix());
+    EXPECT_EQ(StatsMismatches(evaluated.chain(c), applied.chain(c), *db), 0);
+  }
+}
+
+TEST(LinearStatsTest, ArenaCompactionKeepsListOrder) {
+  // Every child of B -> A moves under a0 and back, many times: blocks
+  // outgrow their room, move to the arena's end and get compacted.
+  auto db = ChainDb();
+  LinearStats stats({TheChain(db->schema())});
+  stats.Build(*db);
+  const int e = stats.EdgeAt(0, 1);
+  Rng rng(2);
+  std::vector<std::vector<TupleId>> want(4);
+  for (TupleId p = 0; p < 4; ++p) {
+    for (const TupleId c : stats.edge(e).Children(p)) {
+      want[static_cast<size_t>(p)].push_back(c);
+    }
+  }
+  for (int round = 0; round < 200; ++round) {
+    const TupleId c = rng.UniformInt(0, 4);
+    const TupleId p = rng.UniformInt(0, 3);
+    const TupleId old = stats.edge(e).Parent(c);
+    auto& from = want[static_cast<size_t>(old)];
+    *std::find(from.begin(), from.end(), c) = from.back();
+    from.pop_back();
+    want[static_cast<size_t>(p)].push_back(c);
+    stats.Detach(e, c);
+    stats.Attach(e, c, p);
+    for (TupleId q = 0; q < 4; ++q) {
+      ASSERT_TRUE(std::ranges::equal(stats.edge(e).Children(q),
+                                     want[static_cast<size_t>(q)]))
+          << "round " << round;
+    }
+  }
+  EXPECT_LE(stats.edge(e).ArenaCells(), 2 * stats.edge(e).LiveCells());
 }
 
 TEST(JoinMatrixTest, ErrorAgainstPaperExample) {
@@ -375,6 +711,30 @@ TEST(LinearToolTest, BatchPenaltyGivesDistinctIdsToBatchedInserts) {
   EXPECT_DOUBLE_EQ(penalty, tool.Error());
   EXPECT_EQ(tool.CurrentMatrix(0),
             ComputeJoinMatrix(*db, tool.chains()[0]));
+  tool.Unbind();
+}
+
+TEST(LinearToolTest, InsertedTuplesGetCounterRows) {
+  // A new root tuple, and a new child whose FK cell is NULL, attach
+  // nowhere; the search may still sample them, so their counters must
+  // exist (and read zero).
+  auto db = ChainDb();
+  LinearPropertyTool tool(db->schema());
+  ASSERT_TRUE(tool.SetTargetFromDataset(*db).ok());
+  ASSERT_TRUE(tool.Bind(db.get()).ok());
+  TupleId a = kInvalidTuple;
+  ASSERT_TRUE(
+      db->Apply(Modification::InsertTuple("A", {Value(int64_t{9})}), &a).ok());
+  TupleId c = kInvalidTuple;
+  ASSERT_TRUE(db->Apply(Modification::InsertTuple("C", {Value()}), &c).ok());
+  const ChainStats& s = tool.stats().chain(0);
+  EXPECT_EQ(s.MaxReach(0, a), 0);
+  EXPECT_EQ(s.MaxReach(2, c), 2);
+  EXPECT_EQ(s.Parent(2, c), kInvalidTuple);
+  // Attaching under the new root makes it reach B.
+  ASSERT_TRUE(db->Apply(Modification::InsertTuple("B", {Value(a)})).ok());
+  EXPECT_EQ(s.MaxReach(0, a), 1);
+  EXPECT_EQ(tool.CurrentMatrix(0), ComputeJoinMatrix(*db, tool.chains()[0]));
   tool.Unbind();
 }
 

@@ -57,8 +57,11 @@ TEST(EngineTest, DistinctPerGroup) {
   auto db = QDb();
   const auto d =
       DistinctPerGroup(*db, "Comment", "post", "user").ValueOrAbort();
-  EXPECT_EQ(d.at(0), 2);  // p0 commented by u1, u2
-  EXPECT_EQ(d.at(2), 1);  // p2 commented by u0 twice
+  const std::vector<std::pair<TupleId, int64_t>> want = {
+      {0, 2},  // p0 commented by u1, u2
+      {2, 1},  // p2 commented by u0 twice
+      {3, 1}};
+  EXPECT_EQ(d, want);
 }
 
 TEST(EngineTest, UsersWithRespondedPost) {

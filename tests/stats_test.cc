@@ -283,6 +283,35 @@ TEST(KeyInternerTest, ReserveKeepsIdsDenseAndGrowsPastIt) {
   EXPECT_EQ(interner.Find(std::vector<int64_t>{6, 0}), -1);
 }
 
+TEST(KeyInternerTest, AssignDistinctMatchesInterningOneByOne) {
+  for (const int32_t n : {0, 1, 7, 8, 9, 1000}) {
+    Rng rng(static_cast<uint64_t>(n) + 1);
+    KeyInterner one(3);
+    std::vector<int64_t> flat;
+    while (one.size() < n) {
+      const std::vector<int64_t> key = {rng.UniformInt(0, 20),
+                                        rng.UniformInt(-3, 3),
+                                        rng.UniformInt(0, int64_t{1} << 40)};
+      if (one.Find(key) >= 0) continue;
+      one.Intern(key);
+      flat.insert(flat.end(), key.begin(), key.end());
+    }
+    KeyInterner bulk(3);
+    bulk.AssignDistinct(flat);
+    ASSERT_EQ(bulk.size(), n);
+    for (int32_t id = 0; id < n; ++id) {
+      const auto k = one.key(id);
+      ASSERT_EQ(bulk.Find(k), id);
+      ASSERT_TRUE(std::ranges::equal(bulk.key(id), k));
+    }
+    EXPECT_EQ(bulk.Find(std::vector<int64_t>{21, 0, 0}), -1);
+    // Interning goes on past the bulk keys with the next ids.
+    const std::vector<int64_t> fresh = {-1, -1, -1};
+    EXPECT_EQ(bulk.Intern(fresh), n);
+    EXPECT_EQ(bulk.Find(fresh), n);
+  }
+}
+
 TEST(KeyOrderTest, MatchesStableLexicographicSort) {
   Rng rng(10);
   // Column value ranges by bit width; 64 is the full int64 span.
