@@ -1,14 +1,16 @@
 // Ablation: size-scaler comparison. Stage 1 of ASPECT is pluggable
-// (Sec. III-A: "S0 could be any tool"); this bench compares the five
-// shipped scalers by the property errors they leave *before* tweaking
-// and by where C-P-L tweaking lands afterwards.
+// (Sec. III-A: "S0 could be any tool"); this bench compares the
+// paper's three scalers (Dscaler, ReX, Rand) by the property errors
+// they leave *before* tweaking and by where C-P-L tweaking lands
+// afterwards.
 //
-// Expected shape: the correlation-aware scalers (Dscaler, UpSizeR)
-// leave the smallest initial errors; Rand the largest; Sampling is
-// scale-down oriented, so in this scale-UP scenario its cloning
-// inflates coappear multiplicities and it starts worst of all. After
-// tweaking, every scaler converges to the same small residuals - the
-// paper's point that property enforcement is orthogonal to S0.
+// Expected shape: Rand leaves the largest initial error on every
+// property. Dscaler leaves the smallest linear and pairwise errors,
+// and ReX's coappear error is about Dscaler's. After tweaking, linear
+// (run last) is exact for all three and every residual falls, but the
+// ranking of the start largely survives: Dscaler ends lowest on
+// coappear and pairwise, and ReX ends with the largest pairwise
+// residual.
 #include "bench_util.h"
 
 using namespace aspect;
@@ -21,7 +23,7 @@ int main() {
   Header({"scaler", "L-before", "L-after", "C-before", "C-after",
           "P-before", "P-after", "tweak-s"});
   for (const char* scaler :
-       {"Dscaler", "UpSizeR", "Sampling", "ReX", "Rand"}) {
+       {"Dscaler", "ReX", "Rand"}) {
     ExperimentConfig c;
     c.blueprint = DoubanMusicLike(0.5);
     c.seed = kSeed;

@@ -1,7 +1,7 @@
 // aspect_cli: the end-to-end command line for dataset scaling.
 //
 //   aspect_cli --schema schema.txt --data in_dir --out out_dir
-//              --scale 2.5  [--scaler Dscaler|ReX|Rand|Sampling]
+//              --scale 2.5  [--scaler Dscaler|ReX|Rand]
 //              [--tools coappear,linear,pairwise] [--iterations 2]
 //              [--seed 7] [--truth truth_dir]
 //              [--save-targets file] [--load-targets file] [--profile]
@@ -11,12 +11,10 @@
 //              [--batch N|auto] [--check-scopes off|warn|strict|sampled]
 //              [--route-votes off|on|audit]
 //
-// Besides the registry names, --tools accepts direct column-tool
-// specs with an optional row-interval restriction:
+// Besides the registry names, --tools accepts a direct column-tool
+// spec with an optional row-interval restriction:
 //
 //   column-freq:TABLE.COLUMN[@LO-HI]
-//   null-count:TABLE.COLUMN[@LO-HI]
-//   domain-bounds:TABLE.COLUMN[@LO-HI]
 //
 // A @LO-HI suffix restricts the tool to tuple ids [LO, HI] and makes
 // its declared scope row-ranged, so two specs splitting one column
@@ -49,8 +47,6 @@
 #include "relational/csv.h"
 #include "relational/integrity.h"
 #include "relational/schema_text.h"
-#include "scaler/sampling_scaler.h"
-#include "scaler/upsizer.h"
 #include "scaler/size_scaler.h"
 #include "workload/generator.h"
 
@@ -201,8 +197,8 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Direct column-tool specs ("column-freq:T.C[@LO-HI]" etc.): these
-/// carry a table/column (and optional row interval) the registry's
+/// Direct column-tool specs ("column-freq:T.C[@LO-HI]"): these carry
+/// a table/column (and optional row interval) the registry's
 /// schema-only factories cannot, so they are constructed here.
 Result<std::unique_ptr<PropertyTool>> MakeColumnToolSpec(
     const std::string& spec, const Schema& schema) {
@@ -238,29 +234,7 @@ Result<std::unique_ptr<PropertyTool>> MakeColumnToolSpec(
     if (has_range) tool->SetRowRange(lo, hi);
     return std::unique_ptr<PropertyTool>(std::move(tool));
   }
-  if (kind == "null-count") {
-    auto tool = std::make_unique<NullCountTool>(schema, table, column);
-    if (has_range) tool->SetRowRange(lo, hi);
-    return std::unique_ptr<PropertyTool>(std::move(tool));
-  }
-  if (kind == "domain-bounds") {
-    auto tool = std::make_unique<DomainBoundsTool>(schema, table, column);
-    if (has_range) tool->SetRowRange(lo, hi);
-    return std::unique_ptr<PropertyTool>(std::move(tool));
-  }
   return Status::Invalid("unknown tool spec " + spec);
-}
-
-Result<std::unique_ptr<SizeScaler>> MakeScaler(const std::string& name) {
-  if (name == "Dscaler")
-    return std::unique_ptr<SizeScaler>(new DscalerScaler());
-  if (name == "ReX") return std::unique_ptr<SizeScaler>(new RexScaler());
-  if (name == "Rand") return std::unique_ptr<SizeScaler>(new RandScaler());
-  if (name == "Sampling")
-    return std::unique_ptr<SizeScaler>(new SamplingScaler());
-  if (name == "UpSizeR")
-    return std::unique_ptr<SizeScaler>(new UpSizerScaler());
-  return Status::Invalid("unknown scaler " + name);
 }
 
 Status Run(const Args& args) {
@@ -322,9 +296,7 @@ Status Run(const Args& args) {
   std::vector<int> order;
   for (const std::string& tool : Split(a.tools, ',')) {
     if (tool.empty()) continue;
-    if (tool.rfind("column-freq:", 0) == 0 ||
-        tool.rfind("null-count:", 0) == 0 ||
-        tool.rfind("domain-bounds:", 0) == 0) {
+    if (tool.find(':') != std::string::npos) {
       ASPECT_ASSIGN_OR_RETURN(auto t, MakeColumnToolSpec(tool, schema));
       order.push_back(coordinator.AddTool(std::move(t)));
       continue;

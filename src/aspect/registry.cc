@@ -18,7 +18,8 @@ Result<std::unique_ptr<PropertyTool>> ToolRegistry::Make(
   const auto it = factories_.find(name);
   if (it == factories_.end()) {
     return Status::KeyError(
-        StrFormat("no tool '%s' in the repository", name.c_str()));
+        StrFormat("unknown tool '%s' (registered: %s)", name.c_str(),
+                  Join(Names(), ", ").c_str()));
   }
   return it->second(schema);
 }

@@ -42,8 +42,7 @@ class ToolRegistry {
 };
 
 /// Registers the tools shipped with this repository (linear, coappear,
-/// pairwise, column-frequency, null-count, tuple-count) into the
-/// global registry. Idempotent.
+/// pairwise, tuple-count) into the global registry. Idempotent.
 void RegisterBuiltinTools();
 
 }  // namespace aspect

@@ -31,12 +31,6 @@ struct GenOptions {
 /// depend only on the row count for thread-count-independent output.
 inline constexpr int64_t kGenShardRows = 2048;
 
-/// Stream label for the serial side-channel of a sharded producer
-/// (degree-sequence sampling, candidate shuffles, top-up loops):
-/// far outside the dense [0, num_shards) label range of the row
-/// shards, so the two never collide in one table's stream tree.
-inline constexpr uint64_t kAuxStreamLabel = 0xA5FEC7'5E71A1ull;
-
 /// One contiguous row range [begin, end) plus its stable index — the
 /// shard's position in the decomposition and its RNG fork label.
 struct RowShard {

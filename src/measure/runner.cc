@@ -8,28 +8,11 @@
 #include "properties/pairwise.h"
 #include "query/queries.h"
 #include "relational/integrity.h"
-#include "scaler/sampling_scaler.h"
 #include "scaler/size_scaler.h"
-#include "scaler/upsizer.h"
 #include "workload/generator.h"
 
 namespace aspect {
 namespace {
-
-Result<std::unique_ptr<SizeScaler>> MakeScaler(const std::string& name) {
-  if (name == "Dscaler") {
-    return std::unique_ptr<SizeScaler>(new DscalerScaler());
-  }
-  if (name == "ReX") return std::unique_ptr<SizeScaler>(new RexScaler());
-  if (name == "Rand") return std::unique_ptr<SizeScaler>(new RandScaler());
-  if (name == "UpSizeR") {
-    return std::unique_ptr<SizeScaler>(new UpSizerScaler());
-  }
-  if (name == "Sampling") {
-    return std::unique_ptr<SizeScaler>(new SamplingScaler());
-  }
-  return Status::Invalid(StrFormat("unknown scaler '%s'", name.c_str()));
-}
 
 /// Binds measurement tools (targets from truth, repaired for the
 /// database's actual sizes) and reads the three property errors.

@@ -3,7 +3,6 @@
 // collaborative model is built around.
 #include "aspect/registry.h"
 #include "properties/coappear.h"
-#include "properties/degree.h"
 #include "properties/linear.h"
 #include "properties/pairwise.h"
 #include "properties/simple.h"
@@ -20,9 +19,6 @@ void RegisterBuiltinTools() {
   });
   registry.Register("pairwise", [](const Schema& schema) {
     return std::make_unique<PairwisePropertyTool>(schema);
-  });
-  registry.Register("degree", [](const Schema& schema) {
-    return std::make_unique<DegreeDistributionTool>(schema);
   });
   registry.Register("tuple-count", [](const Schema& schema) {
     return std::make_unique<TupleCountTool>(schema);

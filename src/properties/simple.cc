@@ -461,545 +461,6 @@ Status ColumnFreqTool::Tweak(TweakContext* ctx) {
 }
 
 // ---------------------------------------------------------------------
-// NullCountTool
-// ---------------------------------------------------------------------
-
-NullCountTool::NullCountTool(const Schema& schema, std::string table,
-                             std::string column)
-    : name_("nulls:" + table + "." + column),
-      table_(std::move(table)),
-      column_(std::move(column)) {
-  table_index_ = schema.TableIndex(table_);
-  if (table_index_ >= 0) {
-    col_index_ =
-        schema.tables[static_cast<size_t>(table_index_)].ColumnIndex(column_);
-  }
-}
-
-void NullCountTool::SetRowRange(int64_t lo, int64_t hi) {
-  if (lo > hi) std::swap(lo, hi);
-  has_range_ = true;
-  range_lo_ = lo;
-  range_hi_ = hi;
-  name_ = StrFormat("%s@%lld-%lld", name_.c_str(),
-                    static_cast<long long>(lo), static_cast<long long>(hi));
-}
-
-AccessScope NullCountTool::DeclaredScope() const {
-  AccessScope scope;
-  if (table_index_ < 0 || col_index_ < 0) return scope;  // unknown
-  scope.known = true;
-  if (has_range_) {
-    scope.AddWriteRange(table_index_, col_index_, range_lo_, range_hi_);
-  } else {
-    scope.AddWrite(table_index_, col_index_);
-  }
-  // The null count is taken over the live-tuple set.
-  scope.AddRead(table_index_, AccessScope::kRowStructure);
-  return scope;
-}
-
-Status NullCountTool::SetTargetFromDataset(const Database& ground_truth) {
-  const Table* t = ground_truth.FindTable(table_);
-  if (t == nullptr) return Status::KeyError("nulls: no table " + table_);
-  const int col = t->ColumnIndex(column_);
-  if (col < 0) return Status::KeyError("nulls: no column " + column_);
-  target_ = 0;
-  t->ForEachLive([&](TupleId tid) {
-    if (InRange(tid)) target_ += t->column(col).IsNull(tid);
-  });
-  return Status::OK();
-}
-
-Status NullCountTool::RepairTarget() {
-  if (!bound()) return Status::Invalid("nulls: RepairTarget needs Bind");
-  target_ = std::min(target_, db_->FindTable(table_)->NumTuples());
-  return Status::OK();
-}
-
-Status NullCountTool::CheckTargetFeasible() const {
-  if (!bound()) return Status::Invalid("nulls: needs Bind");
-  if (target_ < 0 || target_ > db_->FindTable(table_)->NumTuples()) {
-    return Status::Infeasible("null count outside [0, |T|]");
-  }
-  return Status::OK();
-}
-
-Status NullCountTool::Bind(Database* db) {
-  const Table* t = db->FindTable(table_);
-  if (t == nullptr || t->ColumnIndex(column_) < 0) {
-    return Status::KeyError("nulls: missing " + table_ + "." + column_);
-  }
-  if (t->column(t->ColumnIndex(column_)).is_foreign_key()) {
-    return Status::Invalid("nulls: foreign keys cannot be nulled");
-  }
-  db_ = db;
-  const int col = t->ColumnIndex(column_);
-  current_ = 0;
-  t->ForEachLive([&](TupleId tid) {
-    if (InRange(tid)) current_ += t->column(col).IsNull(tid);
-  });
-  db_->AddListener(this);
-  return Status::OK();
-}
-
-void NullCountTool::Unbind() {
-  if (db_ != nullptr) {
-    db_->RemoveListener(this);
-    db_ = nullptr;
-  }
-}
-
-double NullCountTool::Error() const {
-  const int64_t n =
-      std::max<int64_t>(1, db_->FindTable(table_)->NumTuples());
-  return static_cast<double>(std::llabs(current_ - target_)) /
-         static_cast<double>(n);
-}
-
-void NullCountTool::OnApplied(const Modification& mod,
-                              const std::vector<Value>& old_values,
-                              TupleId new_tuple) {
-  (void)new_tuple;
-  if (db_ == nullptr || mod.table != table_) return;
-  const Table* t = db_->FindTable(table_);
-  if (t == nullptr) return;  // table dropped since the bind
-  const int col = t->ColumnIndex(column_);
-  switch (mod.kind) {
-    case OpKind::kDeleteValues:
-    case OpKind::kInsertValues:
-    case OpKind::kReplaceValues:
-      for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
-        if (mod.cols[cj] != col) continue;
-        for (size_t tj = 0; tj < mod.tuples.size(); ++tj) {
-          if (!InRange(mod.tuples[tj])) continue;
-          current_ -= old_values[tj * mod.cols.size() + cj].is_null();
-          if (mod.kind != OpKind::kDeleteValues) {
-            current_ += mod.values[cj].is_null();
-          }
-        }
-      }
-      break;
-    case OpKind::kInsertTuple:
-      if (InRange(new_tuple)) {
-        current_ += mod.values[static_cast<size_t>(col)].is_null();
-      }
-      break;
-    case OpKind::kDeleteTuple:
-      if (InRange(mod.tuples[0])) {
-        current_ -= old_values[static_cast<size_t>(col)].is_null();
-      }
-      break;
-  }
-}
-
-int64_t NullCountTool::DeltaOf(const Modification& mod) const {
-  if (mod.table != table_) return 0;
-  const Table* t = db_->FindTable(table_);
-  if (t == nullptr) return 0;  // table dropped: nothing to defend
-  const int col = t->ColumnIndex(column_);
-  int64_t delta = 0;
-  switch (mod.kind) {
-    case OpKind::kDeleteValues:
-    case OpKind::kInsertValues:
-    case OpKind::kReplaceValues:
-      for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
-        if (mod.cols[cj] != col) continue;
-        for (const TupleId tid : mod.tuples) {
-          // Out-of-range cells are outside the statistic and the
-          // declared read scope: skip before the read.
-          if (!InRange(tid)) continue;
-          delta -= t->column(col).IsNull(tid);
-          if (mod.kind != OpKind::kDeleteValues) {
-            delta += mod.values[cj].is_null();
-          }
-        }
-      }
-      break;
-    case OpKind::kInsertTuple:
-      delta += mod.values[static_cast<size_t>(col)].is_null();
-      break;
-    case OpKind::kDeleteTuple:
-      if (InRange(mod.tuples[0])) {
-        delta -= t->column(col).IsNull(mod.tuples[0]);
-      }
-      break;
-  }
-  return delta;
-}
-
-double NullCountTool::ValidationPenalty(const Modification& mod) const {
-  if (db_ == nullptr) return 0.0;
-  const int64_t delta = DeltaOf(mod);
-  if (delta == 0) return 0.0;
-  const int64_t n =
-      std::max<int64_t>(1, db_->FindTable(table_)->NumTuples());
-  return static_cast<double>(std::llabs(current_ + delta - target_) -
-                             std::llabs(current_ - target_)) /
-         static_cast<double>(n);
-}
-
-double NullCountTool::ValidationPenaltyBatch(
-    std::span<const Modification> mods, double veto_cap) const {
-  (void)veto_cap;  // one |sum| evaluation at the end; nothing to cap
-  if (db_ == nullptr) return 0.0;
-  // Disjoint-tuple batches make the per-mod deltas independent, so the
-  // composite is one |sum| evaluation (the per-mod penalty sum is not:
-  // |.| is not additive).
-  int64_t delta = 0;
-  for (const Modification& mod : mods) delta += DeltaOf(mod);
-  if (delta == 0) return 0.0;
-  const Table* t = db_->FindTable(table_);
-  if (t == nullptr) return 0.0;
-  const int64_t n = std::max<int64_t>(1, t->NumTuples());
-  return static_cast<double>(std::llabs(current_ + delta - target_) -
-                             std::llabs(current_ - target_)) /
-         static_cast<double>(n);
-}
-
-Status NullCountTool::Tweak(TweakContext* ctx) {
-  if (!bound()) return Status::Invalid("nulls: Tweak needs Bind");
-  Table* t = db_->FindTable(table_);
-  const int col = t->ColumnIndex(column_);
-  int64_t delta = target_ - current_;
-  // Null surplus values or fill surplus nulls with a sampled value.
-  Value fill;
-  t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;  // before any cell read
-    if (fill.is_null() && t->column(col).IsValue(tid)) {
-      fill = t->column(col).Get(tid);
-    }
-  });
-  if (fill.is_null()) fill = Value(int64_t{0});
-  std::vector<TupleId> candidates;
-  t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;
-    if (delta > 0 ? t->column(col).IsValue(tid)
-                  : t->column(col).IsNull(tid)) {
-      candidates.push_back(tid);
-    }
-  });
-  ctx->rng()->Shuffle(&candidates);
-  for (const TupleId tid : candidates) {
-    if (delta == 0) break;
-    Modification mod = Modification::ReplaceValues(
-        table_, {tid}, {col}, {delta > 0 ? Value() : fill});
-    Status st = ctx->TryApply(mod);
-    if (st.IsValidationFailed()) continue;  // plenty of alternatives
-    ASPECT_RETURN_NOT_OK(st);
-    delta += delta > 0 ? -1 : 1;
-  }
-  // Force the remainder if validators blocked everything.
-  for (const TupleId tid : candidates) {
-    if (delta == 0) break;
-    if (delta > 0 ? !t->column(col).IsValue(tid)
-                  : !t->column(col).IsNull(tid)) {
-      continue;
-    }
-    ASPECT_RETURN_NOT_OK(ctx->ForceApply(Modification::ReplaceValues(
-        table_, {tid}, {col}, {delta > 0 ? Value() : fill})));
-    delta += delta > 0 ? -1 : 1;
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------
-// DomainBoundsTool
-// ---------------------------------------------------------------------
-
-DomainBoundsTool::DomainBoundsTool(const Schema& schema, std::string table,
-                                   std::string column)
-    : name_("bounds:" + table + "." + column),
-      table_(std::move(table)),
-      column_(std::move(column)) {
-  table_index_ = schema.TableIndex(table_);
-  if (table_index_ >= 0) {
-    col_index_ =
-        schema.tables[static_cast<size_t>(table_index_)].ColumnIndex(column_);
-  }
-}
-
-void DomainBoundsTool::SetRowRange(int64_t lo, int64_t hi) {
-  if (lo > hi) std::swap(lo, hi);
-  has_range_ = true;
-  range_lo_ = lo;
-  range_hi_ = hi;
-  name_ = StrFormat("%s@%lld-%lld", name_.c_str(),
-                    static_cast<long long>(lo), static_cast<long long>(hi));
-}
-
-AccessScope DomainBoundsTool::DeclaredScope() const {
-  AccessScope scope;
-  if (table_index_ < 0 || col_index_ < 0) return scope;  // unknown
-  scope.known = true;
-  if (has_range_) {
-    scope.AddWriteRange(table_index_, col_index_, range_lo_, range_hi_);
-  } else {
-    scope.AddWrite(table_index_, col_index_);
-  }
-  // Victim scans and the random bound-pinning picks walk the slot /
-  // liveness structure of the table.
-  scope.AddRead(table_index_, AccessScope::kRowStructure);
-  return scope;
-}
-
-Status DomainBoundsTool::SetTargetFromDataset(const Database& ground_truth) {
-  const Table* t = ground_truth.FindTable(table_);
-  if (t == nullptr) return Status::KeyError("bounds: no table " + table_);
-  const int col = t->ColumnIndex(column_);
-  if (col < 0) return Status::KeyError("bounds: no column " + column_);
-  bool any = false;
-  t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;  // before any cell read
-    if (!t->column(col).IsValue(tid)) return;
-    const int64_t v = t->column(col).GetInt(tid);
-    if (!any) {
-      target_min_ = target_max_ = v;
-      any = true;
-    } else {
-      target_min_ = std::min(target_min_, v);
-      target_max_ = std::max(target_max_, v);
-    }
-  });
-  if (!any) return Status::Invalid("bounds: ground-truth column empty");
-  return Status::OK();
-}
-
-Status DomainBoundsTool::RepairTarget() {
-  if (target_min_ > target_max_) std::swap(target_min_, target_max_);
-  return Status::OK();
-}
-
-Status DomainBoundsTool::CheckTargetFeasible() const {
-  if (!bound()) return Status::Invalid("bounds: needs Bind");
-  if (target_min_ > target_max_) {
-    return Status::Infeasible("bounds: min above max");
-  }
-  if (db_->FindTable(table_)->NumTuples() < 2 &&
-      target_min_ != target_max_) {
-    return Status::Infeasible("bounds: need two tuples for two bounds");
-  }
-  return Status::OK();
-}
-
-void DomainBoundsTool::Recount() {
-  const Table* t = db_->FindTable(table_);
-  const int col = t->ColumnIndex(column_);
-  out_of_range_ = at_min_ = at_max_ = 0;
-  t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;
-    if (!t->column(col).IsValue(tid)) return;
-    const int64_t v = t->column(col).GetInt(tid);
-    out_of_range_ += v < target_min_ || v > target_max_;
-    at_min_ += v == target_min_;
-    at_max_ += v == target_max_;
-  });
-}
-
-Status DomainBoundsTool::Bind(Database* db) {
-  const Table* t = db->FindTable(table_);
-  if (t == nullptr || t->ColumnIndex(column_) < 0) {
-    return Status::KeyError("bounds: missing " + table_ + "." + column_);
-  }
-  if (t->column(t->ColumnIndex(column_)).type() != ColumnType::kInt64) {
-    return Status::Invalid("bounds: column must be int64");
-  }
-  db_ = db;
-  Recount();
-  db_->AddListener(this);
-  return Status::OK();
-}
-
-void DomainBoundsTool::Unbind() {
-  if (db_ != nullptr) {
-    db_->RemoveListener(this);
-    db_ = nullptr;
-  }
-}
-
-double DomainBoundsTool::ErrorOf(int64_t out_of_range, bool has_min,
-                                 bool has_max) const {
-  const double n = static_cast<double>(
-      std::max<int64_t>(1, db_->FindTable(table_)->NumTuples()));
-  return static_cast<double>(out_of_range) / n + (has_min ? 0.0 : 1.0) +
-         (has_max ? 0.0 : 1.0);
-}
-
-double DomainBoundsTool::Error() const {
-  return ErrorOf(out_of_range_, at_min_ > 0, at_max_ > 0);
-}
-
-void DomainBoundsTool::OnApplied(const Modification& mod,
-                                 const std::vector<Value>& old_values,
-                                 TupleId new_tuple) {
-  (void)new_tuple;
-  if (db_ == nullptr || mod.table != table_) return;
-  const Table* table = db_->FindTable(table_);
-  if (table == nullptr) return;  // table dropped since the bind
-  const int col = table->ColumnIndex(column_);
-  auto remove = [&](const Value& v) {
-    if (v.is_null()) return;
-    const int64_t x = v.int64();
-    out_of_range_ -= x < target_min_ || x > target_max_;
-    at_min_ -= x == target_min_;
-    at_max_ -= x == target_max_;
-  };
-  auto add = [&](const Value& v) {
-    if (v.is_null()) return;
-    const int64_t x = v.int64();
-    out_of_range_ += x < target_min_ || x > target_max_;
-    at_min_ += x == target_min_;
-    at_max_ += x == target_max_;
-  };
-  switch (mod.kind) {
-    case OpKind::kDeleteValues:
-    case OpKind::kInsertValues:
-    case OpKind::kReplaceValues:
-      for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
-        if (mod.cols[cj] != col) continue;
-        for (size_t tj = 0; tj < mod.tuples.size(); ++tj) {
-          if (!InRange(mod.tuples[tj])) continue;
-          remove(old_values[tj * mod.cols.size() + cj]);
-          if (mod.kind != OpKind::kDeleteValues) add(mod.values[cj]);
-        }
-      }
-      break;
-    case OpKind::kInsertTuple:
-      if (InRange(new_tuple)) add(mod.values[static_cast<size_t>(col)]);
-      break;
-    case OpKind::kDeleteTuple:
-      if (InRange(mod.tuples[0])) {
-        remove(old_values[static_cast<size_t>(col)]);
-      }
-      break;
-  }
-}
-
-void DomainBoundsTool::AccumulateDeltas(const Modification& mod,
-                                        const Table* t, int col,
-                                        int64_t* oor, int64_t* dmin,
-                                        int64_t* dmax) const {
-  auto remove = [&](const Value& v) {
-    if (v.is_null()) return;
-    const int64_t x = v.int64();
-    *oor -= x < target_min_ || x > target_max_;
-    *dmin -= x == target_min_;
-    *dmax -= x == target_max_;
-  };
-  auto add = [&](const Value& v) {
-    if (v.is_null()) return;
-    const int64_t x = v.int64();
-    *oor += x < target_min_ || x > target_max_;
-    *dmin += x == target_min_;
-    *dmax += x == target_max_;
-  };
-  switch (mod.kind) {
-    case OpKind::kDeleteValues:
-    case OpKind::kInsertValues:
-    case OpKind::kReplaceValues:
-      for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
-        if (mod.cols[cj] != col) continue;
-        for (const TupleId tid : mod.tuples) {
-          // Out-of-range cells are outside the statistic and the
-          // declared read scope: skip before the read.
-          if (!InRange(tid)) continue;
-          remove(t->column(col).Get(tid));
-          if (mod.kind != OpKind::kDeleteValues) add(mod.values[cj]);
-        }
-      }
-      break;
-    case OpKind::kInsertTuple:
-      add(mod.values[static_cast<size_t>(col)]);
-      break;
-    case OpKind::kDeleteTuple:
-      if (InRange(mod.tuples[0])) {
-        remove(t->column(col).Get(mod.tuples[0]));
-      }
-      break;
-  }
-}
-
-double DomainBoundsTool::ValidationPenalty(const Modification& mod) const {
-  if (db_ == nullptr || mod.table != table_) return 0.0;
-  const Table* t = db_->FindTable(table_);
-  if (t == nullptr) return 0.0;  // table dropped: nothing to defend
-  const int col = t->ColumnIndex(column_);
-  int64_t oor = 0, dmin = 0, dmax = 0;
-  AccumulateDeltas(mod, t, col, &oor, &dmin, &dmax);
-  if (oor == 0 && dmin == 0 && dmax == 0) return 0.0;
-  return ErrorOf(out_of_range_ + oor, at_min_ + dmin > 0,
-                 at_max_ + dmax > 0) -
-         Error();
-}
-
-double DomainBoundsTool::ValidationPenaltyBatch(
-    std::span<const Modification> mods, double veto_cap) const {
-  (void)veto_cap;  // composite priced once at the end; nothing to cap
-  if (db_ == nullptr) return 0.0;
-  const Table* t = db_->FindTable(table_);
-  if (t == nullptr) return 0.0;
-  const int col = t->ColumnIndex(column_);
-  // The at-bound error terms are thresholded, not additive: sum every
-  // mod's deltas first (independent on disjoint tuples), then price the
-  // composite once.
-  int64_t oor = 0, dmin = 0, dmax = 0;
-  for (const Modification& mod : mods) {
-    if (mod.table != table_) continue;
-    AccumulateDeltas(mod, t, col, &oor, &dmin, &dmax);
-  }
-  if (oor == 0 && dmin == 0 && dmax == 0) return 0.0;
-  return ErrorOf(out_of_range_ + oor, at_min_ + dmin > 0,
-                 at_max_ + dmax > 0) -
-         Error();
-}
-
-Status DomainBoundsTool::Tweak(TweakContext* ctx) {
-  if (!bound()) return Status::Invalid("bounds: Tweak needs Bind");
-  Table* t = db_->FindTable(table_);
-  const int col = t->ColumnIndex(column_);
-  // Clamp every out-of-range value.
-  std::vector<TupleId> victims;
-  t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;  // before any cell read
-    if (!t->column(col).IsValue(tid)) return;
-    const int64_t v = t->column(col).GetInt(tid);
-    if (v < target_min_ || v > target_max_) victims.push_back(tid);
-  });
-  for (const TupleId tid : victims) {
-    const int64_t v = t->column(col).GetInt(tid);
-    Modification mod = Modification::ReplaceValues(
-        table_, {tid}, {col},
-        {Value(v < target_min_ ? target_min_ : target_max_)});
-    ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
-  }
-  // Pin one tuple to each missing bound.
-  for (const auto& [needed, value] :
-       {std::pair<bool, int64_t>{at_min_ == 0, target_min_},
-        std::pair<bool, int64_t>{at_max_ == 0, target_max_}}) {
-    if (!needed || t->NumTuples() == 0) continue;
-    // Restrict the random pick to the declared row interval so the pin
-    // never reads (or writes) a cell outside the certified range.
-    const int64_t pick_lo = has_range_ ? std::max<int64_t>(0, range_lo_) : 0;
-    const int64_t pick_hi = has_range_
-                                ? std::min<int64_t>(range_hi_,
-                                                    t->NumSlots() - 1)
-                                : t->NumSlots() - 1;
-    if (pick_hi < pick_lo) continue;
-    for (int tries = 0; tries < 64; ++tries) {
-      const TupleId tid = ctx->rng()->UniformInt(pick_lo, pick_hi);
-      if (!t->IsLive(tid) || !t->column(col).IsValue(tid)) continue;
-      const int64_t v = t->column(col).GetInt(tid);
-      if (v == target_min_ || v == target_max_) continue;  // keep bounds
-      Modification mod = Modification::ReplaceValues(table_, {tid}, {col},
-                                                     {Value(value)});
-      ASPECT_RETURN_NOT_OK(ctx->TryOrForce(mod));
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------
 // TupleCountTool
 // ---------------------------------------------------------------------
 

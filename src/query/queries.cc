@@ -162,24 +162,6 @@ Result<std::vector<NamedQuery>> QuerySuiteFor(const Schema& schema) {
                                    "user pairs interacting via reviews"));
     return out;
   }
-  if (schema.name == "RetailLike") {
-    NamedQuery q1;
-    q1.name = "Q1";
-    q1.description = "customers with an order that has lineitems";
-    q1.eval = [](const Database& db) {
-      return CountGrandparentsWithRespondedChild(
-          db, "Lineitem", "fk_Orders_0", "Orders", "fk_Customer_0");
-    };
-    out.push_back(std::move(q1));
-    out.push_back(AtMostKUsers("Lineitem", "fk_Orders_0", "fk_Part_1",
-                               "orders with at most 10 distinct parts"));
-    out.push_back(AvgUsers("Part", "Lineitem", "fk_Part_1", "fk_Orders_0",
-                           "average distinct orders per part"));
-    out.push_back(AtMostKUsers("PartSupp", "fk_Part_0", "fk_Supplier_1",
-                               "parts with at most 10 suppliers"));
-    out.back().name = "Q4";
-    return out;
-  }
   return Status::Invalid(
       StrFormat("no query suite for schema '%s'", schema.name.c_str()));
 }

@@ -269,4 +269,14 @@ std::vector<std::unique_ptr<SizeScaler>> BuiltinScalers() {
   return out;
 }
 
+Result<std::unique_ptr<SizeScaler>> MakeScaler(const std::string& name) {
+  std::vector<std::string> names;
+  for (std::unique_ptr<SizeScaler>& scaler : BuiltinScalers()) {
+    if (scaler->name() == name) return std::move(scaler);
+    names.push_back(scaler->name());
+  }
+  return Status::Invalid(StrFormat("unknown scaler '%s' (valid: %s)",
+                                   name.c_str(), Join(names, ", ").c_str()));
+}
+
 }  // namespace aspect

@@ -84,4 +84,8 @@ class DscalerScaler : public SizeScaler {
 /// All three built-in scalers, in the order the paper plots them.
 std::vector<std::unique_ptr<SizeScaler>> BuiltinScalers();
 
+/// The built-in scaler called `name`; an Invalid status listing the
+/// valid names otherwise.
+Result<std::unique_ptr<SizeScaler>> MakeScaler(const std::string& name);
+
 }  // namespace aspect

@@ -71,24 +71,4 @@ double PolyEval(const std::vector<double>& coeffs, double x) {
   return acc;
 }
 
-double PoissonMle(const std::vector<int64_t>& samples) {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (const int64_t s : samples) sum += static_cast<double>(s);
-  return sum / static_cast<double>(samples.size());
-}
-
-Result<std::vector<double>> PowerLawFit(const std::vector<double>& xs,
-                                        const std::vector<double>& ys) {
-  std::vector<double> lx, ly;
-  for (size_t i = 0; i < xs.size() && i < ys.size(); ++i) {
-    if (xs[i] > 0 && ys[i] > 0) {
-      lx.push_back(std::log(xs[i]));
-      ly.push_back(std::log(ys[i]));
-    }
-  }
-  ASPECT_ASSIGN_OR_RETURN(std::vector<double> line, PolyFit(lx, ly, 1));
-  return std::vector<double>{std::exp(line[0]), line[1]};
-}
-
 }  // namespace aspect

@@ -3,7 +3,6 @@
 // snapshot size and extrapolated to the target size.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -21,13 +20,5 @@ Result<std::vector<double>> PolyFit(const std::vector<double>& xs,
 
 /// Evaluates a polynomial (coefficients lowest-degree first) at x.
 double PolyEval(const std::vector<double>& coeffs, double x);
-
-/// Maximum-likelihood Poisson mean of the samples (the sample mean).
-double PoissonMle(const std::vector<int64_t>& samples);
-
-/// Fits log(y) = log(a) + b*log(x), returning {a, b}; ignores
-/// non-positive points. Fails with fewer than two usable points.
-Result<std::vector<double>> PowerLawFit(const std::vector<double>& xs,
-                                        const std::vector<double>& ys);
 
 }  // namespace aspect

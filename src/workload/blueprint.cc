@@ -234,21 +234,4 @@ DatasetBlueprint DoubanMusicLike(double scale) {
   return d;
 }
 
-
-DatasetBlueprint RetailLike(double scale) {
-  DatasetBlueprint d;
-  d.name = "RetailLike";
-  auto s = [scale](int64_t base) { return Scaled(scale, base); };
-  d.tables.push_back(Root("Region", s(5), 1.0));
-  d.tables.push_back(Entity("Nation", {"Region"}, s(25), 1.05));
-  d.tables.push_back(Entity("Customer", {"Nation"}, s(300), 1.5));
-  d.tables.push_back(Entity("Supplier", {"Nation"}, s(40), 1.3));
-  d.tables.push_back(Root("Part", s(200), 1.35));
-  d.tables.push_back(Activity("PartSupp", {"Part", "Supplier"}, s(400), 1.35));
-  d.tables.push_back(Entity("Orders", {"Customer"}, s(450), 1.55));
-  d.tables.push_back(
-      Activity("Lineitem", {"Orders", "Part"}, s(1200), 1.6));
-  return d;
-}
-
 }  // namespace aspect

@@ -77,11 +77,4 @@ DatasetBlueprint DoubanBookLike(double scale = 1.0);
 /// Music social network modelled on DoubanMusic (Fig. 21): 11 tables.
 DatasetBlueprint DoubanMusicLike(double scale = 1.0);
 
-/// TPC-H-flavoured retail schema (8 tables, a 5-deep reference chain
-/// Lineitem -> Orders -> Customer -> Nation -> Region). No sonSchema
-/// roles: demonstrates that the framework is not tied to social
-/// networks - linear / coappear / degree tools apply unchanged, the
-/// pairwise tool simply has no response2post instantiations.
-DatasetBlueprint RetailLike(double scale = 1.0);
-
 }  // namespace aspect

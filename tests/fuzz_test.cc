@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "properties/coappear.h"
-#include "properties/degree.h"
 #include "properties/linear.h"
 #include "properties/pairwise.h"
 #include "referrer_index_check.h"
@@ -40,9 +39,8 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
   LinearPropertyTool linear(db->schema());
   CoappearPropertyTool coappear(db->schema());
   PairwisePropertyTool pairwise(db->schema());
-  DegreeDistributionTool degree(db->schema());
   for (PropertyTool* t : std::initializer_list<PropertyTool*>{
-           &linear, &coappear, &pairwise, &degree}) {
+           &linear, &coappear, &pairwise}) {
     ASSERT_TRUE(t->SetTargetFromDataset(*db).ok());
     ASSERT_TRUE(t->Bind(db.get()).ok());
   }
@@ -273,18 +271,10 @@ TEST_P(FuzzTest, IncrementalStatsSurviveRandomOperations) {
     EXPECT_EQ(pairwise.CurrentRhoSelf(s), pairwise2.CurrentRhoSelf(s)) << s;
     EXPECT_TRUE(pairwise.Snapshot(s) == pairwise2.Snapshot(s)) << s;
   }
-  DegreeDistributionTool degree2(db->schema());
-  ASSERT_TRUE(degree2.SetTargetFromDataset(*db).ok());
-  ASSERT_TRUE(degree2.Bind(db.get()).ok());
-  for (size_t e = 0; e < degree.edges().size(); ++e) {
-    EXPECT_EQ(degree.CurrentDist(static_cast<int>(e)),
-              degree2.CurrentDist(static_cast<int>(e)))
-        << "edge " << e;
-  }
 
   for (PropertyTool* t : std::initializer_list<PropertyTool*>{
-           &linear, &coappear, &pairwise, &degree, &linear2, &coappear2,
-           &pairwise2, &degree2}) {
+           &linear, &coappear, &pairwise, &linear2, &coappear2,
+           &pairwise2}) {
     t->Unbind();
   }
 }

@@ -12,9 +12,7 @@
 #include "measure/runner.h"
 #include "relational/fingerprint.h"
 #include "relational/integrity.h"
-#include "scaler/sampling_scaler.h"
 #include "scaler/size_scaler.h"
-#include "scaler/upsizer.h"
 #include "stats/sampler.h"
 #include "workload/blueprint.h"
 #include "workload/generator.h"
@@ -63,30 +61,41 @@ TEST(GenParallelTest, XiamiDscalerPipelineIsThreadCountInvariant) {
   ExpectThreadCountInvariant(XiamiLike(0.5), DscalerScaler(), 42);
 }
 
-TEST(GenParallelTest, DoubanUpsizerPipelineIsThreadCountInvariant) {
-  ExpectThreadCountInvariant(DoubanMusicLike(0.5), UpSizerScaler(), 43);
+TEST(GenParallelTest, DoubanMusicDscalerPipelineIsThreadCountInvariant) {
+  ExpectThreadCountInvariant(DoubanMusicLike(0.5), DscalerScaler(), 43);
 }
 
 TEST(GenParallelTest, DoubanRexPipelineIsThreadCountInvariant) {
   ExpectThreadCountInvariant(DoubanMovieLike(0.5), RexScaler(), 44);
 }
 
-TEST(GenParallelTest, SamplingScalerIsThreadCountInvariant) {
-  // Downscaling exercises the candidate-filter + top-up path.
+TEST(GenParallelTest, XiamiDownScalingIsThreadCountInvariant) {
+  // Scaling D3 down to D1's sizes: every table shrinks, so Dscaler
+  // uses only a prefix of the source templates and squeezes FK ids
+  // into smaller parent domains, and Rand draws from those domains.
   const GenOptions serial{1};
   auto snapshots =
-      GenerateDataset(RetailLike(0.5), 45, serial).ValueOrAbort();
+      GenerateDataset(XiamiLike(0.5), 45, serial).ValueOrAbort();
   auto source = snapshots.Materialize(3, serial).ValueOrAbort();
-  std::vector<int64_t> down = snapshots.SnapshotSizes(1);
-  SamplingScaler scaler;
-  const uint64_t golden =
-      ContentHash(*scaler.Scale(*source, down, 45, serial).ValueOrAbort());
-  for (const int threads : {2, 8}) {
-    const GenOptions gen{threads};
-    EXPECT_EQ(
-        ContentHash(
-            *scaler.Scale(*source, down, 45, gen).ValueOrAbort()),
-        golden);
+  const std::vector<int64_t> down = snapshots.SnapshotSizes(1);
+  const DscalerScaler dscaler;
+  const RandScaler rand;
+  for (const SizeScaler* scaler :
+       std::initializer_list<const SizeScaler*>{&dscaler, &rand}) {
+    auto small = scaler->Scale(*source, down, 45, serial).ValueOrAbort();
+    CheckIntegrity(*small).Check();
+    for (int t = 0; t < small->num_tables(); ++t) {
+      EXPECT_EQ(small->table(t).NumTuples(), down[static_cast<size_t>(t)])
+          << scaler->name() << " " << small->table(t).name();
+    }
+    const uint64_t golden = ContentHash(*small);
+    for (const int threads : {2, 8}) {
+      const GenOptions gen{threads};
+      EXPECT_EQ(
+          ContentHash(*scaler->Scale(*source, down, 45, gen).ValueOrAbort()),
+          golden)
+          << scaler->name() << " at gen_threads=" << threads;
+    }
   }
 }
 

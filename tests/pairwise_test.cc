@@ -77,6 +77,36 @@ TEST(PairwiseTest, Fig11DistributionExtracted) {
   EXPECT_EQ(rho.NumKeys(), 2);
 }
 
+// A schema without sonSchema roles has no response2post instantiation:
+// the tool binds, reads error 0, tweaks nothing and never objects.
+TEST(PairwiseTest, SchemaWithoutResponsesIsTriviallyExact) {
+  Schema schema = Fig11Schema();
+  schema.user_table.clear();
+  schema.responses.clear();
+  auto db = Database::Create(schema).ValueOrAbort();
+  db->FindTable("User")->Append({Value(int64_t{0})}).status().Check();
+  db->FindTable("Post")->Append({Value(int64_t{0})}).status().Check();
+  db->FindTable("Resp")
+      ->Append({Value(int64_t{0}), Value(int64_t{0})})
+      .status()
+      .Check();
+  PairwisePropertyTool tool(schema);
+  EXPECT_EQ(tool.num_specs(), 0);
+  ASSERT_TRUE(tool.SetTargetFromDataset(*db).ok());
+  ASSERT_TRUE(tool.Bind(db.get()).ok());
+  ASSERT_TRUE(tool.RepairTarget().ok());
+  ASSERT_TRUE(tool.CheckTargetFeasible().ok());
+  EXPECT_EQ(tool.Error(), 0.0);
+  EXPECT_EQ(tool.ValidationPenalty(
+                Modification::DeleteTuple("Resp", 0)),
+            0.0);
+  Rng rng(1);
+  TweakContext ctx(db.get(), {}, &rng);
+  ASSERT_TRUE(tool.Tweak(&ctx).ok());
+  EXPECT_EQ(db->FindTable("Resp")->NumTuples(), 1);
+  tool.Unbind();
+}
+
 TEST(PairwiseTest, SelfResponsesSeparated) {
   auto db = Fig11Db();
   PairwisePropertyTool tool(db->schema());

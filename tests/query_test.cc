@@ -254,16 +254,7 @@ std::map<std::string, std::vector<OracleQuery>> OracleSuites() {
                   "fk_Diary_0", "fk_User_1"),
         std::bind(&Oracle::AtMostTenUsers, _1, "User", "User_Fan",
                   "fk_User_1", "fk_User_0"),
-        review_pairs}},
-      {"RetailLike",
-       {std::bind(&Oracle::Grandparents, _1, "Lineitem", "fk_Orders_0",
-                  "Orders", "fk_Customer_0", "Customer"),
-        std::bind(&Oracle::AtMostTenUsers, _1, "Orders", "Lineitem",
-                  "fk_Orders_0", "fk_Part_1"),
-        std::bind(&Oracle::AvgUsers, _1, "Part", "Lineitem", "fk_Part_1",
-                  "fk_Orders_0"),
-        std::bind(&Oracle::AtMostTenUsers, _1, "Part", "PartSupp",
-                  "fk_Part_0", "fk_Supplier_1")}}};
+        review_pairs}}};
 }
 
 // Deletes every 13th live row of each table together with every row
@@ -314,8 +305,7 @@ void Perturb(Database* db) {
 TEST(QuerySuiteTest, MatchesBruteForceOracle) {
   const auto suites = OracleSuites();
   for (const auto factory :
-       {&XiamiLike, &DoubanMovieLike, &DoubanMusicLike, &DoubanBookLike,
-        &RetailLike}) {
+       {&XiamiLike, &DoubanMovieLike, &DoubanMusicLike, &DoubanBookLike}) {
     auto gen = GenerateDataset(factory(0.5), 29).ValueOrAbort();
     for (const bool perturbed : {false, true}) {
       auto db = gen.Materialize(4).ValueOrAbort();
@@ -338,8 +328,7 @@ TEST(QuerySuiteTest, MatchesBruteForceOracle) {
 
 TEST(QuerySuiteTest, AllDatasetsHaveFourQueries) {
   for (const auto factory :
-       {&XiamiLike, &DoubanMovieLike, &DoubanMusicLike, &DoubanBookLike,
-        &RetailLike}) {
+       {&XiamiLike, &DoubanMovieLike, &DoubanMusicLike, &DoubanBookLike}) {
     const Schema schema = factory(0.3).ToSchema();
     const auto suite = QuerySuiteFor(schema).ValueOrAbort();
     ASSERT_EQ(suite.size(), 4u) << schema.name;

@@ -1,7 +1,10 @@
-// Tests for the experiment runner: the full paper pipeline in one call.
+// Tests for src/measure: the experiment runner (the full paper
+// pipeline in one call) and dataset profiling.
 #include <gtest/gtest.h>
 
+#include "measure/profile.h"
 #include "measure/runner.h"
+#include "workload/generator.h"
 
 namespace aspect {
 namespace {
@@ -118,6 +121,43 @@ TEST(RunnerTest, DeterministicInSeed) {
   EXPECT_DOUBLE_EQ(a.after.linear, b.after.linear);
   EXPECT_DOUBLE_EQ(a.after.coappear, b.after.coappear);
   EXPECT_DOUBLE_EQ(a.after.pairwise, b.after.pairwise);
+}
+
+TEST(ProfileTest, SummarizesStructureAndStatistics) {
+  auto gen = GenerateDataset(DoubanMovieLike(0.4), 7).ValueOrAbort();
+  auto db = gen.Materialize(3).ValueOrAbort();
+  const DatasetProfile profile = ProfileDataset(*db).ValueOrAbort();
+  EXPECT_EQ(profile.name, "DoubanMovieLike");
+  EXPECT_EQ(profile.table_sizes.size(), 17u);
+  EXPECT_EQ(profile.total_tuples, db->TotalTuples());
+  // One edge per FK column, each over live tuples only.
+  size_t fk_columns = 0;
+  for (const TableSpec& t : db->schema().tables) {
+    for (const ColumnSpec& c : t.columns) {
+      fk_columns += c.type == ColumnType::kForeignKey;
+    }
+  }
+  EXPECT_EQ(profile.edges.size(), fk_columns);
+  for (const EdgeProfile& e : profile.edges) {
+    EXPECT_GE(e.max_fanout, 1) << e.child;
+    EXPECT_LE(e.parents_hit, e.parents) << e.child;
+    EXPECT_GT(e.children, 0) << e.child;
+  }
+  // The schema's structural counts (see BlueprintCountTest).
+  EXPECT_EQ(profile.chains.size(), 24u);
+  EXPECT_EQ(profile.coappear_groups.size(), 6u);
+  EXPECT_EQ(profile.response_specs.size(), 2u);
+  const std::string text = profile.ToString();
+  EXPECT_NE(text.find("Trailer_Comment"), std::string::npos);
+  EXPECT_NE(text.find("maximal reference chains"), std::string::npos);
+}
+
+TEST(ProfileTest, SocialProfileListsResponses) {
+  auto gen = GenerateDataset(DoubanMusicLike(0.2), 8).ValueOrAbort();
+  auto db = gen.Materialize(2).ValueOrAbort();
+  const DatasetProfile profile = ProfileDataset(*db).ValueOrAbort();
+  EXPECT_EQ(profile.response_specs.size(), 1u);
+  EXPECT_NE(profile.ToString().find("Review_Comment"), std::string::npos);
 }
 
 }  // namespace

@@ -3,10 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "relational/integrity.h"
-#include "properties/degree.h"
-#include "scaler/sampling_scaler.h"
 #include "scaler/size_scaler.h"
-#include "scaler/upsizer.h"
 #include "workload/generator.h"
 
 namespace aspect {
@@ -142,43 +139,19 @@ TEST_F(ScalerTest, DeterministicInSeed) {
 }
 
 
-TEST_F(ScalerTest, UpSizerHitsExactSizesWithValidFks) {
-  UpSizerScaler scaler;
-  auto scaled = scaler.Scale(*source_, targets_, 3).ValueOrAbort();
-  for (int t = 0; t < scaled->num_tables(); ++t) {
-    EXPECT_EQ(scaled->table(t).NumTuples(),
-              targets_[static_cast<size_t>(t)]);
+TEST_F(ScalerTest, MakeScalerResolvesOnlyThePaperScalers) {
+  for (const auto& scaler : BuiltinScalers()) {
+    auto made = MakeScaler(scaler->name());
+    ASSERT_TRUE(made.ok()) << made.status();
+    EXPECT_EQ(made.ValueOrDie()->name(), scaler->name());
   }
-  EXPECT_TRUE(CheckIntegrity(*scaled).ok());
-}
-
-TEST_F(ScalerTest, UpSizerPreservesPrimaryDegreeShapeBetterThanRand) {
-  // UpSizeR regenerates the primary FK edge from its degree
-  // distribution, so its initial degree error should beat Rand's.
-  auto measure = [&](const SizeScaler& scaler) {
-    auto scaled = scaler.Scale(*source_, targets_, 9).ValueOrAbort();
-    DegreeDistributionTool tool(source_->schema());
-    tool.SetTargetFromDataset(*set_->Materialize(4).ValueOrAbort()).Check();
-    tool.Bind(scaled.get()).Check();
-    tool.RepairTarget().Check();
-    const double err = tool.Error();
-    tool.Unbind();
-    return err;
-  };
-  UpSizerScaler upsizer;
-  RandScaler rand;
-  EXPECT_LT(measure(upsizer), measure(rand));
-}
-
-TEST_F(ScalerTest, UpSizerDeterministicInSeed) {
-  UpSizerScaler scaler;
-  auto a = scaler.Scale(*source_, targets_, 5).ValueOrAbort();
-  auto b = scaler.Scale(*source_, targets_, 5).ValueOrAbort();
-  const Table& ta = a->table(3);
-  const Table& tb = b->table(3);
-  ASSERT_EQ(ta.NumTuples(), tb.NumTuples());
-  for (TupleId t = 0; t < std::min<int64_t>(ta.NumTuples(), 50); ++t) {
-    EXPECT_EQ(ta.GetRow(t), tb.GetRow(t));
+  for (const char* removed : {"UpSizeR", "Sampling"}) {
+    const Status st = MakeScaler(removed).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << removed;
+    EXPECT_NE(st.message().find("unknown scaler"), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find("Dscaler, ReX, Rand"), std::string::npos)
+        << st.message();
   }
 }
 

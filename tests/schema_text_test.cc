@@ -1,65 +1,11 @@
-// Tests for the extension modules: the sampling scaler and the schema
-// text format.
+// Tests for the schema text format (relational/schema_text.h).
 #include <gtest/gtest.h>
 
-#include "relational/integrity.h"
 #include "relational/schema_text.h"
-#include "scaler/sampling_scaler.h"
 #include "workload/generator.h"
 
 namespace aspect {
 namespace {
-
-class SamplingScalerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto gen = GenerateDataset(DoubanMusicLike(0.4), 53);
-    ASSERT_TRUE(gen.ok());
-    set_ = std::make_unique<SnapshotSet>(std::move(gen).ValueOrDie());
-    source_ = set_->Materialize(5).ValueOrAbort();
-  }
-  std::unique_ptr<SnapshotSet> set_;
-  std::unique_ptr<Database> source_;
-};
-
-TEST_F(SamplingScalerTest, ScaleDownHitsExactSizesWithValidFks) {
-  SamplingScaler scaler;
-  const auto targets = set_->SnapshotSizes(2);
-  auto scaled = scaler.Scale(*source_, targets, 3).ValueOrAbort();
-  for (int t = 0; t < scaled->num_tables(); ++t) {
-    EXPECT_EQ(scaled->table(t).NumTuples(), targets[static_cast<size_t>(t)])
-        << scaled->table(t).name();
-  }
-  EXPECT_TRUE(CheckIntegrity(*scaled).ok());
-}
-
-TEST_F(SamplingScalerTest, SampledTuplesComeFromSource) {
-  // Attribute columns of sampled tuples must exist in the source
-  // domain (they are copied, not invented).
-  SamplingScaler scaler;
-  auto scaled =
-      scaler.Scale(*source_, set_->SnapshotSizes(2), 5).ValueOrAbort();
-  const Table* src_users = source_->FindTable("User");
-  const Table* dst_users = scaled->FindTable("User");
-  std::set<std::string> countries;
-  src_users->ForEachLive([&](TupleId t) {
-    countries.insert(src_users->column(0).GetString(t));
-  });
-  dst_users->ForEachLive([&](TupleId t) {
-    EXPECT_TRUE(countries.count(dst_users->column(0).GetString(t)))
-        << dst_users->column(0).GetString(t);
-  });
-}
-
-TEST_F(SamplingScalerTest, ScaleUpToppedUpByCloning) {
-  SamplingScaler scaler;
-  const auto targets = set_->SnapshotSizes(6);
-  auto scaled = scaler.Scale(*source_, targets, 7).ValueOrAbort();
-  for (int t = 0; t < scaled->num_tables(); ++t) {
-    EXPECT_EQ(scaled->table(t).NumTuples(), targets[static_cast<size_t>(t)]);
-  }
-  EXPECT_TRUE(CheckIntegrity(*scaled).ok());
-}
 
 TEST(SchemaTextTest, RoundTrip) {
   const Schema original = DoubanMusicLike(1.0).ToSchema();

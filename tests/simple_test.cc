@@ -142,6 +142,44 @@ TEST(TheoremSixTest, SameColumnErrorFormula) {
   EXPECT_EQ(report.steps.size(), 3u);
 }
 
+// Theorem 7: properties over column sets that share a column. pi1 is
+// a joint distribution over (v, w), pi2 a distribution over v alone.
+// Once pi2 holds exactly, pi1's error is at least the L1 difference of
+// the two targets' v-marginals (normalized). No shipped tool enforces
+// a joint over two columns, so pi1 is measured here directly.
+TEST(TheoremSevenTest, SharedColumnLowerBound) {
+  // Rows (v, w = v % 2): (0,0) x4 and (1,1) x2, exactly pi1.
+  auto db = OneTableDb({0, 0, 0, 0, 1, 1});
+  FrequencyDistribution pi1(2);
+  pi1.Add({0, 0}, 4);
+  pi1.Add({1, 1}, 2);
+  const FrequencyDistribution pi2 = Dist({{0, 1}, {1, 1}, {2, 4}});
+  const Table* t = db->FindTable("T");
+  auto pi1_error = [&] {
+    FrequencyDistribution vw(2);
+    t->ForEachLive([&](TupleId tid) {
+      vw.Add({t->column(0).GetInt(tid), t->column(1).GetInt(tid)});
+    });
+    return static_cast<double>(vw.L1Distance(pi1)) / 6.0;
+  };
+  ASSERT_EQ(pi1_error(), 0.0);
+
+  ColumnFreqTool tool(db->schema(), "T", "v");
+  tool.SetTargetDistribution(pi2).Check();
+  ASSERT_TRUE(tool.Bind(db.get()).ok());
+  Rng rng(5);
+  TweakContext ctx(db.get(), {}, &rng);
+  ASSERT_TRUE(tool.Tweak(&ctx).ok());
+  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);  // ran last: exact
+  tool.Unbind();
+
+  FrequencyDistribution pi1_v(1);
+  for (const auto& [key, count] : pi1.counts()) pi1_v.Add({key[0]}, count);
+  const double bound = static_cast<double>(pi1_v.L1Distance(pi2)) / 6.0;
+  EXPECT_GT(bound, 0.0);
+  EXPECT_GE(pi1_error() + 1e-12, bound);
+}
+
 // Theorem 8: total error is minimized when the tool whose target has
 // the minimum total difference to the others runs last.
 TEST(TheoremEightTest, BestOrderPutsMedianLast) {
@@ -186,31 +224,6 @@ TEST(TheoremEightTest, BestOrderPutsMedianLast) {
   EXPECT_EQ(best_last, 2);  // pi3 has the minimum total difference
 }
 
-TEST(NullCountTest, TweakAndTrack) {
-  auto db = OneTableDb({1, 2, 3, 4, 5, 6});
-  NullCountTool tool(db->schema(), "T", "w");
-  ASSERT_TRUE(tool.Bind(db.get()).ok());
-  tool.SetTargetCount(3);
-  ASSERT_TRUE(tool.CheckTargetFeasible().ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.5);
-  Rng rng(2);
-  TweakContext ctx(db.get(), {}, &rng);
-  ASSERT_TRUE(tool.Tweak(&ctx).ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);
-  // And back down to zero nulls.
-  tool.SetTargetCount(0);
-  ASSERT_TRUE(tool.Tweak(&ctx).ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);
-  tool.Unbind();
-}
-
-TEST(NullCountTest, RejectsForeignKeyColumns) {
-  auto gen = GenerateDataset(DoubanMusicLike(0.2), 3).ValueOrAbort();
-  auto db = gen.Materialize(1).ValueOrAbort();
-  NullCountTool tool(db->schema(), "Album", "fk_Artist_0");
-  EXPECT_FALSE(tool.Bind(db.get()).ok());
-}
-
 TEST(TupleCountTest, GrowsAndShrinksToTarget) {
   auto gen = GenerateDataset(DoubanMusicLike(0.2), 14).ValueOrAbort();
   auto db = gen.Materialize(2).ValueOrAbort();
@@ -234,66 +247,6 @@ TEST(TupleCountTest, GrowsAndShrinksToTarget) {
   tool.Unbind();
 }
 
-
-TEST(DomainBoundsTest, ExtractClampAndPin) {
-  auto db = OneTableDb({5, 9, 14, 3, 22});
-  auto truth = OneTableDb({4, 6, 8, 10, 12});
-  DomainBoundsTool tool(db->schema(), "T", "v");
-  ASSERT_TRUE(tool.SetTargetFromDataset(*truth).ok());
-  ASSERT_TRUE(tool.Bind(db.get()).ok());
-  ASSERT_TRUE(tool.CheckTargetFeasible().ok());
-  // 3 and 22 are outside [4, 12]; neither bound value is present.
-  EXPECT_GT(tool.Error(), 0.0);
-  Rng rng(3);
-  TweakContext ctx(db.get(), {}, &rng);
-  ASSERT_TRUE(tool.Tweak(&ctx).ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);
-  // Every value in range, both bounds realized.
-  const Table* t = db->FindTable("T");
-  int64_t mn = 1000, mx = -1000;
-  t->ForEachLive([&](TupleId tid) {
-    mn = std::min(mn, t->column(0).GetInt(tid));
-    mx = std::max(mx, t->column(0).GetInt(tid));
-  });
-  EXPECT_EQ(mn, 4);
-  EXPECT_EQ(mx, 12);
-  tool.Unbind();
-}
-
-TEST(DomainBoundsTest, PenaltyAndIncrementalTracking) {
-  auto db = OneTableDb({4, 6, 12});
-  DomainBoundsTool tool(db->schema(), "T", "v");
-  tool.SetTargetBounds(4, 12);
-  ASSERT_TRUE(tool.Bind(db.get()).ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);
-  // Moving the only minimum away is penalized.
-  EXPECT_GT(tool.ValidationPenalty(Modification::ReplaceValues(
-                "T", {0}, {0}, {Value(int64_t{6})})),
-            0.0);
-  // Moving an interior value stays free.
-  EXPECT_DOUBLE_EQ(tool.ValidationPenalty(Modification::ReplaceValues(
-                       "T", {1}, {0}, {Value(int64_t{7})})),
-                   0.0);
-  // Incremental tracking through the database.
-  ASSERT_TRUE(db->Apply(Modification::ReplaceValues(
-                            "T", {1}, {0}, {Value(int64_t{99})}))
-                  .ok());
-  EXPECT_GT(tool.Error(), 0.0);
-  ASSERT_TRUE(db->Apply(Modification::ReplaceValues(
-                            "T", {1}, {0}, {Value(int64_t{6})}))
-                  .ok());
-  EXPECT_DOUBLE_EQ(tool.Error(), 0.0);
-  tool.Unbind();
-}
-
-TEST(DomainBoundsTest, RejectsNonIntColumns) {
-  Schema s;
-  s.name = "x";
-  s.tables.push_back({"T", {{"s", ColumnType::kString, ""}}});
-  auto db = Database::Create(s).ValueOrAbort();
-  DomainBoundsTool tool(s, "T", "s");
-  EXPECT_FALSE(tool.Bind(db.get()).ok());
-}
 
 // Observation O3: conflicting overlapping properties. Two tools demand
 // incompatible frequency distributions of the same column; ASPECT

@@ -400,23 +400,6 @@ TEST(FittingTest, SingularRejected) {
   EXPECT_FALSE(PolyFit({2.0, 2.0, 2.0}, {1.0, 2.0, 3.0}, 1).ok());
 }
 
-TEST(FittingTest, PoissonMle) {
-  EXPECT_DOUBLE_EQ(PoissonMle({}), 0.0);
-  EXPECT_DOUBLE_EQ(PoissonMle({2, 4, 6}), 4.0);
-}
-
-TEST(FittingTest, PowerLawFit) {
-  // y = 5 * x^1.5
-  std::vector<double> xs, ys;
-  for (double x : {1.0, 2.0, 4.0, 8.0}) {
-    xs.push_back(x);
-    ys.push_back(5.0 * std::pow(x, 1.5));
-  }
-  const auto fit = PowerLawFit(xs, ys).ValueOrAbort();
-  EXPECT_NEAR(fit[0], 5.0, 1e-6);
-  EXPECT_NEAR(fit[1], 1.5, 1e-6);
-}
-
 class SamplerTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -9,7 +9,6 @@
 
 #include "aspect/targets_io.h"
 #include "properties/coappear.h"
-#include "properties/degree.h"
 #include "properties/linear.h"
 #include "properties/pairwise.h"
 #include "properties/simple.h"
@@ -28,7 +27,6 @@ Coordinator MakeCoordinator(const Schema& schema) {
   c.AddTool(std::make_unique<LinearPropertyTool>(schema));
   c.AddTool(std::make_unique<CoappearPropertyTool>(schema));
   c.AddTool(std::make_unique<PairwisePropertyTool>(schema));
-  c.AddTool(std::make_unique<DegreeDistributionTool>(schema));
   return c;
 }
 
@@ -111,9 +109,9 @@ TEST(TargetsIoTest, ToolsWithoutPersistenceAreSkipped) {
   auto truth = gen.Materialize(2).ValueOrAbort();
   Coordinator c;
   c.AddTool(std::make_unique<LinearPropertyTool>(truth->schema()));
-  // NullCountTool has no SaveTarget: it must be skipped, not fail.
-  c.AddTool(std::make_unique<NullCountTool>(truth->schema(), "User",
-                                            "gender"));
+  // ColumnFreqTool has no SaveTarget: it must be skipped, not fail.
+  c.AddTool(std::make_unique<ColumnFreqTool>(truth->schema(), "User",
+                                             "gender"));
   c.SetTargetsFromDataset(*truth).Check();
   const std::string path = TempFile("aspect_targets_skip.txt");
   ASSERT_TRUE(SaveTargets(c, path).ok());
@@ -121,7 +119,7 @@ TEST(TargetsIoTest, ToolsWithoutPersistenceAreSkipped) {
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("tool linear"), std::string::npos);
-  EXPECT_EQ(ss.str().find("nulls:"), std::string::npos);
+  EXPECT_EQ(ss.str().find("freq:"), std::string::npos);
   std::filesystem::remove(path);
 }
 
@@ -157,11 +155,6 @@ TEST(TargetsIoTest, WrongDimensionIsAnIoError) {
                          std::to_string(pairwise.num_specs()) +
                          "\nspec 10\ndist 2 0\ndist 2 0\n");
   EXPECT_EQ(pairwise.LoadTarget(&self).code(), StatusCode::kIoError);
-  DegreeDistributionTool degree(gen.schema());
-  ASSERT_FALSE(degree.edges().empty());
-  std::stringstream deg("degree " + std::to_string(degree.edges().size()) +
-                        "\nedge 10\ndist 2 0\n");
-  EXPECT_EQ(degree.LoadTarget(&deg).code(), StatusCode::kIoError);
 }
 
 // Coappear's group header must name the group's own parent and member

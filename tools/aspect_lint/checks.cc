@@ -443,8 +443,8 @@ void CheckLeases(const SourceModel& model, std::vector<Diagnostic>* diags) {
 // sound only if the penalty really is zero out there — the
 // zero-penalty-outside-scope contract, enforced in every shipped tool
 // by an InRange guard on the penalty paths. A penalty may guard
-// through a same-class helper (NullCountTool prices via DeltaOf,
-// DomainBoundsTool via AccumulateDeltas), so a method counts as
+// through a same-class helper (a penalty that prices through a
+// guarded delta or accumulator method), so a method counts as
 // guarded when its body mentions InRange or any guarded same-class
 // method, transitively. Flag a ranged class whose defined penalty
 // overrides are not all guarded — or that defines none in this file,

@@ -33,7 +33,7 @@ double GuardedTool::ValidationPenalty(const Modification& mod) const {
 }
 
 // Clean: the guard lives in a same-class pricing helper the penalty
-// delegates to (the NullCountTool::DeltaOf shape).
+// delegates to (a guarded DeltaOf pricing helper).
 class HelperGuardedTool {
  public:
   AccessScope DeclaredScope() const;
