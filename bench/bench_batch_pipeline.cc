@@ -116,112 +116,16 @@ RunOutcome Best(const Database& base, const Database& truth, bool parallel,
   return best;
 }
 
-/// Row-range split phase: every enforced column is handed to TWO
-/// ColumnFreq tools holding disjoint tuple-id halves of the column.
-/// Under interval-blind grouping the pair conflicts (same cell atom),
-/// so every parallel group this phase forms exists only thanks to the
-/// row-range declarations and their row-range write leases — the
-/// row_range_groups metric records how many. Final errors must match
-/// the serial run exactly, like every other configuration.
-bool RangeSplitPhase(const Database& base, const Database& truth,
-                     BenchReport* report) {
-  Banner("Row-range split: 2 half-column tools per column, shared leases");
-  struct SplitOutcome {
-    double seconds = 0;
-    int64_t groups = 0;
-    int64_t rr_groups = 0;
-    std::vector<double> errors;
-  };
-  const auto run = [&](bool parallel) {
-    auto scaled = base.Clone();
-    Coordinator coordinator;
-    std::vector<int> order;
-    for (const ToolRef& t : kTools) {
-      const Table* table = scaled->FindTable(t.table);
-      const int64_t mid = table->NumSlots() / 2;
-      auto lo = std::make_unique<ColumnFreqTool>(truth.schema(), t.table,
-                                                 t.column);
-      lo->SetRowRange(0, mid - 1);
-      auto hi = std::make_unique<ColumnFreqTool>(truth.schema(), t.table,
-                                                 t.column);
-      hi->SetRowRange(mid, table->NumSlots() - 1);
-      order.push_back(coordinator.AddTool(std::move(lo)));
-      order.push_back(coordinator.AddTool(std::move(hi)));
-    }
-    coordinator.SetTargetsFromDataset(truth).Check();
-    CoordinatorOptions opts;
-    opts.seed = kSeed;
-    opts.parallel_pass = parallel;
-    opts.pass_threads = parallel ? kThreads : 1;
-    opts.batch_size = kBatch;
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunReport rep =
-        coordinator.Run(scaled.get(), order, opts).ValueOrAbort();
-    SplitOutcome out;
-    out.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    out.groups = rep.parallel_groups;
-    out.rr_groups = rep.row_range_groups;
-    out.errors = rep.final_errors;
-    return out;
-  };
-
-  const SplitOutcome serial = run(false);
-  const SplitOutcome shared = run(true);
-  Header({"config", "seconds", "groups", "rr_groups"});
-  Cell("serial");
-  Cell(serial.seconds);
-  Cell(std::to_string(serial.groups));
-  Cell(std::to_string(serial.rr_groups));
-  EndRow();
-  Cell("shared");
-  Cell(shared.seconds);
-  Cell(std::to_string(shared.groups));
-  Cell(std::to_string(shared.rr_groups));
-  EndRow();
-  for (size_t i = 0; i < serial.errors.size(); ++i) {
-    if (serial.errors[i] != shared.errors[i]) {
-      std::fprintf(stderr,
-                   "FAIL: range-split final error of tool %zu differs: "
-                   "%.9f vs %.9f\n",
-                   i, serial.errors[i], shared.errors[i]);
-      return false;
-    }
-  }
-  if (shared.rr_groups <= 0) {
-    std::fprintf(stderr,
-                 "FAIL: range-split run formed no row-range groups\n");
-    return false;
-  }
-  report->Metric("row_range_groups", static_cast<double>(shared.rr_groups));
-  report->Metric("range_split_serial_s", serial.seconds);
-  report->Metric("range_split_shared_s", shared.seconds);
-  report->Metric("range_split_speedup",
-                 serial.seconds / std::max(1e-9, shared.seconds));
-  if (ThreadPool::HardwareThreads() == 1) {
-    const char* note =
-        "hardware_threads == 1: row-range groups still form (the "
-        "correctness checks above ran), but range_split_speedup measures "
-        "oversubscription, not parallelism";
-    std::printf("note: %s\n", note);
-    report->Note("range_split_note", note);
-  }
-  return true;
-}
-
-/// Vote-routing phase: every enforced column is split into forty-eight
-/// row-range slices, one ColumnFreq tool each, so a late step's
-/// proposal batch faces up to 143 enforced validators of which at most
-/// one (the same-column slice covering the touched rows — and the
-/// touched rows are the proposing slice's own, so in fact none) can be
-/// disturbed. Full voting pays every validator on every batch; routed
-/// voting consults only scope-overlapping ones. The runs must agree on
-/// every final error — routing is a pure skip of provably-zero votes —
-/// and audit mode re-invokes sampled pruned votes to prove it.
+/// Vote-routing phase: one ColumnFreq tool per enforced column, so a
+/// later step's proposals face the earlier steps' validators, none of
+/// which reads the proposing tool's (table, column). Full voting pays
+/// every validator on every proposal; routed voting consults only
+/// scope-overlapping ones. The runs must agree on every final error —
+/// routing is a pure skip of provably-zero votes — and audit mode
+/// re-invokes sampled pruned votes to prove it.
 bool ValidationPhase(const Database& base, const Database& truth,
                      BenchReport* report) {
-  Banner("Vote routing: 48 row-range slices per column, routed vs full");
+  Banner("Vote routing: one tool per column, routed vs full");
   struct VoteOutcome {
     double seconds = 0;
     int64_t votes_total = 0;
@@ -233,20 +137,9 @@ bool ValidationPhase(const Database& base, const Database& truth,
     auto scaled = base.Clone();
     Coordinator coordinator;
     std::vector<int> order;
-    constexpr int kSlices = 48;
     for (const ToolRef& t : kTools) {
-      const Table* table = scaled->FindTable(t.table);
-      const int64_t slots = table->NumSlots();
-      for (int s = 0; s < kSlices; ++s) {
-        const int64_t lo = slots * s / kSlices;
-        const int64_t hi =
-            (s == kSlices - 1 ? slots : slots * (s + 1) / kSlices) - 1;
-        if (lo > hi) continue;
-        auto tool = std::make_unique<ColumnFreqTool>(truth.schema(), t.table,
-                                                     t.column);
-        tool->SetRowRange(lo, hi);
-        order.push_back(coordinator.AddTool(std::move(tool)));
-      }
+      order.push_back(coordinator.AddTool(std::make_unique<ColumnFreqTool>(
+          truth.schema(), t.table, t.column)));
     }
     coordinator.SetTargetsFromDataset(truth).Check();
     CoordinatorOptions opts;
@@ -507,11 +400,10 @@ int main() {
   report.Metric("shared_merge_ms", shared.merge_s * 1e3);
   report.Metric("shared_rebase_ms", shared.rebase_s * 1e3);
 
-  if (!RangeSplitPhase(*base, *truth, &report)) return 1;
   if (!ValidationPhase(*base, *truth, &report)) return 1;
   // Every parallel configuration above was checked against its serial
-  // equivalent: stage-1 by content hash, the tweaking configs and the
-  // range-split run by final per-tool errors. Reaching this point means
+  // equivalent: stage-1 by content hash, the tweaking configs by final
+  // per-tool errors. Reaching this point means
   // all of them matched.
   report.SerialEquivalent(true);
   return 0;

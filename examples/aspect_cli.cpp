@@ -12,13 +12,9 @@
 //              [--route-votes off|on|audit]
 //
 // Besides the registry names, --tools accepts a direct column-tool
-// spec with an optional row-interval restriction:
-//
-//   column-freq:TABLE.COLUMN[@LO-HI]
-//
-// A @LO-HI suffix restricts the tool to tuple ids [LO, HI] and makes
-// its declared scope row-ranged, so two specs splitting one column
-// into disjoint intervals can tweak in the same parallel group.
+// spec, column-freq:TABLE.COLUMN, for a column the schema names.
+// Tool names and the scaler are checked against the schema before any
+// data is loaded.
 //
 // Reads one CSV per table from --data, scales every table by --scale
 // (rounded, at least 1), enforces the chosen properties and writes the
@@ -197,42 +193,28 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Direct column-tool specs ("column-freq:T.C[@LO-HI]"): these carry
-/// a table/column (and optional row interval) the registry's
-/// schema-only factories cannot, so they are constructed here.
+/// Direct column-tool specs ("column-freq:T.C"): these carry a
+/// table/column the registry's schema-only factories cannot, so they
+/// are constructed here.
 Result<std::unique_ptr<PropertyTool>> MakeColumnToolSpec(
     const std::string& spec, const Schema& schema) {
   const size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
-  std::string rest = spec.substr(colon + 1);
-  int64_t lo = 0, hi = 0;
-  bool has_range = false;
-  if (const size_t at = rest.find('@'); at != std::string::npos) {
-    const std::string range = rest.substr(at + 1);
-    rest = rest.substr(0, at);
-    const size_t dash = range.find('-');
-    if (dash == std::string::npos || dash == 0 ||
-        dash + 1 == range.size()) {
-      return Status::Invalid("tool spec range must be @LO-HI: " + spec);
-    }
-    lo = std::atoll(range.substr(0, dash).c_str());
-    hi = std::atoll(range.substr(dash + 1).c_str());
-    if (lo < 0 || hi < lo) {
-      return Status::Invalid("tool spec range must be 0 <= LO <= HI: " +
-                             spec);
-    }
-    has_range = true;
-  }
+  const std::string rest = spec.substr(colon + 1);
   const size_t dot = rest.find('.');
   if (dot == std::string::npos) {
     return Status::Invalid("tool spec needs TABLE.COLUMN: " + spec);
   }
   const std::string table = rest.substr(0, dot);
   const std::string column = rest.substr(dot + 1);
+  const int t = schema.TableIndex(table);
+  if (t < 0 ||
+      schema.tables[static_cast<size_t>(t)].ColumnIndex(column) < 0) {
+    return Status::Invalid("tool spec names an unknown column: " + spec);
+  }
   if (kind == "column-freq") {
-    auto tool = std::make_unique<ColumnFreqTool>(schema, table, column);
-    if (has_range) tool->SetRowRange(lo, hi);
-    return std::unique_ptr<PropertyTool>(std::move(tool));
+    return std::unique_ptr<PropertyTool>(
+        std::make_unique<ColumnFreqTool>(schema, table, column));
   }
   return Status::Invalid("unknown tool spec " + spec);
 }
@@ -261,6 +243,23 @@ Status Run(const Args& args) {
   }
 
   ASPECT_ASSIGN_OR_RETURN(const Schema schema, LoadSchemaFile(a.schema));
+  // Tools and scaler first: a bad name fails before the data is read.
+  ASPECT_ASSIGN_OR_RETURN(std::unique_ptr<SizeScaler> scaler,
+                          MakeScaler(a.scaler));
+  RegisterBuiltinTools();
+  Coordinator coordinator;
+  std::vector<int> order;
+  for (const std::string& tool : Split(a.tools, ',')) {
+    if (tool.empty()) continue;
+    if (tool.find(':') != std::string::npos) {
+      ASPECT_ASSIGN_OR_RETURN(auto t, MakeColumnToolSpec(tool, schema));
+      order.push_back(coordinator.AddTool(std::move(t)));
+      continue;
+    }
+    ASPECT_ASSIGN_OR_RETURN(
+        auto t, ToolRegistry::Global().Make(tool, schema));
+    order.push_back(coordinator.AddTool(std::move(t)));
+  }
   ASPECT_ASSIGN_OR_RETURN(std::unique_ptr<Database> source,
                           ImportCsv(schema, a.data));
   IntegrityOptions verify;
@@ -282,8 +281,6 @@ Status Run(const Args& args) {
         1, static_cast<int64_t>(
                source->table(t).NumTuples() * a.scale + 0.5)));
   }
-  ASPECT_ASSIGN_OR_RETURN(std::unique_ptr<SizeScaler> scaler,
-                          MakeScaler(a.scaler));
   const GenOptions gen{a.gen_threads};
   ASPECT_ASSIGN_OR_RETURN(std::unique_ptr<Database> scaled,
                           scaler->Scale(*source, targets, a.seed, gen));
@@ -291,20 +288,6 @@ Status Run(const Args& args) {
               a.scaler.c_str(),
               static_cast<long long>(scaled->TotalTuples()));
 
-  RegisterBuiltinTools();
-  Coordinator coordinator;
-  std::vector<int> order;
-  for (const std::string& tool : Split(a.tools, ',')) {
-    if (tool.empty()) continue;
-    if (tool.find(':') != std::string::npos) {
-      ASPECT_ASSIGN_OR_RETURN(auto t, MakeColumnToolSpec(tool, schema));
-      order.push_back(coordinator.AddTool(std::move(t)));
-      continue;
-    }
-    ASPECT_ASSIGN_OR_RETURN(
-        auto t, ToolRegistry::Global().Make(tool, schema));
-    order.push_back(coordinator.AddTool(std::move(t)));
-  }
   std::unique_ptr<Database> truth;
   if (!a.truth.empty()) {
     ASPECT_ASSIGN_OR_RETURN(truth, ImportCsv(schema, a.truth));

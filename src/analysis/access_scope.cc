@@ -1,90 +1,25 @@
 #include "analysis/access_scope.h"
 
-#include <algorithm>
-
 namespace aspect {
 
 void AccessScope::AddRead(int table, int column) {
   reads.insert({table, column});
   stats_reads.insert({table, column});
-  // An unranged declaration claims the whole column; it supersedes any
-  // earlier range for the atom.
-  row_ranges.erase({table, column});
 }
 
 void AccessScope::AddWrite(int table, int column) {
   writes.insert({table, column});
   reads.insert({table, column});
   stats_reads.insert({table, column});
-  row_ranges.erase({table, column});
 }
 
 void AccessScope::AddTweakOnlyRead(int table, int column) {
   reads.insert({table, column});
-  row_ranges.erase({table, column});
-}
-
-void AccessScope::AddReadRange(int table, int column, int64_t lo,
-                               int64_t hi) {
-  const Atom a{table, column};
-  const bool already_unranged =
-      (reads.count(a) > 0 || writes.count(a) > 0) && row_ranges.count(a) == 0;
-  reads.insert(a);
-  stats_reads.insert(a);
-  if (already_unranged) return;  // unrestricted wins over any range
-  const auto [it, inserted] = row_ranges.emplace(a, std::make_pair(lo, hi));
-  if (!inserted) {
-    it->second.first = std::min(it->second.first, lo);
-    it->second.second = std::max(it->second.second, hi);
-  }
-}
-
-void AccessScope::AddWriteRange(int table, int column, int64_t lo,
-                                int64_t hi) {
-  const Atom a{table, column};
-  const bool already_unranged =
-      (reads.count(a) > 0 || writes.count(a) > 0) && row_ranges.count(a) == 0;
-  writes.insert(a);
-  reads.insert(a);
-  stats_reads.insert(a);
-  if (already_unranged) return;
-  const auto [it, inserted] = row_ranges.emplace(a, std::make_pair(lo, hi));
-  if (!inserted) {
-    it->second.first = std::min(it->second.first, lo);
-    it->second.second = std::max(it->second.second, hi);
-  }
-}
-
-const std::pair<int64_t, int64_t>* AccessScope::RangeOf(const Atom& a) const {
-  const auto it = row_ranges.find(a);
-  return it == row_ranges.end() ? nullptr : &it->second;
 }
 
 void AccessScope::MergeFrom(const AccessScope& other) {
   known = known && other.known;
   reads_complete = reads_complete && other.reads_complete;
-  // Range merge before the set unions (it consults which atoms each
-  // side touches): an atom ranged on both sides merges to the hull; an
-  // atom one side touches without a range ends up unrestricted.
-  const auto touches = [](const AccessScope& s, const Atom& a) {
-    return s.reads.count(a) > 0 || s.writes.count(a) > 0;
-  };
-  std::map<Atom, std::pair<int64_t, int64_t>> merged;
-  for (const auto& [atom, range] : row_ranges) {
-    if (touches(other, atom)) {
-      const auto it = other.row_ranges.find(atom);
-      if (it == other.row_ranges.end()) continue;
-      merged[atom] = {std::min(range.first, it->second.first),
-                      std::max(range.second, it->second.second)};
-    } else {
-      merged[atom] = range;
-    }
-  }
-  for (const auto& [atom, range] : other.row_ranges) {
-    if (merged.count(atom) > 0 || touches(*this, atom)) continue;
-    merged[atom] = range;
-  }
-  row_ranges = std::move(merged);
   reads.insert(other.reads.begin(), other.reads.end());
   writes.insert(other.writes.begin(), other.writes.end());
   stats_reads.insert(other.stats_reads.begin(), other.stats_reads.end());
@@ -146,49 +81,19 @@ bool AtomCoveredBy(AccessScope::Atom a,
   return false;
 }
 
-namespace {
-
-/// WritesDisturbAtoms with the row-interval exemption: a disturbance
-/// through the exact same cell atom is discounted when both scopes
-/// restrict that atom to disjoint tuple-id ranges. The exemption never
-/// applies across granularities (a whole-table or row-structure atom
-/// interacting with a ranged cell atom stays a disturbance), which is
-/// why the atom-set helpers above remain interval-blind.
-bool RangedWritesDisturb(const AccessScope& writer,
-                         const std::set<AccessScope::Atom>& reads,
-                         const AccessScope& reader) {
-  for (const AccessScope::Atom& w : writer.writes) {
-    for (const AccessScope::Atom& r : reads) {
-      if (!WriteAtomDisturbsRead(w, r)) continue;
-      if (w == r && w.second >= 0) {
-        const auto* wr = writer.RangeOf(w);
-        const auto* rr = reader.RangeOf(r);
-        if (wr != nullptr && rr != nullptr &&
-            (wr->second < rr->first || rr->second < wr->first)) {
-          continue;  // certified-disjoint row ranges cannot interact
-        }
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 bool WritesDisturb(const AccessScope& writer, const AccessScope& reader) {
   if (!writer.known || !reader.known) return true;
   // A reader whose read set is a lower bound (observed scope) may read
   // cells it never wrote; without the full set, disturbance cannot be
   // ruled out.
   if (!reader.reads_complete) return true;
-  return RangedWritesDisturb(writer, reader.reads, reader);
+  return WritesDisturbAtoms(writer.writes, reader.reads);
 }
 
 bool ValidationDisturb(const AccessScope& writer, const AccessScope& reader) {
   if (!writer.known || !reader.known) return true;
   if (!reader.reads_complete) return true;
-  return RangedWritesDisturb(writer, reader.stats_reads, reader);
+  return WritesDisturbAtoms(writer.writes, reader.stats_reads);
 }
 
 bool ScopesConflict(const AccessScope& a, const AccessScope& b) {

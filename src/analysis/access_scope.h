@@ -24,8 +24,6 @@
 // without serializing every cell tool that follows it.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -77,17 +75,6 @@ struct AccessScope {
   /// change its votes or its error.
   std::set<Atom> stats_reads;
 
-  /// Row-interval restriction per atom: when a cell atom (column >= 0)
-  /// maps to a closed tuple-id range [lo, hi], the tool certifies that
-  /// every read AND write it performs on that column stays inside the
-  /// range. An absent entry means unrestricted (the default and the
-  /// conservative meaning). Two scopes that both restrict the same
-  /// cell atom to disjoint ranges provably cannot disturb each other
-  /// through it — the exemption WritesDisturb/ValidationDisturb apply
-  /// and the row-range write leases enforce. Sentinel atoms
-  /// (kWholeTable, kRowStructure) never carry ranges.
-  std::map<Atom, std::pair<int64_t, int64_t>> row_ranges;
-
   /// Adds a read atom (column defaults to the whole table).
   void AddRead(int table, int column = kWholeTable);
   /// Adds a write atom; a written cell is also a read (tools consult
@@ -96,14 +83,6 @@ struct AccessScope {
   /// Adds a read the Tweak performs but the tool's statistics and
   /// votes do not depend on (lands in `reads` only).
   void AddTweakOnlyRead(int table, int column = kWholeTable);
-  /// Like AddRead / AddWrite for a cell atom restricted to tuple ids
-  /// [lo, hi]. Declaring the same atom again widens the range to the
-  /// hull; mixing a ranged declaration with an unranged one for the
-  /// same atom leaves the atom unrestricted.
-  void AddReadRange(int table, int column, int64_t lo, int64_t hi);
-  void AddWriteRange(int table, int column, int64_t lo, int64_t hi);
-  /// The declared range of `a`, or nullptr when unrestricted.
-  const std::pair<int64_t, int64_t>* RangeOf(const Atom& a) const;
   /// Unions `other` into this scope; the result is known only if both
   /// inputs are.
   void MergeFrom(const AccessScope& other);

@@ -12,8 +12,6 @@
 // a link-time dependency on the analysis library.
 #pragma once
 
-#include <cstdint>
-
 namespace aspect::analysis {
 
 /// Column-index sentinels of a probed atom, numerically identical to
@@ -24,22 +22,14 @@ inline constexpr int kProbeWholeTable = -1;
 /// inserts/deletes — distinct from the cells of any one column.
 inline constexpr int kProbeRowStructure = -2;
 
-/// Row sentinel for a probe that is not attributable to one tuple
-/// (whole-table and row-structure accesses, broadcast writes observed
-/// without per-row attribution). Sinks treat it as "all rows".
-inline constexpr int64_t kProbeAllRows = -1;
-
 /// Receiver of probe events. Implementations must be cheap (a probe
 /// can fire for every cell read of a scan) and are used strictly
-/// thread-locally: the installing thread is the only caller. `row` is
-/// the stable tuple id of the touched cell, or kProbeAllRows when the
-/// access is not row-attributable.
+/// thread-locally: the installing thread is the only caller.
 class AccessProbeSink {
  public:
   virtual ~AccessProbeSink() = default;
-  virtual void OnRead(int table, int column, int64_t row = kProbeAllRows) = 0;
-  virtual void OnWrite(int table, int column,
-                       int64_t row = kProbeAllRows) = 0;
+  virtual void OnRead(int table, int column) = 0;
+  virtual void OnWrite(int table, int column) = 0;
 };
 
 namespace internal {
@@ -51,19 +41,18 @@ inline thread_local AccessProbeSink* tls_sink = nullptr;
 
 inline bool ProbeInstalled() { return internal::tls_sink != nullptr; }
 
-/// Records a read of (table, column) at `row` against the installed
-/// sink, if any. A negative table (unset probe id) is ignored.
-inline void ProbeRead(int table, int column, int64_t row = kProbeAllRows) {
+/// Records a read of (table, column) against the installed sink, if
+/// any. A negative table (unset probe id) is ignored.
+inline void ProbeRead(int table, int column) {
   if (internal::tls_sink != nullptr && table >= 0) {
-    internal::tls_sink->OnRead(table, column, row);
+    internal::tls_sink->OnRead(table, column);
   }
 }
 
-/// Records a write of (table, column) at `row` against the installed
-/// sink.
-inline void ProbeWrite(int table, int column, int64_t row = kProbeAllRows) {
+/// Records a write of (table, column) against the installed sink.
+inline void ProbeWrite(int table, int column) {
   if (internal::tls_sink != nullptr && table >= 0) {
-    internal::tls_sink->OnWrite(table, column, row);
+    internal::tls_sink->OnWrite(table, column);
   }
 }
 

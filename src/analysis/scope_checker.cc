@@ -62,9 +62,8 @@ std::string ScopeViolation::ToString() const {
   if (kind == Kind::kGroupOverlap) {
     os << " disturbs " << other_tool_name;
   }
-  os << " at (table " << table << ", " << ColumnToString(column);
-  if (row >= 0) os << ", row " << row << " outside declared range";
-  os << "), first seen in pass " << first_pass + 1;
+  os << " at (table " << table << ", " << ColumnToString(column)
+     << "), first seen in pass " << first_pass + 1;
   return os.str();
 }
 
@@ -75,52 +74,16 @@ FootprintRecorder::FootprintRecorder(const std::vector<int>& columns_per_table)
   }
 }
 
-void FootprintRecorder::OnRead(int table, int column, int64_t row) {
-  unsigned char& b = bits_[static_cast<size_t>(table)][Slot(column)];
-  b |= 1;
-  if (column < 0) return;  // sentinel atoms carry no row attribution
-  if (row == kProbeAllRows) {
-    b |= 4;
-    return;
-  }
-  read_rows_[{table, column}].Add(row);
+void FootprintRecorder::OnRead(int table, int column) {
+  bits_[static_cast<size_t>(table)][Slot(column)] |= 1;
 }
 
-void FootprintRecorder::OnWrite(int table, int column, int64_t row) {
-  unsigned char& b = bits_[static_cast<size_t>(table)][Slot(column)];
-  b |= 2;
-  if (column < 0) return;
-  if (row == kProbeAllRows) {
-    b |= 8;
-    return;
-  }
-  write_rows_[{table, column}].Add(row);
+void FootprintRecorder::OnWrite(int table, int column) {
+  bits_[static_cast<size_t>(table)][Slot(column)] |= 2;
 }
 
 void FootprintRecorder::Clear() {
   for (auto& row : bits_) row.assign(row.size(), 0);
-  read_rows_.clear();
-  write_rows_.clear();
-}
-
-const RowIntervalSet* FootprintRecorder::ReadRows(int table,
-                                                  int column) const {
-  const auto it = read_rows_.find({table, column});
-  return it == read_rows_.end() ? nullptr : &it->second;
-}
-
-const RowIntervalSet* FootprintRecorder::WriteRows(int table,
-                                                   int column) const {
-  const auto it = write_rows_.find({table, column});
-  return it == write_rows_.end() ? nullptr : &it->second;
-}
-
-bool FootprintRecorder::ReadAllRows(int table, int column) const {
-  return (bits_[static_cast<size_t>(table)][Slot(column)] & 4) != 0;
-}
-
-bool FootprintRecorder::WriteAllRows(int table, int column) const {
-  return (bits_[static_cast<size_t>(table)][Slot(column)] & 8) != 0;
 }
 
 bool FootprintRecorder::Empty() const {
@@ -187,56 +150,25 @@ void ScopeChecker::CheckStep(int tool, const std::string& tool_name,
     }
     return;
   }
-  // Shared by both directions: does the observed row set at a covered,
-  // range-declared cell atom leave the declared interval? Returns true
-  // and fills `bad_row` (-1 when the escape was a non-attributable
-  // all-rows access) on escape.
-  const auto escapes_range = [&](const AccessScope::Atom& a, bool all_rows,
-                                 const RowIntervalSet* rows,
-                                 int64_t* bad_row) {
-    const auto* range = declared.RangeOf(a);
-    if (range == nullptr) return false;
-    *bad_row = -1;
-    if (all_rows) return true;
-    if (rows == nullptr) return false;
-    *bad_row = rows->FirstOutside(range->first, range->second);
-    return *bad_row >= 0;
-  };
   for (const AccessScope::Atom& a : observed.ReadAtoms()) {
-    int64_t bad_row = -1;
-    if (AtomCoveredBy(a, declared.reads)) {
-      if (a.second < 0 ||
-          !escapes_range(a, observed.ReadAllRows(a.first, a.second),
-                         observed.ReadRows(a.first, a.second), &bad_row)) {
-        continue;
-      }
-    }
+    if (AtomCoveredBy(a, declared.reads)) continue;
     ScopeViolation v;
     v.kind = ScopeViolation::Kind::kUndeclaredRead;
     v.tool = tool;
     v.tool_name = tool_name;
     v.table = a.first;
     v.column = a.second;
-    v.row = bad_row;
     v.first_pass = pass;
     Add(std::move(v));
   }
   for (const AccessScope::Atom& a : observed.WriteAtoms()) {
-    int64_t bad_row = -1;
-    if (AtomCoveredBy(a, declared.writes)) {
-      if (a.second < 0 ||
-          !escapes_range(a, observed.WriteAllRows(a.first, a.second),
-                         observed.WriteRows(a.first, a.second), &bad_row)) {
-        continue;
-      }
-    }
+    if (AtomCoveredBy(a, declared.writes)) continue;
     ScopeViolation v;
     v.kind = ScopeViolation::Kind::kUndeclaredWrite;
     v.tool = tool;
     v.tool_name = tool_name;
     v.table = a.first;
     v.column = a.second;
-    v.row = bad_row;
     v.first_pass = pass;
     Add(std::move(v));
   }
@@ -263,21 +195,10 @@ void ScopeChecker::CheckGroupDisjoint(
       for (const AccessScope::Atom& w : writes[i]) {
         bool disturbed = false;
         for (const AccessScope::Atom& r : reads[j]) {
-          if (!WriteAtomDisturbsRead(w, r)) continue;
-          // Interval exemption, mirroring the grouping predicate: the
-          // same cell atom with fully row-attributed access on both
-          // sides and disjoint observed row sets did not interact.
-          if (w == r && w.second >= 0 &&
-              !prints[i]->WriteAllRows(w.first, w.second) &&
-              !prints[j]->ReadAllRows(r.first, r.second)) {
-            const RowIntervalSet* wr = prints[i]->WriteRows(w.first, w.second);
-            const RowIntervalSet* rr = prints[j]->ReadRows(r.first, r.second);
-            if (wr == nullptr || rr == nullptr || !wr->Overlaps(*rr)) {
-              continue;
-            }
+          if (WriteAtomDisturbsRead(w, r)) {
+            disturbed = true;
+            break;
           }
-          disturbed = true;
-          break;
         }
         if (disturbed) {
           ScopeViolation v;

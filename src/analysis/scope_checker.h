@@ -10,8 +10,6 @@
 // groupings without ever corrupting a cell themselves.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -20,7 +18,6 @@
 
 #include "analysis/access_scope.h"
 #include "analysis/probe.h"
-#include "analysis/row_intervals.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -65,10 +62,6 @@ struct ScopeViolation {
   int table = -1;
   /// Column index, or AccessScope::kWholeTable / kRowStructure.
   int column = -1;
-  /// For a row-range violation (the atom itself was declared but the
-  /// observed rows left its declared interval): one offending tuple
-  /// id. -1 when the violation is atom-level or not row-attributable.
-  int64_t row = -1;
   /// First pass (0-based iteration of Coordinator::Run) that observed
   /// this violation.
   int first_pass = 0;
@@ -89,22 +82,17 @@ enum class Conformance : int {
 /// Dense per-thread footprint recorder. Probes fire per cell access on
 /// hot scan loops, so the atom-level record stays O(1) and
 /// allocation-free: one byte per (table, column-slot) with bit 0 =
-/// read, bit 1 = write, and bits 2 / 3 marking a read / write that was
-/// not row-attributable (kProbeAllRows). Column slots fold the
-/// sentinels in: kRowStructure -> 0, kWholeTable -> 1, column c ->
-/// c + 2. Row-attributed cell accesses additionally land in a
-/// compressed RowIntervalSet per (table, column): scans touch rows in
-/// order, so the interval append is the O(1) tail fast path and the
-/// map lookup amortises over a handful of touched atoms.
+/// read and bit 1 = write. Column slots fold the sentinels in:
+/// kRowStructure -> 0, kWholeTable -> 1, column c -> c + 2.
 class FootprintRecorder : public AccessProbeSink {
  public:
   /// `columns_per_table[t]` = number of columns of table t.
   explicit FootprintRecorder(const std::vector<int>& columns_per_table);
 
-  void OnRead(int table, int column, int64_t row = kProbeAllRows) override;
-  void OnWrite(int table, int column, int64_t row = kProbeAllRows) override;
+  void OnRead(int table, int column) override;
+  void OnWrite(int table, int column) override;
 
-  /// Resets all bits and intervals (shape is kept).
+  /// Resets all bits (shape is kept).
   void Clear();
 
   bool Empty() const;
@@ -112,22 +100,9 @@ class FootprintRecorder : public AccessProbeSink {
   std::set<AccessScope::Atom> ReadAtoms() const;
   std::set<AccessScope::Atom> WriteAtoms() const;
 
-  /// The row-attributed rows read / written at a cell atom, or nullptr
-  /// when none were recorded. Meaningful only alongside the all-rows
-  /// flags below: an atom with the flag set was also touched without
-  /// row attribution, so its interval set is a lower bound.
-  const RowIntervalSet* ReadRows(int table, int column) const;
-  const RowIntervalSet* WriteRows(int table, int column) const;
-  /// True when the atom saw a read / write with no row attribution.
-  bool ReadAllRows(int table, int column) const;
-  bool WriteAllRows(int table, int column) const;
-
  private:
   static size_t Slot(int column) { return static_cast<size_t>(column + 2); }
   std::vector<std::vector<unsigned char>> bits_;
-  /// Keyed by (table, column), cell atoms only (column >= 0).
-  std::map<AccessScope::Atom, RowIntervalSet> read_rows_;
-  std::map<AccessScope::Atom, RowIntervalSet> write_rows_;
 };
 
 /// Accumulates violations across a run. The coordinator owns one per

@@ -232,7 +232,6 @@ struct GroupTask {
   /// task's LeaseProbeSink.
   bool lease_violated = false;
   AccessScope::Atom lease_violation{-1, -1};
-  int64_t lease_violation_row = analysis::kProbeAllRows;
   Status status = Status::OK();
   double seconds = 0;
   int64_t applied = 0;
@@ -555,9 +554,8 @@ Status TweakLoop::GroupStep(const std::vector<size_t>& members,
   // The write leases partition the members' certified writes on the
   // shared database. The partition cannot fail for a correctly formed
   // group (every write atom is also a read atom, so overlapping writers
-  // always conflict at grouping time, and row-ranged leases reuse the
-  // grouping's interval exemption); if it ever does, the positions run
-  // serially.
+  // always conflict at grouping time); if it ever does, the positions
+  // run serially.
   std::vector<int> ids;
   for (const size_t m : members) ids.push_back(order_[m]);
   std::vector<WriteLease> leases;
@@ -584,17 +582,6 @@ Status TweakLoop::GroupStep(const std::vector<size_t>& members,
   }
   report_->group_setup_seconds += Now() - setup0;
   ++report_->parallel_groups;
-  // A group that only exists thanks to row-range declarations: some
-  // member pair overlaps on an atom under the interval-blind rules and
-  // was admitted because the declared intervals are disjoint.
-  bool range_only = false;
-  for (size_t a = 0; a < scopes.size(); ++a) {
-    for (size_t b = a + 1; b < scopes.size(); ++b) {
-      range_only |= WritesDisturbAtoms(scopes[a].writes, scopes[b].reads) ||
-                    WritesDisturbAtoms(scopes[b].writes, scopes[a].reads);
-    }
-  }
-  if (range_only) ++report_->row_range_groups;
   RunTasks(&tasks);
   if (!VerifyGroup(&tasks)) return DiscardAndRedo(&tasks);
   return CommitGroup(&tasks, replay_to);
@@ -681,7 +668,6 @@ void TweakLoop::RunTask(GroupTask* task) {
   }
   task->lease_violated = sink.violated();
   task->lease_violation = sink.violation();
-  task->lease_violation_row = sink.violation_row();
   task->seconds = Now() - t0;
   task->applied = ctx.applied();
   task->vetoed = ctx.vetoed();
@@ -703,14 +689,10 @@ bool TweakLoop::VerifyGroup(std::vector<GroupTask>* tasks) {
       continue;
     }
     if (task.lease_violated) {
-      std::ostringstream row_info;
-      if (task.lease_violation_row != analysis::kProbeAllRows) {
-        row_info << ", row " << task.lease_violation_row;
-      }
       ASPECT_LOG(Warning)
           << "parallel group discarded: " << name << " wrote (table "
           << task.lease_violation.first << ", col "
-          << task.lease_violation.second << row_info.str()
+          << task.lease_violation.second
           << ") outside its write lease; redoing serially and "
              "distrusting its declaration";
       ++report_->lease_violations;

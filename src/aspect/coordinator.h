@@ -77,15 +77,14 @@ struct CoordinatorOptions {
   bool batch_auto = false;
   /// Scope-conformance checking (src/analysis): kWarn / kStrict
   /// install access probes around every Tweak and diff each tool's
-  /// observed read+write footprint — including per-tuple row intervals
-  /// — against its DeclaredScope(); a caught tool's declaration is
-  /// distrusted for the rest of the run (it falls back to the observed
-  /// scope, i.e. the serial path). kStrict additionally fails the run
-  /// if any violation was recorded. kSampled runs only the cheap
-  /// sampled lease canary on parallel tasks (the release-build default
-  /// behaviour, selectable explicitly for CI). kOff (the default)
-  /// installs no footprint probes; release builds still arm the
-  /// sampled canary.
+  /// observed read+write atoms against its DeclaredScope(); a caught
+  /// tool's declaration is distrusted for the rest of the run (it
+  /// falls back to the observed scope, i.e. the serial path). kStrict
+  /// additionally fails the run if any violation was recorded.
+  /// kSampled runs only the cheap sampled lease canary on parallel
+  /// tasks (the release-build default behaviour, selectable explicitly
+  /// for CI). kOff (the default) installs no footprint probes; release
+  /// builds still arm the sampled canary.
   analysis::ScopeCheckMode check_scopes = analysis::ScopeCheckMode::kOff;
   /// Scope-routed validator voting (the CLI's --route-votes): on a
   /// serial step, each enforced validator is first tested against the
@@ -166,11 +165,6 @@ struct RunReport {
 
   /// O1-parallel groups that ran (parallel_pass only).
   int64_t parallel_groups = 0;
-  /// The subset of parallel_groups that exist only thanks to row-range
-  /// declarations: some member pair overlaps on a (table, column) atom
-  /// under the interval-blind rules and was admitted because its
-  /// declared row intervals are disjoint.
-  int64_t row_range_groups = 0;
   /// Out-of-lease writes latched by the per-task lease probes — the
   /// full probes (debug / checker-on) or the sampled release canary.
   /// Each one discarded its group, distrusted the offender, and fell

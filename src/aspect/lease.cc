@@ -5,43 +5,9 @@
 namespace aspect {
 using std::size_t;
 
-bool WriteLease::Covers(int table, int column, int64_t row) const {
-  const AccessScope::Atom a{table, column};
-  if (!AtomCoveredBy(a, writes)) return false;
-  const auto it = row_ranges.find(a);
-  if (it == row_ranges.end()) return true;
-  // A ranged atom demands row attribution: an all-rows write cannot be
-  // proven inside the interval, so it does not count as covered.
-  return row != analysis::kProbeAllRows && row >= it->second.first &&
-         row <= it->second.second;
+bool WriteLease::Covers(int table, int column) const {
+  return AtomCoveredBy({table, column}, writes);
 }
-
-namespace {
-
-/// Atom-set overlap with the row-interval exemption: two leases that
-/// hold the same cell column restricted to disjoint tuple intervals do
-/// not overlap. Sentinel atoms and unranged cells keep the coarse
-/// AtomsOverlap semantics.
-bool LeasesOverlap(const WriteLease& a, const WriteLease& b) {
-  for (const AccessScope::Atom& x : a.writes) {
-    for (const AccessScope::Atom& y : b.writes) {
-      if (!AtomsOverlap(x, y)) continue;
-      if (x == y && x.second >= 0) {
-        const auto xi = a.row_ranges.find(x);
-        const auto yi = b.row_ranges.find(y);
-        if (xi != a.row_ranges.end() && yi != b.row_ranges.end() &&
-            (xi->second.second < yi->second.first ||
-             yi->second.second < xi->second.first)) {
-          continue;  // disjoint row ranges of one column coexist
-        }
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 bool PartitionWriteLeases(const std::vector<int>& tool_ids,
                           const std::vector<AccessScope>& scopes,
@@ -52,22 +18,16 @@ bool PartitionWriteLeases(const std::vector<int>& tool_ids,
     WriteLease lease;
     lease.tool_id = tool_ids[i];
     lease.writes = scopes[i].writes;
-    for (const AccessScope::Atom& a : lease.writes) {
-      if (const auto* range = scopes[i].RangeOf(a)) {
-        lease.row_ranges.emplace(a, *range);
-      }
-    }
     leases->push_back(std::move(lease));
   }
   // Disjointness certificate. Every write atom is also in its writer's
   // read set (AccessScope::AddWrite), so two scopes with overlapping
   // writes always conflict under the directional rules that formed the
   // group — a well-formed group passes; a failure means the planner
-  // handed us a group it should not have. Row-ranged leases are held
-  // to the same interval exemption the grouping predicate used.
+  // handed us a group it should not have.
   for (size_t a = 0; a < leases->size(); ++a) {
     for (size_t b = a + 1; b < leases->size(); ++b) {
-      if (LeasesOverlap((*leases)[a], (*leases)[b])) {
+      if (AtomSetsOverlap((*leases)[a].writes, (*leases)[b].writes)) {
         return false;
       }
     }

@@ -15,17 +15,10 @@
 // group barrier AND run the sink in sampled-canary mode: one in
 // kSampleStride semantic writes pays the containment check, so a
 // lying declaration is still caught cheaply without --check-scopes.
-//
-// Leases may be row-ranged: a cell atom declared with AddWriteRange
-// carries its [lo, hi] tuple interval into the lease, two leases may
-// then hold disjoint ranges of the SAME (table, column), and coverage
-// of a write requires the row to sit inside the holder's interval.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "analysis/probe.h"
@@ -43,24 +36,16 @@ struct WriteLease {
   /// mutator for the group (insert/delete slot allocation is sharded
   /// per table, so this is also the no-contention guarantee).
   std::set<AccessScope::Atom> writes;
-  /// Row-interval restriction per cell atom, copied from the certified
-  /// scope's declaration: an entry limits the holder's writes on that
-  /// column to tuple ids [lo, hi]; an absent entry leaves the atom
-  /// whole-column.
-  std::map<AccessScope::Atom, std::pair<int64_t, int64_t>> row_ranges;
 
-  /// True when a write of (table, column) at `row` is inside this
-  /// lease: the atom must be covered, and a row-ranged atom must
-  /// contain the row (a non-attributable kProbeAllRows write never
-  /// satisfies a ranged atom).
-  bool Covers(int table, int column, int64_t row) const;
+  /// True when a write of (table, column) is inside this lease
+  /// (AtomCoveredBy over `writes`).
+  bool Covers(int table, int column) const;
 };
 
 /// Builds one lease per member from its certified write scope and
 /// verifies the partition is truly pairwise disjoint (no atom of one
 /// lease overlaps an atom of another, under the same overlap rules
-/// that formed the group — two leases holding disjoint row ranges of
-/// one column do NOT overlap). Returns false — and the caller runs the
+/// that formed the group). Returns false — and the caller runs the
 /// members serially instead — if any two leases overlap; with
 /// correctly formed groups this never happens, so the check is cheap
 /// insurance against a planner bug corrupting the shared database.
@@ -87,20 +72,17 @@ class LeaseProbeSink : public analysis::AccessProbeSink {
                  bool sampled = false)
       : lease_(lease), inner_(inner), sampled_(sampled) {}
 
-  void OnRead(int table, int column,
-              int64_t row = analysis::kProbeAllRows) override {
-    if (inner_ != nullptr) inner_->OnRead(table, column, row);
+  void OnRead(int table, int column) override {
+    if (inner_ != nullptr) inner_->OnRead(table, column);
   }
 
-  void OnWrite(int table, int column,
-               int64_t row = analysis::kProbeAllRows) override {
-    if (inner_ != nullptr) inner_->OnWrite(table, column, row);
+  void OnWrite(int table, int column) override {
+    if (inner_ != nullptr) inner_->OnWrite(table, column);
     if (violated_) return;
     if (sampled_ && (count_++ % kSampleStride) != 0) return;
-    if (!lease_->Covers(table, column, row)) {
+    if (!lease_->Covers(table, column)) {
       violated_ = true;
       violation_ = {table, column};
-      violation_row_ = row;
     }
   }
 
@@ -108,8 +90,6 @@ class LeaseProbeSink : public analysis::AccessProbeSink {
   bool violated() const { return violated_; }
   /// The first out-of-lease atom (meaningful when violated()).
   AccessScope::Atom violation() const { return violation_; }
-  /// The offending tuple id (kProbeAllRows when not attributable).
-  int64_t violation_row() const { return violation_row_; }
 
  private:
   const WriteLease* lease_;
@@ -118,7 +98,6 @@ class LeaseProbeSink : public analysis::AccessProbeSink {
   uint64_t count_ = 0;
   bool violated_ = false;
   AccessScope::Atom violation_{-1, -1};
-  int64_t violation_row_ = analysis::kProbeAllRows;
 };
 
 }  // namespace aspect

@@ -83,12 +83,7 @@ bool ProposalDisturbsStats(std::span<const Modification> mods,
         continue;
       }
       for (const int c : mod.cols) {
-        if (!WriteAtomDisturbsRead({t, c}, r)) continue;
-        const auto* range = r.second == c ? validator.RangeOf(r) : nullptr;
-        if (range == nullptr) return true;
-        for (const TupleId tid : mod.tuples) {
-          if (tid >= range->first && tid <= range->second) return true;
-        }
+        if (WriteAtomDisturbsRead({t, c}, r)) return true;
       }
     }
   }

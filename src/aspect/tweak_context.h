@@ -41,11 +41,9 @@ enum class RouteVotes : int {
 /// its vote on the proposal may be nonzero and must be cast.
 /// `tables[i]` is the schema index of mods[i].table, or -1 when the
 /// schema does not know the table. The write side is exact per
-/// modification: a tuple insert or delete is a row-structure write (no
-/// row-interval exemption: an insert's id is not assigned yet), and a
-/// cell write reaches a reader of the same cell atom certified to
-/// [lo, hi] only through a touched tuple id in that range. Atom
-/// granularity follows WriteAtomDisturbsRead. An unknown scope, an
+/// modification: a tuple insert or delete is a row-structure write and
+/// a cell write writes its (table, column) atoms, tested against each
+/// read atom with WriteAtomDisturbsRead. An unknown scope, an
 /// observed one (reads_complete = false) and an unknown table disturb
 /// everything.
 bool ProposalDisturbsStats(std::span<const Modification> mods,

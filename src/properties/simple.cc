@@ -25,28 +25,11 @@ ColumnFreqTool::ColumnFreqTool(const Schema& schema, std::string table,
   }
 }
 
-void ColumnFreqTool::SetRowRange(int64_t lo, int64_t hi) {
-  if (lo > hi) std::swap(lo, hi);
-  has_range_ = true;
-  range_lo_ = lo;
-  range_hi_ = hi;
-  name_ = StrFormat("%s@%lld-%lld", name_.c_str(),
-                    static_cast<long long>(lo), static_cast<long long>(hi));
-}
-
 AccessScope ColumnFreqTool::DeclaredScope() const {
   AccessScope scope;
   if (table_index_ < 0 || col_index_ < 0) return scope;  // unknown
   scope.known = true;
-  if (has_range_) {
-    // The range filter runs before every cell access, so the column
-    // footprint is certified to stay inside [lo, hi]. The row-structure
-    // read below stays whole-table: live-tuple membership of in-range
-    // rows is still read through ForEachLive.
-    scope.AddWriteRange(table_index_, col_index_, range_lo_, range_hi_);
-  } else {
-    scope.AddWrite(table_index_, col_index_);
-  }
+  scope.AddWrite(table_index_, col_index_);
   // Tweak scans the live-tuple set (ForEachLive / NumSlots) and the
   // frequency statistics count one entry per live row, so row
   // membership is part of the read contract, not just the column.
@@ -61,7 +44,6 @@ FrequencyDistribution ColumnFreqTool::Extract(const Database& db) const {
   const int col = t->ColumnIndex(column_);
   if (col < 0) return dist;
   t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;  // before any cell read
     if (t->column(col).IsValue(tid)) {
       dist.Add({t->column(col).GetInt(tid)}, 1);
     }
@@ -167,7 +149,7 @@ double ColumnFreqTool::Error() const {
 
 void ColumnFreqTool::OnApplied(const Modification& mod,
                                const std::vector<Value>& old_values,
-                               TupleId new_tuple) {
+                               TupleId /*new_tuple*/) {
   if (db_ == nullptr || mod.table != table_) return;
   const Table* t = db_->FindTable(table_);
   if (t == nullptr) return;  // table dropped since the bind
@@ -179,7 +161,6 @@ void ColumnFreqTool::OnApplied(const Modification& mod,
       for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
         if (mod.cols[cj] != col) continue;
         for (size_t tj = 0; tj < mod.tuples.size(); ++tj) {
-          if (!InRange(mod.tuples[tj])) continue;
           const Value& old_v = old_values[tj * mod.cols.size() + cj];
           if (!old_v.is_null()) current_.Add({old_v.int64()}, -1);
           if (mod.kind != OpKind::kDeleteValues &&
@@ -191,13 +172,11 @@ void ColumnFreqTool::OnApplied(const Modification& mod,
       break;
     }
     case OpKind::kInsertTuple: {
-      if (!InRange(new_tuple)) break;
       const Value& v = mod.values[static_cast<size_t>(col)];
       if (!v.is_null()) current_.Add({v.int64()}, 1);
       break;
     }
     case OpKind::kDeleteTuple: {
-      if (!InRange(mod.tuples[0])) break;
       const Value& v = old_values[static_cast<size_t>(col)];
       if (!v.is_null()) current_.Add({v.int64()}, -1);
       break;
@@ -233,9 +212,6 @@ double ColumnFreqTool::ValidationPenalty(const Modification& mod) const {
       for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
         if (mod.cols[cj] != col) continue;
         for (const TupleId tid : mod.tuples) {
-          // Out-of-range cells are outside the enforced statistic (and
-          // outside the declared read scope): skip before the read.
-          if (!InRange(tid)) continue;
           const Value old_v = t->column(col).Get(tid);
           const Value new_v = mod.kind == OpKind::kDeleteValues
                                   ? Value()
@@ -245,14 +221,10 @@ double ColumnFreqTool::ValidationPenalty(const Modification& mod) const {
       }
       break;
     case OpKind::kInsertTuple:
-      // The tuple id is assigned at apply time; price the insert as if
-      // it may land in range (the incremental statistics settle it).
       penalty += delta_for(Value(), mod.values[static_cast<size_t>(col)]);
       break;
     case OpKind::kDeleteTuple:
-      if (InRange(mod.tuples[0])) {
-        penalty += delta_for(t->column(col).Get(mod.tuples[0]), Value());
-      }
+      penalty += delta_for(t->column(col).Get(mod.tuples[0]), Value());
       break;
   }
   return penalty;
@@ -331,7 +303,6 @@ double ColumnFreqTool::ValidationPenaltyBatch(
         for (size_t cj = 0; cj < mod.cols.size(); ++cj) {
           if (mod.cols[cj] != col) continue;
           for (const TupleId tid : mod.tuples) {
-            if (!InRange(tid)) continue;  // see ValidationPenalty
             // Batches touch disjoint tuples, so the stored cell is
             // still this tuple's pre-batch value.
             const Value old_v = t->column(col).Get(tid);
@@ -346,9 +317,7 @@ double ColumnFreqTool::ValidationPenaltyBatch(
         step(Value(), mod.values[static_cast<size_t>(col)]);
         break;
       case OpKind::kDeleteTuple:
-        if (InRange(mod.tuples[0])) {
-          step(t->column(col).Get(mod.tuples[0]), Value());
-        }
+        step(t->column(col).Get(mod.tuples[0]), Value());
         break;
     }
     if (capped && penalty - 2.0 * static_cast<double>(steps_left) /
@@ -379,7 +348,6 @@ Status ColumnFreqTool::Tweak(TweakContext* ctx) {
   // Collect surplus tuples by scanning once.
   std::map<int64_t, std::vector<TupleId>> pool;
   t->ForEachLive([&](TupleId tid) {
-    if (!InRange(tid)) return;  // before any cell read
     if (!t->column(col).IsValue(tid)) return;
     const int64_t v = t->column(col).GetInt(tid);
     const auto it = surplus.find(v);

@@ -33,14 +33,6 @@ class ColumnFreqTool : public PropertyTool {
     return bound() ? nullptr : std::make_unique<ColumnFreqTool>(*this);
   }
 
-  /// Restricts the tool to tuple ids [lo, hi] of its column: every
-  /// read, write, vote, and incremental-statistics update ignores rows
-  /// outside the interval, and DeclaredScope() certifies the
-  /// restriction with AddReadRange/AddWriteRange — which lets two
-  /// instances split one column into disjoint halves and still tweak
-  /// in the same shared-mode parallel group. Call before Bind.
-  void SetRowRange(int64_t lo, int64_t hi);
-
   Status SetTargetFromDataset(const Database& ground_truth) override;
   /// User-input mode (also used by the Theorem 6-8 benches).
   Status SetTargetDistribution(FrequencyDistribution target);
@@ -78,9 +70,6 @@ class ColumnFreqTool : public PropertyTool {
 
  private:
   FrequencyDistribution Extract(const Database& db) const;
-  bool InRange(TupleId tid) const {
-    return !has_range_ || (tid >= range_lo_ && tid <= range_hi_);
-  }
 
   std::string name_;
   std::string table_;
@@ -91,9 +80,6 @@ class ColumnFreqTool : public PropertyTool {
   FrequencyDistribution current_{1};
   FrequencyDistribution target_{1};
   int max_attempts_ = 8;
-  bool has_range_ = false;
-  int64_t range_lo_ = 0;
-  int64_t range_hi_ = 0;
 };
 
 /// Enforces per-table tuple counts (the size-scaler contract); its

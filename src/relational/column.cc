@@ -15,7 +15,7 @@ Column::Column(std::string name, ColumnType type, std::string ref_table)
 }
 
 Value Column::Get(int64_t row) const {
-  analysis::ProbeRead(probe_table_, probe_col_, row);
+  analysis::ProbeRead(probe_table_, probe_col_);
   const size_t r = static_cast<size_t>(row);
   if (state_[r] != CellState::kValue) return Value::Null();
   switch (type_) {
@@ -47,11 +47,11 @@ bool Column::Accepts(const Value& v) const {
 Status Column::Set(int64_t row, const Value& v) {
   const size_t r = static_cast<size_t>(row);
   if (v.is_null()) {
-    analysis::ProbeWrite(probe_table_, probe_col_, row);
+    analysis::ProbeWrite(probe_table_, probe_col_);
     state_[r] = CellState::kNull;
     return Status::OK();
   }
-  analysis::ProbeWrite(probe_table_, probe_col_, row);
+  analysis::ProbeWrite(probe_table_, probe_col_);
   switch (type_) {
     case ColumnType::kInt64:
     case ColumnType::kForeignKey:
@@ -85,13 +85,7 @@ Status Column::Set(int64_t row, const Value& v) {
 
 Status Column::SetBroadcast(const std::vector<int64_t>& rows,
                             const Value& v) {
-  // Per-row attribution only when a sink is listening: the common case
-  // (no probes) keeps the single dispatch and zero per-row overhead.
-  if (analysis::ProbeInstalled()) {
-    for (const int64_t row : rows) {
-      analysis::ProbeWrite(probe_table_, probe_col_, row);
-    }
-  }
+  if (!rows.empty()) analysis::ProbeWrite(probe_table_, probe_col_);
   if (v.is_null()) {
     for (const int64_t row : rows) {
       state_[static_cast<size_t>(row)] = CellState::kNull;
@@ -160,7 +154,7 @@ void Column::Reserve(int64_t n) {
 }
 
 void Column::Erase(int64_t row) {
-  analysis::ProbeWrite(probe_table_, probe_col_, row);
+  analysis::ProbeWrite(probe_table_, probe_col_);
   state_[static_cast<size_t>(row)] = CellState::kEmpty;
 }
 
@@ -182,7 +176,7 @@ Status Column::Append(const Value& v) {
 }
 
 void Column::PopBack() {
-  analysis::ProbeWrite(probe_table_, probe_col_, size() - 1);
+  analysis::ProbeWrite(probe_table_, probe_col_);
   assert(!state_.empty());
   switch (type_) {
     case ColumnType::kInt64:

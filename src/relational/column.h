@@ -45,7 +45,7 @@ class Column {
   }
 
   CellState state(int64_t row) const {
-    analysis::ProbeRead(probe_table_, probe_col_, row);
+    analysis::ProbeRead(probe_table_, probe_col_);
     return state_[static_cast<size_t>(row)];
   }
   bool IsValue(int64_t row) const { return state(row) == CellState::kValue; }
@@ -58,15 +58,15 @@ class Column {
   /// Fast paths for the hot types. Preconditions: matching type and a
   /// kValue cell state (checked only by assert).
   int64_t GetInt(int64_t row) const {
-    analysis::ProbeRead(probe_table_, probe_col_, row);
+    analysis::ProbeRead(probe_table_, probe_col_);
     return ints_[static_cast<size_t>(row)];
   }
   double GetDouble(int64_t row) const {
-    analysis::ProbeRead(probe_table_, probe_col_, row);
+    analysis::ProbeRead(probe_table_, probe_col_);
     return doubles_[static_cast<size_t>(row)];
   }
   const std::string& GetString(int64_t row) const {
-    analysis::ProbeRead(probe_table_, probe_col_, row);
+    analysis::ProbeRead(probe_table_, probe_col_);
     return strings_[static_cast<size_t>(row)];
   }
 

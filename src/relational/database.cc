@@ -26,13 +26,8 @@ void ProbeModification(const Schema& schema, const Modification& mod) {
     case OpKind::kDeleteValues:
     case OpKind::kInsertValues:
     case OpKind::kReplaceValues:
-      // Per-tuple attribution: the interval footprint and the row-range
-      // write leases need to know which rows each cell atom touched.
-      for (const int c : mod.cols) {
-        for (const TupleId tuple : mod.tuples) {
-          analysis::ProbeWrite(t, c, tuple);
-        }
-      }
+      if (mod.tuples.empty()) break;
+      for (const int c : mod.cols) analysis::ProbeWrite(t, c);
       break;
     case OpKind::kInsertTuple:
     case OpKind::kDeleteTuple:
@@ -528,7 +523,6 @@ void Database::Reindex(int table, const Modification& mod, TupleId row,
                                 [static_cast<size_t>(c)];
     if (id < 0) continue;
     RefEdge& e = ref_edges_[static_cast<size_t>(id)];
-    MutexLock lock(e.mu);
     for (const TupleId r : rows) link ? Link(e, t, c, r) : Unlink(e, t, c, r);
   }
 }

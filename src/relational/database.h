@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "relational/schema.h"
@@ -210,11 +209,11 @@ class Database {
   /// One edge of the referrer index: per parent slot, an intrusive
   /// doubly-linked list of child rows. Only writes to the child's FK
   /// column or row structure touch it (`head` grows from the child
-  /// side), so the write leases that own those atoms own the edge.
+  /// side), and those atoms overlap, so in a parallel group one write
+  /// lease owns the edge and needs no lock (DESIGN.md §17).
   struct RefEdge {
     std::vector<int32_t> head;        // parent slot -> first row or -1
     std::vector<int32_t> next, prev;  // child row -> neighbours or -1
-    Mutex mu;  // row-ranged leases let two tasks write one FK column
   };
 
   /// Unlinks (link = false) or links the FK cells `mod` writes: its

@@ -13,7 +13,6 @@
 
 #include "analysis/access_scope.h"
 #include "analysis/probe.h"
-#include "analysis/row_intervals.h"
 #include "analysis/scope_checker.h"
 #include "aspect/access_monitor.h"
 #include "aspect/coordinator.h"
@@ -28,7 +27,6 @@ namespace {
 
 using analysis::Conformance;
 using analysis::FootprintRecorder;
-using analysis::RowIntervalSet;
 using analysis::ScopeChecker;
 using analysis::ScopeCheckMode;
 using analysis::ScopeViolation;
@@ -73,70 +71,6 @@ TEST(AccessScopeTest, AtomCoveredBySentinels) {
   // Row-structure covers only row-structure, never cells.
   EXPECT_TRUE(AtomCoveredBy({0, AccessScope::kRowStructure}, rows));
   EXPECT_FALSE(AtomCoveredBy({0, 0}, rows));
-}
-
-// ---------------------------------------------------------------------
-// RowIntervalSet
-// ---------------------------------------------------------------------
-
-TEST(RowIntervalSetTest, AddMergesAndCoalescesAdjacent) {
-  RowIntervalSet s;
-  EXPECT_TRUE(s.empty());
-  s.Add(5);
-  s.Add(7);
-  s.Add(6);  // bridges [5,5] and [7,7]
-  EXPECT_EQ(s.NumIntervals(), 1);
-  EXPECT_EQ(s.ToString(), "[5-7]");
-  s.AddRange(10, 12);
-  s.AddRange(1, 2);
-  EXPECT_EQ(s.NumIntervals(), 3);
-  EXPECT_EQ(s.ToString(), "[1-2] [5-7] [10-12]");
-  // A hull insert swallows everything it touches.
-  s.AddRange(3, 11);
-  EXPECT_EQ(s.NumIntervals(), 1);
-  EXPECT_EQ(s.ToString(), "[1-12]");
-}
-
-TEST(RowIntervalSetTest, TailAppendFastPathStaysSorted) {
-  // The common probe pattern: mostly-ascending row ids.
-  RowIntervalSet s;
-  for (int64_t row = 0; row < 100; row += 2) s.Add(row);
-  EXPECT_EQ(s.NumIntervals(), 50);
-  for (int64_t row = 1; row < 100; row += 2) s.Add(row);
-  EXPECT_EQ(s.NumIntervals(), 1);
-  EXPECT_TRUE(s.Contains(0));
-  EXPECT_TRUE(s.Contains(99));
-  EXPECT_FALSE(s.Contains(100));
-}
-
-TEST(RowIntervalSetTest, PredicatesAndFirstOutside) {
-  RowIntervalSet s;
-  s.AddRange(2, 4);
-  s.AddRange(8, 9);
-  EXPECT_TRUE(s.Contains(3));
-  EXPECT_FALSE(s.Contains(5));
-  EXPECT_TRUE(s.OverlapsRange(4, 8));
-  EXPECT_FALSE(s.OverlapsRange(5, 7));
-  EXPECT_TRUE(s.Within(2, 9));
-  EXPECT_FALSE(s.Within(2, 8));
-  EXPECT_EQ(s.FirstOutside(2, 9), -1);
-  EXPECT_EQ(s.FirstOutside(3, 9), 2);   // escapes below
-  EXPECT_EQ(s.FirstOutside(2, 8), 9);   // escapes above
-  EXPECT_EQ(s.FirstOutside(0, 100), -1);
-
-  RowIntervalSet other;
-  other.AddRange(5, 7);
-  EXPECT_FALSE(s.Overlaps(other));
-  other.Add(9);
-  EXPECT_TRUE(s.Overlaps(other));
-
-  // MergeFrom unions and coalesces: [2-4]+[8-9] with [5-7]+[9] closes
-  // every gap ([4|5] and [7|8] are adjacent), leaving one interval.
-  RowIntervalSet merged;
-  merged.MergeFrom(s);
-  merged.MergeFrom(other);
-  EXPECT_EQ(merged.ToString(), "[2-9]");
-  EXPECT_TRUE(merged.Within(2, 9));
 }
 
 // ---------------------------------------------------------------------
@@ -264,162 +198,6 @@ TEST(ScopeCheckerTest, GroupDisjointCrossCheckIsDirectional) {
   EXPECT_EQ(violations[0].other_tool, 1);
 }
 
-// ---------------------------------------------------------------------
-// Row-ranged scope declarations and interval-aware checking
-// ---------------------------------------------------------------------
-
-TEST(AccessScopeRangeTest, UnrangedDeclarationSupersedesRanges) {
-  AccessScope s;
-  s.AddWriteRange(0, 0, 5, 9);
-  ASSERT_NE(s.RangeOf({0, 0}), nullptr);
-  // A later whole-column declaration widens the atom to unrestricted.
-  s.AddWrite(0, 0);
-  EXPECT_EQ(s.RangeOf({0, 0}), nullptr);
-  // And once unrestricted, a range cannot narrow it back down.
-  s.AddWriteRange(0, 0, 5, 9);
-  EXPECT_EQ(s.RangeOf({0, 0}), nullptr);
-
-  // Repeated ranged declarations widen to the hull.
-  AccessScope h;
-  h.AddReadRange(0, 1, 2, 4);
-  h.AddReadRange(0, 1, 8, 10);
-  ASSERT_NE(h.RangeOf({0, 1}), nullptr);
-  EXPECT_EQ(h.RangeOf({0, 1})->first, 2);
-  EXPECT_EQ(h.RangeOf({0, 1})->second, 10);
-}
-
-TEST(AccessScopeRangeTest, MergeFromHullsRangesAndDropsMixed) {
-  AccessScope a, b;
-  a.AddWriteRange(0, 0, 0, 4);
-  a.AddWriteRange(0, 1, 0, 4);
-  b.AddWriteRange(0, 0, 3, 9);  // both ranged -> hull
-  b.AddWrite(0, 1);             // one side unranged -> unrestricted
-  b.AddWriteRange(1, 2, 7, 8);  // only b touches it -> kept
-  a.MergeFrom(b);
-  ASSERT_NE(a.RangeOf({0, 0}), nullptr);
-  EXPECT_EQ(a.RangeOf({0, 0})->first, 0);
-  EXPECT_EQ(a.RangeOf({0, 0})->second, 9);
-  EXPECT_EQ(a.RangeOf({0, 1}), nullptr);
-  ASSERT_NE(a.RangeOf({1, 2}), nullptr);
-  EXPECT_EQ(a.RangeOf({1, 2})->first, 7);
-}
-
-TEST(AccessScopeRangeTest, DisjointRangesOfOneColumnDoNotConflict) {
-  AccessScope lo, hi;
-  lo.known = hi.known = true;
-  lo.AddWriteRange(0, 0, 0, 4);
-  lo.AddRead(0, AccessScope::kRowStructure);
-  hi.AddWriteRange(0, 0, 5, 9);
-  hi.AddRead(0, AccessScope::kRowStructure);
-  // The interval exemption: same cell atom, certified-disjoint ranges.
-  EXPECT_FALSE(WritesDisturb(lo, hi));
-  EXPECT_FALSE(WritesDisturb(hi, lo));
-  EXPECT_FALSE(ScopesConflict(lo, hi));
-  EXPECT_FALSE(ValidationDisturb(lo, hi));
-
-  // Overlapping ranges conflict like any shared cell.
-  AccessScope mid;
-  mid.known = true;
-  mid.AddWriteRange(0, 0, 4, 6);
-  EXPECT_TRUE(ScopesConflict(lo, mid));
-
-  // The exemption never crosses granularities: a row-structure writer
-  // still disturbs a ranged cell reader of the same table.
-  AccessScope rows;
-  rows.known = true;
-  rows.AddWrite(0, AccessScope::kRowStructure);
-  EXPECT_TRUE(WritesDisturb(rows, lo));
-  EXPECT_TRUE(ScopesConflict(rows, lo));
-  // And the coarse atom-set helpers stay interval-blind.
-  EXPECT_TRUE(AtomSetsOverlap(lo.writes, hi.writes));
-}
-
-TEST(FootprintRecorderTest, AttributesRowsAndAllRowsSeparately) {
-  FootprintRecorder rec({2});
-  rec.OnRead(0, 0, 3);
-  rec.OnRead(0, 0, 4);
-  rec.OnWrite(0, 1, 7);
-  rec.OnWrite(0, 1);  // no row attribution: the all-rows bit
-  ASSERT_NE(rec.ReadRows(0, 0), nullptr);
-  EXPECT_EQ(rec.ReadRows(0, 0)->ToString(), "[3-4]");
-  EXPECT_FALSE(rec.ReadAllRows(0, 0));
-  ASSERT_NE(rec.WriteRows(0, 1), nullptr);
-  EXPECT_EQ(rec.WriteRows(0, 1)->ToString(), "[7]");
-  EXPECT_TRUE(rec.WriteAllRows(0, 1));
-  // Sentinel atoms never carry rows.
-  rec.OnRead(0, analysis::kProbeRowStructure, 5);
-  EXPECT_EQ(rec.ReadRows(0, analysis::kProbeRowStructure), nullptr);
-  rec.Clear();
-  EXPECT_EQ(rec.ReadRows(0, 0), nullptr);
-  EXPECT_EQ(rec.WriteRows(0, 1), nullptr);
-}
-
-TEST(ScopeCheckerTest, RangedDeclarationFlagsEscapingRows) {
-  AccessScope declared;
-  declared.known = true;
-  declared.AddWriteRange(0, 0, 0, 4);
-  declared.AddRead(0, AccessScope::kRowStructure);
-
-  // Inside the interval: conformant.
-  ScopeChecker ok_checker(ScopeCheckMode::kWarn, 1);
-  FootprintRecorder rec({2});
-  rec.OnRead(0, analysis::kProbeRowStructure);
-  rec.OnRead(0, 0, 2);
-  rec.OnWrite(0, 0, 4);
-  ok_checker.CheckStep(0, "ranged", declared, rec, 0);
-  EXPECT_EQ(ok_checker.ToolConformance(0), Conformance::kConformant);
-
-  // A write of row 9 escapes [0, 4] even though the atom is declared.
-  ScopeChecker bad_checker(ScopeCheckMode::kWarn, 1);
-  rec.Clear();
-  rec.OnRead(0, analysis::kProbeRowStructure);
-  rec.OnWrite(0, 0, 9);
-  bad_checker.CheckStep(0, "ranged", declared, rec, 0);
-  EXPECT_TRUE(bad_checker.IsDistrusted(0));
-  const std::vector<ScopeViolation> bad = bad_checker.violations();
-  ASSERT_EQ(bad.size(), 1u);
-  const ScopeViolation& v = bad[0];
-  EXPECT_EQ(v.kind, ScopeViolation::Kind::kUndeclaredWrite);
-  EXPECT_EQ(v.row, 9);
-  EXPECT_NE(v.ToString().find("row 9 outside declared range"),
-            std::string::npos);
-
-  // A non-attributable all-rows access cannot be proven in range.
-  ScopeChecker all_checker(ScopeCheckMode::kWarn, 1);
-  rec.Clear();
-  rec.OnRead(0, analysis::kProbeRowStructure);
-  rec.OnWrite(0, 0);
-  all_checker.CheckStep(0, "ranged", declared, rec, 0);
-  EXPECT_TRUE(all_checker.IsDistrusted(0));
-}
-
-TEST(ScopeCheckerTest, GroupDisjointExemptsDisjointObservedRows) {
-  // Same cell atom on both sides, but the observed row sets are
-  // disjoint: the pair did not interact.
-  ScopeChecker checker(ScopeCheckMode::kWarn, 2);
-  FootprintRecorder a({1}), b({1});
-  a.OnWrite(0, 0, 1);
-  a.OnRead(0, 0, 1);
-  b.OnWrite(0, 0, 5);
-  b.OnRead(0, 0, 5);
-  checker.CheckGroupDisjoint({0, 1}, {"lo", "hi"}, {&a, &b}, 0);
-  EXPECT_TRUE(checker.violations().empty());
-
-  // Overlapping rows are still a group overlap...
-  ScopeChecker overlap(ScopeCheckMode::kWarn, 2);
-  b.OnRead(0, 0, 1);
-  overlap.CheckGroupDisjoint({0, 1}, {"lo", "hi"}, {&a, &b}, 0);
-  EXPECT_FALSE(overlap.violations().empty());
-
-  // ...and an all-rows access forfeits the exemption.
-  ScopeChecker allrows(ScopeCheckMode::kWarn, 2);
-  FootprintRecorder c({1}), d({1});
-  c.OnWrite(0, 0, 1);
-  d.OnRead(0, 0);  // no row attribution
-  allrows.CheckGroupDisjoint({0, 1}, {"c", "d"}, {&c, &d}, 0);
-  EXPECT_FALSE(allrows.violations().empty());
-}
-
 TEST(ScopeCheckModeTest, ParsesSampled) {
   ScopeCheckMode mode = ScopeCheckMode::kOff;
   EXPECT_TRUE(analysis::ParseScopeCheckMode("sampled", &mode));
@@ -430,76 +208,69 @@ TEST(ScopeCheckModeTest, ParsesSampled) {
 }
 
 // ---------------------------------------------------------------------
-// Row-ranged write leases
+// Write leases
 // ---------------------------------------------------------------------
 
-TEST(WriteLeaseTest, RangedCoverageDemandsAttributedInRangeRows) {
-  AccessScope lo;
-  lo.known = true;
-  lo.AddWriteRange(0, 0, 0, 4);
+TEST(WriteLeaseTest, CoversAndPartitionsWholeAtoms) {
+  AccessScope cell, table, rows;
+  cell.known = table.known = rows.known = true;
+  cell.AddWrite(0, 0);
+  table.AddWrite(1);
+  rows.AddWrite(2, AccessScope::kRowStructure);
   std::vector<WriteLease> leases;
-  ASSERT_TRUE(PartitionWriteLeases({7}, {lo}, &leases));
-  ASSERT_EQ(leases.size(), 1u);
+  ASSERT_TRUE(PartitionWriteLeases({7, 8, 9}, {cell, table, rows}, &leases));
+  ASSERT_EQ(leases.size(), 3u);
   EXPECT_EQ(leases[0].tool_id, 7);
-  EXPECT_TRUE(leases[0].Covers(0, 0, 0));
-  EXPECT_TRUE(leases[0].Covers(0, 0, 4));
-  EXPECT_FALSE(leases[0].Covers(0, 0, 5));
-  EXPECT_FALSE(leases[0].Covers(0, 1, 2));
-  // A ranged atom rejects writes it cannot attribute to a row.
-  EXPECT_FALSE(leases[0].Covers(0, 0, analysis::kProbeAllRows));
-}
+  EXPECT_TRUE(leases[0].Covers(0, 0));
+  EXPECT_FALSE(leases[0].Covers(0, 1));
+  EXPECT_FALSE(leases[0].Covers(0, AccessScope::kRowStructure));
+  // A whole-table lease covers every atom of its table.
+  EXPECT_TRUE(leases[1].Covers(1, 3));
+  EXPECT_TRUE(leases[1].Covers(1, AccessScope::kRowStructure));
+  // A row-structure lease covers no cell.
+  EXPECT_TRUE(leases[2].Covers(2, AccessScope::kRowStructure));
+  EXPECT_FALSE(leases[2].Covers(2, 0));
 
-TEST(WriteLeaseTest, PartitionAcceptsDisjointRangesOfOneColumn) {
-  AccessScope lo, hi;
-  lo.known = hi.known = true;
-  lo.AddWriteRange(0, 0, 0, 4);
-  hi.AddWriteRange(0, 0, 5, 9);
-  std::vector<WriteLease> leases;
-  EXPECT_TRUE(PartitionWriteLeases({0, 1}, {lo, hi}, &leases));
-
-  // Overlapping ranges of the same column fail the certificate.
-  AccessScope mid;
-  mid.known = true;
-  mid.AddWriteRange(0, 0, 4, 6);
-  EXPECT_FALSE(PartitionWriteLeases({0, 1}, {lo, mid}, &leases));
-  // So does an unranged co-writer of the column.
-  AccessScope whole;
-  whole.known = true;
-  whole.AddWrite(0, 0);
-  EXPECT_FALSE(PartitionWriteLeases({0, 1}, {lo, whole}, &leases));
+  // Two writers of one column, or a column and its table's row
+  // structure, fail the disjointness certificate.
+  AccessScope same_cell, cell_rows;
+  same_cell.known = cell_rows.known = true;
+  same_cell.AddWrite(0, 0);
+  cell_rows.AddWrite(0, AccessScope::kRowStructure);
+  EXPECT_FALSE(PartitionWriteLeases({0, 1}, {cell, same_cell}, &leases));
+  EXPECT_FALSE(PartitionWriteLeases({0, 1}, {cell, cell_rows}, &leases));
 }
 
 TEST(WriteLeaseTest, SampledSinkAlwaysChecksTheFirstWrite) {
-  AccessScope ranged;
-  ranged.known = true;
-  ranged.AddWriteRange(0, 0, 0, 4);
+  AccessScope scope;
+  scope.known = true;
+  scope.AddWrite(0, 0);
   std::vector<WriteLease> leases;
-  ASSERT_TRUE(PartitionWriteLeases({0}, {ranged}, &leases));
+  ASSERT_TRUE(PartitionWriteLeases({0}, {scope}, &leases));
 
-  // Full mode latches any out-of-lease write with its row.
+  // Full mode latches any out-of-lease write with its atom.
   LeaseProbeSink full(&leases[0], nullptr);
-  full.OnWrite(0, 0, 2);
+  full.OnWrite(0, 0);
   EXPECT_FALSE(full.violated());
-  full.OnWrite(0, 0, 9);
+  full.OnWrite(0, 1);
   EXPECT_TRUE(full.violated());
-  EXPECT_EQ(full.violation(), (AccessScope::Atom{0, 0}));
-  EXPECT_EQ(full.violation_row(), 9);
+  EXPECT_EQ(full.violation(), (AccessScope::Atom{0, 1}));
 
   // Sampled mode checks write 0 unconditionally: a first-write lie is
   // caught even at 1/64 sampling.
   LeaseProbeSink sampled(&leases[0], nullptr, /*sampled=*/true);
-  sampled.OnWrite(0, 0, 9);
+  sampled.OnWrite(0, 1);
   EXPECT_TRUE(sampled.violated());
 
   // And the strided writes are really skipped: 63 bad writes after a
   // good first one go unchecked until the stride comes around.
   LeaseProbeSink strided(&leases[0], nullptr, /*sampled=*/true);
-  strided.OnWrite(0, 0, 1);
+  strided.OnWrite(0, 0);
   for (int i = 0; i < LeaseProbeSink::kSampleStride - 1; ++i) {
-    strided.OnWrite(0, 0, 9);
+    strided.OnWrite(0, 1);
   }
   EXPECT_FALSE(strided.violated());
-  strided.OnWrite(0, 0, 9);  // write #64: sampled again
+  strided.OnWrite(0, 1);  // write #64: sampled again
   EXPECT_TRUE(strided.violated());
 }
 

@@ -754,62 +754,6 @@ TEST_F(SharedModeTest, BatchAutoDeterministicAcrossModesAndGrows) {
   ExpectLogsIdentical(*run.log, *serial.log);
 }
 
-// The headline row-range case: two instances of one ColumnFreqTool
-// split the SAME (table, column) into disjoint tuple-id halves. Under
-// the interval-blind rules they conflict (same cell atom), so the
-// group they form exists only thanks to the range declarations — and
-// it must still be bitwise indistinguishable from serial at every
-// thread count.
-TEST_F(SharedModeTest, RowRangeSplitToolsGroupAndMatchSerial) {
-  const Table* user = base_->FindTable("User");
-  ASSERT_NE(user, nullptr);
-  const int64_t mid = user->NumSlots() / 2;
-  ASSERT_GT(mid, 0);
-  const int64_t last = user->NumSlots() - 1;
-
-  const auto run_with = [&](bool parallel, int threads) {
-    ModeOutcome out;
-    out.db = base_->Clone();
-    out.log = std::make_unique<ModificationLog>(out.db.get());
-    Coordinator coordinator;
-    auto lo = std::make_unique<ColumnFreqTool>(truth_->schema(), "User",
-                                               "gender");
-    lo->SetRowRange(0, mid - 1);
-    auto hi = std::make_unique<ColumnFreqTool>(truth_->schema(), "User",
-                                               "gender");
-    hi->SetRowRange(mid, last);
-    std::vector<int> order = {coordinator.AddTool(std::move(lo)),
-                              coordinator.AddTool(std::move(hi))};
-    coordinator.SetTargetsFromDataset(*truth_).Check();
-    CoordinatorOptions opts;
-    opts.seed = 5;
-    opts.parallel_pass = parallel;
-    opts.pass_threads = threads;
-    opts.batch_size = 64;
-    out.report = coordinator.Run(out.db.get(), order, opts).ValueOrAbort();
-    return out;
-  };
-
-  const ModeOutcome serial = run_with(false, 1);
-  EXPECT_EQ(serial.report.parallel_groups, 0);
-  for (const int threads : {1, 2, 8}) {
-    const ModeOutcome run = run_with(true, threads);
-    // The split pair really ran as a group, and the group was admitted
-    // by the interval exemption, not by coarse disjointness.
-    EXPECT_GT(run.report.parallel_groups, 0) << "threads " << threads;
-    EXPECT_GT(run.report.row_range_groups, 0) << "threads " << threads;
-    EXPECT_EQ(run.report.lease_violations, 0);
-    int parallel_steps = 0;
-    for (const ToolReport& step : run.report.steps) {
-      parallel_steps += step.parallel ? 1 : 0;
-    }
-    EXPECT_GE(parallel_steps, 2) << "threads " << threads;
-    ExpectSameSteps(run.report, serial.report);
-    ExpectDatabasesIdentical(*run.db, *serial.db);
-    ExpectLogsIdentical(*run.log, *serial.log);
-  }
-}
-
 // Moves every referrer of parent slot 0 over one FK edge to random
 // live parents: half one write at a time, the rest in one broadcast
 // write. Its Error and Tweak read that edge of the referrer index,
@@ -948,33 +892,6 @@ TEST(SharedIndexTest, SiblingFkRepointsShareOneParentIndex) {
   });
 }
 
-// Two ColumnFreq tools split one FK column (Album_Heard -> Album) into
-// row-range halves, so both tasks write the same edge of the index at
-// once; the edge's mutex serialises them.
-TEST(SharedIndexTest, RowRangeHalvesOfOneFkColumnShareItsEdge) {
-  const auto truth = MusicDataset(23);
-  auto base = MusicDataset(23);
-  Table* heard = base->FindTable("Album_Heard");
-  ASSERT_TRUE(base->Apply(Modification::ReplaceValues(
-                              "Album_Heard", heard->LiveTuples(), {0},
-                              {Value(int64_t{0})}))
-                  .ok());
-  const std::string col = heard->column(0).name();
-  const int64_t mid = heard->NumSlots() / 2;
-  ExpectIndexedGroupMatchesSerial(*base, [&]() {
-    std::vector<std::unique_ptr<PropertyTool>> tools;
-    for (const auto& [lo, hi] : {std::pair<int64_t, int64_t>{0, mid - 1},
-                                 {mid, heard->NumSlots() - 1}}) {
-      auto tool = std::make_unique<ColumnFreqTool>(base->schema(),
-                                                   "Album_Heard", col);
-      tool->SetRowRange(lo, hi);
-      tool->SetTargetFromDataset(*truth).Check();
-      tools.push_back(std::move(tool));
-    }
-    return tools;
-  });
-}
-
 // Declares writing only T.b but also writes T.a — an under-declared
 // write scope that shared mode must catch (the write lands in the main
 // database, outside the task's lease).
@@ -1071,15 +988,15 @@ TEST(SharedModeLeaseTest, UnderDeclaredWriteIsUndoneAndRedoneSerially) {
   }
 }
 
-// Declares T.b restricted to row 0 but writes row 1 — and the lie is
-// its FIRST write, the one every sampled-canary sink checks
-// unconditionally. This is the shape the release-mode canary is
-// guaranteed to catch without --check-scopes.
-class RangeLiarTool : public PropertyTool {
+// Declares writing only T.b but writes T.a — and the lie is its FIRST
+// write, the one every sampled-canary sink checks unconditionally.
+// This is the shape the release-mode canary is guaranteed to catch
+// without --check-scopes.
+class FirstWriteLiarTool : public PropertyTool {
  public:
-  explicit RangeLiarTool(const Schema& schema)
+  explicit FirstWriteLiarTool(const Schema& schema)
       : table_index_(schema.TableIndex("T")) {}
-  std::string name() const override { return "range-liar"; }
+  std::string name() const override { return "first-write-liar"; }
   Status SetTargetFromDataset(const Database&) override {
     return Status::OK();
   }
@@ -1098,13 +1015,13 @@ class RangeLiarTool : public PropertyTool {
   AccessScope DeclaredScope() const override {
     AccessScope scope;
     scope.known = true;
-    scope.AddWriteRange(table_index_, 1, 0, 0);  // T.b, row 0 only
+    scope.AddWrite(table_index_, 1);  // T.b — says nothing about T.a
     return scope;
   }
   Status Tweak(TweakContext* ctx) override {
-    // The lie: row 1 is outside the declared [0, 0] interval.
+    // The lie: the first write goes to the undeclared T.a.
     return ctx->TryApply(Modification::ReplaceValues(
-        "T", {1}, {1}, {Value(int64_t{42})}));
+        "T", {1}, {0}, {Value(int64_t{42})}));
   }
 
  private:
@@ -1114,7 +1031,7 @@ class RangeLiarTool : public PropertyTool {
 
 // The release-build canary (satellite): with --check-scopes=sampled no
 // conformance checker exists and no full footprints are recorded, yet
-// a tool whose very first write leaves its declared row interval is
+// a tool whose very first write leaves its declared write atoms is
 // still latched by the sampled lease probe, the group is discarded,
 // and the serial redo leaves results identical to the serial run.
 TEST(SharedModeLeaseTest, SampledCanaryCatchesFirstWriteRangeLiar) {
@@ -1123,7 +1040,7 @@ TEST(SharedModeLeaseTest, SampledCanaryCatchesFirstWriteRangeLiar) {
     auto db = TinyDb();
     Coordinator coordinator;
     std::vector<int> order = {
-        coordinator.AddTool(std::make_unique<RangeLiarTool>(schema)),
+        coordinator.AddTool(std::make_unique<FirstWriteLiarTool>(schema)),
         coordinator.AddTool(
             std::make_unique<RowAndCellTool>(schema, "A", 6)),
     };
@@ -1140,7 +1057,7 @@ TEST(SharedModeLeaseTest, SampledCanaryCatchesFirstWriteRangeLiar) {
 
   const auto serial = run_with(false);
   const auto parallel = run_with(true);
-  // The canary latched the out-of-range write — with no checker
+  // The canary latched the out-of-lease write — with no checker
   // installed (sampled mode records no conformance violations).
   EXPECT_GT(parallel.second.lease_violations, 0);
   EXPECT_TRUE(parallel.second.scope_violations.empty());

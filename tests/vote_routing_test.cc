@@ -1,8 +1,7 @@
 // Tests for scope-routed validator voting (--route-votes): routed
 // voting must be bitwise identical to full voting in every execution
-// mode and at every thread count while actually pruning votes, the
-// row-interval exemption must prune validators whose certified range
-// is disjoint from the touched rows, and the sampled pruning audit
+// mode and at every thread count while actually pruning votes, and
+// the sampled pruning audit
 // must catch a validator whose declared read scope under-reports what
 // its votes depend on — then keep it off the routed path for the rest
 // of the run.
@@ -199,65 +198,14 @@ TEST_F(VoteRoutingTest, RoutedMatchesFullAcrossModesAndThreads) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Row-interval routing: two instances of one ColumnFreqTool split the
-// SAME (table, column) into disjoint tuple-id halves. The second
-// instance's proposals touch only its own half, so the first — a
-// certified-range reader of the same cell atom — must be pruned by
-// interval disjointness, and (audit mode, so every pruned vote is
-// re-invoked) must genuinely return zero penalty outside its range.
-// ---------------------------------------------------------------------
-TEST_F(VoteRoutingTest, RowRangeDisjointValidatorIsPruned) {
-  const Table* user = base_->FindTable("User");
-  ASSERT_NE(user, nullptr);
-  const int64_t mid = user->NumSlots() / 2;
-  ASSERT_GT(mid, 0);
-  const int64_t last = user->NumSlots() - 1;
-
-  const auto run_with = [&](RouteVotes route) {
-    Outcome out;
-    out.db = base_->Clone();
-    out.log = std::make_unique<ModificationLog>(out.db.get());
-    Coordinator coordinator;
-    auto lo =
-        std::make_unique<ColumnFreqTool>(truth_->schema(), "User", "gender");
-    lo->SetRowRange(0, mid - 1);
-    auto hi =
-        std::make_unique<ColumnFreqTool>(truth_->schema(), "User", "gender");
-    hi->SetRowRange(mid, last);
-    std::vector<int> order = {coordinator.AddTool(std::move(lo)),
-                              coordinator.AddTool(std::move(hi))};
-    coordinator.SetTargetsFromDataset(*truth_).Check();
-    CoordinatorOptions opts;
-    opts.seed = 5;
-    opts.batch_size = 64;
-    opts.route_votes = route;
-    out.report = coordinator.Run(out.db.get(), order, opts).ValueOrAbort();
-    return out;
-  };
-
-  const Outcome full = run_with(RouteVotes::kOff);
-  for (const RouteVotes route : {RouteVotes::kOn, RouteVotes::kAudit}) {
-    const Outcome routed = run_with(route);
-    ExpectSameSteps(routed.report, full.report);
-    ExpectDatabasesIdentical(*routed.db, *full.db);
-    ExpectLogsIdentical(*routed.log, *full.log);
-    // The hi step's only validator (lo) reads the same column but a
-    // disjoint certified range: every one of its votes is pruned, and
-    // none of the audited ones found a nonzero penalty (the InRange
-    // guard makes the zero-outside-scope contract real).
-    EXPECT_GT(routed.report.votes_skipped, 0);
-    EXPECT_EQ(routed.report.route_audit_violations, 0);
-  }
-}
-
 // =====================================================================
 // ProposalDisturbsStats driven directly. Every case below is one row —
 // (certified validator scope, proposal, expected decision) — checked by
 // one shared harness; batches are also checked against the union of
-// their single-modification decisions. The suite keeps the name it had
-// when routing went through an inverted vote index, one test per
-// routing concern.
+// their single-modification decisions. The suite and its test names
+// date from designs that are gone (an inverted vote index, row-ranged
+// readers, hull widening); the names are kept, one test per routing
+// concern, while the cases use (table, column) scopes only.
 // =====================================================================
 
 Schema PairSchema() {
@@ -328,50 +276,45 @@ void ExpectBatchMatchesUnion(std::span<const Modification> batch,
 }
 
 TEST(VoteIndexTest, AggregateSkipsCollectingOnceRangedReadersConsulted) {
-  AccessScope ranged_y = KnownScope();  // T.y rows [5, 7]
-  ranged_y.AddReadRange(kT, 1, 5, 7);
-  AccessScope x_and_y = KnownScope();  // T.x unranged, T.y rows [0, 3]
+  AccessScope y_only = KnownScope();  // T.y
+  y_only.AddRead(kT, 1);
+  AccessScope x_and_y = KnownScope();  // T.x and T.y
   x_and_y.AddRead(kT, 0);
-  x_and_y.AddReadRange(kT, 1, 0, 3);
-  AccessScope y_only = KnownScope();  // T.y rows [0, 3]
-  y_only.AddReadRange(kT, 1, 0, 3);
+  x_and_y.AddRead(kT, 1);
+  AccessScope x_only = KnownScope();  // T.x
+  x_only.AddRead(kT, 0);
 
   // Nine mods (more than the old aggregation threshold of eight).
-  std::vector<Modification> both_far;  // T.x and T.y, rows 10..18
-  std::vector<Modification> y_near;    // T.y only, rows 0..8
-  std::vector<Modification> y_far;     // T.y only, rows 10..18
+  std::vector<Modification> both;  // T.x and T.y, rows 10..18
+  std::vector<Modification> y_writes;  // T.y only, rows 0..8
   for (int64_t i = 0; i < 9; ++i) {
-    both_far.push_back(Modification::ReplaceValues(
+    both.push_back(Modification::ReplaceValues(
         "T", {10 + i}, {0, 1}, {Value(int64_t{1}), Value(int64_t{2})}));
-    y_near.push_back(CellWrite("T", {i}, 1));
-    y_far.push_back(CellWrite("T", {10 + i}, 1));
+    y_writes.push_back(CellWrite("T", {i}, 1));
   }
 
-  // A ranged reader is disturbed only through a touched tuple id of its
-  // exact cell atom inside its range; an unranged read of a written
-  // column decides regardless of the rows.
+  // A cell reader is disturbed by any write of its (table, column)
+  // atom, whatever rows it touches, and by no write of another column.
   ExpectCases({
-      {"T.y row 0 outside [5, 7]", ranged_y, {CellWrite("T", {0}, 1)},
-       false},
-      {"T.y row 6 inside [5, 7]", ranged_y, {CellWrite("T", {6}, 1)}, true},
-      {"T.y rows {0, 7}: one inside", ranged_y,
-       {CellWrite("T", {0, 7}, 1)}, true},
-      {"T.x row 6: other column", ranged_y, {CellWrite("T", {6}, 0)},
-       false},
-      {"unranged T.x read, far rows", x_and_y, both_far, true},
-      {"T.y rows 0..8 vs [0, 3]", y_only, y_near, true},
-      {"T.y rows 10..18 vs [0, 3]", y_only, y_far, false},
+      {"T.y row 0 vs T.y", y_only, {CellWrite("T", {0}, 1)}, true},
+      {"T.y row 6 vs T.y", y_only, {CellWrite("T", {6}, 1)}, true},
+      {"T.x row 6 vs T.y", y_only, {CellWrite("T", {6}, 0)}, false},
+      {"T.x and T.y writes vs T.x, T.y", x_and_y, both, true},
+      {"T.x and T.y writes vs T.x", x_only, both, true},
+      {"T.y rows 0..8 vs T.y", y_only, y_writes, true},
+      {"T.y rows 0..8 vs T.x", x_only, y_writes, false},
   });
 }
 
 TEST(VoteIndexTest, UnknownTableFallbackFillsMaskAndClearsScratch) {
-  AccessScope ranged_y = KnownScope();  // T.y rows [0, 3]
-  ranged_y.AddReadRange(kT, 1, 0, 3);
+  AccessScope x_only = KnownScope();  // T.x
+  x_only.AddRead(kT, 0);
   AccessScope whole_u = KnownScope();
   whole_u.AddRead(kU);
 
-  // Nine exempt T.y writes, then a table the schema does not know: it
-  // disturbs every validator, wherever it sits in the batch.
+  // Nine T.y writes the T.x reader ignores, then a table the schema
+  // does not know: it disturbs every validator, wherever it sits in
+  // the batch.
   std::vector<Modification> poisoned;
   std::vector<Modification> disjoint;
   for (int64_t i = 0; i < 9; ++i) {
@@ -385,23 +328,22 @@ TEST(VoteIndexTest, UnknownTableFallbackFillsMaskAndClearsScratch) {
   // The decision carries no state from one proposal to the next: the
   // disjoint batch after the poisoned one is exempt.
   ExpectCases({
-      {"unknown table after exempt write", ranged_y,
+      {"unknown table after exempt write", x_only,
        {CellWrite("T", {0}, 1), CellWrite("Nope", {0}, 0)}, true},
-      {"unknown table last in 10 mods", ranged_y, poisoned, true},
-      {"unknown table first in 10 mods", ranged_y, leading, true},
+      {"unknown table last in 10 mods", x_only, poisoned, true},
+      {"unknown table first in 10 mods", x_only, leading, true},
       {"unknown table vs whole-table U", whole_u, poisoned, true},
-      {"disjoint batch afterwards", ranged_y, disjoint, false},
+      {"disjoint batch afterwards", x_only, disjoint, false},
   });
 }
 
 TEST(VoteIndexTest, IncrementalMatchesRebuildThroughWidenAndDistrust) {
-  AccessScope hull_y = KnownScope();  // T.y [0, 2] and [6, 8]: hull [0, 8]
-  hull_y.AddRead(kT, 0);
-  hull_y.AddReadRange(kT, 1, 0, 2);
-  hull_y.AddReadRange(kT, 1, 6, 8);
-  AccessScope far_y = KnownScope();  // whole-table U plus T.y [10, 12]
-  far_y.AddRead(kU);
-  far_y.AddReadRange(kT, 1, 10, 12);
+  AccessScope x_and_y = KnownScope();  // T.x plus T.y
+  x_and_y.AddRead(kT, 0);
+  x_and_y.AddRead(kT, 1);
+  AccessScope u_and_x = KnownScope();  // whole-table U plus T.x
+  u_and_x.AddRead(kU);
+  u_and_x.AddRead(kT, 0);
   AccessScope observed = KnownScope();  // write-only: reads incomplete
   observed.reads_complete = false;
   observed.AddWrite(kT, 0);
@@ -409,14 +351,12 @@ TEST(VoteIndexTest, IncrementalMatchesRebuildThroughWidenAndDistrust) {
   // The ledger hands a distrusted validator over as the unknown scope.
   const AccessScope distrusted;
 
-  // A write inside the widened hull but outside both declared pieces
-  // disturbs: the conservative meaning of widening. Uncertified scopes
-  // always vote.
+  // A certified scope votes only on writes to the atoms it reads;
+  // uncertified scopes always vote.
   const Modification probe = CellWrite("T", {4}, 1);
   ExpectCases({
-      {"hull gap row 4", hull_y, {probe}, true},
-      {"past the hull, row 9", hull_y, {CellWrite("T", {9}, 1)}, false},
-      {"row 4 vs far range", far_y, {probe}, false},
+      {"T.y write vs T.x, T.y", x_and_y, {probe}, true},
+      {"T.y write vs U, T.x", u_and_x, {probe}, false},
       {"unknown scope", unknown, {probe}, true},
       {"observed scope", observed, {probe}, true},
       {"distrusted scope", distrusted, {probe}, true},
@@ -429,8 +369,8 @@ TEST(VoteIndexTest, IncrementalMatchesRebuildThroughWidenAndDistrust) {
 }
 
 TEST(VoteIndexTest, RowStructureWritesDisturbRangedCellReaders) {
-  AccessScope ranged_y = KnownScope();  // T.y rows [5, 7]
-  ranged_y.AddReadRange(kT, 1, 5, 7);
+  AccessScope x_only = KnownScope();  // T.x
+  x_only.AddRead(kT, 0);
   AccessScope whole_u = KnownScope();
   whole_u.AddRead(kU);
   AccessScope rows_t = KnownScope();  // T's row structure only
@@ -439,13 +379,12 @@ TEST(VoteIndexTest, RowStructureWritesDisturbRangedCellReaders) {
       Modification::InsertTuple("U", {Value(int64_t{1})});
 
   ExpectCases({
-      // Row-structure writes disturb every reader of the table, with no
-      // interval exemption — not even next to an exempt cell write.
-      {"exempt cell write alone", ranged_y, {CellWrite("T", {0}, 1)}, false},
-      {"insert vs ranged T.y", ranged_y, {InsertT()}, true},
-      {"delete vs ranged T.y", ranged_y, {Modification::DeleteTuple("T", 0)},
-       true},
-      {"insert beside exempt cell write", ranged_y,
+      // Row-structure writes disturb every cell reader of the table —
+      // also next to a cell write the reader ignores.
+      {"T.y cell write alone", x_only, {CellWrite("T", {0}, 1)}, false},
+      {"insert vs T.x", x_only, {InsertT()}, true},
+      {"delete vs T.x", x_only, {Modification::DeleteTuple("T", 0)}, true},
+      {"insert beside T.y cell write", x_only,
        {CellWrite("T", {0}, 1), InsertT()}, true},
       // A whole-table reader sees every write to its table, and only
       // those.
@@ -464,10 +403,11 @@ TEST(VoteIndexTest, RowStructureWritesDisturbRangedCellReaders) {
 }
 
 TEST(VoteIndexTest, AggregateThresholdMatchesPerModUnion) {
-  AccessScope lo_y = KnownScope();
-  lo_y.AddReadRange(kT, 1, 0, 3);
-  AccessScope hi_y = KnownScope();
-  hi_y.AddReadRange(kT, 1, 10, 12);
+  AccessScope y_only = KnownScope();
+  y_only.AddRead(kT, 1);
+  AccessScope u_and_y = KnownScope();
+  u_and_y.AddRead(kU);
+  u_and_y.AddRead(kT, 1);
   AccessScope x_only = KnownScope();  // T.x — the batch writes only T.y
   x_only.AddRead(kT, 0);
   AccessScope whole_u = KnownScope();
@@ -483,8 +423,8 @@ TEST(VoteIndexTest, AggregateThresholdMatchesPerModUnion) {
   for (const size_t n : {size_t{8}, size_t{9}}) {
     const std::span<const Modification> batch =
         std::span<const Modification>(mods).first(n);
-    ExpectBatchMatchesUnion(batch, lo_y, true, "rows 0..2 hit [0, 3]");
-    ExpectBatchMatchesUnion(batch, hi_y, true, "row 11 hits [10, 12]");
+    ExpectBatchMatchesUnion(batch, y_only, true, "T.y written");
+    ExpectBatchMatchesUnion(batch, u_and_y, true, "T.y written beside U");
     ExpectBatchMatchesUnion(batch, x_only, false, "T.x never written");
     ExpectBatchMatchesUnion(batch, whole_u, false, "U never touched");
     ExpectBatchMatchesUnion(batch, unknown, true, "unknown scope");
@@ -511,10 +451,8 @@ TEST_F(VoteRoutingTest, IncrementalIndexMatchesFullVoting) {
 }
 
 // ---------------------------------------------------------------------
-// The aggregate threshold: a batch of 8 modifications routes with
-// per-tuple interval tests, a batch of 9 aggregates touched ids into
-// interval sets. Both regimes must stay bitwise identical to full
-// voting.
+// Batches of 8 and 9 modifications, either side of the old aggregation
+// threshold, must both stay bitwise identical to full voting.
 // ---------------------------------------------------------------------
 TEST_F(VoteRoutingTest, AggregateThresholdBatchSizesMatchFull) {
   for (const int batch_size : {8, 9}) {
@@ -687,136 +625,6 @@ TEST(VoteRoutingAuditTest, OverNarrowValidatorIsCaughtAndDistrusted) {
     EXPECT_EQ(routed.second.route_audit_violations, 1);
     // The audited vote counted, so the outcome matches full voting.
     ExpectDatabasesIdentical(*routed.first, *full.first);
-  }
-}
-
-// ---------------------------------------------------------------------
-// Hull widening end-to-end: a validator that declares two disjoint row
-// ranges of the same atom. The scope (and so the routing test) widens
-// them to the hull, which must keep a write in the gap between the
-// pieces on the voted path — and prune a write outside the hull.
-// ---------------------------------------------------------------------
-std::unique_ptr<Database> TinyDbWithRows(int64_t a_rows) {
-  auto db = Database::Create(TinySchema()).ValueOrAbort();
-  Table* a = db->FindTable("A");
-  for (int64_t i = 0; i < a_rows; ++i) {
-    a->Append({Value(int64_t{i})}).status().Check();
-  }
-  db->FindTable("B")->Append({Value(int64_t{1})}).status().Check();
-  return db;
-}
-
-// Declares A.x rows [0, 2] and [6, 8] — widened to the hull [0, 8] —
-// and vetoes exactly the writes of A.x row 4: a row inside the hull
-// but outside both declared pieces, which the certified range still
-// covers.
-class HullValidatorTool : public PropertyTool {
- public:
-  explicit HullValidatorTool(const Schema& schema)
-      : a_index_(schema.TableIndex("A")) {}
-  std::string name() const override { return "hull-validator"; }
-  Status SetTargetFromDataset(const Database&) override {
-    return Status::OK();
-  }
-  Status RepairTarget() override { return Status::OK(); }
-  Status CheckTargetFeasible() const override { return Status::OK(); }
-  Status Bind(Database* db) override {
-    db_ = db;
-    return Status::OK();
-  }
-  void Unbind() override { db_ = nullptr; }
-  bool bound() const override { return db_ != nullptr; }
-  double Error() const override { return 0; }
-  double ValidationPenalty(const Modification& mod) const override {
-    if (mod.table != "A" || mod.kind != OpKind::kReplaceValues) return 0.0;
-    for (const TupleId tid : mod.tuples) {
-      if (tid == 4) return 1.0;
-    }
-    return 0.0;
-  }
-  void OnApplied(const Modification&, const std::vector<Value>&,
-                 TupleId) override {}
-  AccessScope DeclaredScope() const override {
-    AccessScope scope;
-    scope.known = true;
-    scope.AddReadRange(a_index_, 0, 0, 2);
-    scope.AddReadRange(a_index_, 0, 6, 8);  // widens to the hull [0, 8]
-    return scope;
-  }
-  Status Tweak(TweakContext*) override { return Status::OK(); }
-
- private:
-  int a_index_;
-  Database* db_ = nullptr;
-};
-
-// Proposes a write in the hull gap (row 4, vetoed) and one past the
-// hull (row 9, applied with the validator's vote pruned).
-class GapWriterTool : public PropertyTool {
- public:
-  explicit GapWriterTool(const Schema& schema)
-      : a_index_(schema.TableIndex("A")) {}
-  std::string name() const override { return "gap-writer"; }
-  Status SetTargetFromDataset(const Database&) override {
-    return Status::OK();
-  }
-  Status RepairTarget() override { return Status::OK(); }
-  Status CheckTargetFeasible() const override { return Status::OK(); }
-  Status Bind(Database* db) override {
-    db_ = db;
-    return Status::OK();
-  }
-  void Unbind() override { db_ = nullptr; }
-  bool bound() const override { return db_ != nullptr; }
-  double Error() const override { return 0; }
-  double ValidationPenalty(const Modification&) const override { return 0; }
-  void OnApplied(const Modification&, const std::vector<Value>&,
-                 TupleId) override {}
-  AccessScope DeclaredScope() const override {
-    AccessScope scope;
-    scope.known = true;
-    scope.AddWrite(a_index_, 0);  // A.x
-    return scope;
-  }
-  Status Tweak(TweakContext* ctx) override {
-    for (const int64_t row : {int64_t{4}, int64_t{9}}) {
-      const Status st = ctx->TryApply(Modification::ReplaceValues(
-          "A", {row}, {0}, {Value(int64_t{100 + row})}));
-      if (!st.ok() && !st.IsValidationFailed()) return st;
-    }
-    return Status::OK();
-  }
-
- private:
-  int a_index_;
-  Database* db_ = nullptr;
-};
-
-TEST(VoteRoutingHullTest, HullWidenedDuplicateAtomRoutesConservatively) {
-  const Schema schema = TinySchema();
-  const auto run_with = [&](RouteVotes route) {
-    auto db = TinyDbWithRows(10);
-    Coordinator coordinator;
-    std::vector<int> order = {
-        coordinator.AddTool(std::make_unique<HullValidatorTool>(schema)),
-        coordinator.AddTool(std::make_unique<GapWriterTool>(schema)),
-    };
-    CoordinatorOptions opts;
-    opts.seed = 13;
-    opts.iterations = 1;
-    opts.route_votes = route;
-    RunReport report = coordinator.Run(db.get(), order, opts).ValueOrAbort();
-    return std::make_pair(std::move(db), std::move(report));
-  };
-  const auto full = run_with(RouteVotes::kOff);
-  EXPECT_EQ(full.second.votes_skipped, 0);
-  for (const RouteVotes route : {RouteVotes::kOn, RouteVotes::kAudit}) {
-    const auto routed = run_with(route);
-    ExpectDatabasesIdentical(*routed.first, *full.first);
-    // Row 4 (inside the hull) was voted on and vetoed; row 9 (outside)
-    // was pruned, and the audited pruned vote returned zero.
-    EXPECT_EQ(routed.second.votes_skipped, 1);
-    EXPECT_EQ(routed.second.route_audit_violations, 0);
   }
 }
 

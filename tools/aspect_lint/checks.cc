@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 namespace aspect_lint {
 namespace {
@@ -434,88 +433,6 @@ void CheckLeases(const SourceModel& model, std::vector<Diagnostic>* diags) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Check family 4: vote-routing contract.
-//
-// A tool whose DeclaredScope narrows its footprint to a row range
-// (AddReadRange / AddWriteRange) licenses the vote router to skip its
-// ValidationPenalty for proposals outside that range. Skipping is
-// sound only if the penalty really is zero out there — the
-// zero-penalty-outside-scope contract, enforced in every shipped tool
-// by an InRange guard on the penalty paths. A penalty may guard
-// through a same-class helper (a penalty that prices through a
-// guarded delta or accumulator method), so a method counts as
-// guarded when its body mentions InRange or any guarded same-class
-// method, transitively. Flag a ranged class whose defined penalty
-// overrides are not all guarded — or that defines none in this file,
-// leaving no visible guard at all; a tool that upholds the contract
-// some other way vouches with `// aspect-lint:
-// allow(routing-contract)` on the DeclaredScope definition.
-// ---------------------------------------------------------------------------
-
-void CheckRoutingContract(const SourceModel& model,
-                          std::vector<Diagnostic>* diags) {
-  struct Body {
-    size_t begin;
-    size_t end;
-  };
-  struct ToolInfo {
-    int scope_line = 0;   // line of the ranged DeclaredScope definition
-    bool ranged = false;  // DeclaredScope body declares a row range
-    std::map<std::string, Body> methods;
-  };
-  std::map<std::string, ToolInfo> tools;
-  for (const FunctionDef& fn : model.functions()) {
-    const size_t sep = fn.name.rfind("::");
-    if (sep == std::string::npos) continue;
-    const std::string cls = fn.name.substr(0, sep);
-    const std::string method = fn.name.substr(sep + 2);
-    ToolInfo& info = tools[cls];
-    info.methods[method] = {fn.body_begin, fn.body_end};
-    if (method == "DeclaredScope" &&
-        (model.RangeHasIdent(fn.body_begin, fn.body_end, "AddReadRange") ||
-         model.RangeHasIdent(fn.body_begin, fn.body_end, "AddWriteRange"))) {
-      info.ranged = true;
-      info.scope_line = fn.line;
-    }
-  }
-  for (const auto& [cls, info] : tools) {
-    if (!info.ranged) continue;
-    // Fixed point: guarded = mentions InRange, or mentions a guarded
-    // same-class method.
-    std::set<std::string> guarded;
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (const auto& [name, body] : info.methods) {
-        if (guarded.count(name)) continue;
-        bool ok = model.RangeHasIdent(body.begin, body.end, "InRange");
-        for (auto it = guarded.begin(); !ok && it != guarded.end(); ++it) {
-          ok = model.RangeHasIdent(body.begin, body.end, it->c_str());
-        }
-        if (ok) {
-          guarded.insert(name);
-          grew = true;
-        }
-      }
-    }
-    bool defined = false, all_guarded = true;
-    for (const char* penalty : {"ValidationPenalty", "ValidationPenaltyBatch"}) {
-      if (!info.methods.count(penalty)) continue;
-      defined = true;
-      all_guarded = all_guarded && guarded.count(penalty) > 0;
-    }
-    if (defined && all_guarded) continue;
-    Emit(diags, model, info.scope_line, "routing-contract",
-         Format("'%s' declares a row-range scope but its ValidationPenalty/"
-                "ValidationPenaltyBatch paths never consult InRange — routed "
-                "voting would prune votes the tool may not return zero for; "
-                "add the guard or mark `// aspect-lint: "
-                "allow(routing-contract)` with a justification",
-                cls));
-  }
-}
-
 }  // namespace
 
 Allowlist ParseAllowlist(const std::string& path, const std::string& content) {
@@ -555,8 +472,7 @@ const std::set<std::string>& KnownChecks() {
   static const std::set<std::string>* const kChecks = new std::set<std::string>{
       "determinism-banned-call", "determinism-unforked-rng",
       "determinism-hwconc-partition", "probe-missing",
-      "probe-allowlist-stale", "lease-unmanaged-write",
-      "routing-contract"};
+      "probe-allowlist-stale", "lease-unmanaged-write"};
   return *kChecks;
 }
 
@@ -566,7 +482,6 @@ std::vector<Diagnostic> RunChecks(const std::vector<SourceModel>& project,
   for (const SourceModel& model : project) {
     CheckDeterminism(model, &diags);
     CheckLeases(model, &diags);
-    CheckRoutingContract(model, &diags);
   }
   CheckProbes(project, allowlist, &diags);
   std::sort(diags.begin(), diags.end(),

@@ -4,14 +4,14 @@
 #include <cstdint>
 #include <vector>
 
-void ProbeRead(int table, int col, int64_t row);
+void ProbeRead(int table, int col);
 
 class Column {
  public:
   int64_t GetRaw(int64_t row) const { return ints_[static_cast<size_t>(row)]; }  // aspect-lint-expect: probe-missing
 
   int64_t GetProbed(int64_t row) const {
-    ProbeRead(probe_table_, probe_col_, row);
+    ProbeRead(probe_table_, probe_col_);
     return ints_[static_cast<size_t>(row)];
   }
 
