@@ -18,6 +18,7 @@
 // Build & run:  ./build/examples/custom_tool
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "aspect/coordinator.h"
 #include "aspect/registry.h"
@@ -130,22 +131,33 @@ class GenderRatioTool : public PropertyTool {
   }
 
   // ---- Tweaking Algorithm ----
+  // The users whose gender must flip are a search index: only this
+  // Tweak reads them, so they are gathered here and dropped on return.
+  // Bind keeps just the count that Error and ValidationPenalty read,
+  // which is all OnApplied has to maintain while other tools tweak.
   Status Tweak(TweakContext* ctx) override {
     Table* users = db_->FindTable(user_table_);
     const int64_t n = users->NumTuples();
-    int64_t want = static_cast<int64_t>(
+    const int64_t want = static_cast<int64_t>(
         std::llround(target_fraction_ * static_cast<double>(n)));
-    while (males_ != want) {
-      const int64_t from = males_ < want ? 1 : 0;
-      const TupleId t = ctx->rng()->UniformInt(0, users->NumSlots() - 1);
-      if (!users->IsLive(t) ||
-          users->column(gender_col_).GetInt(t) != from) {
-        continue;
+    const int64_t from = males_ < want ? 1 : 0;
+    std::vector<TupleId> candidates;
+    users->ForEachLive([&](TupleId t) {
+      if (users->column(gender_col_).GetInt(t) == from) {
+        candidates.push_back(t);
       }
-      // Propose through the context so other tools can vote.
+    });
+    while (males_ != want && !candidates.empty()) {
+      const auto i = static_cast<size_t>(ctx->rng()->UniformInt(
+          0, static_cast<int64_t>(candidates.size()) - 1));
+      const TupleId t = candidates[i];
+      candidates[i] = candidates.back();
+      candidates.pop_back();
+      // Propose through the context so other tools can vote; a vetoed
+      // user keeps its gender and leaves the candidates.
       Status st = ctx->TryApply(Modification::ReplaceValues(
           user_table_, {t}, {gender_col_}, {Value(1 - from)}));
-      if (st.IsValidationFailed()) continue;  // pick another user
+      if (st.IsValidationFailed()) continue;
       ASPECT_RETURN_NOT_OK(st);
     }
     return Status::OK();

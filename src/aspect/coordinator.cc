@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "analysis/probe.h"
 #include "aspect/lease.h"
@@ -259,6 +260,8 @@ class TweakLoop {
         options_(options),
         report_(report),
         ledger_(tools, monitor),
+        bound_(tools.size(), false),
+        bind_seconds_(tools.size(), 0.0),
         batch_hint_(tools.size(), options.batch_size),
         try_parallel_(options.parallel_pass &&
                       !options.rollback_on_regression && order.size() > 1) {
@@ -303,6 +306,14 @@ class TweakLoop {
   /// strict scope-check verdict.
   Status Finish();
 
+  /// Unbinds every tool this run bound.
+  void UnbindAll() {
+    for (size_t i = 0; i < tools_.size(); ++i) {
+      if (bound_[i]) tools_[i]->Unbind();
+      bound_[i] = false;
+    }
+  }
+
  private:
   PropertyTool* tool(int id) const {
     return tools_[static_cast<size_t>(id)].get();
@@ -335,17 +346,37 @@ class TweakLoop {
     }
   }
 
-  void UnbindAll() {
-    for (const int id : order_) tool(id)->Unbind();
+  /// Binds `id` and repairs its target unless this run already did: a
+  /// tool builds its statistics right before its first step, so one
+  /// that has not run yet does no Statistics Updater work. The time is
+  /// filed with the tool's next step report.
+  Status EnsureBound(int id) {
+    const auto i = static_cast<size_t>(id);
+    if (bound_[i]) return Status::OK();
+    const double t0 = Now();
+    bound_[i] = true;
+    ASPECT_RETURN_NOT_OK(tool(id)->Bind(db_));
+    if (options_.repair_targets) ASPECT_RETURN_NOT_OK(tool(id)->RepairTarget());
+    bind_seconds_[i] += Now() - t0;
+    return Status::OK();
   }
 
-  /// Restores the pre-step state from the undo log and rebuilds every
-  /// bound tool's statistics.
+  /// The set-up seconds not yet filed in a report of `id`.
+  double TakeBindSeconds(int id) {
+    return std::exchange(bind_seconds_[static_cast<size_t>(id)], 0.0);
+  }
+
+  /// Restores the pre-step state from the undo log and rebuilds the
+  /// statistics of every bound tool.
   Status RollBack() {
-    UnbindAll();
+    for (size_t i = 0; i < tools_.size(); ++i) {
+      if (bound_[i]) tools_[i]->Unbind();
+    }
     ASPECT_RETURN_NOT_OK(undo_log_->UndoOnto(db_));
     undo_log_->Clear();
-    for (const int id : order_) ASPECT_RETURN_NOT_OK(tool(id)->Bind(db_));
+    for (size_t i = 0; i < tools_.size(); ++i) {
+      if (bound_[i]) ASPECT_RETURN_NOT_OK(tools_[i]->Bind(db_));
+    }
     return Status::OK();
   }
 
@@ -373,6 +404,9 @@ class TweakLoop {
   const CoordinatorOptions& options_;
   RunReport* report_;
   ValidatorLedger ledger_;
+  /// Per tool id: bound by this run, and bind seconds not yet reported.
+  std::vector<bool> bound_;
+  std::vector<double> bind_seconds_;
   std::vector<int> batch_hint_;
   const bool try_parallel_;
   std::vector<int> columns_per_table_;
@@ -392,6 +426,7 @@ class TweakLoop {
 Status TweakLoop::SerialStep(size_t pos) {
   const int id = order_[pos];
   PropertyTool* t = tool(id);
+  ASPECT_RETURN_NOT_OK(EnsureBound(id));
   std::vector<PropertyTool*> validators;
   std::vector<int> validator_ids;
   std::vector<const AccessScope*> validator_scopes;
@@ -432,10 +467,7 @@ Status TweakLoop::SerialStep(size_t pos) {
     st = t->Tweak(&ctx);
   }
   step.seconds = Now() - t0;
-  if (!st.ok()) {
-    UnbindAll();
-    return st;
-  }
+  ASPECT_RETURN_NOT_OK(st);
   if (undo_log_ != nullptr) {
     step.rollback_mods = undo_log_->size();
     const double guarded_after = GuardedError(id);
@@ -449,6 +481,7 @@ Status TweakLoop::SerialStep(size_t pos) {
     }
   }
   step.error_after = t->Error();
+  step.bind_seconds = TakeBindSeconds(id);
   step.applied = ctx.applied();
   step.vetoed = ctx.vetoed();
   step.forced = ctx.forced();
@@ -550,6 +583,7 @@ std::vector<size_t> TweakLoop::PlanGroup(
 /// or discard and redo the whole group serially.
 Status TweakLoop::GroupStep(const std::vector<size_t>& members,
                            const std::vector<AccessScope>& scopes) {
+  for (const size_t m : members) ASPECT_RETURN_NOT_OK(EnsureBound(order_[m]));
   const double setup0 = Now();
   // The write leases partition the members' certified writes on the
   // shared database. The partition cannot fail for a correctly formed
@@ -800,7 +834,9 @@ Status TweakLoop::CommitGroup(
                          task.recorder->written().end());
   }
   for (const int v : order_) {
-    if (!considered.insert(v).second || !tool(v)->bound()) continue;
+    if (!considered.insert(v).second || !bound_[static_cast<size_t>(v)]) {
+      continue;
+    }
     const AccessScope vs = ledger_.Scope(v);
     if (!vs.known || !vs.reads_complete ||
         WritesDisturbAtoms(group_written, vs.stats_reads)) {
@@ -821,6 +857,7 @@ Status TweakLoop::CommitGroup(
     step.vetoed = task.vetoed;
     step.forced = task.forced;
     step.seconds = task.seconds;
+    step.bind_seconds = TakeBindSeconds(task.id);
     step.parallel = true;
     step.batch_final = task.batch_final;
     batch_hint_[static_cast<size_t>(task.id)] = task.batch_final;
@@ -835,7 +872,7 @@ Status TweakLoop::CommitGroup(
 Status TweakLoop::Finish() {
   report_->final_errors.resize(tools_.size(), 0.0);
   for (size_t i = 0; i < tools_.size(); ++i) {
-    if (tools_[i]->bound()) report_->final_errors[i] = tools_[i]->Error();
+    if (bound_[i]) report_->final_errors[i] = tools_[i]->Error();
   }
   UnbindAll();
   for (const ToolReport& s : report_->steps) {
@@ -887,6 +924,9 @@ std::string RunReport::ToString() const {
       os << StrFormat(" [rollback net %.3fs]", s.rollback_seconds);
     }
     if (s.parallel) os << " [parallel]";
+    if (s.bind_seconds > 0) {
+      os << StrFormat(" [bind %.2fms]", s.bind_seconds * 1e3);
+    }
     if (s.batch_final > 1) {
       os << StrFormat(" [batch %d]", s.batch_final);
     }
@@ -970,12 +1010,6 @@ Result<RunReport> Coordinator::Run(Database* db,
     checker_ = std::make_unique<analysis::ScopeChecker>(options.check_scopes,
                                                         num_tools());
   }
-  // Bind all tools in the order so each maintains statistics (and can
-  // validate) from the start of the run.
-  for (const int id : order) {
-    ASPECT_RETURN_NOT_OK(tool(id)->Bind(db));
-    if (options.repair_targets) ASPECT_RETURN_NOT_OK(tool(id)->RepairTarget());
-  }
   TweakLoop loop(tools_, monitor_.get(), checker_.get(), db, order, options,
                  &report);
   Rng rng(options.seed);
@@ -983,7 +1017,12 @@ Result<RunReport> Coordinator::Run(Database* db,
   for (int pass = 0; pass < options.iterations; ++pass) {
     loop.StartPass(pass, &rng);
     for (size_t pos = 0; pos < order.size();) {
-      ASPECT_ASSIGN_OR_RETURN(pos, loop.Step(pos));
+      Result<size_t> next = loop.Step(pos);
+      if (!next.ok()) {
+        loop.UnbindAll();
+        return next.status();
+      }
+      pos = next.ValueOrDie();
     }
     if (options.converge_epsilon <= 0) continue;
     double total = 0;

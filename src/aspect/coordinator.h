@@ -109,6 +109,10 @@ struct ToolReport {
   int64_t vetoed = 0;
   int64_t forced = 0;
   double seconds = 0;
+  /// Set-up cost filed with the tool's first step of the run: the
+  /// Bind and RepairTarget that ran right before it. Zero on every
+  /// later step of the tool.
+  double bind_seconds = 0;
   /// Rollback safety-net cost of this step (rollback_on_regression):
   /// seconds spent resetting the undo log and, if the step regressed,
   /// restoring.
@@ -210,8 +214,10 @@ class Coordinator {
   Status SetTargetsFromDataset(const Database& ground_truth);
 
   /// Runs the tools over `db` in the given order (a permutation of a
-  /// subset of tool ids). Tools are bound to `db` for the duration and
-  /// unbound afterwards.
+  /// subset of tool ids). Each tool is bound to `db` (and its target
+  /// repaired) right before its first step, so a tool that has not run
+  /// yet keeps no statistics current; every bound tool is unbound
+  /// afterwards.
   Result<RunReport> Run(Database* db, const std::vector<int>& order,
                         const CoordinatorOptions& options);
 

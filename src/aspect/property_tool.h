@@ -8,7 +8,17 @@
 //   Property Evaluator   - Error(), the property distance to target
 //   Property Validator   - ValidationPenalty(), voting on proposals
 //   Statistics Updater   - OnApplied() (from ModificationListener),
-//                          incremental statistics maintenance
+//                          incremental maintenance: the statistics
+//                          after every applied modification, the
+//                          search index only while Tweak holds one
+//
+// A tool's bound state has two parts (DESIGN.md, "When a tool builds
+// its state"). Its statistics are what Error, RepairTarget and the
+// validator read; Bind builds them and they live until Unbind. Its
+// search index is whatever only its Tweak reads (candidate lists,
+// buckets, children lists); Tweak builds it on entry and frees it on
+// exit. The coordinator binds a tool right before its first step, so a
+// bound tool that is not tweaking only keeps statistics current.
 //
 // Tools are independently developed; ASPECT coordinates them through
 // this interface, which is what makes the repository collaborative.
@@ -73,9 +83,11 @@ class PropertyTool : public ModificationListener {
   }
 
   // --- Binding ----------------------------------------------------------
-  /// Attaches to `db`: scans it to build the property statistics and
-  /// registers as a modification listener. A tool is bound to at most
-  /// one database at a time.
+  /// Attaches to `db`: scans it to build the property statistics — what
+  /// Error, RepairTarget and ValidationPenalty read, no search
+  /// structures — and registers as a modification listener. A tool is
+  /// bound to at most one database at a time; the coordinator binds it
+  /// right before the tool's first step and unbinds it after the run.
   virtual Status Bind(Database* db) = 0;
   virtual void Unbind() = 0;
   virtual bool bound() const = 0;
@@ -189,6 +201,10 @@ class PropertyTool : public ModificationListener {
   // --- Tweaking Algorithm -----------------------------------------------
   /// Tweaks the bound database toward the target, proposing every
   /// modification through `ctx` so other tools' validators can vote.
+  /// Search structures that only this algorithm reads are built here,
+  /// from the statistics, kept current by OnApplied while the Tweak
+  /// runs, and freed before it returns: other tools' steps then pay
+  /// only for the statistics.
   virtual Status Tweak(TweakContext* ctx) = 0;
 };
 

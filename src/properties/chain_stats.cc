@@ -45,19 +45,25 @@ int32_t Slack(int32_t n) { return n + n / 4 + 1; }
 
 void EdgeLists::Reset(int64_t child_slots, int64_t parent_slots) {
   parent_.assign(static_cast<size_t>(child_slots), -1);
-  pos_.assign(static_cast<size_t>(child_slots), -1);
-  block_.assign(static_cast<size_t>(parent_slots), Block{});
-  arena_.clear();
-  dead_ = 0;
+  parent_slots_ = parent_slots;
+  ReleaseLists();
 }
 
 void EdgeLists::Fill(const Table& child, const Column& fk) {
   child.ForEachLive([&](TupleId c) {
-    if (!fk.IsValue(c)) return;
-    const TupleId p = fk.GetInt(c);
-    parent_[static_cast<size_t>(c)] = static_cast<int32_t>(p);
-    ++block_[static_cast<size_t>(p)].size;
+    if (fk.IsValue(c)) {
+      parent_[static_cast<size_t>(c)] = static_cast<int32_t>(fk.GetInt(c));
+    }
   });
+}
+
+void EdgeLists::BuildLists() {
+  listed_ = true;
+  pos_.assign(parent_.size(), -1);
+  block_.assign(static_cast<size_t>(parent_slots_), Block{});
+  for (const int32_t p : parent_) {
+    if (p >= 0) ++block_[static_cast<size_t>(p)].size;
+  }
   uint32_t begin = 0;
   for (Block& b : block_) {
     b.begin = begin;
@@ -65,7 +71,8 @@ void EdgeLists::Fill(const Table& child, const Column& fk) {
     begin += static_cast<uint32_t>(b.cap);
     b.size = 0;
   }
-  arena_.resize(begin);
+  arena_.assign(begin, -1);
+  dead_ = 0;
   for (size_t c = 0; c < parent_.size(); ++c) {
     if (parent_[c] < 0) continue;
     Block& b = block_[static_cast<size_t>(parent_[c])];
@@ -74,21 +81,32 @@ void EdgeLists::Fill(const Table& child, const Column& fk) {
   }
 }
 
+void EdgeLists::ReleaseLists() {
+  listed_ = false;
+  pos_ = {};
+  block_ = {};
+  arena_ = {};
+  dead_ = 0;
+}
+
 void EdgeLists::EnsureChildSlots(int64_t n) {
   if (parent_.size() < static_cast<size_t>(n)) {
     parent_.resize(static_cast<size_t>(n), -1);
-    pos_.resize(static_cast<size_t>(n), -1);
+    if (listed_) pos_.resize(static_cast<size_t>(n), -1);
   }
 }
 
 void EdgeLists::EnsureParentSlots(int64_t n) {
-  if (block_.size() < static_cast<size_t>(n)) {
+  parent_slots_ = std::max(parent_slots_, n);
+  if (listed_ && block_.size() < static_cast<size_t>(n)) {
     block_.resize(static_cast<size_t>(n), Block{});
   }
 }
 
 void EdgeLists::Link(TupleId c, TupleId p) {
   assert(Parent(c) == kInvalidTuple);
+  parent_[static_cast<size_t>(c)] = static_cast<int32_t>(p);
+  if (!listed_) return;
   if (block_[static_cast<size_t>(p)].size ==
       block_[static_cast<size_t>(p)].cap) {
     Grow(p);
@@ -96,19 +114,19 @@ void EdgeLists::Link(TupleId c, TupleId p) {
   Block& b = block_[static_cast<size_t>(p)];
   arena_[b.begin + static_cast<uint32_t>(b.size)] = static_cast<int32_t>(c);
   pos_[static_cast<size_t>(c)] = b.size++;
-  parent_[static_cast<size_t>(c)] = static_cast<int32_t>(p);
 }
 
 void EdgeLists::Unlink(TupleId c) {
   const int32_t p = parent_[static_cast<size_t>(c)];
   if (p < 0) return;
+  parent_[static_cast<size_t>(c)] = -1;
+  if (!listed_) return;
   Block& b = block_[static_cast<size_t>(p)];
   const int32_t pos = pos_[static_cast<size_t>(c)];
   const int32_t last = arena_[b.begin + static_cast<uint32_t>(b.size) - 1];
   arena_[b.begin + static_cast<uint32_t>(pos)] = last;
   pos_[static_cast<size_t>(last)] = pos;
   --b.size;
-  parent_[static_cast<size_t>(c)] = -1;
 }
 
 int64_t EdgeLists::LiveCells() const {
@@ -333,6 +351,14 @@ void LinearStats::Reset(const Database& db) {
   }
 }
 
+void LinearStats::BuildLists() {
+  for (EdgeLists& e : edges_) e.BuildLists();
+}
+
+void LinearStats::ReleaseLists() {
+  for (EdgeLists& e : edges_) e.ReleaseLists();
+}
+
 void LinearStats::EnsureTableSlots(int table, int64_t slots) {
   for (size_t e = 0; e < edges_.size(); ++e) {
     if (edge_table_[e] == table) edges_[e].EnsureChildSlots(slots);
@@ -405,6 +431,7 @@ void LinearStats::EvaluateMove(int e, std::span<const TupleId> children,
   }
   // Lists: the new parent's list would grow and shrink back; each old
   // parent's list sees the swap-remove and the re-append.
+  if (!edge.listed()) return;
   for (const auto& [c, old] : out->moved) {
     if (old != kInvalidTuple) edge.Unlink(c);
   }

@@ -19,6 +19,12 @@
 // updates the counters of each chain through it in O(k) per level flip,
 // which is what makes both the Statistics Updater and the exact
 // move-effect evaluation cheap.
+//
+// Parents and counters are the statistics: Error and pricing read
+// them, and Build keeps them from then on. The children lists are the
+// search index: only tweaking walks them, so BuildLists makes them
+// from the parents when a Tweak starts and ReleaseLists frees them when
+// it ends; while they exist every relink keeps them current.
 #pragma once
 
 #include <cstdint>
@@ -67,22 +73,32 @@ class JoinMatrix {
 };
 
 /// Parent pointers and children lists of one FK edge, in flat arrays.
-/// The children of every parent slot sit in one block of a shared
-/// arena, with slack. Appending to a full block moves it to the
-/// arena's end with twice the room; once dead cells outnumber live
-/// ones the arena is compacted, each list keeping its order.
+/// The parent pointers always exist; the lists only between
+/// BuildLists and ReleaseLists. The children of every parent slot sit
+/// in one block of a shared arena, with slack. Appending to a full
+/// block moves it to the arena's end with twice the room; once dead
+/// cells outnumber live ones the arena is compacted, each list keeping
+/// its order.
 ///
-/// Order rule: Link puts the child last and Unlink swap-removes it
-/// (the former last child takes its place). Tweaking's random draws
-/// read children in this order, so it is part of the output contract.
+/// Order rule: BuildLists lists children in slot order, Link puts the
+/// child last and Unlink swap-removes it (the former last child takes
+/// its place). Tweaking's random draws read children in this order, so
+/// it is part of the output contract.
 class EdgeLists {
  public:
-  /// Sizes the arrays for the given slot counts with nothing attached.
+  /// Sizes the parents for the given slot counts with nothing attached
+  /// and drops the lists.
   void Reset(int64_t child_slots, int64_t parent_slots);
   /// After Reset, attaches every live row of `child` whose `fk` cell
-  /// holds a value, in slot order: the lists Link one row at a time
-  /// would leave, in one count and one fill pass.
+  /// holds a value.
   void Fill(const Table& child, const Column& fk);
+  /// Lists every attached child under its parent in slot order (what
+  /// Link one child at a time would leave) in one count and one fill
+  /// pass over the parents.
+  void BuildLists();
+  /// Frees the lists; Link and Unlink then keep only the parents.
+  void ReleaseLists();
+  bool listed() const { return listed_; }
 
   void EnsureChildSlots(int64_t n);
   void EnsureParentSlots(int64_t n);
@@ -91,13 +107,13 @@ class EdgeLists {
   TupleId Parent(TupleId c) const {
     return parent_[static_cast<size_t>(c)];
   }
-  /// Children of parent slot `p`, in list order.
+  /// Children of parent slot `p`, in list order. Requires listed().
   std::span<const int32_t> Children(TupleId p) const {
     const Block& b = block_[static_cast<size_t>(p)];
     return {arena_.data() + b.begin, static_cast<size_t>(b.size)};
   }
 
-  /// Puts detached `c` last in `p`'s list.
+  /// Attaches detached `c` under `p`, last in `p`'s list if listed.
   void Link(TupleId c, TupleId p);
   /// Detaches `c` (no-op if detached); the last child takes its place.
   void Unlink(TupleId c);
@@ -119,8 +135,11 @@ class EdgeLists {
   void Compact();
 
   std::vector<int32_t> parent_;  // child row -> parent slot or -1
-  std::vector<int32_t> pos_;     // child row -> index in its list
-  std::vector<Block> block_;     // parent slot -> its arena block
+  int64_t parent_slots_ = 0;     // parent slots the lists cover
+  // The lists, while listed_.
+  bool listed_ = false;
+  std::vector<int32_t> pos_;  // child row -> index in its list
+  std::vector<Block> block_;  // parent slot -> its arena block
   std::vector<int32_t> arena_;
   size_t dead_ = 0;  // arena cells outside every block
 };
@@ -141,6 +160,7 @@ class ChainStats {
   }
 
   /// Children (at level L+1) of tuple `t` at level L (L <= k-2).
+  /// Requires the lists (LinearStats::BuildLists).
   std::span<const int32_t> Children(int level, TupleId t) const {
     return edge_[static_cast<size_t>(level) + 1]->Children(t);
   }
@@ -168,7 +188,7 @@ class ChainStats {
 
   /// The first descendant of `t` at `target_level`, walking each
   /// children list in order to the first child that reaches it;
-  /// kInvalidTuple if none.
+  /// kInvalidTuple if none. Requires the lists.
   TupleId DescendantAt(int level, TupleId t, int target_level) const;
 
   /// The level at which `table_index` appears in this chain (a DAG
@@ -237,13 +257,17 @@ class LinearStats {
   LinearStats(LinearStats&&) = default;
   LinearStats& operator=(LinearStats&&) = default;
 
-  /// (Re)builds everything from the database: per edge one count pass
-  /// and one fill pass, per chain one reach pass and one count pass
-  /// per level. The result equals Reset and then Attach of every live
-  /// child with an FK value, deepest level first, in slot order.
+  /// (Re)builds the statistics from the database: per edge one parent
+  /// pass, per chain one reach pass and one count pass per level. The
+  /// result equals Reset and then Attach of every live child with an
+  /// FK value, deepest level first, in slot order. Lists are dropped.
   void Build(const Database& db);
   /// Sizes every array for `db`'s tables with nothing attached.
   void Reset(const Database& db);
+  /// Builds every edge's children lists from its parents (the search
+  /// index Tweak walks), and frees them again.
+  void BuildLists();
+  void ReleaseLists();
 
   int num_chains() const { return static_cast<int>(chains_.size()); }
   const ChainStats& chain(int c) const {
@@ -268,8 +292,9 @@ class LinearStats {
   /// Grows every array indexed by `table`'s slots to `slots` rows.
   void EnsureTableSlots(int table, int64_t slots);
 
-  /// Moves `child` of edge `e` from its current list (if any) to the
-  /// end of `parent`'s list (if valid). Counters are not touched.
+  /// Moves `child` of edge `e` from its current parent (if any) to
+  /// `parent` (if valid), at the end of its list while listed.
+  /// Counters are not touched.
   void Relink(int e, TupleId child, TupleId parent);
   /// Counts (+1) or uncounts (-1) `child`'s reach under `parent` in
   /// chain `c`, where the child sits at `level`.
@@ -283,10 +308,10 @@ class LinearStats {
 
   /// The net change of every matrix through edge `e` if each of
   /// `children` (distinct) moved under `parent`, written to `out`.
-  /// Counters and matrices end as they began. Lists end as applying
-  /// and reverting the moves would leave them: each moved child that
-  /// had a parent is swap-removed from its list, in order, and then
-  /// appended back, in reverse order.
+  /// Counters and matrices end as they began. Lists, if built, end as
+  /// applying and reverting the moves would leave them: each moved
+  /// child that had a parent is swap-removed from its list, in order,
+  /// and then appended back, in reverse order.
   void EvaluateMove(int e, std::span<const TupleId> children,
                     TupleId parent, MoveDelta* out);
 

@@ -782,6 +782,7 @@ bool LinearPropertyTool::IncreaseOnce(TweakContext* ctx, int ci, int J,
 
 Status LinearPropertyTool::Tweak(TweakContext* ctx) {
   if (!bound()) return Status::Invalid("linear: Tweak needs Bind");
+  BuildSearchIndex();
   const int num_chains = static_cast<int>(chains_.size());
   for (int sweep = 0; sweep < 4; ++sweep) {
     bool any_moves = false;
@@ -813,6 +814,7 @@ Status LinearPropertyTool::Tweak(TweakContext* ctx) {
     }
     if (!any_moves || Error() < 1e-12) break;
   }
+  ReleaseSearchIndex();
   return Status::OK();
 }
 

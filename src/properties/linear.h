@@ -85,6 +85,12 @@ class LinearPropertyTool : public PropertyTool {
   }
   /// The bound statistics. Exposed for tests.
   const LinearStats& stats() const { return stats_; }
+  /// The search index only Tweak reads: every edge's children lists.
+  /// Tweak builds it on entry and releases it on exit, and while it
+  /// exists OnApplied keeps it current. Public so tests can check that
+  /// upkeep; requires bound.
+  void BuildSearchIndex() { stats_.BuildLists(); }
+  void ReleaseSearchIndex() { stats_.ReleaseLists(); }
 
   /// Projects `m` onto the feasible set of Theorem 1 for the given
   /// chain table sizes (L1-L4 plus h >= 1). Exposed for tests.

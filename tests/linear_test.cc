@@ -68,6 +68,7 @@ TEST(ChainStatsTest, ReachAndNavigation) {
   auto db = ChainDb();
   LinearStats stats({TheChain(db->schema())});
   stats.Build(*db);
+  stats.BuildLists();
   const ChainStats& s = stats.chain(0);
   EXPECT_TRUE(s.Reaches(0, 1, 3));   // a1 reaches D level
   EXPECT_FALSE(s.Reaches(0, 0, 2));  // a0 has no C descendant
@@ -118,12 +119,13 @@ TEST(ChainStatsTest, IncrementalMatchesRebuildUnderRandomMoves) {
   EXPECT_EQ(s.chain(0).matrix(), ComputeJoinMatrix(*db, *chain));
 }
 
-// Statistics filled the way the incremental path fills them: every
-// live child with an FK value attached one at a time, deepest level
-// first, in slot order.
+// Statistics and lists filled the way the incremental path fills them:
+// every live child with an FK value attached one at a time, deepest
+// level first, in slot order.
 LinearStats AttachOneByOne(const Database& db, const ReferenceChain& chain) {
   LinearStats s({chain});
   s.Reset(db);
+  s.BuildLists();
   for (int l = chain.length() - 1; l >= 1; --l) {
     const Table& t = db.table(chain.tables[static_cast<size_t>(l)]);
     const Column& fk = t.column(chain.fk_cols[static_cast<size_t>(l - 1)]);
@@ -209,6 +211,7 @@ TEST(ChainStatsTest, BulkBuildEqualsAttachOneByOne) {
          ReferenceGraph(db->schema()).MaximalChains()) {
       LinearStats bulk({chain});
       bulk.Build(*db);
+      bulk.BuildLists();
       LinearStats one = AttachOneByOne(*db, chain);
       EXPECT_EQ(bulk.chain(0).matrix(), one.chain(0).matrix());
       EXPECT_EQ(StatsMismatches(bulk.chain(0), one.chain(0), *db), 0);
@@ -411,6 +414,7 @@ TEST(LinearStatsTest, MatchesPerChainListModelUnderMovesAndPricing) {
     LinearPropertyTool tool(db->schema());
     ASSERT_TRUE(tool.SetTargetFromDataset(*db).ok());
     ASSERT_TRUE(tool.Bind(db.get()).ok());
+    tool.BuildSearchIndex();
     const std::vector<ReferenceChain>& chains = tool.chains();
     ListModel model(*db, chains);
     ASSERT_EQ(model.Mismatches(tool.stats(), *db), 0);
@@ -478,6 +482,7 @@ TEST(LinearStatsTest, EvaluateMoveEqualsApplyAndRevert) {
   const auto chains = ReferenceGraph(db->schema()).MaximalChains();
   LinearStats evaluated(chains);
   evaluated.Build(*db);
+  evaluated.BuildLists();
   LinearStats applied = evaluated;  // a copy reads its own lists
   MoveDelta delta;
   Rng rng(6);
@@ -533,6 +538,7 @@ TEST(LinearStatsTest, ArenaCompactionKeepsListOrder) {
   auto db = ChainDb();
   LinearStats stats({TheChain(db->schema())});
   stats.Build(*db);
+  stats.BuildLists();
   const int e = stats.EdgeAt(0, 1);
   Rng rng(2);
   std::vector<std::vector<TupleId>> want(4);
